@@ -372,6 +372,13 @@ let shard_of t extent =
           Option.map (fun p -> (p, k)) pe.Registry.me_partition)
   | _ -> None
 
+(* The one optimizer call: the compiled path, hybrid fragments and
+   [explain] plan with the same arguments. *)
+let optimize t located =
+  Optimizer.optimize ~params:t.params ~metrics:t.metrics ~batch:t.batch
+    ~check:(opt_check t) ~shard:(shard_of t) ~can_push:(can_push t)
+    ~cost:t.cost located
+
 (* Shard children the plan scans: drives the shard span and metrics of
    the scatter-gather round. *)
 let shard_children_of_plan t plan =
@@ -382,19 +389,6 @@ let shard_children_of_plan t plan =
        (Plan.all_source_exprs plan))
 
 (* -- answers -- *)
-
-let zero_stats =
-  {
-    Runtime.execs_issued = 0;
-    execs_answered = 0;
-    execs_blocked = 0;
-    tuples_shipped = 0;
-    elapsed_ms = 0.0;
-    cache_hits = 0;
-    cache_stale_hits = 0;
-    cache_stale_ms = 0.0;
-    round_trips = 0;
-  }
 
 let cache_use_of (stats : Runtime.stats) =
   {
@@ -482,11 +476,7 @@ let compiled_outcome t ~timeout_ms ~type_check ~semantics ~tr ~oql located =
             t.plan_misses <- t.plan_misses + 1;
             Metrics.incr t.metrics "plan_cache.miss";
             span_meta tr "plan_cache" "miss";
-            let choice =
-              Optimizer.optimize ~params:t.params ~metrics:t.metrics
-                ~batch:t.batch ~check:(opt_check t) ~shard:(shard_of t)
-                ~can_push:(can_push t) ~cost:t.cost located
-            in
+            let choice = optimize t located in
             span_meta tr "alternatives"
               (string_of_int choice.Optimizer.alternatives);
             span_meta tr "est_time_ms"
@@ -557,19 +547,6 @@ let compiled_outcome t ~timeout_ms ~type_check ~semantics ~tr ~oql located =
    and the rest is evaluated on the mediator. Fragments run as successive
    parallel rounds against the virtual clock. *)
 
-let add_stats a b =
-  {
-    Runtime.execs_issued = a.Runtime.execs_issued + b.Runtime.execs_issued;
-    execs_answered = a.Runtime.execs_answered + b.Runtime.execs_answered;
-    execs_blocked = a.Runtime.execs_blocked + b.Runtime.execs_blocked;
-    tuples_shipped = a.Runtime.tuples_shipped + b.Runtime.tuples_shipped;
-    elapsed_ms = a.Runtime.elapsed_ms +. b.Runtime.elapsed_ms;
-    cache_hits = a.Runtime.cache_hits + b.Runtime.cache_hits;
-    cache_stale_hits = a.Runtime.cache_stale_hits + b.Runtime.cache_stale_hits;
-    cache_stale_ms = Float.max a.Runtime.cache_stale_ms b.Runtime.cache_stale_ms;
-    round_trips = a.Runtime.round_trips + b.Runtime.round_trips;
-  }
-
 let hybrid_outcome t ~timeout_ms ~type_check ~semantics ~tr expanded =
   (match
      List.find_opt
@@ -579,7 +556,7 @@ let hybrid_outcome t ~timeout_ms ~type_check ~semantics ~tr expanded =
   | Some unknown -> mediator_error "unresolved name %s after expansion" unknown
   | None -> ());
   span_meta tr "mode" "hybrid";
-  let stats_acc = ref zero_stats in
+  let stats_acc = ref Runtime.zero_stats in
   let blocked_repos = ref [] in
   let try_fragment sub =
     match sub with
@@ -599,11 +576,7 @@ let hybrid_outcome t ~timeout_ms ~type_check ~semantics ~tr expanded =
             then None
             else
               let located = Compile.locate ~repo_of:(repo_of t) compiled in
-              let choice =
-                Optimizer.optimize ~params:t.params ~metrics:t.metrics
-                  ~batch:t.batch ~check:(opt_check t) ~shard:(shard_of t)
-                  ~can_push:(can_push t) ~cost:t.cost located
-              in
+              let choice = optimize t located in
               let extents =
                 List.sort_uniq String.compare
                   (List.concat_map
@@ -613,10 +586,10 @@ let hybrid_outcome t ~timeout_ms ~type_check ~semantics ~tr expanded =
               let env = runtime_env t ~type_check ~semantics ~tr extents in
               match Runtime.execute ~timeout_ms env choice.Optimizer.plan with
               | Runtime.Complete v, st ->
-                  stats_acc := add_stats !stats_acc st;
+                  stats_acc := Runtime.add_stats !stats_acc st;
                   Some (Ast.Const v)
               | Runtime.Partial { unavailable; _ }, st ->
-                  stats_acc := add_stats !stats_acc st;
+                  stats_acc := Runtime.add_stats !stats_acc st;
                   blocked_repos := unavailable @ !blocked_repos;
                   (* leave the fragment symbolic for the partial answer *)
                   None
@@ -638,7 +611,7 @@ let hybrid_outcome t ~timeout_ms ~type_check ~semantics ~tr expanded =
         let fetched, fetch_stats = Runtime.fetch ~timeout_ms env extents in
         (substituted, fetched, fetch_stats))
   in
-  let stats = add_stats !stats_acc fetch_stats in
+  let stats = Runtime.add_stats !stats_acc fetch_stats in
   let fetch_blocked = List.filter (fun (_, v) -> v = None) fetched in
   if fetch_blocked = [] && !blocked_repos = [] then
     let resolve name =
@@ -800,7 +773,7 @@ let resubmit ?opts t answer =
   | Complete v ->
       {
         answer = Complete v;
-        stats = zero_stats;
+        stats = Runtime.zero_stats;
         plan = None;
         from_cache = false;
         answer_cache = no_cache_use;
@@ -840,11 +813,7 @@ let explain t oql =
   match Compile.compile expanded with
   | Ok compiled ->
       let located = Compile.locate ~repo_of:(repo_of t) compiled in
-      let choice =
-        Optimizer.optimize ~params:t.params ~batch:t.batch
-          ~check:(opt_check t) ~shard:(shard_of t) ~can_push:(can_push t)
-          ~cost:t.cost located
-      in
+      let choice = optimize t located in
       Fmt.str "plan (%d alternatives, est. %.3f ms, %.1f rows shipped):@\n%s"
         choice.Optimizer.alternatives choice.Optimizer.cost.Plan.time_ms
         choice.Optimizer.cost.Plan.shipped

@@ -174,8 +174,8 @@ type env = {
   trace : Trace.t option;
   metrics : Metrics.t;
   batch : bool;
-      (* group same-destination execs into one wrapper round-trip; off
-         reproduces the historical one-call-per-exec transport exactly *)
+      (* let same-destination execs share one wrapper round-trip; off,
+         every exec rides alone (the only effect of the flag) *)
   batch_seq : int ref; (* distinguishes batched round-trips in traces *)
   check : Check.mode;
   checker : Check.t option;
@@ -244,9 +244,6 @@ type stats = {
   round_trips : int;
 }
 
-(* One exec call: consult the answer cache, else translate to the source
-   name space, run the wrapper through the simulated network, reformat
-   and type-check the answer. *)
 type exec_done = {
   value : V.t;
   finish : float;
@@ -261,46 +258,14 @@ type exec_done = {
 
 type exec_result = Done of exec_done | Blocked
 
-(* every exec outcome lands in the metrics registry; the trace leaf is
-   built only when a trace is attached *)
-let observe_exec ?(attempts = []) env ~repo ~wrapper ~logical ~start ~finish
-    ~origin ~shipped ~rows ~predicted ~batch =
-  Metrics.incr env.metrics ("exec.origin." ^ Trace.origin_label origin);
-  if shipped > 0 then Metrics.incr ~by:shipped env.metrics "exec.tuples_shipped";
-  match env.trace with
-  | None -> ()
-  | Some tr ->
-      let p_ms, p_rows =
-        match predicted with
-        | Some (e : Cost_model.estimate) ->
-            (Some e.Cost_model.est_time_ms, Some e.Cost_model.est_rows)
-        | None -> (None, None)
-      in
-      let batch_id, batch_size =
-        match batch with
-        | Some (id, size) -> (Some id, size)
-        | None -> (None, 1)
-      in
-      Trace.exec ~attempts tr
-        {
-          Trace.x_repo = repo;
-          x_wrapper = wrapper;
-          x_expr = Expr.to_string logical;
-          x_origin = origin;
-          x_start_ms = start;
-          x_elapsed_ms = finish -. start;
-          x_tuples = shipped;
-          x_rows = rows;
-          x_predicted_ms = p_ms;
-          x_predicted_rows = p_rows;
-          x_batch_id = batch_id;
-          x_batch_size = batch_size;
-        }
+let cardinal v = try V.cardinal v with V.Type_error _ -> 1
 
-(* Every exec — sequential, batched, retried or hedged — flows through
-   one preparation step ([prepare_exec]: binding resolution, translation,
-   failover choice) and one completion step ([complete_answer]: rename,
-   type check, cache store).  Only the transport in between differs. *)
+(* Every exec — whichever round issued it, alone or sharing a
+   round-trip, first issue or re-poll, hedged or not — flows through one
+   preparation step ([prepare_exec]: binding resolution, translation,
+   failover choice), at most one answer-cache lookup, and one of two
+   completions: [complete_group] for an answer that came over the wire,
+   [unanswered] for a refusal or timeout. *)
 
 type prepared = {
   p_repo : string;
@@ -376,20 +341,80 @@ let typecheck_answer p renamed =
         (V.elements renamed)
   | _ -> ()
 
-(* The wrapper call for one prepared exec, parameterized by the source
-   actually dialed — the same thunk serves the chosen source, a hedged
-   replica, and retry re-polls. *)
-let wrapper_thunk p src () =
-  match Wrapper.execute p.p_binding.b_wrapper src p.p_source_expr with
-  | Ok (v, rows) -> (Ok v, rows)
-  | Error err -> (Error err, 0)
-
-let observe_prepared ?attempts env (p : prepared) ~start ~finish ~origin
+(* every exec outcome lands in the metrics registry; the trace leaf is
+   built only when a trace is attached.  [batch] is the shared
+   round-trip's (id, size) when the exec did not ride alone. *)
+let observe ?(attempts = []) ?batch env (p : prepared) ~start ~finish ~origin
     ~shipped ~rows =
-  observe_exec ?attempts env ~repo:p.p_repo
-    ~wrapper:(Wrapper.name p.p_binding.b_wrapper)
-    ~logical:p.p_logical ~start ~finish ~origin ~shipped ~rows
-    ~predicted:p.p_predicted ~batch:None
+  Metrics.incr env.metrics ("exec.origin." ^ Trace.origin_label origin);
+  if shipped > 0 then Metrics.incr ~by:shipped env.metrics "exec.tuples_shipped";
+  match env.trace with
+  | None -> ()
+  | Some tr ->
+      let p_ms, p_rows =
+        match p.p_predicted with
+        | Some (e : Cost_model.estimate) ->
+            (Some e.Cost_model.est_time_ms, Some e.Cost_model.est_rows)
+        | None -> (None, None)
+      in
+      let batch_id, batch_size =
+        match batch with
+        | Some (id, size) -> (Some id, size)
+        | None -> (None, 1)
+      in
+      Trace.exec ~attempts tr
+        {
+          Trace.x_repo = p.p_repo;
+          x_wrapper = Wrapper.name p.p_binding.b_wrapper;
+          x_expr = Expr.to_string p.p_logical;
+          x_origin = origin;
+          x_start_ms = start;
+          x_elapsed_ms = finish -. start;
+          x_tuples = shipped;
+          x_rows = rows;
+          x_predicted_ms = p_ms;
+          x_predicted_rows = p_rows;
+          x_batch_id = batch_id;
+          x_batch_size = batch_size;
+        }
+
+(* The exec's one answer-cache lookup: a fragment cached at the chosen
+   source's current data version answers it without touching the wire. *)
+let fresh_hit env (p : prepared) ~now =
+  match env.cache with
+  | None -> None
+  | Some cache ->
+      let version = Source.data_version p.p_chosen in
+      Answer_cache.find_fresh cache ~repo:p.p_repo ~version p.p_logical
+      |> Option.map (fun value ->
+             Log.debug (fun m ->
+                 m "exec(%s) answered from cache: %s" p.p_repo
+                   (Expr.to_string p.p_logical));
+             observe env p ~start:now ~finish:now ~origin:Trace.Cache
+               ~shipped:0 ~rows:(cardinal value);
+             {
+               value;
+               finish = now;
+               shipped = 0;
+               origin = Trace.Cache;
+               answered_by = (p.p_chosen_repo, version);
+             })
+
+(* One wrapper round-trip carrying a group of execs to [src]: the
+   source's [base_ms] (and a single jitter draw) is paid once for the
+   group. *)
+let wire_call ~now ~deadline src group =
+  Source.call_at src ~now ~deadline (fun () ->
+      let answers =
+        Wrapper.execute_batch (List.hd group).p_binding.b_wrapper src
+          (List.map (fun p -> p.p_source_expr) group)
+      in
+      let rows =
+        List.fold_left
+          (fun acc r -> match r with Ok (_, n) -> acc + n | Error _ -> acc)
+          0 answers
+      in
+      (answers, rows))
 
 (* -- circuit breaker hooks (active only under Config.retry with a
    breaker_threshold) -- *)
@@ -407,8 +432,8 @@ let breaker_note env ~now src outcome =
   | Some
       { Retry.breaker_threshold = Some n; Retry.breaker_cooldown_ms; _ } -> (
       match outcome with
-      | `Success -> Breaker.note_success env.breaker (Source.id src)
-      | `Failure ->
+      | Source.Answered _ -> Breaker.note_success env.breaker (Source.id src)
+      | Source.Unavailable | Source.Timed_out _ ->
           if
             Breaker.note_failure env.breaker ~threshold:n
               ~cooldown_ms:breaker_cooldown_ms ~now (Source.id src)
@@ -424,15 +449,8 @@ let breaker_note env ~now src outcome =
    issue time is not hedged: issue-time failover already switched to a
    replica, and the retry scheduler covers later recovery.  Returns the
    answering repository, its source, and the winning outcome. *)
-let hedged_call env ~now ~deadline (p : prepared) =
-  let primary =
-    Source.call_at p.p_chosen ~now ~deadline (wrapper_thunk p p.p_chosen)
-  in
-  (match primary with
-  | Source.Answered _ -> breaker_note env ~now p.p_chosen `Success
-  | Source.Unavailable | Source.Timed_out _ ->
-      breaker_note env ~now p.p_chosen `Failure);
-  let hedge_candidate =
+let hedge env ~now ~deadline (p : prepared) primary =
+  let candidate =
     match env.retry with
     | Some { Retry.hedge_ms = Some h; _ } ->
         let hedge_at = now +. h in
@@ -446,34 +464,25 @@ let hedged_call env ~now ~deadline (p : prepared) =
         in
         if not worth then None
         else
-          let candidates =
-            (p.p_binding.b_repo, p.p_binding.b_source)
-            :: p.p_binding.b_replicas
-          in
-          Option.map
-            (fun c -> (c, hedge_at))
-            (List.find_opt
-               (fun (repo, src) ->
-                 (not (String.equal repo p.p_chosen_repo))
-                 && Source.is_up src hedge_at
-                 && breaker_allows env ~now:hedge_at src)
-               candidates)
+          List.find_opt
+            (fun (repo, src) ->
+              (not (String.equal repo p.p_chosen_repo))
+              && Source.is_up src hedge_at
+              && breaker_allows env ~now:hedge_at src)
+            ((p.p_binding.b_repo, p.p_binding.b_source)
+            :: p.p_binding.b_replicas)
+          |> Option.map (fun c -> (c, hedge_at))
     | _ -> None
   in
-  match hedge_candidate with
+  match candidate with
   | None -> (p.p_chosen_repo, p.p_chosen, primary)
   | Some ((hrepo, hsrc), hedge_at) ->
       Metrics.incr env.metrics "runtime.hedge.issued";
       incr env.extra_trips;
-      let hedge =
-        Source.call_at hsrc ~now:hedge_at ~deadline (wrapper_thunk p hsrc)
-      in
-      (match hedge with
-      | Source.Answered _ -> breaker_note env ~now:hedge_at hsrc `Success
-      | Source.Unavailable | Source.Timed_out _ ->
-          breaker_note env ~now:hedge_at hsrc `Failure);
+      let hedged = wire_call ~now:hedge_at ~deadline hsrc [ p ] in
+      breaker_note env ~now:hedge_at hsrc hedged;
       let hedge_wins =
-        match (primary, hedge) with
+        match (primary, hedged) with
         | Source.Answered (_, fp), Source.Answered (_, fh) -> fh < fp
         | (Source.Unavailable | Source.Timed_out _), Source.Answered _ -> true
         | _, (Source.Unavailable | Source.Timed_out _) -> false
@@ -482,13 +491,32 @@ let hedged_call env ~now ~deadline (p : prepared) =
         Metrics.incr env.metrics "runtime.hedge.won";
         Log.info (fun m ->
             m "exec(%s): hedge to replica %s won the race" p.p_repo hrepo);
-        (hrepo, hsrc, hedge))
+        (hrepo, hsrc, hedged))
       else (p.p_chosen_repo, p.p_chosen, primary)
 
-(* Shared completion: rename into the mediator name space, run the
-   run-time type check, record the fragment in the answer cache, and
-   stamp the answer with the repository that actually produced it. *)
-let complete_answer env (p : prepared) ~finish ~answered_repo ~answered_src v =
+(* What follows every round-trip: the circuit breaker observes the
+   outcome, and a lone exec may be hedged.  Multi-member batches are
+   never hedged — one racing replica per wrapper call would undo the
+   batching win. *)
+let settle env ~now ~deadline group outcome =
+  let p = List.hd group in
+  breaker_note env ~now p.p_chosen outcome;
+  match group with
+  | [ _ ] -> hedge env ~now ~deadline p outcome
+  | _ -> (p.p_chosen_repo, p.p_chosen, outcome)
+
+(* Completion of one source answer: rename into the mediator name space,
+   run the run-time type check, store the fragment in the answer cache,
+   record the call in the cost model, emit the trace leaf, and stamp the
+   answer with the repository that actually produced it.  Only source
+   answers feed the learned cost model — cache serves complete in zero
+   time and would corrupt the estimates; a shared round-trip is
+   amortized across its [size] members so the per-call Section 3.3
+   estimates stay comparable with execs that rode alone. *)
+let complete_answer ?attempts ?batch env (p : prepared) ~start ~finish ~size
+    ~answered_repo ~answered_src v =
+  Log.debug (fun m ->
+      m "exec(%s) answered %d rows at t=%.1f" p.p_repo (cardinal v) finish);
   let renamed = p.p_rename v in
   typecheck_answer p renamed;
   let version = Source.data_version answered_src in
@@ -497,353 +525,73 @@ let complete_answer env (p : prepared) ~finish ~answered_repo ~answered_src v =
       Answer_cache.store cache ~repo:p.p_repo ~version ~now:finish p.p_logical
         renamed
   | None -> ());
-  let shipped = try V.cardinal renamed with V.Type_error _ -> 1 in
+  let shipped = cardinal renamed in
   let origin =
     if String.equal answered_repo p.p_binding.b_repo then Trace.Source
     else Trace.Failover answered_repo
   in
-  { value = renamed; finish; shipped; origin; answered_by = (answered_repo, version) }
+  Cost_model.record env.cost ~repo:p.p_repo ~expr:p.p_logical
+    ~time_ms:((finish -. start) /. float_of_int size)
+    ~rows:shipped;
+  observe ?attempts ?batch env p ~start ~finish ~origin ~shipped
+    ~rows:shipped;
+  Done
+    { value = renamed; finish; shipped; origin; answered_by = (answered_repo, version) }
 
-(* One unbatched exec issued at [now]: consult the answer cache, else go
-   over the (simulated) wire — hedged when configured — then reformat
-   and check the answer, falling back to stale fragments when allowed.
+(* A round-trip that came back: one answer per member, in order.  The
+   round-trip itself calibrates the source's batched cost (a hedge
+   winner's time includes the hedge delay — it is what the exec cost). *)
+let complete_group ?attempts ?batch env group ~start ~finish ~answered_repo
+    ~answered_src answers =
+  let size = List.length group in
+  let wrapper = Wrapper.name (List.hd group).p_binding.b_wrapper in
+  if List.length answers <> size then
+    runtime_error "wrapper %s on %s answered %d of a batch of %d" wrapper
+      answered_repo (List.length answers) size;
+  Cost_model.record_batch env.cost ~repo:answered_repo ~size
+    ~time_ms:(finish -. start);
+  List.map2
+    (fun p answer ->
+      match answer with
+      | Error err ->
+          runtime_error "wrapper %s on %s: %s" wrapper p.p_repo
+            (Wrapper.error_message err)
+      | Ok (v, _rows) ->
+          complete_answer ?attempts ?batch env p ~start ~finish ~size
+            ~answered_repo ~answered_src v)
+    group answers
+
+(* An exec whose source refused or timed out: answered from a stale
+   fragment when the Cached_fallback semantics allow it, else blocked.
    Under Config.retry a blocked exec is observed by the retry scheduler
    (which owns its final outcome), not here. *)
-let issue_one env ~now ~deadline (p : prepared) =
-  let observe ~finish ~origin ~shipped ~rows =
-    observe_prepared env p ~start:now ~finish ~origin ~shipped ~rows
+let unanswered ?batch env ~now ~deadline (p : prepared) =
+  let stale =
+    match (env.cache, env.serve_stale_ms) with
+    | Some cache, Some max_stale_ms ->
+        Answer_cache.find_stale cache ~repo:p.p_repo ~now ~max_stale_ms
+          p.p_logical
+    | _ -> None
   in
-  let version = Source.data_version p.p_chosen in
-  let fresh_hit =
-    match env.cache with
-    | Some cache ->
-        Answer_cache.find_fresh cache ~repo:p.p_repo ~version p.p_logical
-    | None -> None
-  in
-  match fresh_hit with
-  | Some value ->
-      Log.debug (fun m ->
-          m "exec(%s) answered from cache: %s" p.p_repo
-            (Expr.to_string p.p_logical));
-      let rows = try V.cardinal value with V.Type_error _ -> 1 in
-      observe ~finish:now ~origin:Trace.Cache ~shipped:0 ~rows;
+  match stale with
+  | Some (value, age) ->
+      observe env p ~start:now ~finish:now ~origin:(Trace.Stale age) ~shipped:0
+        ~rows:(cardinal value);
       Done
         {
           value;
           finish = now;
           shipped = 0;
-          origin = Trace.Cache;
-          answered_by = (p.p_chosen_repo, version);
+          origin = Trace.Stale age;
+          answered_by = (p.p_repo, Source.data_version p.p_binding.b_source);
         }
-  | None -> (
-      let blocked () =
-        Log.debug (fun m ->
-            m "exec(%s) blocked: %s" p.p_repo (Expr.to_string p.p_logical));
-        if env.retry = None then
-          observe ~finish:deadline ~origin:Trace.Blocked ~shipped:0 ~rows:0;
-        Blocked
-      in
-      let answered_repo, answered_src, outcome =
-        hedged_call env ~now ~deadline p
-      in
-      match outcome with
-      | Source.Unavailable | Source.Timed_out _ -> (
-          match (env.cache, env.serve_stale_ms) with
-          | Some cache, Some max_stale_ms -> (
-              match
-                Answer_cache.find_stale cache ~repo:p.p_repo ~now ~max_stale_ms
-                  p.p_logical
-              with
-              | Some (value, age) ->
-                  let rows = try V.cardinal value with V.Type_error _ -> 1 in
-                  observe ~finish:now ~origin:(Trace.Stale age) ~shipped:0 ~rows;
-                  Done
-                    {
-                      value;
-                      finish = now;
-                      shipped = 0;
-                      origin = Trace.Stale age;
-                      answered_by =
-                        (p.p_repo, Source.data_version p.p_binding.b_source);
-                    }
-              | None -> blocked ())
-          | _ -> blocked ())
-      | Source.Answered (Error err, _) ->
-          runtime_error "wrapper %s on %s: %s"
-            (Wrapper.name p.p_binding.b_wrapper)
-            p.p_repo (Wrapper.error_message err)
-      | Source.Answered (Ok v, finish) ->
-          Log.debug (fun m ->
-              m "exec(%s) answered %d rows at t=%.1f" p.p_repo
-                (try V.cardinal v with V.Type_error _ -> 1)
-                finish);
-          let d =
-            complete_answer env p ~finish ~answered_repo ~answered_src v
-          in
-          observe ~finish ~origin:d.origin ~shipped:d.shipped ~rows:d.shipped;
-          Done d)
-
-let issue_exec env ~deadline repo logical =
-  let now = Scheduler.now env.sched in
-  issue_one env ~now ~deadline (prepare_exec env ~now repo logical)
-
-(* -- batched transport (Config.batch) --
-
-   Preparation is shared with the sequential path, so the same binding
-   resolution, translation, failover choice and cache lookups are taken
-   per exec.  Only the transport differs — execs whose chosen
-   destination coincides ride one [Wrapper.execute_batch] round-trip,
-   paying the source's [base_ms] (and a single jitter draw) once for the
-   whole group.
-
-   Issue a round of (unique) execs with per-destination batching.
-   Results come back in input order; the second component counts the
-   wrapper round-trips actually attempted. *)
-let issue_execs_batched env ~deadline execs =
-  let now = Scheduler.now env.sched in
-  let round_trips = ref 0 in
-  let observe p ~finish ~origin ~shipped ~rows ~batch =
-    observe_exec env ~repo:p.p_repo
-      ~wrapper:(Wrapper.name p.p_binding.b_wrapper)
-      ~logical:p.p_logical ~start:now ~finish ~origin ~shipped ~rows
-      ~predicted:p.p_predicted ~batch
-  in
-  (* fresh cache hits never reach the wire *)
-  let classified =
-    List.map
-      (fun (repo, logical) ->
-        let p = prepare_exec env ~now repo logical in
-        let version = Source.data_version p.p_chosen in
-        let fresh_hit =
-          match env.cache with
-          | Some cache ->
-              Answer_cache.find_fresh cache ~repo ~version logical
-          | None -> None
-        in
-        match fresh_hit with
-        | Some value ->
-            Log.debug (fun m ->
-                m "exec(%s) answered from cache: %s" repo
-                  (Expr.to_string logical));
-            let rows = try V.cardinal value with V.Type_error _ -> 1 in
-            observe p ~finish:now ~origin:Trace.Cache ~shipped:0 ~rows
-              ~batch:None;
-            ( p,
-              `Done
-                (Done
-                   {
-                     value;
-                     finish = now;
-                     shipped = 0;
-                     origin = Trace.Cache;
-                     answered_by = (p.p_chosen_repo, version);
-                   }) )
-        | None -> (p, `Pending version))
-      execs
-  in
-  let pendings =
-    List.filter_map
-      (function p, `Pending version -> Some (p, version) | _, `Done _ -> None)
-      classified
-  in
-  let group_key p = (p.p_chosen_repo, Wrapper.name p.p_binding.b_wrapper) in
-  let keys =
-    List.fold_left
-      (fun acc (p, _) ->
-        let key = group_key p in
-        if List.mem key acc then acc else acc @ [ key ])
-      [] pendings
-  in
-  (* (repo, printed logical) -> exec_result for the pending execs *)
-  let table = Hashtbl.create 16 in
-  let store p r = Hashtbl.replace table (p.p_repo, Expr.to_string p.p_logical) r in
-  (* Phase 1 — classify (sequential, key order): decide each group's
-     transport and assign its round-trip accounting, so batch ids,
-     trip counts and metrics are identical whichever scheduler later
-     runs the wire calls. *)
-  let groups =
-    List.map
-      (fun key ->
-        let members =
-          List.filter (fun (p, _) -> group_key p = key) pendings
-        in
-        let size = List.length members in
-        let chosen, wrapper_t =
-          match members with
-          | (p, _) :: _ -> (p.p_chosen, p.p_binding.b_wrapper)
-          | [] -> assert false
-        in
-        incr round_trips;
-        Metrics.incr env.metrics "runtime.batch.rounds";
-        incr env.batch_seq;
-        if size = 1 && env.retry <> None then
-          (* under the retry scheduler, singleton groups take the
-             sequential transport so they can be hedged; the round-trip
-             accounting is identical either way.  Multi-member batches
-             are never hedged — one racing replica per wrapper call
-             would undo the batching win.  Hedging and breaker state are
-             shared, so these run in phase 3, off the parallel pool. *)
-          `Single members
-        else `Batch (key, members, size, chosen, wrapper_t, !(env.batch_seq)))
-      keys
-  in
-  (* Phase 2 — transport: only the wire exchanges go through the
-     scheduler, which may fan them out across domains.  Groups that dial
-     the same underlying source share one job, keeping that source's
-     call counter free of data races; under the virtual scheduler jobs
-     run sequentially in this exact order. *)
-  let batch_jobs =
-    List.filter_map
-      (function
-        | `Single _ -> None
-        | `Batch (_, members, _, chosen, wrapper_t, batch_id) ->
-            let exprs = List.map (fun (p, _) -> p.p_source_expr) members in
-            let wire () =
-              Source.call_at chosen ~now ~deadline (fun () ->
-                  let answers = Wrapper.execute_batch wrapper_t chosen exprs in
-                  let rows =
-                    List.fold_left
-                      (fun acc r ->
-                        match r with Ok (_, n) -> acc + n | Error _ -> acc)
-                      0 answers
-                  in
-                  (answers, rows))
-            in
-            Some (batch_id, Source.id chosen, wire))
-      groups
-  in
-  let buckets =
-    List.fold_left
-      (fun acc (batch_id, sid, wire) ->
-        let rec add = function
-          | [] -> [ (sid, [ (batch_id, wire) ]) ]
-          | (s, jobs) :: rest when String.equal s sid ->
-              (s, jobs @ [ (batch_id, wire) ]) :: rest
-          | g :: rest -> g :: add rest
-        in
-        add acc)
-      [] batch_jobs
-  in
-  let outcome_of = Hashtbl.create 8 in
-  Scheduler.map_rounds env.sched
-    (fun (_, jobs) -> List.map (fun (id, wire) -> (id, wire ())) jobs)
-    buckets
-  |> List.iter
-       (List.iter (fun (id, outcome) -> Hashtbl.replace outcome_of id outcome));
-  (* Phase 3 — completion (sequential, key order): rename, type-check,
-     cache stores, cost-model records, trace leaves.  Runs exactly as
-     the historical single-pass loop did, so the observation order the
-     pinned stats depend on is preserved. *)
-  List.iter
-    (function
-      | `Single [ (p, _) ] -> store p (issue_one env ~now ~deadline p)
-      | `Single _ -> assert false
-      | `Batch ((grepo, gwrapper), members, size, _, _, batch_id) -> (
-      let batch = if size > 1 then Some (batch_id, size) else None in
-      match Hashtbl.find outcome_of batch_id with
-      | Source.Unavailable | Source.Timed_out _ ->
-          List.iter
-            (fun (p, _) ->
-              let blocked () =
-                Log.debug (fun m ->
-                    m "exec(%s) blocked: %s" p.p_repo
-                      (Expr.to_string p.p_logical));
-                if env.retry = None then
-                  observe p ~finish:deadline ~origin:Trace.Blocked ~shipped:0
-                    ~rows:0 ~batch;
-                Blocked
-              in
-              let r =
-                match (env.cache, env.serve_stale_ms) with
-                | Some cache, Some max_stale_ms -> (
-                    match
-                      Answer_cache.find_stale cache ~repo:p.p_repo ~now
-                        ~max_stale_ms p.p_logical
-                    with
-                    | Some (value, age) ->
-                        let rows =
-                          try V.cardinal value with V.Type_error _ -> 1
-                        in
-                        observe p ~finish:now ~origin:(Trace.Stale age)
-                          ~shipped:0 ~rows ~batch:None;
-                        Done
-                          {
-                            value;
-                            finish = now;
-                            shipped = 0;
-                            origin = Trace.Stale age;
-                            answered_by =
-                              ( p.p_repo,
-                                Source.data_version p.p_binding.b_source );
-                          }
-                    | None -> blocked ())
-                | _ -> blocked ()
-              in
-              store p r)
-            members
-      | Source.Answered (answers, finish) ->
-          if List.length answers <> size then
-            runtime_error "wrapper %s on %s answered %d of a batch of %d"
-              gwrapper grepo (List.length answers) size;
-          Cost_model.record_batch env.cost ~repo:grepo ~size
-            ~time_ms:(finish -. now);
-          List.iter2
-            (fun (p, version) answer ->
-              match answer with
-              | Error err ->
-                  runtime_error "wrapper %s on %s: %s" gwrapper p.p_repo
-                    (Wrapper.error_message err)
-              | Ok (v, _rows) ->
-                  Log.debug (fun m ->
-                      m "exec(%s) answered %d rows at t=%.1f" p.p_repo
-                        (try V.cardinal v with V.Type_error _ -> 1)
-                        finish);
-                  let renamed = p.p_rename v in
-                  typecheck_answer p renamed;
-                  (match env.cache with
-                  | Some cache ->
-                      Answer_cache.store cache ~repo:p.p_repo ~version
-                        ~now:finish p.p_logical renamed
-                  | None -> ());
-                  let shipped =
-                    try V.cardinal renamed with V.Type_error _ -> 1
-                  in
-                  let origin =
-                    if String.equal p.p_chosen_repo p.p_binding.b_repo then
-                      Trace.Source
-                    else Trace.Failover p.p_chosen_repo
-                  in
-                  (* amortize the shared round-trip across the group so
-                     the per-call Section 3.3 estimates stay comparable
-                     with unbatched execution *)
-                  Cost_model.record env.cost ~repo:p.p_repo ~expr:p.p_logical
-                    ~time_ms:((finish -. now) /. float_of_int size)
-                    ~rows:shipped;
-                  observe p ~finish ~origin ~shipped ~rows:shipped ~batch;
-                  store p
-                    (Done
-                       {
-                         value = renamed;
-                         finish;
-                         shipped;
-                         origin;
-                         answered_by = (p.p_chosen_repo, version);
-                       }))
-            members answers))
-    groups;
-  let results =
-    List.map
-      (fun (p, c) ->
-        let r =
-          match c with
-          | `Done r -> r
-          | `Pending _ ->
-              Hashtbl.find table (p.p_repo, Expr.to_string p.p_logical)
-        in
-        ((p.p_repo, p.p_logical), r))
-      classified
-  in
-  (results, !round_trips)
+  | None ->
+      Log.debug (fun m ->
+          m "exec(%s) blocked: %s" p.p_repo (Expr.to_string p.p_logical));
+      if env.retry = None then
+        observe ?batch env p ~start:now ~finish:deadline ~origin:Trace.Blocked
+          ~shipped:0 ~rows:0;
+      Blocked
 
 (* -- deadline-aware retry scheduler (Config.retry) --
 
@@ -946,7 +694,7 @@ let apply_retries env ~deadline results =
                (* out of budget: finalize as blocked, with the re-poll
                   history attached to the leaf *)
                let p = prepare_exec env ~now:deadline ev.ev_repo ev.ev_logical in
-               observe_prepared
+               observe
                  ~attempts:(List.rev ev.ev_history)
                  env p ~start:t0 ~finish:deadline ~origin:Trace.Blocked
                  ~shipped:0 ~rows:0;
@@ -959,7 +707,8 @@ let apply_retries env ~deadline results =
                  Metrics.incr env.metrics "runtime.retry.attempts";
                  incr env.extra_trips;
                  let answered_repo, answered_src, outcome =
-                   hedged_call env ~now:ev.ev_at ~deadline p
+                   settle env ~now:ev.ev_at ~deadline [ p ]
+                     (wire_call ~now:ev.ev_at ~deadline p.p_chosen [ p ])
                  in
                  match outcome with
                  | Source.Unavailable ->
@@ -968,27 +717,19 @@ let apply_retries env ~deadline results =
                      requeue ev
                        (attempt_of ev ~elapsed:(completion -. ev.ev_at)
                           "timed-out")
-                 | Source.Answered (Error err, _) ->
-                     runtime_error "wrapper %s on %s: %s"
-                       (Wrapper.name p.p_binding.b_wrapper)
-                       p.p_repo (Wrapper.error_message err)
-                 | Source.Answered (Ok v, finish) ->
-                     Metrics.incr env.metrics "runtime.retry.recovered";
-                     Log.info (fun m ->
-                         m "exec(%s) recovered on re-poll %d at t=%.1f"
-                           p.p_repo ev.ev_attempt finish);
-                     let d =
-                       complete_answer env p ~finish ~answered_repo
-                         ~answered_src v
-                     in
+                 | Source.Answered (answers, finish) ->
                      let won =
                        attempt_of ev ~elapsed:(finish -. ev.ev_at) "recovered"
                      in
-                     observe_prepared
+                     complete_group
                        ~attempts:(List.rev (won :: ev.ev_history))
-                       env p ~start:ev.ev_at ~finish ~origin:d.origin
-                       ~shipped:d.shipped ~rows:d.shipped;
-                     Hashtbl.replace finals ev.ev_seq (Done d)));
+                       env [ p ] ~start:ev.ev_at ~finish ~answered_repo
+                       ~answered_src answers
+                     |> List.iter (Hashtbl.replace finals ev.ev_seq);
+                     Metrics.incr env.metrics "runtime.retry.recovered";
+                     Log.info (fun m ->
+                         m "exec(%s) recovered on re-poll %d at t=%.1f"
+                           p.p_repo ev.ev_attempt finish)));
             drain ()
       in
       drain ();
@@ -998,6 +739,149 @@ let apply_retries env ~deadline results =
           | Some res' -> (key, res')
           | None -> (key, res))
         results
+
+(* [xs] grouped by [key]: groups in first-appearance order, members in
+   input order. *)
+let group_by key xs =
+  List.fold_left
+    (fun groups x ->
+      let k = key x in
+      if List.mem_assoc k groups then
+        List.map (fun (k', g) -> if k' = k then (k', g @ [ x ]) else (k', g)) groups
+      else groups @ [ (k, [ x ]) ])
+    [] xs
+  |> List.map snd
+
+let find_result results repo logical =
+  List.find_map
+    (fun ((r, l), res) ->
+      if String.equal r repo && Expr.equal l logical then Some res else None)
+    results
+
+(* One parallel round of execs — a plan's ready execs or a fetch's
+   extents.  Structurally identical execs are deduplicated (the answer is
+   computed once and substituted everywhere); each remaining exec is
+   looked up in the answer cache once; the rest are grouped by
+   destination — (chosen repository, wrapper) — and each group rides one
+   [Wrapper.execute_batch] round-trip.  Config.batch only caps the group
+   size: without it every exec rides alone.  Returns the per-exec
+   results in the order of the deduplicated exec list, and the round's
+   stats. *)
+let issue_round env ~deadline execs =
+  let now = Scheduler.now env.sched in
+  let trips0 = !(env.extra_trips) in
+  let unique =
+    List.rev
+      (List.fold_left
+         (fun acc ((repo, logical) as key) ->
+           if
+             List.exists
+               (fun (r, l) -> String.equal r repo && Expr.equal l logical)
+               acc
+           then acc
+           else key :: acc)
+         [] execs)
+  in
+  let dedup_hits = List.length execs - List.length unique in
+  if dedup_hits > 0 then (
+    Log.debug (fun m ->
+        m "dedup: %d duplicate exec(s) share answers this round" dedup_hits);
+    Metrics.incr ~by:dedup_hits env.metrics "runtime.batch.dedup_hits");
+  let results = Array.make (List.length unique) Blocked in
+  let pending =
+    List.concat
+      (List.mapi
+         (fun i (repo, logical) ->
+           let p = prepare_exec env ~now repo logical in
+           match fresh_hit env p ~now with
+           | Some d ->
+               results.(i) <- Done d;
+               []
+           | None -> [ (i, p) ])
+         unique)
+  in
+  let groups =
+    if env.batch then
+      group_by
+        (fun (_, p) -> (p.p_chosen_repo, Wrapper.name p.p_binding.b_wrapper))
+        pending
+    else List.map (fun m -> [ m ]) pending
+  in
+  (* batch ids, trip counts and metrics are assigned before any wire
+     call, so they are identical whichever scheduler runs the calls *)
+  let groups =
+    List.map
+      (fun members ->
+        Metrics.incr env.metrics "runtime.batch.rounds";
+        incr env.batch_seq;
+        (!(env.batch_seq), List.map fst members, List.map snd members))
+      groups
+  in
+  (* Only the wire exchanges go through the scheduler, which may fan them
+     out across domains.  Groups that dial the same underlying source
+     share one job, keeping that source's call counter free of data
+     races; under the virtual scheduler jobs run sequentially in this
+     exact order.  Breaker and hedge state are shared, so [settle] runs
+     afterwards, off the parallel pool. *)
+  let chosen_of group = (List.hd group).p_chosen in
+  let outcomes =
+    group_by (fun (_, _, group) -> Source.id (chosen_of group)) groups
+    |> Scheduler.map_rounds env.sched
+         (List.map (fun (id, _, group) ->
+              (id, wire_call ~now ~deadline (chosen_of group) group)))
+    |> List.concat
+  in
+  List.iter
+    (fun (id, slots, group) ->
+      let batch =
+        match group with [ _ ] -> None | _ -> Some (id, List.length group)
+      in
+      let answered_repo, answered_src, outcome =
+        settle env ~now ~deadline group (List.assoc id outcomes)
+      in
+      let done_ =
+        match outcome with
+        | Source.Answered (answers, finish) ->
+            complete_group ?batch env group ~start:now ~finish ~answered_repo
+              ~answered_src answers
+        | Source.Unavailable | Source.Timed_out _ ->
+            List.map (unanswered ?batch env ~now ~deadline) group
+      in
+      List.iter2 (fun i r -> results.(i) <- r) slots done_)
+    groups;
+  let results =
+    apply_retries env ~deadline (List.combine unique (Array.to_list results))
+  in
+  let answered =
+    List.filter_map (function _, Done d -> Some d | _, Blocked -> None) results
+  in
+  let blocked = List.length results - List.length answered in
+  let finish_time =
+    if blocked > 0 then deadline
+    else List.fold_left (fun acc d -> Float.max acc d.finish) now answered
+  in
+  Scheduler.advance_to env.sched finish_time;
+  let stale_hits, stale_ms =
+    List.fold_left
+      (fun (n, age) d ->
+        match d.origin with
+        | Trace.Stale a -> (n + 1, Float.max age a)
+        | _ -> (n, age))
+      (0, 0.0) answered
+  in
+  ( results,
+    {
+      execs_issued = List.length unique;
+      execs_answered = List.length answered;
+      execs_blocked = blocked;
+      tuples_shipped = List.fold_left (fun acc d -> acc + d.shipped) 0 answered;
+      elapsed_ms = finish_time -. now;
+      cache_hits =
+        List.length (List.filter (fun d -> d.origin = Trace.Cache) answered);
+      cache_stale_hits = stale_hits;
+      cache_stale_ms = stale_ms;
+      round_trips = List.length groups + !(env.extra_trips) - trips0;
+    } )
 
 (* Fold every exec-free subtree into materialized data: "processing as
    much of the query as is possible" (Section 1.3). *)
@@ -1022,142 +906,34 @@ let rec fold_ready plan =
       | Plan.Mk_shard_merge ps -> Plan.Mk_shard_merge (List.map fold_ready ps)
       | Plan.Mk_distinct p -> Plan.Mk_distinct (fold_ready p))
 
-(* Shared tail of an execution round: fold the per-exec results into the
-   substituted plan, the blocked list, the version vector and the round's
-   stats. *)
-let round_result env ~deadline ~t0 ~execs_issued ~round_trips results plan =
-  let answered =
-    List.filter_map
-      (function key, Done d -> Some (key, d) | _, Blocked -> None)
-      results
-  in
-  let blocked =
-    List.filter_map
-      (function key, Blocked -> Some key | _, Done _ -> None)
-      results
-  in
-  let tuples_shipped =
-    List.fold_left (fun acc (_, d) -> acc + d.shipped) 0 answered
-  in
-  let finish_time =
-    if blocked <> [] then deadline
-    else List.fold_left (fun acc (_, d) -> Float.max acc d.finish) t0 answered
-  in
-  Scheduler.advance_to env.sched finish_time;
+(* One round of a plan: issue its ready execs, then substitute the
+   answers into the plan and collect the blocked repositories and the
+   version vector. *)
+let run_round env ~deadline plan =
+  let results, stats = issue_round env ~deadline (Plan.execs plan) in
   let substituted =
     Plan.substitute_execs
       (fun repo logical ->
-        match
-          List.find_opt
-            (fun ((r, l), _) -> String.equal r repo && Expr.equal l logical)
-            answered
-        with
-        | Some (_, d) -> Plan.Mk_data d.value
-        | None -> Plan.Exec (repo, logical))
+        match find_result results repo logical with
+        | Some (Done d) -> Plan.Mk_data d.value
+        | Some Blocked | None -> Plan.Exec (repo, logical))
       plan
+  in
+  let blocked =
+    List.filter_map
+      (function (repo, _), Blocked -> Some repo | _, Done _ -> None)
+      results
   in
   (* the version vector records who actually answered — when a replica
      served the exec, pinning the primary's version here would make the
      staleness check (Section 4) watch the wrong repository *)
-  let versions = List.map (fun (_, d) -> d.answered_by) answered in
-  let cache_hits =
-    List.length (List.filter (fun (_, d) -> d.origin = Trace.Cache) answered)
+  let versions =
+    List.filter_map
+      (function _, Done d -> Some d.answered_by | _, Blocked -> None)
+      results
   in
-  let stale_hits, stale_ms =
-    List.fold_left
-      (fun (n, age) (_, d) ->
-        match d.origin with
-        | Trace.Stale a -> (n + 1, Float.max age a)
-        | _ -> (n, age))
-      (0, 0.0) answered
-  in
-  let stats =
-    {
-      execs_issued;
-      execs_answered = List.length answered;
-      execs_blocked = List.length blocked;
-      tuples_shipped;
-      elapsed_ms = finish_time -. t0;
-      cache_hits;
-      cache_stale_hits = stale_hits;
-      cache_stale_ms = stale_ms;
-      round_trips;
-    }
-  in
-  (substituted, List.map fst blocked, versions, stats)
+  (substituted, blocked, versions, stats)
 
-(* One parallel round, historical transport: one wrapper call per exec. *)
-let run_round_seq env ~deadline plan =
-  let t0 = Scheduler.now env.sched in
-  let trips0 = !(env.extra_trips) in
-  let execs = Plan.execs plan in
-  let results =
-    List.map
-      (fun (repo, logical) ->
-        ((repo, logical), issue_exec env ~deadline repo logical))
-      execs
-  in
-  let results = apply_retries env ~deadline results in
-  (* only real source calls feed the learned cost model — cache serves
-     complete in zero time and would corrupt the estimates *)
-  List.iter
-    (function
-      | (repo, logical), Done d -> (
-          match d.origin with
-          | Trace.Source | Trace.Failover _ ->
-              Cost_model.record env.cost ~repo ~expr:logical
-                ~time_ms:(d.finish -. t0)
-                ~rows:(try V.cardinal d.value with V.Type_error _ -> 1)
-          | Trace.Cache | Trace.Stale _ | Trace.Blocked -> ())
-      | _, Blocked -> ())
-    results;
-  let cache_hits =
-    List.length
-      (List.filter
-         (function _, Done d -> d.origin = Trace.Cache | _, Blocked -> false)
-         results)
-  in
-  (* every non-cache-hit exec was its own wrapper round-trip (including
-     the ones that came back unavailable); hedges and re-polls add their
-     own trips on top *)
-  let round_trips =
-    List.length execs - cache_hits + (!(env.extra_trips) - trips0)
-  in
-  round_result env ~deadline ~t0 ~execs_issued:(List.length execs) ~round_trips
-    results plan
-
-(* One parallel round, batched transport: dedupe structurally identical
-   execs, then one wrapper round-trip per destination. *)
-let run_round_batched env ~deadline plan =
-  let t0 = Scheduler.now env.sched in
-  let trips0 = !(env.extra_trips) in
-  let execs = Plan.execs plan in
-  let unique =
-    List.rev
-      (List.fold_left
-         (fun acc ((repo, logical) as key) ->
-           if
-             List.exists
-               (fun (r, l) -> String.equal r repo && Expr.equal l logical)
-               acc
-           then acc
-           else key :: acc)
-         [] execs)
-  in
-  let dedup_hits = List.length execs - List.length unique in
-  if dedup_hits > 0 then (
-    Log.debug (fun m ->
-        m "dedup: %d duplicate exec(s) share answers this round" dedup_hits);
-    Metrics.incr ~by:dedup_hits env.metrics "runtime.batch.dedup_hits");
-  let results, round_trips = issue_execs_batched env ~deadline unique in
-  let results = apply_retries env ~deadline results in
-  let round_trips = round_trips + (!(env.extra_trips) - trips0) in
-  round_result env ~deadline ~t0 ~execs_issued:(List.length unique)
-    ~round_trips results plan
-
-let run_round env ~deadline plan =
-  if env.batch then run_round_batched env ~deadline plan
-  else run_round_seq env ~deadline plan
 
 (* Resolve semi-joins whose left side is fully materialized: compute the
    distinct keys and turn the node into a hash join over the reduced
@@ -1337,87 +1113,18 @@ let execute ?(timeout_ms = 1000.0) env plan =
   loop plan zero_stats []
 
 let fetch ?(timeout_ms = 1000.0) env extents =
-  let t0 = Scheduler.now env.sched in
-  let trips0 = !(env.extra_trips) in
-  let deadline = t0 +. timeout_ms in
-  let keyed =
-    List.map
-      (fun extent ->
-        let b = binding_of env extent in
-        (extent, (b.b_repo, Expr.Get extent)))
-      extents
+  let deadline = Scheduler.now env.sched +. timeout_ms in
+  let execs =
+    List.map (fun extent -> ((binding_of env extent).b_repo, Expr.Get extent)) extents
   in
-  let results, round_trips =
-    if env.batch then
-      (* one batched round-trip per repository holding several of the
-         fetched extents *)
-      issue_execs_batched env ~deadline (List.map snd keyed)
-    else
-      let results =
-        List.map
-          (fun (_, (repo, logical)) ->
-            ((repo, logical), issue_exec env ~deadline repo logical))
-          keyed
-      in
-      let cache_hits =
-        List.length
-          (List.filter
-             (function
-               | _, Done d -> d.origin = Trace.Cache | _, Blocked -> false)
-             results)
-      in
-      (results, List.length results - cache_hits)
-  in
-  let results = apply_retries env ~deadline results in
-  let round_trips = round_trips + (!(env.extra_trips) - trips0) in
-  if not env.batch then
-    List.iter
-      (fun ((repo, logical), r) ->
-        match r with
-        | Done { origin = Trace.Source | Trace.Failover _; value; finish; _ } ->
-            Cost_model.record env.cost ~repo ~expr:logical
-              ~time_ms:(finish -. t0)
-              ~rows:(try V.cardinal value with V.Type_error _ -> 1)
-        | Done _ | Blocked -> ())
-      results;
-  let results =
-    List.map2 (fun (extent, _) (_, r) -> (extent, r)) keyed results
-  in
-  let answered =
-    List.filter_map (function _, Done d -> Some d | _, Blocked -> None) results
-  in
-  let any_blocked = List.exists (function _, Blocked -> true | _ -> false) results in
-  let finish_time =
-    if any_blocked then deadline
-    else List.fold_left (fun acc d -> Float.max acc d.finish) t0 answered
-  in
-  Scheduler.advance_to env.sched finish_time;
-  let stale_hits, stale_ms =
-    List.fold_left
-      (fun (n, age) d ->
-        match d.origin with
-        | Trace.Stale a -> (n + 1, Float.max age a)
-        | _ -> (n, age))
-      (0, 0.0) answered
-  in
-  let stats =
-    {
-      execs_issued = List.length results;
-      execs_answered = List.length answered;
-      execs_blocked = List.length results - List.length answered;
-      tuples_shipped = List.fold_left (fun acc d -> acc + d.shipped) 0 answered;
-      elapsed_ms = finish_time -. t0;
-      cache_hits =
-        List.length (List.filter (fun d -> d.origin = Trace.Cache) answered);
-      cache_stale_hits = stale_hits;
-      cache_stale_ms = stale_ms;
-      round_trips;
-    }
-  in
-  ( List.map
-      (fun (extent, r) ->
-        (extent, match r with Done d -> Some d.value | Blocked -> None))
-      results,
+  let results, stats = issue_round env ~deadline execs in
+  ( List.map2
+      (fun extent (repo, logical) ->
+        ( extent,
+          match find_result results repo logical with
+          | Some (Done d) -> Some d.value
+          | Some Blocked | None -> None ))
+      extents execs,
     stats )
 
 let resubmit_hint env = function

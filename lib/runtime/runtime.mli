@@ -133,14 +133,16 @@ module Config : sig
         (** registry receiving [exec.origin.*], [exec.tuples_shipped],
             [runtime.batch.rounds] and [runtime.batch.dedup_hits] *)
     batch : bool;
-        (** batched transport: within a round, structurally identical
-            [(repo, expr)] execs are deduplicated (the answer is computed
-            once and substituted everywhere), and the remaining execs are
-            grouped by destination so each group rides one
+        (** let execs share a round-trip: within a round, the execs the
+            answer cache cannot serve are grouped by destination (chosen
+            repository and wrapper) so each group rides one
             {!Disco_wrapper.Wrapper.execute_batch} round-trip, paying the
             source's [base_ms] (and a single jitter draw) once.  When
-            [false], every exec is its own wrapper call — the historical
-            transport, reproduced exactly. *)
+            [false], every group holds one exec.  That cap is the flag's
+            only effect: structurally identical [(repo, expr)] execs are
+            deduplicated either way (the answer is computed once and
+            substituted everywhere), and every exec takes the same issue
+            path. *)
     check : Disco_check.Check.mode;
         (** the debug gate: {!execute} verifies every plan with the
             static verifier before issuing anything. [Warn] (the
@@ -219,6 +221,12 @@ type stats = {
           the batched transport one round-trip can carry several execs,
           so this is the number the batching layer actually reduces *)
 }
+
+val zero_stats : stats
+
+val add_stats : stats -> stats -> stats
+(** Stats of two executions in sequence: counts and elapsed times add,
+    [cache_stale_ms] keeps the maximum. *)
 
 val execute : ?timeout_ms:float -> env -> Disco_physical.Plan.plan -> answer * stats
 (** [timeout_ms] is the designated deadline (default 1000 virtual ms).

@@ -310,7 +310,7 @@ let compile ~schema_of e =
     Sql.select ~distinct ~where:(conj b.where) items
       (List.map (fun (table, alias) -> (table, Some alias)) b.from)
   in
-  let rebuild result =
-    V.bag (List.map rebuild_row result.Sql.rows)
-  in
+  (* SELECT DISTINCT already removed duplicates; the answer is a set *)
+  let collection = if distinct then V.set else V.bag in
+  let rebuild result = collection (List.map rebuild_row result.Sql.rows) in
   { sql; rebuild }

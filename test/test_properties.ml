@@ -430,6 +430,31 @@ let test_retry_idle_stats_identical () =
   Alcotest.(check (float 1e-9)) "virtual elapsed" s_off.Runtime.elapsed_ms
     s_on.Runtime.elapsed_ms
 
+(* With a retry policy and an answer cache, every exec takes the same
+   issue path as without one: it is looked up in the answer cache once,
+   and every answer that came from a source is recorded in the cost
+   model.  Hedging and re-polls must not fork that path. *)
+let test_retry_learns_every_call () =
+  let q = "select x.name from x in person where x.salary > 10" in
+  List.iter
+    (fun (label, retry) ->
+      let cache = Answer_cache.create () in
+      let m = federation ~cache ?retry () in
+      let s = (Mediator.query m q).Mediator.stats in
+      Alcotest.(check int) (label ^ ": three execs") 3 s.Runtime.execs_issued;
+      Alcotest.(check int)
+        (label ^ ": one cache lookup per exec")
+        s.Runtime.execs_issued (Answer_cache.stats cache).Answer_cache.misses;
+      Alcotest.(check int)
+        (label ^ ": every source answer recorded")
+        (s.Runtime.execs_answered - s.Runtime.cache_hits)
+        (Cost_model.recorded_calls (Mediator.cost_model m)))
+    [
+      ("no retry", None);
+      ("retry", Some Runtime.Retry.default);
+      ("retry+hedge", Some (Runtime.Retry.make ~hedge_ms:100.0 ~breaker_threshold:3 ()));
+    ]
+
 (* -- sharded extents: pruned scatter-gather vs the unsharded twin -- *)
 
 module Shard = Disco_shard.Shard
@@ -804,6 +829,8 @@ let () =
             test_unbatched_pinned_stats;
           Alcotest.test_case "idle retry changes nothing" `Quick
             test_retry_idle_stats_identical;
+          Alcotest.test_case "retry learns from every call" `Quick
+            test_retry_learns_every_call;
         ] );
       ( "smoothing",
         [ Alcotest.test_case "tracks level shifts" `Quick test_smoothing_tracks_shift ] );

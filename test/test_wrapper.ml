@@ -205,10 +205,7 @@ let test_sqlgen_matches_reference () =
     (fun e ->
       let expected = Expr.eval ~resolve e in
       let got = run_sqlgen db e in
-      (* SQL DISTINCT yields a bag of unique rows; reference gives a set *)
-      let expected =
-        match expected with V.Set xs -> V.bag xs | v -> v
-      in
+      (* SQL DISTINCT rebuilds as a set, exactly like the reference *)
       Alcotest.check check_value (Expr.to_string e) expected got)
     cases
 
