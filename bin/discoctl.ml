@@ -36,12 +36,9 @@ module Resubmission = Disco_cache.Resubmission
 module Check = Disco_check.Check
 module Expr = Disco_algebra.Expr
 module Rules = Disco_algebra.Rules
-module Compile = Disco_algebra.Compile
 module Wrapper = Disco_wrapper.Wrapper
 module Odl_parser = Disco_odl.Odl_parser
-module Typecheck = Disco_oql.Typecheck
-module Oql_parser = Disco_oql.Parser
-module Expand = Disco_core.Expand
+module Pipeline = Disco_core.Pipeline
 module Runtime = Disco_runtime.Runtime
 module Metrics = Disco_obs.Metrics
 module Server = Disco_serve.Server
@@ -1261,17 +1258,34 @@ let rec lint_collect path =
   then [ path ]
   else []
 
-let lint_diag ~code ~severity ~path fmt =
-  Format.kasprintf
-    (fun d_message ->
-      { Check.d_code = code; d_severity = severity; d_path = path; d_message })
-    fmt
+(* The .odl and .oql files under [paths], sorted; the .odl files are
+   loaded into a fresh registry, each one that fails to load giving one
+   DISCO-E011 diagnostic. Returns (files, registry, those diagnostics,
+   .oql files). *)
+let load_corpus paths =
+  let files = List.sort String.compare (List.concat_map lint_collect paths) in
+  let with_suffix ext = List.filter (fun f -> Filename.check_suffix f ext) files in
+  let reg = Registry.create () in
+  let e011 fmt =
+    Check.diag ~code:"DISCO-E011" ~severity:Check.Error ~path:"schema" fmt
+  in
+  let schema_diags =
+    List.concat_map
+      (fun f ->
+        match Odl_parser.load reg (read_file f) with
+        | () -> []
+        | exception Registry.Odl_error msg -> [ (f, e011 "%s" msg) ]
+        | exception Disco_lex.Lexer.Error (msg, pos) ->
+            [ (f, e011 "lex error at offset %d: %s" pos msg) ])
+      (with_suffix ".odl")
+  in
+  (files, reg, schema_diags, with_suffix ".oql")
 
 (* One query per line; blank lines and [--] comments are skipped. A
    [--@full-pushdown] directive line applies to the next query: its
    capability-maximal normalization must be fully accepted by the
    wrappers (DISCO-E005 otherwise). *)
-let lint_queries reg checker ~can_push ~wrapper_of ~repo_of file =
+let lint_queries pl file =
   let diags = ref [] in
   let add line ds =
     diags :=
@@ -1282,12 +1296,12 @@ let lint_queries reg checker ~can_push ~wrapper_of ~repo_of file =
     let pushed = Rules.normalize ~can_push:Rules.push_all located in
     List.iter
       (fun (repo, sub) ->
-        let ws = List.filter_map wrapper_of (Expr.gets sub) in
+        let ws = List.filter_map (Pipeline.wrapper_of pl) (Expr.gets sub) in
         match ws with
         | w :: _ when not (Wrapper.accepts w sub) ->
             add lineno
               [
-                lint_diag ~code:"DISCO-E005" ~severity:Check.Error
+                Check.diag ~code:"DISCO-E005" ~severity:Check.Error
                   ~path:(Fmt.str "submit(%s)" repo)
                   "full-pushdown directive: wrapper %s refuses %s"
                   (Wrapper.name w) (Expr.to_string sub);
@@ -1296,41 +1310,19 @@ let lint_queries reg checker ~can_push ~wrapper_of ~repo_of file =
       (Expr.submits pushed)
   in
   let lint_query lineno q =
-    match Oql_parser.parse q with
-    | exception Disco_lex.Lexer.Error (msg, pos) ->
-        add lineno
-          [
-            lint_diag ~code:"DISCO-E012" ~severity:Check.Error ~path:"query"
-              "parse error at offset %d: %s" pos msg;
-          ]
-    | ast -> (
-        match Expand.expand reg ast with
-        | exception Expand.Expand_error msg ->
+    match Pipeline.front ~typecheck:`Expanded pl q with
+    | Error e -> add lineno [ Pipeline.diag_of_error e ]
+    | Ok expanded -> (
+        match Pipeline.compile pl expanded with
+        | Error _ ->
+            (* outside the algebraic subset: the mediator evaluates such
+               queries hybrid, nothing to verify statically *)
+            ()
+        | Ok located ->
             add lineno
-              [
-                lint_diag ~code:"DISCO-E013" ~severity:Check.Error ~path:"query"
-                  "expansion failed: %s" msg;
-              ]
-        | expanded -> (
-            match Typecheck.check (Typecheck.env_of_registry reg) expanded with
-            | Error msg ->
-                add lineno
-                  [
-                    lint_diag ~code:"DISCO-E013" ~severity:Check.Error
-                      ~path:"query" "type error: %s" msg;
-                  ]
-            | Ok _ -> (
-                match Compile.compile expanded with
-                | Error _ ->
-                    (* outside the algebraic subset: the mediator evaluates
-                       such queries hybrid, nothing to verify statically *)
-                    ()
-                | Ok compiled ->
-                    let located = Compile.locate ~repo_of compiled in
-                    add lineno
-                      (Check.check_expr checker
-                         (Rules.normalize ~can_push located));
-                    if !full_pushdown then check_full_pushdown lineno located)))
+              (Check.check_expr (Pipeline.checker pl)
+                 (Rules.normalize ~can_push:(Pipeline.can_push pl) located));
+            if !full_pushdown then check_full_pushdown lineno located)
   in
   List.iteri
     (fun i raw ->
@@ -1364,21 +1356,17 @@ let lint_indexed reg me f =
    constructor must resolve (with its arguments — an indexed wrapper's
    advertised attributes live there), and the grammar must not
    over-claim on the extents the wrapper serves. *)
-let lint_audit reg =
+let lint_audit reg pl =
   List.concat_map
     (fun name ->
       match Registry.find_object reg name with
-      | Some o
-        when String.length o.Registry.obj_constructor >= 7
-             && String.sub o.Registry.obj_constructor 0 7 = "Wrapper" -> (
-          match
-            Wrapper.of_constructor_args o.Registry.obj_constructor
-              o.Registry.obj_args
-          with
+      | Some o when String.starts_with ~prefix:"Wrapper" o.Registry.obj_constructor
+        -> (
+          match Pipeline.wrapper_object pl name with
           | None ->
               [
                 ( "(registry)",
-                  lint_diag ~code:"DISCO-E010" ~severity:Check.Error ~path:name
+                  Check.diag ~code:"DISCO-E010" ~severity:Check.Error ~path:name
                     "wrapper constructor %s is unknown"
                     o.Registry.obj_constructor );
               ]
@@ -1410,62 +1398,14 @@ let lint_cmd =
   in
   let run verbosity json paths =
     setup_logs (List.length verbosity);
-    let files = List.sort String.compare (List.concat_map lint_collect paths) in
-    let odl_files =
-      List.filter (fun f -> Filename.check_suffix f ".odl") files
-    in
-    let oql_files =
-      List.filter (fun f -> Filename.check_suffix f ".oql") files
-    in
-    let reg = Registry.create () in
-    let schema_diags =
-      List.concat_map
-        (fun f ->
-          match Odl_parser.load reg (read_file f) with
-          | () -> []
-          | exception Registry.Odl_error msg ->
-              [
-                ( f,
-                  lint_diag ~code:"DISCO-E011" ~severity:Check.Error
-                    ~path:"schema" "%s" msg );
-              ]
-          | exception Disco_lex.Lexer.Error (msg, pos) ->
-              [
-                ( f,
-                  lint_diag ~code:"DISCO-E011" ~severity:Check.Error
-                    ~path:"schema" "lex error at offset %d: %s" pos msg );
-              ])
-        odl_files
-    in
-    let wrapper_of ext =
-      Option.bind (Registry.find_extent reg ext) (fun me ->
-          Option.bind (Registry.find_object reg me.Registry.me_wrapper)
-            (fun o -> Wrapper.of_constructor o.Registry.obj_constructor))
-    in
-    let repo_of ext =
-      Option.map
-        (fun me -> me.Registry.me_repository)
-        (Registry.find_extent reg ext)
-    in
-    let can_push ~repo:_ expr =
-      let extents = Expr.gets expr in
-      let ws = List.filter_map wrapper_of extents in
-      List.length ws = List.length extents
-      && (match ws with
-         | [] -> false
-         | first :: rest ->
-             List.for_all (fun w -> Wrapper.name w = Wrapper.name first) rest)
-      && List.for_all (fun w -> Wrapper.accepts w expr) ws
-    in
-    let checker = Check.of_registry reg in
-    let query_diags =
-      List.concat_map
-        (lint_queries reg checker ~can_push ~wrapper_of ~repo_of)
-        oql_files
-    in
+    let files, reg, schema_diags, oql_files = load_corpus paths in
+    let pl = Pipeline.create reg in
+    let query_diags = List.concat_map (lint_queries pl) oql_files in
     let audit_diags =
-      lint_audit reg
-      @ List.map (fun d -> ("(registry)", d)) (Check.audit_shards checker)
+      lint_audit reg pl
+      @ List.map
+          (fun d -> ("(registry)", d))
+          (Check.audit_shards (Pipeline.checker pl))
     in
     let diags = schema_diags @ query_diags @ audit_diags in
     let errors =
@@ -1534,49 +1474,15 @@ let analyze_cmd =
     else if paths = [] && workload = [] then
       `Error (true, "a PATH (or --workload) is required unless --doc is given")
     else begin
-      let files =
-        List.sort String.compare (List.concat_map lint_collect paths)
-      in
-      let odl_files =
-        List.filter (fun f -> Filename.check_suffix f ".odl") files
-      in
-      let oql_files =
-        List.sort_uniq String.compare
-          (List.filter (fun f -> Filename.check_suffix f ".oql") files
-          @ workload)
-      in
-      let reg = Registry.create () in
-      let schema_diags =
-        List.concat_map
-          (fun f ->
-            match Odl_parser.load reg (read_file f) with
-            | () -> []
-            | exception Registry.Odl_error msg ->
-                [
-                  ( f,
-                    lint_diag ~code:"DISCO-E011" ~severity:Check.Error
-                      ~path:"schema" "%s" msg );
-                ]
-            | exception Disco_lex.Lexer.Error (msg, pos) ->
-                [
-                  ( f,
-                    lint_diag ~code:"DISCO-E011" ~severity:Check.Error
-                      ~path:"schema" "lex error at offset %d: %s" pos msg );
-                ])
-          odl_files
-      in
+      let _, reg, schema_diags, oql_files = load_corpus paths in
+      let oql_files = List.sort_uniq String.compare (oql_files @ workload) in
       let corpus = List.map (fun f -> (f, read_file f)) oql_files in
       let report = Analysis.analyze ~workload:corpus reg in
       let report =
         {
           report with
           Analysis.r_diags =
-            List.sort
-              (fun (f1, d1) (f2, d2) ->
-                compare
-                  (f1, d1.Check.d_code, d1.Check.d_path, d1.Check.d_message)
-                  (f2, d2.Check.d_code, d2.Check.d_path, d2.Check.d_message))
-              (schema_diags @ report.Analysis.r_diags);
+            Check.sort_diags (schema_diags @ report.Analysis.r_diags);
         }
       in
       if json then Fmt.pr "%s@." (Analysis.json_of_report report)

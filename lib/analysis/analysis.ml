@@ -2,21 +2,13 @@ module V = Disco_value.Value
 module Otype = Disco_odl.Otype
 module Registry = Disco_odl.Registry
 module Typemap = Disco_odl.Typemap
-module Lexer = Disco_lex.Lexer
-module Oql_parser = Disco_oql.Parser
-module Typecheck = Disco_oql.Typecheck
-module Expand = Disco_core.Expand
+module Pipeline = Disco_core.Pipeline
 module Expr = Disco_algebra.Expr
-module Compile = Disco_algebra.Compile
 module Decompile = Disco_algebra.Decompile
-module Rules = Disco_algebra.Rules
 module Grammar = Disco_wrapper.Grammar
 module Wrapper = Disco_wrapper.Wrapper
 module Shard = Disco_shard.Shard
 module Shard_prune = Disco_optimizer.Shard_prune
-module Optimizer = Disco_optimizer.Optimizer
-module Plan = Disco_physical.Plan
-module Cost_model = Disco_cost.Cost_model
 module Answer_cache = Disco_cache.Answer_cache
 module Check = Disco_check.Check
 module Catalog = Disco_catalog.Catalog
@@ -104,12 +96,6 @@ let code_registry =
       "cache-key collision: inequivalent submits share an answer-cache key" );
   ]
 
-let diag ~code ~severity ~path fmt =
-  Format.kasprintf
-    (fun d_message ->
-      { Check.d_code = code; d_severity = severity; d_path = path; d_message })
-    fmt
-
 let fed_file = "(federation)"
 
 (* -- corpus splitting (the discoctl lint convention) -- *)
@@ -123,49 +109,6 @@ let queries_of_corpus ~file text =
            None
          else Some (Printf.sprintf "%s:%d" file lineno, line))
 
-(* -- planning context (exactly how discoctl lint resolves things) -- *)
-
-type ctx = {
-  reg : Registry.t;
-  wrapper_of : string -> Wrapper.t option;
-  repo_of : string -> string option;
-  can_push : Rules.can_push;
-  shard : string -> (Shard.partition * int) option;
-}
-
-let ctx_of reg =
-  let wrapper_of ext =
-    Option.bind (Registry.find_extent reg ext) (fun me ->
-        Option.bind
-          (Registry.find_object reg me.Registry.me_wrapper)
-          (fun o ->
-            Wrapper.of_constructor_args o.Registry.obj_constructor
-              o.Registry.obj_args))
-  in
-  let repo_of ext =
-    Option.map
-      (fun me -> me.Registry.me_repository)
-      (Registry.find_extent reg ext)
-  in
-  let can_push ~repo:_ expr =
-    let extents = Expr.gets expr in
-    let ws = List.filter_map wrapper_of extents in
-    List.length ws = List.length extents
-    && (match ws with
-       | [] -> false
-       | first :: rest ->
-           List.for_all (fun w -> Wrapper.name w = Wrapper.name first) rest)
-    && List.for_all (fun w -> Wrapper.accepts w expr) ws
-  in
-  let shard ext =
-    match Registry.find_extent reg ext with
-    | Some { Registry.me_shard_of = Some (parent, k); _ } ->
-        Option.bind (Registry.find_extent reg parent) (fun pme ->
-            Option.map (fun p -> (p, k)) pme.Registry.me_partition)
-    | _ -> None
-  in
-  { reg; wrapper_of; repo_of; can_push; shard }
-
 (* -- one query through the mediator's own planning pipeline -- *)
 
 type planned_ok = { located : Expr.expr; logical : Expr.expr }
@@ -175,44 +118,17 @@ type planned =
   | Phybrid of string list  (** extents referenced, for availability *)
   | Pok of planned_ok
 
-let plan_query ctx text =
-  match Oql_parser.parse text with
-  | exception Lexer.Error (msg, pos) ->
-      Pfail
-        (diag ~code:"DISCO-E012" ~severity:Check.Error ~path:"query"
-           "parse error at offset %d: %s" pos msg)
-  | ast -> (
-      match Expand.expand ctx.reg ast with
-      | exception Expand.Expand_error msg ->
-          Pfail
-            (diag ~code:"DISCO-E013" ~severity:Check.Error ~path:"query"
-               "expansion failed: %s" msg)
-      | expanded -> (
-          match
-            Typecheck.check (Typecheck.env_of_registry ctx.reg) expanded
-          with
-          | Error msg ->
-              Pfail
-                (diag ~code:"DISCO-E013" ~severity:Check.Error ~path:"query"
-                   "type error: %s" msg)
-          | Ok _ -> (
-              match Compile.compile expanded with
-              | Error _ ->
-                  Phybrid (Disco_oql.Ast.free_collections expanded)
-              | Ok compiled ->
-                  let located =
-                    Compile.locate ~repo_of:ctx.repo_of compiled
-                  in
-                  let choice =
-                    Optimizer.optimize ~params:Plan.default_params
-                      ~shard:ctx.shard ~can_push:ctx.can_push
-                      ~cost:(Cost_model.create ()) located
-                  in
-                  Pok { located; logical = choice.Optimizer.logical })))
+let plan_query pl text =
+  match Pipeline.front ~typecheck:`Expanded pl text with
+  | Error e -> Pfail (Pipeline.diag_of_error e)
+  | Ok expanded -> (
+      match Pipeline.compile pl expanded with
+      | Error _ -> Phybrid (Disco_oql.Ast.free_collections expanded)
+      | Ok located ->
+          Pok { located; logical = (Pipeline.optimize pl located).logical })
 
 let plan_logical reg text =
-  let ctx = ctx_of reg in
-  match plan_query ctx text with
+  match plan_query (Pipeline.create reg) text with
   | Pfail d -> Error d.Check.d_message
   | Phybrid _ -> Error "outside the algebraic subset (hybrid evaluation)"
   | Pok { logical; _ } -> Ok logical
@@ -425,7 +341,7 @@ let collision_diags ~resolve pairs =
                  if proven_equal then None
                  else
                    Some
-                     (diag ~code:a006 ~severity:Check.Error ~path:"cache"
+                     (Check.diag ~code:a006 ~severity:Check.Error ~path:"cache"
                         "answer-cache key %S is shared by inequivalent \
                          submits %s and %s on repository %s: one could be \
                          served the other's cached rows"
@@ -435,14 +351,14 @@ let collision_diags ~resolve pairs =
 
 (* -- the analysis proper -- *)
 
-let wrapper_objects reg =
+(* Registry objects whose constructor starts with [prefix]
+   (["Wrapper"], ["Repository"]), sorted by name. *)
+let objects_of_kind reg prefix =
   Registry.object_names reg
   |> List.sort String.compare
   |> List.filter_map (fun name ->
          match Registry.find_object reg name with
-         | Some o
-           when String.length o.Registry.obj_constructor >= 7
-                && String.sub o.Registry.obj_constructor 0 7 = "Wrapper" ->
+         | Some o when String.starts_with ~prefix o.Registry.obj_constructor ->
              Some (name, o)
          | _ -> None)
 
@@ -453,39 +369,24 @@ let truncate_list n items =
     String.concat "; " (List.filteri (fun i _ -> i < n) items)
     ^ Printf.sprintf "; … (%d more)" (len - n)
 
-let view_diags ctx =
-  Registry.view_names ctx.reg
+let view_diags pl reg =
+  Registry.view_names reg
   |> List.sort String.compare
-  |> List.concat_map (fun name ->
-         match Registry.find_view ctx.reg name with
-         | None -> []
-         | Some body -> (
-             let path = Printf.sprintf "view(%s)" name in
-             match Oql_parser.parse body with
-             | exception Lexer.Error (msg, _) ->
-                 [
-                   diag ~code:a005 ~severity:Check.Error ~path
-                     "view body fails to parse: %s" msg;
-                 ]
-             | ast -> (
-                 match Expand.expand ctx.reg ast with
-                 | exception Expand.Expand_error msg ->
-                     [
-                       diag ~code:a005 ~severity:Check.Error ~path
-                         "view body fails to expand: %s" msg;
-                     ]
-                 | expanded -> (
-                     match
-                       Typecheck.check
-                         (Typecheck.env_of_registry ctx.reg)
-                         expanded
-                     with
-                     | Error msg ->
-                         [
-                           diag ~code:a005 ~severity:Check.Error ~path
-                             "view body fails to type: %s" msg;
-                         ]
-                     | Ok _ -> []))))
+  |> List.filter_map (fun name ->
+         Option.bind (Registry.find_view reg name) (fun body ->
+             match Pipeline.front ~typecheck:`Expanded pl body with
+             | Ok _ -> None
+             | Error e ->
+                 let stage, msg =
+                   match e with
+                   | Pipeline.Parse_error (_, msg) -> ("parse", msg)
+                   | Pipeline.Expand_error msg -> ("expand", msg)
+                   | Pipeline.Type_error msg -> ("type", msg)
+                 in
+                 Some
+                   (Check.diag ~code:a005 ~severity:Check.Error
+                      ~path:(Printf.sprintf "view(%s)" name)
+                      "view body fails to %s: %s" stage msg)))
 
 let typemap_diags reg =
   Registry.all_extents reg
@@ -499,21 +400,21 @@ let typemap_diags reg =
                     if List.mem_assoc med attrs then None
                     else
                       Some
-                        (diag ~code:a005 ~severity:Check.Error
+                        (Check.diag ~code:a005 ~severity:Check.Error
                            ~path:(Printf.sprintf "extent(%s)" me.Registry.me_name)
                            "type map binds source field %S to mediator \
                             attribute %S, which interface %s does not declare"
                            src med me.Registry.me_interface)))
 
 let analyze ?(workload = []) reg =
-  let ctx = ctx_of reg in
+  let pl = Pipeline.create reg in
   let queries =
     List.concat_map
       (fun (file, text) -> queries_of_corpus ~file text)
       workload
   in
   let planned =
-    List.map (fun (loc, text) -> (loc, text, plan_query ctx text)) queries
+    List.map (fun (loc, text) -> (loc, text, plan_query pl text)) queries
   in
   (* query reports + per-query diagnostics *)
   let qdiags = ref [] in
@@ -533,7 +434,7 @@ let analyze ?(workload = []) reg =
         | Phybrid extents ->
             let repos =
               List.sort_uniq String.compare
-                (List.filter_map ctx.repo_of extents)
+                (List.filter_map (Pipeline.repo_of pl) extents)
             in
             {
               q_loc = loc;
@@ -579,7 +480,7 @@ let analyze ?(workload = []) reg =
   let spof_diags =
     List.map
       (fun (repo, locs) ->
-        diag ~code:a001 ~severity:Check.Warning
+        Check.diag ~code:a001 ~severity:Check.Warning
           ~path:(Printf.sprintf "repo(%s)" repo)
           "single point of failure: no replica covers repository %s; %d \
            workload %s answers when it is down (%s)"
@@ -591,16 +492,11 @@ let analyze ?(workload = []) reg =
   in
   (* A002 + wrapper reports: route every submit to its serving wrapper,
      mark the grammar productions it exercises *)
-  let wobjs = wrapper_objects reg in
+  let wobjs = objects_of_kind reg "Wrapper" in
   let used : (string, (string, unit) Hashtbl.t) Hashtbl.t =
     Hashtbl.create 8
   in
   let submit_counts = Hashtbl.create 8 in
-  let resolve_wobj wname =
-    Option.bind (Registry.find_object reg wname) (fun o ->
-        Wrapper.of_constructor_args o.Registry.obj_constructor
-          o.Registry.obj_args)
-  in
   let serving_object body =
     match
       List.filter_map
@@ -633,7 +529,7 @@ let analyze ?(workload = []) reg =
                     Hashtbl.replace used wname t;
                     t
               in
-              match resolve_wobj wname with
+              match Pipeline.wrapper_object pl wname with
               | None -> ()
               | Some w ->
                   let g = Wrapper.functionality w in
@@ -658,10 +554,7 @@ let analyze ?(workload = []) reg =
         let submits =
           try Hashtbl.find submit_counts name with Not_found -> 0
         in
-        match
-          Wrapper.of_constructor_args o.Registry.obj_constructor
-            o.Registry.obj_args
-        with
+        match Pipeline.wrapper_object pl name with
         | None ->
             ( wrs
               @ [
@@ -690,7 +583,7 @@ let analyze ?(workload = []) reg =
               if compiled <> [] && extents <> [] && dead <> [] then
                 ds
                 @ [
-                    diag ~code:a002 ~severity:Check.Warning
+                    Check.diag ~code:a002 ~severity:Check.Warning
                       ~path:(Printf.sprintf "wrapper(%s)" name)
                       "%d of %d grammar productions are unreachable by the \
                        workload: %s"
@@ -732,11 +625,11 @@ let analyze ?(workload = []) reg =
                      referenced := true;
                      if constrs <> [] then constrained := true
                    end)
-                 (Shard_prune.key_constraints ~shard:ctx.shard located))
+                 (Shard_prune.key_constraints ~shard:(Pipeline.shard_of pl) located))
              compiled;
            if !referenced && not !constrained then
              [
-               diag ~code:a003 ~severity:Check.Warning
+               Check.diag ~code:a003 ~severity:Check.Warning
                  ~path:(Printf.sprintf "extent(%s)" me.Registry.me_name)
                  "shard key %S of partitioned extent %s is never constrained \
                   by the workload: every query scatters to all %d shards \
@@ -768,7 +661,7 @@ let analyze ?(workload = []) reg =
              let name = me.Registry.me_name in
              if not (List.mem name referenced_extents) then []
              else
-               match ctx.wrapper_of name with
+               match Pipeline.wrapper_of pl name with
                | None -> []
                | Some w ->
                    Grammar.named_attributes (Wrapper.functionality w)
@@ -776,7 +669,7 @@ let analyze ?(workload = []) reg =
                           if List.mem (name, f) filtered then None
                           else
                             Some
-                              (diag ~code:a004 ~severity:Check.Warning
+                              (Check.diag ~code:a004 ~severity:Check.Warning
                                  ~path:(Printf.sprintf "extent(%s)" name)
                                  "wrapper %s advertises index-served lookups \
                                   on %s.%s, but no workload query filters on \
@@ -784,7 +677,7 @@ let analyze ?(workload = []) reg =
                                  me.Registry.me_wrapper name f)))
   in
   (* A005 + A006 *)
-  let consistency_diags = view_diags ctx @ typemap_diags reg in
+  let consistency_diags = view_diags pl reg @ typemap_diags reg in
   let cache_diags =
     collision_diags
       ~resolve:(synthetic_resolve reg)
@@ -799,25 +692,9 @@ let analyze ?(workload = []) reg =
      @ consistency_diags @ cache_diags)
   in
   let all_diags =
-    List.rev_append !qdiags fed_diags
-    |> List.sort (fun (f1, d1) (f2, d2) ->
-           compare
-             (f1, d1.Check.d_code, d1.Check.d_path, d1.Check.d_message)
-             (f2, d2.Check.d_code, d2.Check.d_path, d2.Check.d_message))
+    Check.sort_diags (List.rev_append !qdiags fed_diags)
   in
-  let obj_count prefix =
-    Registry.object_names reg
-    |> List.filter (fun n ->
-           match Registry.find_object reg n with
-           | Some o ->
-               String.length o.Registry.obj_constructor
-               >= String.length prefix
-               && String.sub o.Registry.obj_constructor 0
-                    (String.length prefix)
-                  = prefix
-           | None -> false)
-    |> List.length
-  in
+  let obj_count prefix = List.length (objects_of_kind reg prefix) in
   {
     r_summary =
       {
@@ -907,23 +784,7 @@ let pp_report ppf r =
     r.r_diags;
   Fmt.pf ppf "@]"
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_string s = "\"" ^ json_escape s ^ "\""
+let json_string s = "\"" ^ Check.json_escape s ^ "\""
 let json_list items = "[" ^ String.concat "," items ^ "]"
 let json_strings ss = json_list (List.map json_string ss)
 

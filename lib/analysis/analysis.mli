@@ -3,10 +3,11 @@
 
     Where {!Disco_check.Check} verifies one tree at a time, this module
     analyses a {e federation} — an ODL registry plus an OQL workload
-    corpus — the way the mediator itself would plan it: every workload
-    query is expanded, compiled, located and optimized against an empty
-    cost model (the paper's designed bias toward maximal pushdown), and
-    the chosen logical plan is then interrogated instead of executed.
+    corpus — planned by the mediator's own {!Disco_core.Pipeline} with
+    the mediator's default settings: every workload query is expanded,
+    typed, compiled, located and optimized against an empty cost model
+    (the paper's designed bias toward maximal pushdown), and the chosen
+    logical plan is then interrogated instead of executed.
 
     Three families of facts come out:
 
@@ -135,9 +136,9 @@ val analyze : ?workload:(string * string) list -> Registry.t -> report
     degrades to. These entry points expose the prediction on its own. *)
 
 val plan_logical : Registry.t -> string -> (Expr.expr, string) result
-(** Plan one OQL query exactly as {!analyze} does — expand, typecheck,
-    compile, locate, optimize against an empty cost model — and return
-    the chosen logical tree. [Error] carries the first failure. *)
+(** Plan one OQL query exactly as {!analyze} does — through a fresh
+    {!Disco_core.Pipeline} over [reg] — and return the chosen logical
+    tree. [Error] carries the first failure. *)
 
 val predict_unavailable :
   Registry.t -> down:(string -> bool) -> Expr.expr -> string list

@@ -49,14 +49,10 @@ let make ?registry ?wrapper_of ?(repo_of = fun _ -> None) ?repo_known () =
 
 let of_registry ?wrapper_of reg =
   let default_wrapper_of ext =
-    match Registry.find_extent reg ext with
-    | None -> None
-    | Some me -> (
-        match Registry.find_object reg me.Registry.me_wrapper with
-        | None -> None
-        | Some o ->
+    Option.bind (Registry.find_extent reg ext) (fun me ->
+        Option.bind (Registry.find_object reg me.Registry.me_wrapper) (fun o ->
             Wrapper.of_constructor_args o.Registry.obj_constructor
-              o.Registry.obj_args)
+              o.Registry.obj_args))
   in
   {
     registry = Some reg;
@@ -75,18 +71,26 @@ type state = { checker : t; diags : diag list ref }
 
 let render_path rev_path = String.concat "." (List.rev rev_path)
 
-let emit st ~code ~severity ~path fmt =
+let kdiag k ~code ~severity ~path fmt =
   Format.kasprintf
-    (fun msg ->
-      st.diags :=
-        {
-          d_code = code;
-          d_severity = severity;
-          d_path = render_path path;
-          d_message = msg;
-        }
-        :: !(st.diags))
+    (fun d_message ->
+      k { d_code = code; d_severity = severity; d_path = path; d_message })
     fmt
+
+let diag ~code ~severity ~path fmt = kdiag Fun.id ~code ~severity ~path fmt
+
+let emit st ~code ~severity ~path fmt =
+  kdiag
+    (fun d -> st.diags := d :: !(st.diags))
+    ~code ~severity ~path:(render_path path) fmt
+
+let sort_diags entries =
+  List.sort
+    (fun (f1, d1) (f2, d2) ->
+      compare
+        (f1, d1.d_code, d1.d_path, d1.d_message)
+        (f2, d2.d_code, d2.d_path, d2.d_message))
+    entries
 
 let error st code path fmt = emit st ~code ~severity:Error ~path fmt
 let warn st code path fmt = emit st ~code ~severity:Warning ~path fmt
@@ -1015,14 +1019,6 @@ let json_escape s =
   Buffer.contents b
 
 let json_of_diags entries =
-  let sorted =
-    List.sort
-      (fun (f1, d1) (f2, d2) ->
-        compare
-          (f1, d1.d_code, d1.d_path, d1.d_message)
-          (f2, d2.d_code, d2.d_path, d2.d_message))
-      entries
-  in
   let item (file, d) =
     Printf.sprintf
       {|{"file":"%s","code":"%s","severity":"%s","path":"%s","message":"%s"}|}
@@ -1031,4 +1027,4 @@ let json_of_diags entries =
       (json_escape d.d_path)
       (json_escape d.d_message)
   in
-  "[" ^ String.concat "," (List.map item sorted) ^ "]"
+  "[" ^ String.concat "," (List.map item (sort_diags entries)) ^ "]"

@@ -137,9 +137,10 @@ val make :
 
 val of_registry : ?wrapper_of:(string -> Wrapper.t option) -> Registry.t -> t
 (** Checker over a registry: extents type by their interfaces, wrappers
-    resolve through the extent's wrapper object constructor
-    ({!Wrapper.of_constructor}) unless [wrapper_of] overrides, and
-    repositories are known when a registry object of that name exists. *)
+    resolve through the extent's wrapper object, its constructor applied
+    to its arguments ({!Wrapper.of_constructor_args}), unless
+    [wrapper_of] overrides, and repositories are known when a registry
+    object of that name exists. *)
 
 val check_expr : t -> Expr.expr -> diag list
 (** Typing + capability + decompilability over a logical tree.
@@ -188,6 +189,20 @@ val audit_shards : t -> diag list
     ([DISCO-E016]); shards served through wrappers with structurally
     different grammars warn [DISCO-W005]. Empty without a registry. *)
 
+val diag :
+  code:string ->
+  severity:severity ->
+  path:string ->
+  ('a, Format.formatter, unit, diag) format4 ->
+  'a
+(** [diag ~code ~severity ~path fmt ...] builds one diagnostic, its
+    message formatted from [fmt] — the constructor [discoctl lint] and
+    the analyzer share. *)
+
+val sort_diags : (string * diag) list -> (string * diag) list
+(** Stable report order of [(file, diag)] pairs: by file, code, path,
+    then message. *)
+
 val errors : diag list -> diag list
 (** The error-severity subset, order preserved. *)
 
@@ -198,7 +213,11 @@ val pp_diag : Format.formatter -> diag -> unit
 
 val severity_name : severity -> string
 
+val json_escape : string -> string
+(** The body of a JSON string literal for [s] (quotes, backslashes and
+    control characters escaped). *)
+
 val json_of_diags : (string * diag) list -> string
-(** Machine-readable rendering of [(file, diag)] pairs: a JSON array
-    sorted by (file, code, path, message) — stable across runs so future
-    tooling can diff lint results. *)
+(** Machine-readable rendering of [(file, diag)] pairs: a JSON array in
+    {!sort_diags} order — stable across runs so future tooling can diff
+    lint results. *)

@@ -4,10 +4,8 @@ module Shard = Disco_shard.Shard
 module Odl = Disco_odl.Odl_parser
 module Typemap = Disco_odl.Typemap
 module Ast = Disco_oql.Ast
-module Oql_parser = Disco_oql.Parser
 module Eval = Disco_oql.Eval
 module Expr = Disco_algebra.Expr
-module Compile = Disco_algebra.Compile
 module Rules = Disco_algebra.Rules
 module Plan = Disco_physical.Plan
 module Optimizer = Disco_optimizer.Optimizer
@@ -124,9 +122,8 @@ type t = {
   clock : Clock.t;
   sched : Scheduler.t;
   cost : Cost_model.t;
-  params : Plan.params;
   sources : (string, Source.t) Hashtbl.t;
-  wrappers : (string, Wrapper.t) Hashtbl.t;
+  pipeline : Pipeline.t;
   plan_cache : (string, cached_plan) Lru.t;
   mutable plan_hits : int;
   mutable plan_misses : int;
@@ -143,16 +140,21 @@ type t = {
 
 let create ?(config = Config.default) ~name () =
   let clock = Option.value config.Config.clock ~default:(Clock.create ()) in
+  let registry = Registry.create () in
+  let cost = Option.value config.Config.cost ~default:(Cost_model.create ()) in
+  let sources = Hashtbl.create 16 in
   {
     m_name = name;
-    registry = Registry.create ();
+    registry;
     clock;
     sched =
       Option.value config.Config.sched ~default:(Scheduler.of_clock clock);
-    cost = Option.value config.Config.cost ~default:(Cost_model.create ());
-    params = config.Config.params;
-    sources = Hashtbl.create 16;
-    wrappers = Hashtbl.create 16;
+    cost;
+    sources;
+    pipeline =
+      Pipeline.create ~source_known:(Hashtbl.mem sources)
+        ~params:config.Config.params ~metrics:config.Config.metrics
+        ~batch:config.Config.batch ~check:config.Config.check ~cost registry;
     plan_cache = Lru.create ~capacity:config.Config.plan_cache_capacity ();
     plan_hits = 0;
     plan_misses = 0;
@@ -177,7 +179,8 @@ let retry_policy t = t.retry
 let breaker_snapshot t = Runtime.Breaker.snapshot t.breaker
 
 let register_source t ~name source = Hashtbl.replace t.sources name source
-let register_wrapper t ~name wrapper = Hashtbl.replace t.wrappers name wrapper
+let register_wrapper t ~name wrapper =
+  Pipeline.register_wrapper t.pipeline ~name wrapper
 let find_source t name = Hashtbl.find_opt t.sources name
 
 let declare_index t ~repo ~table ~column ~kind =
@@ -217,33 +220,13 @@ let load_odl t text =
 
 (* -- name resolution -- *)
 
-let source_of t repo =
-  match Hashtbl.find_opt t.sources repo with
-  | Some s -> Some s
-  | None -> None
-
-let wrapper_of t wname =
-  match Hashtbl.find_opt t.wrappers wname with
-  | Some w -> Some w
-  | None -> (
-      match Registry.find_object t.registry wname with
-      | Some obj -> (
-          match
-            Wrapper.of_constructor_args obj.Registry.obj_constructor
-              obj.Registry.obj_args
-          with
-          | Some w ->
-              Hashtbl.replace t.wrappers wname w;
-              Some w
-          | None -> None)
-      | None -> None)
-
 let binding_for t ~type_check extent_name =
   match Registry.find_extent t.registry extent_name with
   | None -> mediator_error "no extent named %s" extent_name
   | Some ext -> (
       match
-        (source_of t ext.Registry.me_repository, wrapper_of t ext.Registry.me_wrapper)
+        ( find_source t ext.Registry.me_repository,
+          Pipeline.wrapper_object t.pipeline ext.Registry.me_wrapper )
       with
       | None, _ ->
           mediator_error "repository %s of extent %s has no attached source"
@@ -255,7 +238,7 @@ let binding_for t ~type_check extent_name =
           let replicas =
             List.filter_map
               (fun repo ->
-                match source_of t repo with
+                match find_source t repo with
                 | Some src -> Some (repo, src)
                 | None ->
                     mediator_error
@@ -287,33 +270,13 @@ let serve_stale_of = function
   | Cached_fallback { max_stale_ms } -> Some max_stale_ms
   | Partial_answers | Wait_all | Null_sources | Skip_sources -> None
 
-(* The static verifier's view of this mediator: extents type by the
-   registry, wrappers resolve through the extent's wrapper object, and a
-   repository is known if it has an attached source or a registry
-   object. Handed to both the optimizer (checking every candidate) and
-   the runtime's debug gate. *)
-let checker_for t =
-  Check.make ~registry:t.registry
-    ~wrapper_of:(fun ext ->
-      Option.bind (Registry.find_extent t.registry ext) (fun me ->
-          wrapper_of t me.Registry.me_wrapper))
-    ~repo_of:(fun ext ->
-      Option.map
-        (fun me -> me.Registry.me_repository)
-        (Registry.find_extent t.registry ext))
-    ~repo_known:(fun r ->
-      Hashtbl.mem t.sources r || Registry.find_object t.registry r <> None)
-    ()
-
-let opt_check t = (checker_for t, t.check)
-
 let runtime_env t ~type_check ~semantics ~tr extents =
   let bindings = List.map (binding_for t ~type_check) extents in
   Runtime.env
     (Runtime.Config.make ~sched:t.sched ?cache:t.cache
        ?serve_stale_ms:(serve_stale_of semantics)
        ?trace:tr ~metrics:t.metrics ~batch:t.batch ~check:t.check
-       ~checker:(checker_for t) ?retry:t.retry ~breaker:t.breaker
+       ~checker:(Pipeline.checker t.pipeline) ?retry:t.retry ~breaker:t.breaker
        ~clock:t.clock ~cost:t.cost ())
     bindings
 
@@ -338,55 +301,17 @@ let in_span t tr name f =
 
 let span_meta tr k v = Option.iter (fun b -> Trace.meta b k v) tr
 
-(* Capability check used by the optimizer: every extent mentioned in the
-   candidate expression must be served by a wrapper that accepts it, and
-   a merged submit requires a single common wrapper. *)
-let can_push t ~repo expr =
-  ignore repo;
-  let extents = Expr.gets expr in
-  let wrappers =
-    List.filter_map
-      (fun extent ->
-        Option.bind (Registry.find_extent t.registry extent) (fun ext ->
-            wrapper_of t ext.Registry.me_wrapper))
-      extents
-  in
-  List.length wrappers = List.length extents
-  && (match wrappers with
-     | [] -> false
-     | first :: rest ->
-         List.for_all (fun w -> String.equal (Wrapper.name w) (Wrapper.name first)) rest)
-  && List.for_all (fun w -> Wrapper.accepts w expr) wrappers
-
-let repo_of t extent =
-  Option.map
-    (fun e -> e.Registry.me_repository)
-    (Registry.find_extent t.registry extent)
-
-(* Shard resolver handed to the optimizer: maps a shard-child extent
-   name back to its parent's partition and its index. *)
-let shard_of t extent =
-  match Registry.find_extent t.registry extent with
-  | Some { Registry.me_shard_of = Some (parent, k); _ } ->
-      Option.bind (Registry.find_extent t.registry parent) (fun pe ->
-          Option.map (fun p -> (p, k)) pe.Registry.me_partition)
-  | _ -> None
-
-(* The one optimizer call: the compiled path, hybrid fragments and
-   [explain] plan with the same arguments. *)
-let optimize t located =
-  Optimizer.optimize ~params:t.params ~metrics:t.metrics ~batch:t.batch
-    ~check:(opt_check t) ~shard:(shard_of t) ~can_push:(can_push t)
-    ~cost:t.cost located
+(* Extents the plan's execs scan: the runtime binds exactly these. *)
+let plan_extents plan =
+  List.sort_uniq String.compare
+    (List.concat_map (fun (_, e) -> Expr.gets e) (Plan.all_source_exprs plan))
 
 (* Shard children the plan scans: drives the shard span and metrics of
    the scatter-gather round. *)
 let shard_children_of_plan t plan =
-  List.sort_uniq String.compare
-    (List.concat_map
-       (fun (_, e) ->
-         List.filter (fun name -> shard_of t name <> None) (Expr.gets e))
-       (Plan.all_source_exprs plan))
+  List.filter
+    (fun name -> Pipeline.shard_of t.pipeline name <> None)
+    (plan_extents plan)
 
 (* -- answers -- *)
 
@@ -426,7 +351,7 @@ let stale_hint t = function
   | Partial { Runtime.versions; _ } ->
       List.filter_map
         (fun (repo, recorded_version) ->
-          match source_of t repo with
+          match find_source t repo with
           | Some s when Source.data_version s <> recorded_version -> Some repo
           | Some _ | None -> None)
         versions
@@ -476,7 +401,7 @@ let compiled_outcome t ~timeout_ms ~type_check ~semantics ~tr ~oql located =
             t.plan_misses <- t.plan_misses + 1;
             Metrics.incr t.metrics "plan_cache.miss";
             span_meta tr "plan_cache" "miss";
-            let choice = optimize t located in
+            let choice = Pipeline.optimize t.pipeline located in
             span_meta tr "alternatives"
               (string_of_int choice.Optimizer.alternatives);
             span_meta tr "est_time_ms"
@@ -485,11 +410,7 @@ let compiled_outcome t ~timeout_ms ~type_check ~semantics ~tr ~oql located =
               { c_plan = choice.Optimizer.plan; c_version = version };
             (choice.Optimizer.plan, false))
   in
-  let extents =
-    List.sort_uniq String.compare
-      (List.concat_map (fun (_, e) -> Expr.gets e) (Plan.all_source_exprs plan))
-  in
-  let env = runtime_env t ~type_check ~semantics ~tr extents in
+  let env = runtime_env t ~type_check ~semantics ~tr (plan_extents plan) in
   let run plan =
     (* execution-layer failures (bad maps, misbehaving wrappers) surface
        as clean mediator errors, never raw engine exceptions *)
@@ -563,28 +484,23 @@ let hybrid_outcome t ~timeout_ms ~type_check ~semantics ~tr expanded =
     | Ast.Const _ | Ast.Ident _ -> None
         (* bare extents go through the batched fetch below *)
     | _ -> (
-        match Compile.compile sub with
-        | Error _ -> None
-        | Ok compiled -> (
-            let frees = Ast.free_collections sub in
-            if
-              frees = []
-              || not
-                   (List.for_all
-                      (fun n -> Registry.find_extent t.registry n <> None)
-                      frees)
-            then None
-            else
-              let located = Compile.locate ~repo_of:(repo_of t) compiled in
-              let choice = optimize t located in
-              let extents =
-                List.sort_uniq String.compare
-                  (List.concat_map
-                     (fun (_, e) -> Expr.gets e)
-                     (Plan.all_source_exprs choice.Optimizer.plan))
+        let frees = Ast.free_collections sub in
+        if
+          frees = []
+          || not
+               (List.for_all
+                  (fun n -> Registry.find_extent t.registry n <> None)
+                  frees)
+        then None
+        else
+          match Pipeline.compile t.pipeline sub with
+          | Error _ -> None
+          | Ok located -> (
+              let plan = (Pipeline.optimize t.pipeline located).Optimizer.plan in
+              let env =
+                runtime_env t ~type_check ~semantics ~tr (plan_extents plan)
               in
-              let env = runtime_env t ~type_check ~semantics ~tr extents in
-              match Runtime.execute ~timeout_ms env choice.Optimizer.plan with
+              match Runtime.execute ~timeout_ms env plan with
               | Runtime.Complete v, st ->
                   stats_acc := Runtime.add_stats !stats_acc st;
                   Some (Ast.Const v)
@@ -642,10 +558,7 @@ let hybrid_outcome t ~timeout_ms ~type_check ~semantics ~tr expanded =
       List.sort_uniq String.compare
         (!blocked_repos
         @ List.filter_map
-            (fun (extent, _) ->
-              Option.map
-                (fun e -> e.Registry.me_repository)
-                (Registry.find_extent t.registry extent))
+            (fun (extent, _) -> Pipeline.repo_of t.pipeline extent)
             fetch_blocked)
     in
     let answer =
@@ -662,14 +575,16 @@ let hybrid_outcome t ~timeout_ms ~type_check ~semantics ~tr expanded =
 
 (* -- entry points -- *)
 
-let parse_oql oql =
-  try Oql_parser.parse oql
-  with Disco_lex.Lexer.Error (m, pos) ->
-    mediator_error "OQL parse error at offset %d: %s" pos m
+let front_message = function
+  | Pipeline.Parse_error (pos, m) ->
+      Fmt.str "OQL parse error at offset %d: %s" pos m
+  | Pipeline.Expand_error m -> m
+  | Pipeline.Type_error m -> "type error: " ^ m
 
-let expand t ast =
-  try Expand.expand t.registry ast
-  with Expand.Expand_error m -> mediator_error "%s" m
+let front_exn ?span ?typecheck t oql =
+  match Pipeline.front ?span ?typecheck t.pipeline oql with
+  | Ok expanded -> expanded
+  | Error e -> mediator_error "%s" (front_message e)
 
 (* Skip_sources: drop extents whose source is down right now, before
    planning — "as if the data source objects ... do not exist". An extent
@@ -677,7 +592,7 @@ let expand t ast =
 let apply_skip t expanded =
   let now = Scheduler.now t.sched in
   let copy_up repo =
-    match source_of t repo with
+    match find_source t repo with
     | Some source -> Source.is_up source now
     | None -> false
   in
@@ -694,12 +609,12 @@ let apply_skip t expanded =
     expanded
 
 let typecheck t oql =
-  match parse_oql oql with
-  | ast ->
+  match Pipeline.parse oql with
+  | Ok ast ->
       Disco_oql.Typecheck.check
         (Disco_oql.Typecheck.env_of_registry t.registry)
         ast
-  | exception Mediator_error m -> Error m
+  | Error e -> Error (front_message e)
 
 let validate_views t =
   List.filter_map
@@ -723,25 +638,22 @@ let query ?(opts = Query_opts.default) t oql =
       t.trace_sink
   in
   let outcome =
-    let ast = in_span t tr "parse" (fun () -> parse_oql oql) in
-    (if static_check then
-       match
-         Disco_oql.Typecheck.check
-           (Disco_oql.Typecheck.env_of_registry t.registry)
-           ast
-       with
-       | Ok _ -> ()
-       | Error m -> mediator_error "type error: %s" m);
-    let expanded = in_span t tr "expand" (fun () -> expand t ast) in
+    let expanded =
+      front_exn
+        ~span:{ Pipeline.span = (fun name f -> in_span t tr name f) }
+        ?typecheck:(if static_check then Some `Parsed else None)
+        t oql
+    in
     let expanded =
       match semantics with
       | Skip_sources -> apply_skip t expanded
       | Partial_answers | Wait_all | Null_sources | Cached_fallback _ ->
           expanded
     in
-    match in_span t tr "compile" (fun () -> Compile.compile expanded) with
-    | Ok compiled ->
-        let located = Compile.locate ~repo_of:(repo_of t) compiled in
+    match
+      in_span t tr "compile" (fun () -> Pipeline.compile t.pipeline expanded)
+    with
+    | Ok located ->
         compiled_outcome t ~timeout_ms ~type_check ~semantics ~tr
           ~oql:(Ast.to_string expanded) located
     | Error _ -> hybrid_outcome t ~timeout_ms ~type_check ~semantics ~tr expanded
@@ -808,12 +720,9 @@ let record_partial resubmissions outcome =
   | Complete _ | Unavailable _ -> None
 
 let explain t oql =
-  let ast = parse_oql oql in
-  let expanded = expand t ast in
-  match Compile.compile expanded with
-  | Ok compiled ->
-      let located = Compile.locate ~repo_of:(repo_of t) compiled in
-      let choice = optimize t located in
+  match Pipeline.compile t.pipeline (front_exn t oql) with
+  | Ok located ->
+      let choice = Pipeline.optimize t.pipeline located in
       Fmt.str "plan (%d alternatives, est. %.3f ms, %.1f rows shipped):@\n%s"
         choice.Optimizer.alternatives choice.Optimizer.cost.Plan.time_ms
         choice.Optimizer.cost.Plan.shipped

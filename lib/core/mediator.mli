@@ -238,7 +238,7 @@ val declare_index :
 val load_odl : t -> string -> unit
 (** Parse and apply ODL text: interfaces, extents, views, and object
     definitions. [w := WrapperX();] resolves through
-    {!Disco_wrapper.Wrapper.of_constructor} unless [w] was registered
+    {!Disco_wrapper.Wrapper.of_constructor_args} unless [w] was registered
     explicitly. Raises {!Mediator_error} (wrapping parse and registry
     errors) on failure. *)
 

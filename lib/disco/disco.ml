@@ -43,6 +43,7 @@ module Optimizer = Disco_optimizer.Optimizer
 module Runtime = Disco_runtime.Runtime
 module Catalog = Disco_catalog.Catalog
 module Mediator = Disco_core.Mediator
+module Pipeline = Disco_core.Pipeline
 module Server = Disco_serve.Server
 module Loadgen = Disco_serve.Loadgen
 module Expand = Disco_core.Expand

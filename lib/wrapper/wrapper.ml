@@ -304,5 +304,3 @@ let of_constructor_args ctor args =
   | "wrapperindexed" ->
       Some (indexed_wrapper ~eq:(list_arg "eq") ~range:(list_arg "range") ())
   | _ -> None
-
-let of_constructor ctor = of_constructor_args ctor []

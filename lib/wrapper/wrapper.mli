@@ -107,16 +107,12 @@ val indexed_wrapper : ?eq:string list -> ?range:string list -> unit -> t
     table's {!Disco_relation.Table.declare_index} access path when one is
     declared. *)
 
-val of_constructor : string -> t option
-(** Resolve an ODL constructor name ([w0 := WrapperPostgres();]) to a
-    wrapper: [WrapperPostgres] / [WrapperSql] → {!sql_wrapper},
-    [WrapperSelect] → {!select_wrapper}, [WrapperProject] →
-    {!project_wrapper}, [WrapperScan] → {!scan_wrapper}, [WrapperKV] →
-    {!kv_wrapper}, [WrapperFile] → {!file_wrapper}, [WrapperIndexed] →
-    {!indexed_wrapper}. Case-insensitive. *)
-
 val of_constructor_args : string -> (string * Disco_value.Value.t) list -> t option
-(** Like {!of_constructor}, but passing the ODL constructor's named
-    arguments through; [WrapperIndexed(eq = "id", range = "salary,age")]
-    takes comma-separated attribute lists in its [eq] / [range]
-    arguments. Unknown arguments are ignored. *)
+(** Resolve an ODL constructor ([w0 := WrapperPostgres();]) and its
+    named arguments to a wrapper: [WrapperPostgres] / [WrapperSql] →
+    {!sql_wrapper}, [WrapperSelect] → {!select_wrapper},
+    [WrapperProject] → {!project_wrapper}, [WrapperScan] →
+    {!scan_wrapper}, [WrapperKV] → {!kv_wrapper}, [WrapperFile] →
+    {!file_wrapper}, [WrapperIndexed] → {!indexed_wrapper}, whose
+    [eq = "id", range = "salary,age"] arguments take comma-separated
+    attribute lists. Case-insensitive; unknown arguments are ignored. *)

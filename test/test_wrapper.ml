@@ -423,10 +423,10 @@ let test_text_wrapper_through_mediator () =
 
 let test_of_constructor () =
   Alcotest.(check bool) "WrapperPostgres" true
-    (Wrapper.of_constructor "WrapperPostgres" <> None);
+    (Wrapper.of_constructor_args "WrapperPostgres" [] <> None);
   Alcotest.(check bool) "case-insensitive" true
-    (Wrapper.of_constructor "wrapperscan" <> None);
-  Alcotest.(check bool) "unknown" true (Wrapper.of_constructor "Nope" = None)
+    (Wrapper.of_constructor_args "wrapperscan" [] <> None);
+  Alcotest.(check bool) "unknown" true (Wrapper.of_constructor_args "Nope" [] = None)
 
 let test_wrong_source_kind () =
   let src = relational_source ~n:2 () in
