@@ -114,7 +114,14 @@ type plan_cache_stats = {
   p_evictions : int;
 }
 
-type cached_plan = { c_plan : Plan.plan; c_version : int }
+(* A chosen plan with the optimizer's verdict on it, valid while the
+   registry stays at [c_version]: a hit reuses both, so the runtime gate
+   reports the verdict without re-verifying the plan. *)
+type cached_plan = {
+  c_plan : Plan.plan;
+  c_verdict : Check.diag list option;
+  c_version : int;
+}
 
 type t = {
   m_name : string;
@@ -178,9 +185,16 @@ let metrics t = t.metrics
 let retry_policy t = t.retry
 let breaker_snapshot t = Runtime.Breaker.snapshot t.breaker
 
-let register_source t ~name source = Hashtbl.replace t.sources name source
+(* A new source or wrapper changes what [can_push] and the verifier
+   resolve, so cached plans and their verdicts no longer hold. *)
+let register_source t ~name source =
+  Hashtbl.replace t.sources name source;
+  Lru.clear t.plan_cache
+
 let register_wrapper t ~name wrapper =
-  Pipeline.register_wrapper t.pipeline ~name wrapper
+  Pipeline.register_wrapper t.pipeline ~name wrapper;
+  Lru.clear t.plan_cache
+
 let find_source t name = Hashtbl.find_opt t.sources name
 
 let declare_index t ~repo ~table ~column ~kind =
@@ -386,17 +400,17 @@ let compiled_outcome t ~timeout_ms ~type_check ~semantics ~tr ~oql located =
   let version = Registry.version t.registry in
   let cached =
     match Lru.find t.plan_cache cache_key with
-    | Some { c_plan; c_version } when c_version = version -> Some c_plan
+    | Some ({ c_version; _ } as c) when c_version = version -> Some c
     | _ -> None
   in
-  let plan, from_cache =
+  let { c_plan = plan; c_verdict = verdict; _ }, from_cache =
     in_span t tr "optimize" (fun () ->
         match cached with
-        | Some plan ->
+        | Some c ->
             t.plan_hits <- t.plan_hits + 1;
             Metrics.incr t.metrics "plan_cache.hit";
             span_meta tr "plan_cache" "hit";
-            (plan, true)
+            (c, true)
         | None ->
             t.plan_misses <- t.plan_misses + 1;
             Metrics.incr t.metrics "plan_cache.miss";
@@ -406,24 +420,30 @@ let compiled_outcome t ~timeout_ms ~type_check ~semantics ~tr ~oql located =
               (string_of_int choice.Optimizer.alternatives);
             span_meta tr "est_time_ms"
               (Printf.sprintf "%.3f" choice.Optimizer.cost.Plan.time_ms);
-            Lru.add t.plan_cache cache_key
-              { c_plan = choice.Optimizer.plan; c_version = version };
-            (choice.Optimizer.plan, false))
+            let c =
+              {
+                c_plan = choice.Optimizer.plan;
+                c_verdict = choice.Optimizer.verdict;
+                c_version = version;
+              }
+            in
+            Lru.add t.plan_cache cache_key c;
+            (c, false))
   in
   let env = runtime_env t ~type_check ~semantics ~tr (plan_extents plan) in
-  let run plan =
+  let run ?verdict plan =
     (* execution-layer failures (bad maps, misbehaving wrappers) surface
        as clean mediator errors, never raw engine exceptions *)
     let execute () =
       match shard_children_of_plan t plan with
-      | [] -> Runtime.execute ~timeout_ms env plan
+      | [] -> Runtime.execute ~timeout_ms ?verdict env plan
       | shards ->
           (* the scatter-gather round over a partitioned extent gets its
              own span so traces show the fan-out width *)
           Metrics.incr t.metrics "shard.rounds";
           in_span t tr "shard" (fun () ->
               span_meta tr "shards" (string_of_int (List.length shards));
-              Runtime.execute ~timeout_ms env plan)
+              Runtime.execute ~timeout_ms ?verdict env plan)
     in
     match in_span t tr "execute" execute with
     | answer, stats -> (answer_of_runtime answer, stats)
@@ -431,7 +451,7 @@ let compiled_outcome t ~timeout_ms ~type_check ~semantics ~tr ~oql located =
     | exception Expr.Algebra_error m -> mediator_error "execution failed: %s" m
     | exception V.Type_error m -> mediator_error "execution failed: %s" m
   in
-  match run plan with
+  match run ?verdict plan with
   | answer, stats ->
       {
         answer = apply_semantics t semantics answer;
@@ -496,11 +516,13 @@ let hybrid_outcome t ~timeout_ms ~type_check ~semantics ~tr expanded =
           match Pipeline.compile t.pipeline sub with
           | Error _ -> None
           | Ok located -> (
-              let plan = (Pipeline.optimize t.pipeline located).Optimizer.plan in
+              let { Optimizer.plan; verdict; _ } =
+                Pipeline.optimize t.pipeline located
+              in
               let env =
                 runtime_env t ~type_check ~semantics ~tr (plan_extents plan)
               in
-              match Runtime.execute ~timeout_ms env plan with
+              match Runtime.execute ~timeout_ms ?verdict env plan with
               | Runtime.Complete v, st ->
                   stats_acc := Runtime.add_stats !stats_acc st;
                   Some (Ast.Const v)

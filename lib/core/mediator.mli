@@ -141,7 +141,10 @@ module Config : sig
     check : Disco_check.Check.mode;
         (** static verification of plans ({!Disco_check.Check}): [Warn]
             (the default) runs the verifier over every optimizer
-            candidate and every executed plan, counting violations into
+            candidate, caches the chosen plan's verdict with it, and
+            reports that verdict on every execution (a plan the
+            optimizer never saw, such as the capability fallback, is
+            verified at execution), counting violations into
             [check.violations] / [check.warnings] metrics; [Enforce]
             additionally excludes candidates with error diagnostics from
             the search and raises {!Disco_check.Check.Check_error} if a
@@ -209,11 +212,13 @@ val answer_cache_stats : t -> Disco_cache.Answer_cache.stats option
 val register_source : t -> name:string -> Disco_source.Source.t -> unit
 (** Attach a simulated source under a repository object name. Define the
     matching [name := Repository(...)] object in ODL (in either order —
-    the binding is looked up at query time). *)
+    the binding is looked up at query time). Drops cached plans: the
+    verifier's view of known repositories changed. *)
 
 val register_wrapper : t -> name:string -> Disco_wrapper.Wrapper.t -> unit
 (** Provide a custom wrapper object directly, bypassing the constructor
-    table. *)
+    table. Drops cached plans, whose pushdown and verdicts were decided
+    against the previous wrapper. *)
 
 val find_source : t -> string -> Disco_source.Source.t option
 

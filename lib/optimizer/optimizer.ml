@@ -13,6 +13,7 @@ type choice = {
   logical : Expr.expr;
   cost : Plan.cost;
   alternatives : int;
+  verdict : Check.diag list option;
 }
 
 (* Enumerate join-commutation variants of an expression, breadth-first
@@ -76,13 +77,14 @@ let better (a : Plan.cost * int * int) (b : Plan.cost * int * int) =
         ca.Plan.shipped < cb.Plan.shipped
       else pusheda > pushedb
 
-(* Run the static verifier over each implemented candidate. In [Warn]
-   mode violations only feed metrics and the log; in [Enforce] mode
-   failing candidates are dropped from the search space, and if nothing
-   survives the error diagnostics of the first candidate are raised. *)
+(* Run the static verifier over each implemented candidate, pairing each
+   with its verdict ([] when no checker runs). In [Warn] mode violations
+   only feed metrics and the log; in [Enforce] mode failing candidates
+   are dropped from the search space, and if nothing survives the error
+   diagnostics of the first candidate are raised. *)
 let verify_candidates ?metrics ~check candidates =
   match check with
-  | None | Some (_, Check.Off) -> candidates
+  | None | Some (_, Check.Off) -> List.map (fun cand -> (cand, [])) candidates
   | Some (checker, mode) -> (
       let verdicts =
         List.map
@@ -113,10 +115,7 @@ let verify_candidates ?metrics ~check candidates =
       match mode with
       | Check.Enforce -> (
           match
-            List.filter_map
-              (fun (cand, ds) ->
-                if Check.has_errors ds then None else Some cand)
-              verdicts
+            List.filter (fun (_, ds) -> not (Check.has_errors ds)) verdicts
           with
           | [] ->
               raise
@@ -125,7 +124,18 @@ let verify_candidates ?metrics ~check candidates =
                    | (_, ds) :: _ -> Check.errors ds
                    | [] -> []))
           | ok -> ok)
-      | Check.Off | Check.Warn -> candidates)
+      | Check.Off | Check.Warn -> verdicts)
+
+(* The chosen plan's verdict, looked up by identity among the verified
+   candidates it was chosen from; [None] when no checker ran. *)
+let rec find_verdict plan = function
+  | ((_, p), ds) :: rest -> if p == plan then ds else find_verdict plan rest
+  | [] -> []
+
+let verdict_of ~check plan verified =
+  match check with
+  | None | Some (_, Check.Off) -> None
+  | Some (_, (Check.Warn | Check.Enforce)) -> Some (find_verdict plan verified)
 
 let optimize ?params ?(max_join_variants = 8) ?metrics ?(batch = false) ?check
     ?shard ~can_push ~cost located =
@@ -205,16 +215,16 @@ let optimize ?params ?(max_join_variants = 8) ?metrics ?(batch = false) ?check
            else cand :: acc)
          [] implemented)
   in
-  let unique = verify_candidates ?metrics ~check unique in
+  let verified = verify_candidates ?metrics ~check unique in
   let costed =
     List.map
-      (fun (logical, p) ->
+      (fun ((logical, p), _) ->
         ( logical,
           p,
           ( Plan.estimate ?params ~batch cost p,
             Plan.mediator_op_count p,
             pushed_size p ) ))
-      unique
+      verified
   in
   (* what the enumeration produced before any deduplication: duplicate
      logical candidates contribute their whole plan-variant list *)
@@ -239,12 +249,13 @@ let optimize ?params ?(max_join_variants = 8) ?metrics ?(batch = false) ?check
   | [] ->
       (* fall back to the located expression itself (still verified) *)
       let plan = shard_merge (Plan.implement located) in
-      ignore (verify_candidates ?metrics ~check [ (located, plan) ]);
+      let verified = verify_candidates ?metrics ~check [ (located, plan) ] in
       {
         plan;
         logical = located;
         cost = Plan.estimate ?params ~batch cost plan;
         alternatives = 1;
+        verdict = verdict_of ~check plan verified;
       }
   | first :: rest ->
       let best_logical, best_plan, (best_cost, _, _) =
@@ -262,4 +273,5 @@ let optimize ?params ?(max_join_variants = 8) ?metrics ?(batch = false) ?check
         logical = best_logical;
         cost = best_cost;
         alternatives = List.length costed;
+        verdict = verdict_of ~check best_plan verified;
       }

@@ -23,6 +23,11 @@ type choice = {
   logical : Expr.expr;  (** the logical tree the plan implements *)
   cost : Disco_physical.Plan.cost;
   alternatives : int;  (** number of candidates costed *)
+  verdict : Disco_check.Check.diag list option;
+      (** the static verifier's diagnostics for [plan], computed during
+          the search; [None] when [optimize] ran without [check] (or in
+          [Off] mode). The mediator caches it with the plan and hands it
+          to the runtime's gate, so each plan is verified once. *)
 }
 
 val optimize :
@@ -66,7 +71,8 @@ val optimize :
 
     When [check] is given, every distinct implemented candidate (and the
     no-candidate fallback plan) is run through the static verifier
-    ({!Disco_check.Check.check_plan}). In [Warn] mode violations count
-    into [check.violations] / [check.warnings] metrics; in [Enforce]
-    mode candidates with error diagnostics are excluded from the search,
-    and {!Disco_check.Check.Check_error} is raised if none survive. *)
+    ({!Disco_check.Check.check_plan}), and the chosen plan's diagnostics
+    are returned as [verdict]. In [Warn] mode violations count into
+    [check.violations] / [check.warnings] metrics; in [Enforce] mode
+    candidates with error diagnostics are excluded from the search, and
+    {!Disco_check.Check.Check_error} is raised if none survive. *)

@@ -1034,10 +1034,12 @@ let zero_stats =
     round_trips = 0;
   }
 
-(* The runtime's debug gate: verify a plan against the bindings before
-   issuing anything. When the caller supplied no checker (standalone
-   runtime use), one is derived from the bindings — wrappers and
-   repositories are known, the schema is not. *)
+(* The runtime's debug gate: report a plan's verdict before issuing
+   anything. The verdict normally comes with the plan (the optimizer
+   computed it); it is computed here only for plans the optimizer never
+   saw. When the caller supplied no checker (standalone runtime use), one
+   is derived from the bindings — wrappers and repositories are known,
+   the schema is not. *)
 let checker_of_bindings bindings =
   let find ext =
     List.find_opt (fun b -> String.equal b.b_extent ext) bindings
@@ -1053,30 +1055,29 @@ let checker_of_bindings bindings =
     ~repo_known:(fun r -> List.mem r repos)
     ()
 
-let verify env plan =
+let report env mode diags =
+  let errs = Check.errors diags in
+  let warns = List.length diags - List.length errs in
+  if warns > 0 then Metrics.incr ~by:warns env.metrics "check.warnings";
+  if errs <> [] then (
+    Metrics.incr ~by:(List.length errs) env.metrics "check.violations";
+    List.iter (fun d -> Log.warn (fun m -> m "%a" Check.pp_diag d)) errs;
+    match mode with
+    | Check.Enforce -> raise (Check.Check_error errs)
+    | Check.Off | Check.Warn -> ())
+
+let verify ?verdict env plan =
   match env.check with
   | Check.Off -> ()
-  | mode -> (
-      let checker =
-        match env.checker with
-        | Some c -> c
-        | None -> checker_of_bindings env.bindings
-      in
-      let diags = Check.check_plan checker plan in
-      let errs = Check.errors diags in
-      let warns = List.length diags - List.length errs in
-      if warns > 0 then Metrics.incr ~by:warns env.metrics "check.warnings";
-      if errs <> [] then (
-        Metrics.incr ~by:(List.length errs) env.metrics "check.violations";
-        List.iter
-          (fun d -> Log.warn (fun m -> m "%a" Check.pp_diag d))
-          errs;
-        match mode with
-        | Check.Enforce -> raise (Check.Check_error errs)
-        | Check.Off | Check.Warn -> ()))
+  | mode ->
+      report env mode
+        (match (verdict, env.checker) with
+        | Some ds, _ -> ds
+        | None, Some checker -> Check.check_plan checker plan
+        | None, None -> Check.check_plan (checker_of_bindings env.bindings) plan)
 
-let execute ?(timeout_ms = 1000.0) env plan =
-  verify env plan;
+let execute ?(timeout_ms = 1000.0) ?verdict env plan =
+  verify ?verdict env plan;
   let deadline = Scheduler.now env.sched +. timeout_ms in
   (* Rounds: each issues every ready exec in parallel, then resolves the
      semi-joins unlocked by the new data. A plan without semi-joins is

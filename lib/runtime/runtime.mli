@@ -144,16 +144,18 @@ module Config : sig
             substituted everywhere), and every exec takes the same issue
             path. *)
     check : Disco_check.Check.mode;
-        (** the debug gate: {!execute} verifies every plan with the
-            static verifier before issuing anything. [Warn] (the
-            default) counts violations into [check.violations] /
-            [check.warnings] metrics and logs them; [Enforce]
-            additionally raises {!Disco_check.Check.Check_error} on any
-            error-severity diagnostic, refusing the plan before
-            execution; [Off] skips verification *)
+        (** the debug gate: {!execute} reports every plan's static
+            verdict before issuing anything. [Warn] (the default) counts
+            its diagnostics into [check.violations] / [check.warnings]
+            metrics and logs the errors; [Enforce] additionally raises
+            {!Disco_check.Check.Check_error} on any error-severity
+            diagnostic, refusing the plan before execution; [Off] skips
+            the gate. The verdict is the optimizer's when the caller
+            passes it with the plan; otherwise the gate computes it *)
     checker : Disco_check.Check.t option;
-        (** the checker the gate uses; when [None] one is derived from
-            the bindings (wrappers and repositories known, no schema) *)
+        (** the checker the gate computes verdicts with; when [None] one
+            is derived from the bindings (wrappers and repositories
+            known, no schema) *)
     retry : Retry.t option;
         (** deadline-aware retry scheduler; [None] (the default) is the
             historical one-shot behavior — blocked execs finalize at
@@ -228,9 +230,22 @@ val add_stats : stats -> stats -> stats
 (** Stats of two executions in sequence: counts and elapsed times add,
     [cache_stale_ms] keeps the maximum. *)
 
-val execute : ?timeout_ms:float -> env -> Disco_physical.Plan.plan -> answer * stats
+val execute :
+  ?timeout_ms:float ->
+  ?verdict:Disco_check.Check.diag list ->
+  env ->
+  Disco_physical.Plan.plan ->
+  answer * stats
 (** [timeout_ms] is the designated deadline (default 1000 virtual ms).
-    Advances the env's clock to the completion (or deadline) time. *)
+    Advances the env's clock to the completion (or deadline) time.
+
+    Before issuing anything the gate ({!Config.check}) reports the plan's
+    [verdict]: the diagnostics the optimizer already computed for it
+    (its choice's [verdict]), which the mediator caches with the plan. Without [verdict] — a plan the optimizer never
+    saw, such as the mediator's capability-fallback plan or a
+    standalone call — the gate runs {!Disco_check.Check.check_plan}
+    itself. Either way the report is the same: counters, log lines, and
+    under [Enforce] the refusal. *)
 
 val fetch :
   ?timeout_ms:float -> env -> string list -> (string * V.t option) list * stats

@@ -234,10 +234,9 @@ let person_schema_odl w0 w1 =
   |}
     w0 w1
 
-let mk_mediator ?(metrics = Metrics.create ()) ~w0 ~w1 () =
-  let config =
-    { Mediator.Config.default with check = Check.Enforce; metrics }
-  in
+let mk_mediator ?(metrics = Metrics.create ()) ?(check = Check.Enforce) ~w0
+    ~w1 () =
+  let config = { Mediator.Config.default with check; metrics } in
   let m = Mediator.create ~config ~name:"t" () in
   let s0 =
     Source.create ~id:"s0" ~address:(addr "h0")
@@ -276,6 +275,55 @@ let test_mediator_enforce_clean () =
   Alcotest.(check int)
     "no violations" 0
     (Metrics.find_counter metrics "check.violations")
+
+(* The runtime gate reports a verdict on every execution, cached plan or
+   not. Here the chosen plan keeps a commuted join over a scan-only
+   source, so each execution reports one DISCO-W003 round-trip warning;
+   the miss additionally reports the optimizer's verdicts on all 18 of
+   its candidates. *)
+let test_gate_accounting_per_execution () =
+  let metrics = Metrics.create () in
+  let m =
+    mk_mediator ~metrics ~check:Check.Warn ~w0:"WrapperPostgres"
+      ~w1:"WrapperScan" ()
+  in
+  let q =
+    "select struct(a: x.name, b: y.name, c: z.name) from x in person1, y in \
+     person0, z in person1 where x.id = y.id and y.id = z.id"
+  in
+  let counts () =
+    ( Metrics.find_counter metrics "check.warnings",
+      Metrics.find_counter metrics "check.violations" )
+  in
+  let run () =
+    let w0, v0 = counts () in
+    let o = Mediator.query m q in
+    let w1, v1 = counts () in
+    (o, (w1 - w0, v1 - v0))
+  in
+  let pair = Alcotest.(pair int int) in
+  let miss, miss_counts = run () in
+  let plan = Option.get miss.Mediator.plan in
+  let fresh =
+    Check.check_plan
+      (Disco_core.Pipeline.checker
+         (Disco_core.Pipeline.create
+            ~source_known:(fun r -> Mediator.find_source m r <> None)
+            (Mediator.registry m)))
+      plan
+  in
+  Alcotest.(check (list string)) "executed plan's verdict" [ "DISCO-W003" ]
+    (codes fresh);
+  Alcotest.check pair "miss: 18 candidates + the executed plan" (19, 0)
+    miss_counts;
+  List.iter
+    (fun label ->
+      let o, hit_counts = run () in
+      Alcotest.(check bool) (label ^ " from cache") true o.Mediator.from_cache;
+      Alcotest.check pair (label ^ ": the runtime's share of the miss") (1, 0)
+        hit_counts)
+    [ "second run"; "third run" ];
+  Alcotest.check pair "totals" (21, 0) (counts ())
 
 let wrappers = [| "WrapperPostgres"; "WrapperSelect"; "WrapperScan" |]
 
@@ -407,6 +455,8 @@ let () =
             test_optimizer_enforce_raises;
           Alcotest.test_case "optimizer Warn counts" `Quick
             test_optimizer_warn_counts;
+          Alcotest.test_case "gate reports on every execution" `Quick
+            test_gate_accounting_per_execution;
           Alcotest.test_case "runtime Enforce refuses before execution" `Quick
             test_runtime_enforce_refuses;
           Alcotest.test_case "mediator Enforce clean corpus" `Quick

@@ -850,6 +850,41 @@ let test_runtime_fallback_on_refusal () =
   Alcotest.(check bool) "fallback used" true o.Mediator.fallback;
   Alcotest.check check_value "still answered" (V.bag [ V.String "Mary" ]) (complete o)
 
+(* Registering a wrapper replaces what [can_push] and the verifier
+   resolve, so plans cached against the old wrapper must go: a stale plan
+   would push the select into a scan-only wrapper, be refused, and fall
+   back after a wasted round trip. *)
+let test_register_wrapper_drops_cached_plans () =
+  let m = Mediator.create ~name:"rw" () in
+  Mediator.register_source m ~name:"r0"
+    (paper_source ~id:0 ~host:"rodin" [ person_row 1 "Mary" 200 ]);
+  Mediator.load_odl m
+    {|
+    r0 := Repository(host="rodin", name="db", address="x");
+    w0 := WrapperPostgres();
+    interface Person (extent person) {
+      attribute String name;
+      attribute Short salary; }
+    extent person0 of Person wrapper w0 repository r0;
+  |};
+  let q = "select x.name from x in person where x.salary > 10" in
+  let o1 = Mediator.query m q in
+  Alcotest.(check bool) "planned" false o1.Mediator.from_cache;
+  Mediator.register_wrapper m ~name:"w0" (Wrapper.scan_wrapper ());
+  let o2 = Mediator.query m q in
+  Alcotest.(check bool) "replanned" false o2.Mediator.from_cache;
+  Alcotest.(check bool) "no fallback" false o2.Mediator.fallback;
+  let plan =
+    match o2.Mediator.plan with
+    | Some p -> Plan.to_string p
+    | None -> Alcotest.fail "no plan"
+  in
+  Alcotest.(check bool)
+    ("select kept local: " ^ plan)
+    true
+    (contains plan "mkselect(" && contains plan "exec(r0, get(person0))");
+  Alcotest.check check_value "answer" (V.bag [ V.String "Mary" ]) (complete o2)
+
 (* A custom wrapper registered via the API: the optimizer must push what
    its grammar allows (project) and keep the rest (select) local. *)
 let test_custom_wrapper_capability () =
@@ -1224,6 +1259,8 @@ let () =
           Alcotest.test_case "per-source stats" `Quick test_source_stats;
           Alcotest.test_case "fallback on wrapper refusal" `Quick
             test_runtime_fallback_on_refusal;
+          Alcotest.test_case "register_wrapper drops cached plans" `Quick
+            test_register_wrapper_drops_cached_plans;
           Alcotest.test_case "pushdown tuples shipped" `Quick
             test_pushdown_tuples_shipped;
           Alcotest.test_case "custom wrapper capability" `Quick

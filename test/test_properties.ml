@@ -241,7 +241,9 @@ module Mediator = Disco_core.Mediator
 module Runtime = Disco_runtime.Runtime
 module Answer_cache = Disco_cache.Answer_cache
 
-let federation ?cache ?(batch = true) ?retry () =
+(* Three Person extents [person0..2] at [r0..r2], each behind a SQL
+   wrapper ([w0]), or a scan-only one ([w1]) where [scan] lists it. *)
+let federation ?cache ?(batch = true) ?retry ?(scan = []) () =
   let m =
     Mediator.create
       ~config:{ Mediator.Config.default with cache; batch; retry }
@@ -249,6 +251,7 @@ let federation ?cache ?(batch = true) ?retry () =
   in
   Mediator.load_odl m
     {|w0 := WrapperPostgres();
+      w1 := WrapperScan();
       interface Person (extent person) {
         attribute Short id;
         attribute String name;
@@ -269,8 +272,10 @@ let federation ?cache ?(batch = true) ?retry () =
     Mediator.load_odl m
       (Fmt.str
          {|r%d := Repository(host="h%d", name="db", address="0");
-           extent person%d of Person wrapper w0 repository r%d;|}
-         i i i i)
+           extent person%d of Person wrapper %s repository r%d;|}
+         i i i
+         (if List.mem i scan then "w1" else "w0")
+         i)
   done;
   m
 
@@ -633,6 +638,311 @@ let prop_shard_twin_equivalent =
       (* two passes: the second runs against warm answer caches *)
       List.for_all check_query qs && List.for_all check_query qs)
 
+(* -- the gate's verdict: reused with a cached plan = computed fresh -- *)
+
+module Check = Disco_check.Check
+module Pipeline = Disco_core.Pipeline
+module Metrics = Disco_obs.Metrics
+module Optimizer = Disco_optimizer.Optimizer
+module Wrapper = Disco_wrapper.Wrapper
+
+(* The end-to-end reference property's query shapes (test_core.ml), over
+   a federation's implicit extent [all] and two of its member extents,
+   plus (shape 7) a three-way join whose chosen order, with [b] behind a
+   scan-only wrapper, keeps a DISCO-W003 round-trip warning. *)
+let three_way_join = 7
+
+let reference_query ~all ~a ~b shape t =
+  match shape with
+  | 0 -> Fmt.str "select x.name from x in %s where x.salary > %d" all t
+  | 1 ->
+      Fmt.str
+        "select struct(n: x.name, s: x.salary * 2) from x in %s where \
+         x.salary <= %d"
+        all t
+  | 2 -> Fmt.str "select distinct x.salary from x in %s where x.salary != %d" all t
+  | 3 ->
+      Fmt.str
+        "select struct(a: x.name, b: y.name) from x in %s, y in %s where x.id \
+         = y.id"
+        a b
+  | 4 -> Fmt.str "count(select p from p in %s where p.salary < %d)" all t
+  | 5 -> Fmt.str "select distinct x.salary from x in %s where x.salary != %d" a t
+  | 6 -> Fmt.str "sum(select p.salary from p in %s where p.salary >= %d)" all t
+  | _ ->
+      Fmt.str
+        "select struct(a: x.name, b: y.name, c: z.name) from x in %s, y in \
+         %s, z in %s where x.id = y.id and y.id = z.id"
+        b a b
+
+(* A small site holding [vip0] and a large one holding [staff0]: once
+   the join has run and its costs are learned, the optimizer reduces it
+   with a semijoin. *)
+let semijoin_federation () =
+  let m = Mediator.create ~name:"prop_sj" () in
+  let site name rows =
+    let db = Database.create ~name:"db" in
+    ignore (Datagen.table_of db ~name Datagen.person_schema rows);
+    Source.create ~id:name
+      ~address:(Source.address ~host:name ~db_name:"db" ~ip:"0" ())
+      ~latency:{ Source.base_ms = 10.0; per_row_ms = 0.05; jitter = 0.0 }
+      (Source.Relational db)
+  in
+  Mediator.register_source m ~name:"r0"
+    (site "vip0"
+       (List.init 5 (fun i ->
+            [| V.Int (i * 40); V.String (Fmt.str "vip%d" i); V.Int 999 |])));
+  Mediator.register_source m ~name:"r1"
+    (site "staff0" (Datagen.person_rows ~seed:77 ~n:500));
+  Mediator.load_odl m
+    {|r0 := Repository(host="hq", name="db", address="0");
+      r1 := Repository(host="plant", name="db", address="1");
+      w0 := WrapperPostgres();
+      interface Person (extent person) {
+        attribute Short id;
+        attribute String name;
+        attribute Short salary; }
+      extent vip0 of Person wrapper w0 repository r0;
+      extent staff0 of Person wrapper w0 repository r1;|};
+  ignore (Mediator.query m (reference_query ~all:"" ~a:"vip0" ~b:"staff0" 3 0));
+  Mediator.clear_plan_cache m;
+  m
+
+(* The planning pipeline the mediator uses, rebuilt outside it over the
+   same registry, sources and cost model, reporting into [metrics]. *)
+let pipeline_of ?(wrappers = []) ~metrics m =
+  let p =
+    Pipeline.create
+      ~source_known:(fun r -> Mediator.find_source m r <> None)
+      ~metrics ~cost:(Mediator.cost_model m) (Mediator.registry m)
+  in
+  List.iter (fun (name, w) -> Pipeline.register_wrapper p ~name w) wrappers;
+  p
+
+let gate_counts m =
+  let metrics = Mediator.metrics m in
+  ( Metrics.find_counter metrics "check.warnings",
+    Metrics.find_counter metrics "check.violations" )
+
+let verdict_counts ds =
+  let errs = List.length (Check.errors ds) in
+  (List.length ds - errs, errs)
+
+let add (a, b) (c, d) = (a + c, b + d)
+
+(* Run [q] and return the outcome with the gate counters it added. *)
+let query_counted m q =
+  let before = gate_counts m in
+  let o = Mediator.query m q in
+  let w, v = gate_counts m and w0, v0 = before in
+  (o, (w - w0, v - v0))
+
+(* The optimizer's plan and verdict for [q], planned afresh (and not
+   cached) by a pipeline outside the mediator, with the gate counts the
+   search itself reported. *)
+let fresh_choice ?wrappers m q =
+  let metrics = Metrics.create () in
+  let p = pipeline_of ?wrappers ~metrics m in
+  match Pipeline.front p q with
+  | Error _ -> None
+  | Ok expanded -> (
+      match Pipeline.compile p expanded with
+      | Error _ -> None
+      | Ok located ->
+          let choice = Pipeline.optimize p located in
+          Some
+            ( p,
+              choice,
+              ( Metrics.find_counter metrics "check.warnings",
+                Metrics.find_counter metrics "check.violations" ) ))
+
+(* Plan [q] on a miss, then twice from the plan cache. The optimizer's
+   verdict must equal a fresh [Check.check_plan] of the plan the mediator
+   executes, and every execution must report exactly that verdict. *)
+let verdict_reused_equals_fresh m q =
+  match fresh_choice m q with
+  | None ->
+      (* the hybrid path: fragments are planned and verified per query *)
+      List.for_all
+        (fun () ->
+          match (Mediator.query m q).Mediator.answer with
+          | Mediator.Complete _ -> true
+          | _ -> false)
+        [ (); (); () ]
+  | Some (p, choice, search_counts) ->
+      let plan = choice.Optimizer.plan in
+      let fresh = Check.check_plan (Pipeline.checker p) plan in
+      let runs = List.init 3 (fun _ -> query_counted m q) in
+      choice.Optimizer.verdict = Some fresh
+      && List.for_all
+           (fun (o, _) -> o.Mediator.plan = Some plan && not o.Mediator.fallback)
+           runs
+      && List.mapi
+           (fun i (o, counts) ->
+             o.Mediator.from_cache = (i > 0)
+             && counts
+                = if i = 0 then add search_counts (verdict_counts fresh)
+                  else verdict_counts fresh)
+           runs
+         |> List.for_all Fun.id
+
+(* A wrapper whose grammar promises a pushed selection but refuses to
+   scan, and whose engine does the opposite: the pushed plan is refused
+   at run time, and the capability-fallback plan (a bare scan) breaks the
+   grammar. *)
+let liar_wrapper () =
+  Wrapper.make ~name:"WrapperLiar"
+    ~grammar:
+      (Disco_wrapper.Grammar.parse
+         {|
+    a :- select OPEN pred COMMA b CLOSE
+    b :- get OPEN SOURCE CLOSE
+    pred :- operand cmp operand
+    operand :- ATTRIBUTE
+    operand :- CONST
+    cmp :- >
+  |})
+    ~execute:(fun source e ->
+      match e with
+      | Expr.Get _ -> Wrapper.execute (Wrapper.scan_wrapper ()) source e
+      | _ -> Error (Wrapper.Refused "liar"))
+    ()
+
+let liar_federation check =
+  let m =
+    Mediator.create
+      ~config:{ Mediator.Config.default with check; metrics = Metrics.create () }
+      ~name:"prop_liar" ()
+  in
+  let db = Database.create ~name:"db" in
+  ignore
+    (Datagen.table_of db ~name:"person0" Datagen.person_schema
+       (Datagen.person_rows ~seed:1000 ~n:8));
+  Mediator.register_source m ~name:"r0"
+    (Source.create ~id:"p0"
+       ~address:(Source.address ~host:"h0" ~db_name:"db" ~ip:"0" ())
+       (Source.Relational db));
+  Mediator.register_wrapper m ~name:"w0" (liar_wrapper ());
+  Mediator.load_odl m
+    {|r0 := Repository(host="h0", name="db", address="0");
+      w0 := WrapperCustom();
+      interface Person (extent person) {
+        attribute Short id;
+        attribute String name;
+        attribute Short salary; }
+      extent person0 of Person wrapper w0 repository r0;|};
+  m
+
+(* The capability-fallback plan is one the optimizer never saw: every
+   execution verifies it afresh (Warn counts its violation next to the
+   cached plan's verdict), and Enforce refuses it on every execution. *)
+let fallback_verified t =
+  let q = Fmt.str "select x.name from x in person where x.salary > %d" t in
+  let warn = liar_federation Check.Warn in
+  let liar = [ ("w0", liar_wrapper ()) ] in
+  match fresh_choice ~wrappers:liar warn q with
+  | None -> false
+  | Some (p, choice, search_counts) ->
+      let verdict plan = Check.check_plan (Pipeline.checker p) plan in
+      let pushed = verdict_counts (verdict choice.Optimizer.plan) in
+      let warned =
+        List.mapi
+          (fun i () ->
+            let o, counts = query_counted warn q in
+            match o.Mediator.plan with
+            | Some conservative ->
+                let ds = verdict conservative in
+                o.Mediator.fallback
+                && Check.has_errors ds
+                && counts
+                   = add
+                       (if i = 0 then search_counts else (0, 0))
+                       (add pushed (verdict_counts ds))
+            | None -> false)
+          [ (); () ]
+      in
+      let enforce = liar_federation Check.Enforce in
+      let refused () =
+        match Mediator.query enforce q with
+        | _ -> false
+        | exception Check.Check_error ds ->
+            List.mem "DISCO-E005" (List.map (fun d -> d.Check.d_code) ds)
+      in
+      List.for_all Fun.id warned && refused () && refused ()
+
+type verdict_fed = Plain | Mixed | Sharded of bool | Semijoin
+
+let prop_verdict_reused =
+  let gen =
+    QCheck.Gen.(
+      triple
+        (oneofl [ Plain; Mixed; Sharded false; Sharded true; Semijoin ])
+        (list_size (int_range 1 3) (pair (int_range 0 7) (int_range 0 300)))
+        (int_range 0 30))
+  in
+  let print (fed, qs, t) =
+    Fmt.str "%s [%s] fallback>%d"
+      (match fed with
+      | Plain -> "plain"
+      | Mixed -> "mixed"
+      | Sharded hash -> if hash then "hash shards" else "range shards"
+      | Semijoin -> "semijoin")
+      (String.concat "; "
+         (List.map (fun (s, t) -> Fmt.str "shape %d/%d" s t) qs))
+      t
+  in
+  QCheck.Test.make ~name:"a reused verdict equals a fresh one" ~count:40
+    (QCheck.make ~print gen)
+    (fun (fed, qs, t) ->
+      let m, all, a, b =
+        match fed with
+        | Plain -> (federation (), "person", "person0", "person1")
+        | Mixed -> (federation ~scan:[ 1 ] (), "person", "person0", "person1")
+        | Sharded hash ->
+            let shards = 3 in
+            let partition =
+              {
+                Shard.p_key = "id";
+                p_scheme =
+                  (if hash then Shard.Hash { vnodes = Shard.default_vnodes }
+                   else Shard.Range [ V.Int 100; V.Int 200 ]);
+                p_shards =
+                  List.init shards (fun k ->
+                      { Shard.s_repository = Fmt.str "r%d" k; s_wrapper = None });
+              }
+            in
+            ( twin_fed ~sharded:true ~partition
+                ~all_rows:(Datagen.person_rows ~seed:4242 ~n:24)
+                ~down:[] (),
+              "person",
+              Shard.child_name "person" 0,
+              Shard.child_name "person" 1 )
+        | Semijoin -> (semijoin_federation (), "person", "vip0", "staff0")
+      in
+      (* every case first runs the two-extent join (the semijoin
+         federation reduces it) and the three-way join (a non-empty
+         verdict on the mixed federation) *)
+      let join = reference_query ~all ~a ~b 3 0 in
+      let queries =
+        List.fold_left
+          (fun acc q -> if List.mem q acc then acc else acc @ [ q ])
+          []
+          (join
+          :: reference_query ~all ~a ~b three_way_join 0
+          :: List.map (fun (shape, t) -> reference_query ~all ~a ~b shape t) qs)
+      in
+      let semijoin_planned =
+        match fed with
+        | Semijoin -> (
+            match fresh_choice m join with
+            | Some (_, choice, _) -> Plan.semi_joins choice.Optimizer.plan > 0
+            | None -> false)
+        | Plain | Mixed | Sharded _ -> true
+      in
+      semijoin_planned
+      && List.for_all (verdict_reused_equals_fresh m) queries
+      && fallback_verified t)
+
 (* -- columnar SQL engine vs the row-at-a-time oracle -- *)
 
 module Sql = Disco_relation.Sql
@@ -820,6 +1130,7 @@ let () =
             prop_cache_transparent;
             prop_batch_transparent;
             prop_shard_twin_equivalent;
+            prop_verdict_reused;
             prop_columnar_matches_rows;
             prop_sql_print_parse_stable;
           ] );
