@@ -6,14 +6,10 @@
    `serve` turns the same federation into a long-running server speaking
    a line protocol; `load` drives it with an open-loop workload.
 
-   Shared feature flags can live in a key=value file passed with
-   --config; the individual flags remain as overriding aliases.
-
    Examples:
 
      discoctl query "select x.name from x in person where x.salary > 10"
      discoctl query --sources 8 --down r1,r3 --timeout 50 "..."
-     discoctl query --config fed.conf "..."
      discoctl explain "select x.name from x in person"
      discoctl repl --sources 4
      discoctl schema --odl my_schema.odl
@@ -72,11 +68,8 @@ let read_file path =
 let qopts ?(timeout_ms = 1000.0) ?(semantics = Mediator.Partial_answers) () =
   { Mediator.Query_opts.default with timeout_ms; semantics }
 
-(* -- --config FILE: the feature flags as one key=value file -- *)
+(* -- the shared federation options -- *)
 
-(* Precedence is defaults < config file < explicit command-line flag, so
-   the old per-feature flags keep working as thin aliases over the
-   file. *)
 module Conf = struct
   type t = {
     sources : int;
@@ -96,113 +89,20 @@ module Conf = struct
   }
 end
 
-exception Conf_error of string
-
-let conf_fail fmt = Format.kasprintf (fun s -> raise (Conf_error s)) fmt
-
-let conf_keys =
-  [
-    "sources"; "rows"; "wrapper"; "shards"; "shard-scheme"; "down"; "odl";
-    "timeout"; "semantics"; "max-stale"; "cache"; "retry"; "retry-initial";
-    "retry-multiplier"; "retry-attempts"; "hedge"; "breaker";
-    "breaker-cooldown"; "index";
-  ]
-
-let parse_kv_file path =
-  read_file path |> String.split_on_char '\n'
-  |> List.concat_map (fun raw ->
-         let line = String.trim raw in
-         if line = "" || line.[0] = '#' then []
-         else
-           match String.index_opt line '=' with
-           | None -> conf_fail "%s: expected key=value, got %S" path line
-           | Some i ->
-               let key = String.trim (String.sub line 0 i) in
-               let v =
-                 String.trim
-                   (String.sub line (i + 1) (String.length line - i - 1))
-               in
-               if not (List.mem key conf_keys) then
-                 conf_fail "%s: unknown key %S (known: %s)" path key
-                   (String.concat ", " conf_keys);
-               [ (key, v) ])
-
-let kv_int key v =
-  match int_of_string_opt v with
-  | Some n -> n
-  | None -> conf_fail "config: %s: expected an integer, got %S" key v
-
-let kv_float key v =
-  match float_of_string_opt v with
-  | Some x -> x
-  | None -> conf_fail "config: %s: expected a number, got %S" key v
-
-let kv_bool key v =
-  match String.lowercase_ascii v with
-  | "true" | "yes" | "on" | "1" -> true
-  | "false" | "no" | "off" | "0" -> false
-  | _ -> conf_fail "config: %s: expected a boolean, got %S" key v
-
-let kv_scheme key v =
-  match v with
-  | "range" -> `Range
-  | "hash" -> `Hash
-  | _ -> conf_fail "config: %s: expected range or hash, got %S" key v
-
-let parse_index_spec spec =
-  match String.split_on_char ':' spec with
-  | [ table; column; kind ] when table <> "" && column <> "" -> (
-      match Disco_relation.Index.kind_of_string kind with
-      | Some Disco_relation.Index.Hash -> (table, column, `Hash)
-      | Some Disco_relation.Index.Sorted -> (table, column, `Sorted)
-      | None ->
-          conf_fail "index: unknown kind %S (hash or sorted), in %S" kind spec)
-  | _ -> conf_fail "index: expected table:column:kind, got %S" spec
-
-let sem_of_name key max_stale = function
-  | "partial" -> Mediator.Partial_answers
-  | "wait-all" -> Mediator.Wait_all
-  | "null" -> Mediator.Null_sources
-  | "skip" -> Mediator.Skip_sources
-  | "cached" -> Mediator.Cached_fallback { max_stale_ms = max_stale }
-  | v -> conf_fail "config: %s: unknown semantics %S" key v
-
-let is_cached_semantics = function
-  | Mediator.Cached_fallback _ -> true
-  | Mediator.Partial_answers | Mediator.Wait_all | Mediator.Null_sources
-  | Mediator.Skip_sources ->
-      false
-
-(* -- common options (all optional: unset falls back to --config, then
-   to the built-in default) -- *)
-
-let config_arg =
-  let doc =
-    "Read shared options from $(docv), a key=value file (one pair per \
-     line, '#' comments). Keys: sources, rows, wrapper, shards, \
-     shard-scheme, down, odl, timeout, semantics, max-stale, cache, \
-     retry, retry-initial, retry-multiplier, retry-attempts, hedge, \
-     breaker, breaker-cooldown. Explicit command-line flags override \
-     the file."
-  in
-  Arg.(value & opt (some file) None & info [ "config" ] ~docv:"FILE" ~doc)
-
 let sources_arg =
-  let doc =
-    "Number of generated person sources in the demo federation (default 2)."
-  in
-  Arg.(value & opt (some int) None & info [ "sources"; "n" ] ~docv:"N" ~doc)
+  let doc = "Number of generated person sources in the demo federation." in
+  Arg.(value & opt int 2 & info [ "sources"; "n" ] ~docv:"N" ~doc)
 
 let rows_arg =
-  let doc = "Rows per generated source (default 10)." in
-  Arg.(value & opt (some int) None & info [ "rows" ] ~docv:"ROWS" ~doc)
+  let doc = "Rows per generated source." in
+  Arg.(value & opt int 10 & info [ "rows" ] ~docv:"ROWS" ~doc)
 
 let wrapper_arg =
   let doc =
     "Wrapper constructor for the demo sources (WrapperPostgres, \
-     WrapperSelect, WrapperProject, WrapperScan; default WrapperPostgres)."
+     WrapperSelect, WrapperProject, WrapperScan)."
   in
-  Arg.(value & opt (some string) None & info [ "wrapper" ] ~docv:"W" ~doc)
+  Arg.(value & opt string "WrapperPostgres" & info [ "wrapper" ] ~docv:"W" ~doc)
 
 let shards_arg =
   let doc =
@@ -212,7 +112,7 @@ let shards_arg =
      --rows; placement follows the declared scheme, so predicates on \
      x.id prune."
   in
-  Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"N" ~doc)
+  Arg.(value & opt int 0 & info [ "shards" ] ~docv:"N" ~doc)
 
 let shard_scheme_arg =
   let doc =
@@ -221,19 +121,17 @@ let shard_scheme_arg =
   in
   Arg.(
     value
-    & opt (some (Arg.enum [ ("range", `Range); ("hash", `Hash) ])) None
+    & opt (Arg.enum [ ("range", `Range); ("hash", `Hash) ]) `Range
     & info [ "shard-scheme" ] ~docv:"SCHEME" ~doc)
 
 let down_arg =
   let doc = "Comma-separated repository names to take offline (e.g. r0,r2)." in
   let repos = Arg.(list ~sep:',' string) in
-  Arg.(value & opt (some repos) None & info [ "down" ] ~docv:"REPOS" ~doc)
+  Arg.(value & opt repos [] & info [ "down" ] ~docv:"REPOS" ~doc)
 
 let timeout_arg =
-  let doc =
-    "Designated deadline in virtual milliseconds (Section 4; default 1000)."
-  in
-  Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"MS" ~doc)
+  let doc = "Designated deadline in virtual milliseconds (Section 4)." in
+  Arg.(value & opt float 1000.0 & info [ "timeout" ] ~docv:"MS" ~doc)
 
 let odl_arg =
   let doc = "Load this ODL file instead of building the demo federation." in
@@ -241,22 +139,30 @@ let odl_arg =
 
 let semantics_arg =
   let doc =
-    "Unavailable-data semantics: partial (default), wait-all, null, skip, or \
-     cached (serve outages from the answer cache, see --max-stale; implies \
+    "Unavailable-data semantics: partial, wait-all, null, skip, or cached \
+     (serve outages from the answer cache, see --max-stale; implies \
      --cache)."
   in
-  let names = [ "partial"; "wait-all"; "null"; "skip"; "cached" ] in
   Arg.(
     value
-    & opt (some (Arg.enum (List.map (fun n -> (n, n)) names))) None
+    & opt
+        (Arg.enum
+           [
+             ("partial", `Partial);
+             ("wait-all", `Wait_all);
+             ("null", `Null);
+             ("skip", `Skip);
+             ("cached", `Cached);
+           ])
+        `Partial
     & info [ "semantics" ] ~doc)
 
 let max_stale_arg =
   let doc =
     "Staleness budget (virtual ms) for --semantics cached: outage fallbacks \
-     are only served from cache entries at most this old (default 60000)."
+     are only served from cache entries at most this old."
   in
-  Arg.(value & opt (some float) None & info [ "max-stale" ] ~docv:"MS" ~doc)
+  Arg.(value & opt float 60_000.0 & info [ "max-stale" ] ~docv:"MS" ~doc)
 
 let cache_arg =
   let doc = "Attach a semantic answer cache to the mediator." in
@@ -273,17 +179,16 @@ let retry_flag_arg =
   Arg.(value & flag & info [ "retry" ] ~doc)
 
 let retry_initial_arg =
-  let doc = "Delay (virtual ms) before the first re-poll (default 50)." in
-  Arg.(value & opt (some float) None & info [ "retry-initial" ] ~docv:"MS" ~doc)
+  let doc = "Delay (virtual ms) before the first re-poll." in
+  Arg.(value & opt float 50.0 & info [ "retry-initial" ] ~docv:"MS" ~doc)
 
 let retry_multiplier_arg =
-  let doc = "Backoff multiplier between re-polls (default 2)." in
-  Arg.(
-    value & opt (some float) None & info [ "retry-multiplier" ] ~docv:"X" ~doc)
+  let doc = "Backoff multiplier between re-polls." in
+  Arg.(value & opt float 2.0 & info [ "retry-multiplier" ] ~docv:"X" ~doc)
 
 let retry_attempts_arg =
-  let doc = "Maximum re-polls per blocked exec (default 4)." in
-  Arg.(value & opt (some int) None & info [ "retry-attempts" ] ~docv:"N" ~doc)
+  let doc = "Maximum re-polls per blocked exec." in
+  Arg.(value & opt int 4 & info [ "retry-attempts" ] ~docv:"N" ~doc)
 
 let hedge_arg =
   let doc =
@@ -303,10 +208,28 @@ let breaker_arg =
 let breaker_cooldown_arg =
   let doc =
     "How long (virtual ms) an open breaker rejects calls before a \
-     half-open probe (default 400)."
+     half-open probe."
   in
-  Arg.(
-    value & opt (some float) None & info [ "breaker-cooldown" ] ~docv:"MS" ~doc)
+  Arg.(value & opt float 400.0 & info [ "breaker-cooldown" ] ~docv:"MS" ~doc)
+
+let index_spec =
+  let parse spec =
+    match String.split_on_char ':' spec with
+    | [ table; column; kind ] when table <> "" && column <> "" -> (
+        match Disco_relation.Index.kind_of_string kind with
+        | Some Disco_relation.Index.Hash -> Ok (table, column, `Hash)
+        | Some Disco_relation.Index.Sorted -> Ok (table, column, `Sorted)
+        | None ->
+            Error
+              (`Msg (Fmt.str "unknown kind %S (hash or sorted), in %S" kind spec))
+        )
+    | _ -> Error (`Msg (Fmt.str "expected table:column:kind, got %S" spec))
+  in
+  let print ppf (table, column, kind) =
+    Fmt.pf ppf "%s:%s:%s" table column
+      (match kind with `Hash -> "hash" | `Sorted -> "sorted")
+  in
+  Arg.conv (parse, print)
 
 let index_arg =
   let doc =
@@ -314,110 +237,50 @@ let index_arg =
      hash for equality, sorted for ranges on numeric columns) on every \
      repository hosting the table; repeatable. The columnar engine \
      serves matching filters from it, and the optimizer treats such \
-     pushdowns as informed. In --config, the $(b,index) key takes a \
-     comma-separated list of specs."
+     pushdowns as informed."
   in
-  Arg.(value & opt_all string [] & info [ "index" ] ~docv:"SPEC" ~doc)
+  Arg.(value & opt_all index_spec [] & info [ "index" ] ~docv:"SPEC" ~doc)
 
 let conf_term =
-  let mk config sources rows wrapper shards shard_scheme down odl timeout
+  let mk sources rows wrapper shards shard_scheme down odl_file timeout
       semantics max_stale cache retry_flag retry_initial retry_multiplier
-      retry_attempts hedge breaker breaker_cooldown index_specs =
-    try
-      let kv = match config with None -> [] | Some path -> parse_kv_file path in
-      let str key = List.assoc_opt key kv in
-      let pick flag key parse default =
-        match flag with
-        | Some v -> v
-        | None -> (
-            match str key with Some s -> parse key s | None -> default)
-      in
-      let max_stale = pick max_stale "max-stale" kv_float 60_000.0 in
-      let semantics =
-        let name =
-          match semantics with Some s -> Some s | None -> str "semantics"
-        in
-        match name with
-        | None -> Mediator.Partial_answers
-        | Some n -> sem_of_name "semantics" max_stale n
-      in
-      let use_cache =
-        cache
-        || (match str "cache" with
-           | Some s -> kv_bool "cache" s
-           | None -> false)
-        || is_cached_semantics semantics
-      in
-      let retry_enabled =
-        retry_flag
-        || match str "retry" with Some s -> kv_bool "retry" s | None -> false
-      in
-      let hedge_ms =
-        match hedge with
-        | Some _ as v -> v
-        | None -> Option.map (kv_float "hedge") (str "hedge")
-      in
-      let breaker_threshold =
-        match breaker with
-        | Some _ as v -> v
-        | None -> Option.map (kv_int "breaker") (str "breaker")
-      in
-      let retry =
-        if retry_enabled || hedge_ms <> None || breaker_threshold <> None then
-          Some
-            (Runtime.Retry.make
-               ~initial_ms:(pick retry_initial "retry-initial" kv_float 50.0)
-               ~multiplier:
-                 (pick retry_multiplier "retry-multiplier" kv_float 2.0)
-               ~max_attempts:(pick retry_attempts "retry-attempts" kv_int 4)
-               ?hedge_ms ?breaker_threshold
-               ~breaker_cooldown_ms:
-                 (pick breaker_cooldown "breaker-cooldown" kv_float 400.0)
-               ())
-        else None
-      in
-      Ok
-        {
-          Conf.sources = pick sources "sources" kv_int 2;
-          rows = pick rows "rows" kv_int 10;
-          wrapper = pick wrapper "wrapper" (fun _ s -> s) "WrapperPostgres";
-          shards = pick shards "shards" kv_int 0;
-          shard_scheme = pick shard_scheme "shard-scheme" kv_scheme `Range;
-          down =
-            pick down "down"
-              (fun _ s ->
-                String.split_on_char ',' s |> List.map String.trim
-                |> List.filter (fun r -> r <> ""))
-              [];
-          odl_file = (match odl with Some _ as p -> p | None -> str "odl");
-          timeout = pick timeout "timeout" kv_float 1000.0;
-          semantics;
-          use_cache;
-          retry;
-          indexes =
-            (let specs =
-               match index_specs with
-               | _ :: _ -> index_specs
-               | [] -> (
-                   match str "index" with
-                   | Some s ->
-                       String.split_on_char ',' s |> List.map String.trim
-                       |> List.filter (fun x -> x <> "")
-                   | None -> [])
-             in
-             List.map parse_index_spec specs);
-        }
-    with
-    | Conf_error msg -> Error msg
-    | Sys_error msg -> Error msg
+      retry_attempts hedge_ms breaker_threshold breaker_cooldown indexes =
+    let retry =
+      if retry_flag || hedge_ms <> None || breaker_threshold <> None then
+        Some
+          (Runtime.Retry.make ~initial_ms:retry_initial
+             ~multiplier:retry_multiplier ~max_attempts:retry_attempts
+             ?hedge_ms ?breaker_threshold ~breaker_cooldown_ms:breaker_cooldown
+             ())
+      else None
+    in
+    {
+      Conf.sources;
+      rows;
+      wrapper;
+      shards;
+      shard_scheme;
+      down;
+      odl_file;
+      timeout;
+      semantics =
+        (match semantics with
+        | `Partial -> Mediator.Partial_answers
+        | `Wait_all -> Mediator.Wait_all
+        | `Null -> Mediator.Null_sources
+        | `Skip -> Mediator.Skip_sources
+        | `Cached -> Mediator.Cached_fallback { max_stale_ms = max_stale });
+      use_cache = cache || semantics = `Cached;
+      retry;
+      indexes;
+    }
   in
-  Term.term_result'
-    Term.(
-      const mk $ config_arg $ sources_arg $ rows_arg $ wrapper_arg $ shards_arg
-      $ shard_scheme_arg $ down_arg $ odl_arg $ timeout_arg $ semantics_arg
-      $ max_stale_arg $ cache_arg $ retry_flag_arg $ retry_initial_arg
-      $ retry_multiplier_arg $ retry_attempts_arg $ hedge_arg $ breaker_arg
-      $ breaker_cooldown_arg $ index_arg)
+  Term.(
+    const mk $ sources_arg $ rows_arg $ wrapper_arg $ shards_arg
+    $ shard_scheme_arg $ down_arg $ odl_arg $ timeout_arg $ semantics_arg
+    $ max_stale_arg $ cache_arg $ retry_flag_arg $ retry_initial_arg
+    $ retry_multiplier_arg $ retry_attempts_arg $ hedge_arg $ breaker_arg
+    $ breaker_cooldown_arg $ index_arg)
 
 let conf_qopts (conf : Conf.t) =
   qopts ~timeout_ms:conf.Conf.timeout ~semantics:conf.Conf.semantics ()

@@ -115,6 +115,17 @@ val eval_scalar : V.t -> scalar -> V.t
 
 val eval_pred : V.t -> pred -> bool
 
+val get_path : V.t -> string list -> V.t
+(** Follow a field path into a struct. Raises {!Disco_value.Value.Type_error}
+    when a step is not a struct field. *)
+
+val eval_head : V.t -> head -> V.t
+(** Evaluate a [Map] head (scalar or struct) against an element. *)
+
+val merge_structs : V.t -> V.t -> V.t
+(** The element a [Join] produces: left fields first, then right. Raises
+    {!Algebra_error} unless both are structs. *)
+
 (** {1 Reference evaluation}
 
     Local evaluation of a whole tree, used as the semantics oracle in

@@ -730,7 +730,7 @@ let check_plan checker plan =
     | Plan.Nested_loop_join (l, r, _) ->
         walk ("l" :: "join" :: path) l;
         walk ("r" :: "join" :: path) r
-    | Plan.Hash_join (l, r, pairs) | Plan.Merge_join (l, r, pairs) ->
+    | Plan.Hash_join (l, r, pairs) ->
         if pairs = [] then
           error st e008 ("join" :: path)
             "equi-join algorithm carries no key pairs";

@@ -49,7 +49,7 @@
       repository, an extent bound to a different repository, or no
       extent at all.
     - [DISCO-E008] empty join key list: an equi-join algorithm
-      ([Hash_join]/[Merge_join]/[Semi_join]) carries no key pairs.
+      ([Hash_join]/[Semi_join]) carries no key pairs.
     - [DISCO-E009] binding overlap: the binding-struct field sets of the
       two sides of a [Join] intersect, a struct head binds a field
       twice, or a join side concretely produces scalar elements.

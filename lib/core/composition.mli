@@ -13,7 +13,13 @@
     If the sub-mediator itself returns a partial answer, the call fails
     as a source error and the parent classifies it like any refused call;
     propagating partial answers across mediator levels is future work in
-    the paper too. *)
+    the paper too.
+
+    The sub-mediator must not share the parent's virtual clock: its query
+    runs inside the parent's wire call and advances its own clock, which
+    on a shared clock would move the parent's time forward under the
+    call it is still timing ([Clock.advance_to] then fails). Create each
+    sub-mediator with its own clock. *)
 
 val as_source :
   ?latency:Disco_source.Source.latency ->

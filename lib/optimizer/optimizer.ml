@@ -137,8 +137,11 @@ let verdict_of ~check plan verified =
   | None | Some (_, Check.Off) -> None
   | Some (_, (Check.Warn | Check.Enforce)) -> Some (find_verdict plan verified)
 
-let optimize ?params ?(max_join_variants = 8) ?metrics ?(batch = false) ?check
-    ?shard ~can_push ~cost located =
+(* Join-commutation variants explored per optimization. *)
+let join_variant_limit = 8
+
+let optimize ?params ?metrics ?(batch = false) ?check ?shard ~can_push ~cost
+    located =
   (* Partition pruning runs once, on the located tree, before any
      enumeration: every candidate then inherits the reduced scan set.
      With no shard resolver the tree passes through untouched. *)
@@ -163,7 +166,7 @@ let optimize ?params ?(max_join_variants = 8) ?metrics ?(batch = false) ?check
   in
   let enumerated =
     (* join commutations of the located tree ... *)
-    located :: join_variants ~limit:max_join_variants located
+    located :: join_variants ~limit:join_variant_limit located
     (* ... each at every pushdown level: capability-maximal, none, and
        as-written *)
     |> List.concat_map (fun v ->
@@ -189,14 +192,12 @@ let optimize ?params ?(max_join_variants = 8) ?metrics ?(batch = false) ?check
       (fun logical ->
         match shard_merge (Plan.implement logical) with
         | plan ->
-            (* also consider the alternative join algorithms (hash vs
-               merge), and semijoin reductions where the cost model has
-               real statistics for both sides *)
+            (* also consider semijoin reductions where the cost model
+               has real statistics for both sides *)
             ( logical,
               List.map
                 (fun p -> (logical, p))
-                ((plan :: Plan.join_algorithm_variants plan)
-                @ Plan.semijoin_variants ~informed plan) )
+                (plan :: Plan.semijoin_variants ~informed plan) )
         | exception Plan.Physical_error _ -> (logical, []))
       candidates
   in

@@ -10,8 +10,11 @@
     - join alternatives — commutations of every [Join] node (bounded),
       which choose hash-build sides and submit-merge opportunities;
 
-    implements each candidate with the physical rules, costs it against
-    the learned {!Disco_cost.Cost_model}, and keeps the cheapest.
+    implements each candidate with the physical rules (a join's
+    algorithm follows from its key pairs: hash join with keys, nested
+    loops without), adds semijoin reductions where the cost model has
+    real statistics for both sides, costs every plan against the learned
+    {!Disco_cost.Cost_model}, and keeps the cheapest.
 
     With an empty cost store every [exec] estimates at time 0 / data 1,
     so the maximal-pushdown plan wins — the paper's designed bias. *)
@@ -32,7 +35,6 @@ type choice = {
 
 val optimize :
   ?params:Disco_physical.Plan.params ->
-  ?max_join_variants:int ->
   ?metrics:Disco_obs.Metrics.t ->
   ?batch:bool ->
   ?check:Disco_check.Check.t * Disco_check.Check.mode ->
@@ -42,9 +44,8 @@ val optimize :
   Expr.expr ->
   choice
 (** [optimize ~can_push ~cost located] plans a located logical expression.
-    [max_join_variants] bounds the commutation variants explored per
-    candidate (default 8). Ties in estimated time break toward fewer
-    shipped tuples, then smaller plans.
+    At most 8 join-commutation variants are explored. Ties in estimated
+    time break toward fewer shipped tuples, then smaller plans.
 
     Candidate plans are structurally deduplicated before costing (the
     enumeration re-derives the same physical tree along many paths), so

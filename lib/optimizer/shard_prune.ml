@@ -214,8 +214,7 @@ let merge_rewrite ~shard plan =
     | Plan.Mk_distinct q ->
         member_scans q
     | Plan.Mk_data _ | Plan.Nested_loop_join _ | Plan.Hash_join _
-    | Plan.Merge_join _ | Plan.Semi_join _ | Plan.Mk_union _
-    | Plan.Mk_shard_merge _ ->
+    | Plan.Semi_join _ | Plan.Mk_union _ | Plan.Mk_shard_merge _ ->
         None
   in
   let hash_child name =
@@ -256,7 +255,6 @@ let merge_rewrite ~shard plan =
     | Plan.Nested_loop_join (l, r, pairs) ->
         Plan.Nested_loop_join (go l, go r, pairs)
     | Plan.Hash_join (l, r, pairs) -> Plan.Hash_join (go l, go r, pairs)
-    | Plan.Merge_join (l, r, pairs) -> Plan.Merge_join (go l, go r, pairs)
     | Plan.Semi_join (l, right, pairs) -> Plan.Semi_join (go l, right, pairs)
     | Plan.Mk_shard_merge ps -> Plan.Mk_shard_merge (List.map go ps)
     | Plan.Mk_union ps ->

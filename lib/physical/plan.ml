@@ -10,7 +10,6 @@ type plan =
   | Mk_map of plan * Expr.head
   | Nested_loop_join of plan * plan * (string list * string list) list
   | Hash_join of plan * plan * (string list * string list) list
-  | Merge_join of plan * plan * (string list * string list) list
   | Semi_join of plan * (string * Expr.expr) * (string list * string list) list
   | Mk_union of plan list
   | Mk_shard_merge of plan list
@@ -35,7 +34,6 @@ let rec pp ppf = function
       | Expr.Hstruct _ -> Fmt.pf ppf "mkmap(struct, %a)" pp p)
   | Nested_loop_join (l, r, _) -> Fmt.pf ppf "nljoin(%a, %a)" pp l pp r
   | Hash_join (l, r, _) -> Fmt.pf ppf "hashjoin(%a, %a)" pp l pp r
-  | Merge_join (l, r, _) -> Fmt.pf ppf "mergejoin(%a, %a)" pp l pp r
   | Semi_join (l, (repo, re), _) ->
       Fmt.pf ppf "semijoin(%a, exec(%s, %a))" pp l repo Expr.pp re
   | Mk_union ps -> Fmt.pf ppf "mkunion(%a)" (Fmt.list ~sep:(Fmt.any ", ") pp) ps
@@ -64,8 +62,7 @@ let rec to_logical = function
   | Mk_select (p, pred) -> Expr.Select (to_logical p, pred)
   | Mk_project (p, attrs) -> Expr.Project (to_logical p, attrs)
   | Mk_map (p, h) -> Expr.Map (to_logical p, h)
-  | Nested_loop_join (l, r, pairs) | Hash_join (l, r, pairs)
-  | Merge_join (l, r, pairs) ->
+  | Nested_loop_join (l, r, pairs) | Hash_join (l, r, pairs) ->
       Expr.Join (to_logical l, to_logical r, pairs)
   | Semi_join (l, (repo, re), pairs) ->
       Expr.Join (to_logical l, Expr.Submit (repo, re), pairs)
@@ -77,7 +74,7 @@ let rec execs = function
   | Mk_data _ -> []
   | Mk_select (p, _) | Mk_project (p, _) | Mk_map (p, _) | Mk_distinct p ->
       execs p
-  | Nested_loop_join (l, r, _) | Hash_join (l, r, _) | Merge_join (l, r, _) ->
+  | Nested_loop_join (l, r, _) | Hash_join (l, r, _) ->
       execs l @ execs r
   | Semi_join (l, _, _) -> execs l
   | Mk_union ps | Mk_shard_merge ps -> List.concat_map execs ps
@@ -92,8 +89,6 @@ let rec substitute_execs f = function
       Nested_loop_join (substitute_execs f l, substitute_execs f r, pairs)
   | Hash_join (l, r, pairs) ->
       Hash_join (substitute_execs f l, substitute_execs f r, pairs)
-  | Merge_join (l, r, pairs) ->
-      Merge_join (substitute_execs f l, substitute_execs f r, pairs)
   | Semi_join (l, right, pairs) -> Semi_join (substitute_execs f l, right, pairs)
   | Mk_union ps -> Mk_union (List.map (substitute_execs f) ps)
   | Mk_shard_merge ps -> Mk_shard_merge (List.map (substitute_execs f) ps)
@@ -101,43 +96,11 @@ let rec substitute_execs f = function
 
 (* -- local execution -- *)
 
-let rec get_path v = function
-  | [] -> v
-  | f :: rest -> get_path (V.field v f) rest
-
-let merge_structs a b =
-  match (a, b) with
-  | V.Struct fa, V.Struct fb -> V.strct (fa @ fb)
-  | _ ->
-      physical_error "join elements must be structs, got %s and %s"
-        (V.type_name a) (V.type_name b)
-
-let eval_head elem = function
-  | Expr.Hscalar s -> Expr.eval_scalar elem s
-  | Expr.Hstruct fields ->
-      V.strct (List.map (fun (n, s) -> (n, Expr.eval_scalar elem s)) fields)
-
 (* The hash join builds its table on the smaller input (fewer build rows
    for the same output); ties keep the historical right-side build. *)
 let hash_build_side ~left ~right =
   let card v = try V.cardinal v with V.Type_error _ -> 1 in
   if card left < card right then `Left else `Right
-
-(* Merge-join key comparison.  Both key lists are projected from the same
-   join-pair list, so unequal lengths can only mean a corrupted plan —
-   fail loudly instead of silently declaring the keys equal. *)
-let compare_key_lists ka kb =
-  let rec go a b =
-    match (a, b) with
-    | [], [] -> 0
-    | x :: xs, y :: ys ->
-        let c = V.compare x y in
-        if c <> 0 then c else go xs ys
-    | _ ->
-        physical_error "merge join: key lists of unequal length (%d vs %d)"
-          (List.length ka) (List.length kb)
-  in
-  go ka kb
 
 let rec run_local = function
   | Exec (repo, _) ->
@@ -147,9 +110,11 @@ let rec run_local = function
       V.filter_elements (fun elem -> Expr.eval_pred elem pred) (run_local p)
   | Mk_project (p, attrs) ->
       V.map_elements
-        (fun elem -> V.strct (List.map (fun a -> (a, get_path elem [ a ])) attrs))
+        (fun elem ->
+          V.strct (List.map (fun a -> (a, Expr.get_path elem [ a ])) attrs))
         (run_local p)
-  | Mk_map (p, h) -> V.map_elements (fun elem -> eval_head elem h) (run_local p)
+  | Mk_map (p, h) ->
+      V.map_elements (fun elem -> Expr.eval_head elem h) (run_local p)
   | Nested_loop_join (l, r, pairs) ->
       let lv = run_local l and rv = run_local r in
       let rows =
@@ -157,7 +122,7 @@ let rec run_local = function
           (fun le ->
             List.filter_map
               (fun re ->
-                let merged = merge_structs le re in
+                let merged = Expr.merge_structs le re in
                 let ok =
                   List.for_all
                     (fun (pa, pb) ->
@@ -179,7 +144,7 @@ let rec run_local = function
       let key_of elem paths =
         List.map
           (fun path ->
-            match get_path elem path with
+            match Expr.get_path elem path with
             | V.Int i -> V.Float (float_of_int i)
             | v -> v)
           paths
@@ -192,13 +157,13 @@ let rec run_local = function
               right_keys,
               V.elements lv,
               left_keys,
-              fun probe build -> merge_structs probe build )
+              fun probe build -> Expr.merge_structs probe build )
         | `Left ->
             ( V.elements lv,
               left_keys,
               V.elements rv,
               right_keys,
-              fun probe build -> merge_structs build probe )
+              fun probe build -> Expr.merge_structs build probe )
       in
       let table = Hashtbl.create (max 16 (List.length build_elems)) in
       List.iter
@@ -213,56 +178,6 @@ let rec run_local = function
           probe_elems
       in
       V.bag rows
-  | Merge_join (l, r, pairs) ->
-      let lv = run_local l and rv = run_local r in
-      let left_keys = List.map fst pairs and right_keys = List.map snd pairs in
-      let key_of elem paths =
-        List.map
-          (fun path ->
-            match get_path elem path with
-            | V.Int i -> V.Float (float_of_int i)
-            | v -> v)
-          paths
-      in
-      let cmp_keys = compare_key_lists in
-      let sort elems keys =
-        List.stable_sort
-          (fun a b -> cmp_keys (key_of a keys) (key_of b keys))
-          elems
-      in
-      let ls = sort (V.elements lv) left_keys in
-      let rs = sort (V.elements rv) right_keys in
-      (* classic merge with duplicate groups on both sides *)
-      let rec merge acc ls rs =
-        match (ls, rs) with
-        | [], _ | _, [] -> acc
-        | le :: _, re :: _ -> (
-            let kl = key_of le left_keys and kr = key_of re right_keys in
-            match cmp_keys kl kr with
-            | c when c < 0 -> merge acc (List.tl ls) rs
-            | c when c > 0 -> merge acc ls (List.tl rs)
-            | _ ->
-                let same side keys k =
-                  let rec split acc = function
-                    | e :: rest when cmp_keys (key_of e keys) k = 0 ->
-                        split (e :: acc) rest
-                    | rest -> (List.rev acc, rest)
-                  in
-                  split [] side
-                in
-                let lgroup, ls' = same ls left_keys kl in
-                let rgroup, rs' = same rs right_keys kl in
-                let acc =
-                  List.fold_left
-                    (fun acc le ->
-                      List.fold_left
-                        (fun acc re -> merge_structs le re :: acc)
-                        acc rgroup)
-                    acc lgroup
-                in
-                merge acc ls' rs')
-      in
-      V.bag (merge [] ls rs)
   | Semi_join (_, (repo, _), _) ->
       physical_error "semijoin(%s) must be resolved by the runtime" repo
   | Mk_union ps ->
@@ -293,7 +208,7 @@ let rec all_source_exprs = function
   | Mk_data _ -> []
   | Mk_select (p, _) | Mk_project (p, _) | Mk_map (p, _) | Mk_distinct p ->
       all_source_exprs p
-  | Nested_loop_join (l, r, _) | Hash_join (l, r, _) | Merge_join (l, r, _) ->
+  | Nested_loop_join (l, r, _) | Hash_join (l, r, _) ->
       all_source_exprs l @ all_source_exprs r
   | Semi_join (l, (repo, re), _) -> all_source_exprs l @ [ (repo, re) ]
   | Mk_union ps | Mk_shard_merge ps -> List.concat_map all_source_exprs ps
@@ -302,7 +217,7 @@ let rec semi_joins = function
   | Exec _ | Mk_data _ -> 0
   | Mk_select (p, _) | Mk_project (p, _) | Mk_map (p, _) | Mk_distinct p ->
       semi_joins p
-  | Nested_loop_join (l, r, _) | Hash_join (l, r, _) | Merge_join (l, r, _) ->
+  | Nested_loop_join (l, r, _) | Hash_join (l, r, _) ->
       semi_joins l + semi_joins r
   | Semi_join (l, _, _) -> 1 + semi_joins l
   | Mk_union ps | Mk_shard_merge ps ->
@@ -318,43 +233,10 @@ let rec degrade_semi_joins = function
       Nested_loop_join (degrade_semi_joins l, degrade_semi_joins r, pairs)
   | Hash_join (l, r, pairs) ->
       Hash_join (degrade_semi_joins l, degrade_semi_joins r, pairs)
-  | Merge_join (l, r, pairs) ->
-      Merge_join (degrade_semi_joins l, degrade_semi_joins r, pairs)
   | Semi_join (l, (repo, re), pairs) ->
       Hash_join (degrade_semi_joins l, Exec (repo, re), pairs)
   | Mk_union ps -> Mk_union (List.map degrade_semi_joins ps)
   | Mk_shard_merge ps -> Mk_shard_merge (List.map degrade_semi_joins ps)
-
-(* Alternative physical implementations of each equi-join. *)
-let join_algorithm_variants plan =
-  let rec variants p =
-    match p with
-    | Exec _ | Mk_data _ -> [ p ]
-    | Mk_select (q, pred) -> List.map (fun q -> Mk_select (q, pred)) (variants q)
-    | Mk_project (q, attrs) -> List.map (fun q -> Mk_project (q, attrs)) (variants q)
-    | Mk_map (q, h) -> List.map (fun q -> Mk_map (q, h)) (variants q)
-    | Mk_distinct q -> List.map (fun q -> Mk_distinct q) (variants q)
-    | Mk_union ps ->
-        (* keep member plans fixed to bound the product *)
-        [ Mk_union ps ]
-    | Mk_shard_merge ps -> [ Mk_shard_merge ps ]
-    | Nested_loop_join (l, r, pairs) ->
-        List.concat_map
-          (fun l ->
-            List.map (fun r -> Nested_loop_join (l, r, pairs)) (variants r))
-          (variants l)
-    | Hash_join (l, r, pairs) | Merge_join (l, r, pairs) ->
-        List.concat_map
-          (fun l ->
-            List.concat_map
-              (fun r ->
-                [ Hash_join (l, r, pairs); Merge_join (l, r, pairs) ])
-              (variants r))
-          (variants l)
-    | Semi_join (l, right, pairs) ->
-        List.map (fun l -> Semi_join (l, right, pairs)) (variants l)
-  in
-  List.filter (fun p -> p <> plan) (variants plan)
 
 (* Semijoin alternatives for joins whose both sides are single execs to
    distinct repositories. [informed repo expr] should report whether the
@@ -373,7 +255,7 @@ let semijoin_variants ~informed plan =
     | Mk_shard_merge ps -> [ Mk_shard_merge ps ]
     | Nested_loop_join (l, r, pairs) -> [ Nested_loop_join (l, r, pairs) ]
     | Semi_join (l, right, pairs) -> [ Semi_join (l, right, pairs) ]
-    | Hash_join (l, r, pairs) | Merge_join (l, r, pairs) -> (
+    | Hash_join (l, r, pairs) -> (
         match (l, r) with
         | Exec (r1, le), Exec (r2, re)
           when r1 <> r2 && informed r1 le && informed r2 re ->
@@ -393,8 +275,6 @@ type params = {
   c_select : float;
   c_project : float;
   c_hash : float;
-  c_sort : float;
-  c_merge : float;
   c_nested : float;
   c_union : float;
   c_distinct : float;
@@ -407,8 +287,6 @@ let default_params =
     c_select = 0.001;
     c_project = 0.001;
     c_hash = 0.002;
-    c_sort = 0.0008;
-    c_merge = 0.0005;
     c_nested = 0.0005;
     c_union = 0.0002;
     c_distinct = 0.002;
@@ -427,7 +305,7 @@ let rec mediator_op_count = function
   | Exec _ | Mk_data _ -> 1
   | Mk_select (p, _) | Mk_project (p, _) | Mk_map (p, _) | Mk_distinct p ->
       1 + mediator_op_count p
-  | Nested_loop_join (l, r, _) | Hash_join (l, r, _) | Merge_join (l, r, _) ->
+  | Nested_loop_join (l, r, _) | Hash_join (l, r, _) ->
       1 + mediator_op_count l + mediator_op_count r
   | Semi_join (l, _, _) -> 1 + mediator_op_count l
   | Mk_union ps | Mk_shard_merge ps ->
@@ -514,18 +392,6 @@ let estimate ?(params = default_params) ?(batch = false) model plan =
           time_ms =
             Float.max cl.time_ms cr.time_ms
             +. (params.c_hash *. (cl.rows +. cr.rows));
-          rows = cl.rows *. cr.rows *. params.default_join_selectivity;
-          shipped = cl.shipped +. cr.shipped;
-          defaulted_execs = cl.defaulted_execs + cr.defaulted_execs;
-        }
-    | Merge_join (l, r, _) ->
-        let cl = go l and cr = go r in
-        let nlogn n = n *. Float.max 1.0 (Float.log (Float.max 2.0 n)) in
-        {
-          time_ms =
-            Float.max cl.time_ms cr.time_ms
-            +. (params.c_sort *. (nlogn cl.rows +. nlogn cr.rows))
-            +. (params.c_merge *. (cl.rows +. cr.rows));
           rows = cl.rows *. cr.rows *. params.default_join_selectivity;
           shipped = cl.shipped +. cr.shipped;
           defaulted_execs = cl.defaulted_execs + cr.defaulted_execs;

@@ -27,9 +27,6 @@ type plan =
       (** builds a hash table on the smaller input (see
           {!hash_build_side}) and probes with the other; the joined
           struct keeps left fields first either way *)
-  | Merge_join of plan * plan * (string list * string list) list
-      (** sorts both inputs on their key paths, then merge-scans — the
-          paper's merge-join physical algorithm (Section 3.1) *)
   | Semi_join of plan * (string * Expr.expr) * (string list * string list) list
       (** [Semi_join (left, (repo, right_expr), pairs)]: evaluate [left]
           first, then ship the distinct join keys to [repo] as a
@@ -57,7 +54,9 @@ exception Physical_error of string
 
 val implement : Expr.expr -> plan
 (** Implementation rules: [Submit] → [Exec], [Join] with equality pairs →
-    [Hash_join], without → [Nested_loop_join], the rest one-to-one.
+    [Hash_join], without → [Nested_loop_join], the rest one-to-one. Each
+    join's algorithm is fixed by its key pairs; the optimizer does not
+    enumerate alternatives to it (only {!semijoin_variants}).
     Raises {!Physical_error} on an unlocated [Get] (every source
     collection must sit under a [Submit] by planning time). *)
 
@@ -67,11 +66,6 @@ val semijoin_variants : informed:(string -> Expr.expr -> bool) -> plan -> plan l
     [informed] reports real cost statistics for both calls, since the
     default estimates cannot rank the direction. The original plan is not
     included. *)
-
-val join_algorithm_variants : plan -> plan list
-(** Alternative plans obtained by re-implementing each equi-join with the
-    other algorithms (hash ↔ merge); the optimizer costs them all. The
-    original plan is not included. *)
 
 val to_logical : plan -> Expr.expr
 (** The inverse correspondence used by partial evaluation. *)
@@ -111,12 +105,6 @@ val hash_build_side : left:V.t -> right:V.t -> [ `Left | `Right ]
     elements (non-collections count as 1); ties keep the historical
     [`Right] build. Exposed for tests. *)
 
-val compare_key_lists : V.t list -> V.t list -> int
-(** Lexicographic comparison of merge-join key lists. Raises
-    {!Physical_error} when the lists have different lengths — that means
-    a corrupted plan, and silently calling such keys equal would produce
-    wrong join results. *)
-
 (** {1 Cost estimation} *)
 
 (** Mediator-side cost constants (virtual ms per tuple). *)
@@ -124,8 +112,6 @@ type params = {
   c_select : float;
   c_project : float;
   c_hash : float;  (** per tuple hashed or probed *)
-  c_sort : float;  (** per tuple-comparison while sorting for merge join *)
-  c_merge : float;  (** per tuple during the merge scan *)
   c_nested : float;  (** per tuple pair compared *)
   c_union : float;
   c_distinct : float;

@@ -898,8 +898,6 @@ let rec fold_ready plan =
           Plan.Nested_loop_join (fold_ready l, fold_ready r, pairs)
       | Plan.Hash_join (l, r, pairs) ->
           Plan.Hash_join (fold_ready l, fold_ready r, pairs)
-      | Plan.Merge_join (l, r, pairs) ->
-          Plan.Merge_join (fold_ready l, fold_ready r, pairs)
       | Plan.Semi_join (l, right, pairs) ->
           Plan.Semi_join (fold_ready l, right, pairs)
       | Plan.Mk_union ps -> Plan.Mk_union (List.map fold_ready ps)
@@ -952,8 +950,6 @@ let rec resolve_semi_joins env plan =
       Plan.Nested_loop_join (resolve_semi_joins env l, resolve_semi_joins env r, pairs)
   | Plan.Hash_join (l, r, pairs) ->
       Plan.Hash_join (resolve_semi_joins env l, resolve_semi_joins env r, pairs)
-  | Plan.Merge_join (l, r, pairs) ->
-      Plan.Merge_join (resolve_semi_joins env l, resolve_semi_joins env r, pairs)
   | Plan.Mk_union ps -> Plan.Mk_union (List.map (resolve_semi_joins env) ps)
   | Plan.Mk_shard_merge ps ->
       Plan.Mk_shard_merge (List.map (resolve_semi_joins env) ps)

@@ -279,8 +279,8 @@ let test_mediator_enforce_clean () =
 (* The runtime gate reports a verdict on every execution, cached plan or
    not. Here the chosen plan keeps a commuted join over a scan-only
    source, so each execution reports one DISCO-W003 round-trip warning;
-   the miss additionally reports the optimizer's verdicts on all 18 of
-   its candidates. *)
+   the miss additionally reports the optimizer's verdicts on its 12
+   candidates, 6 warnings in all. *)
 let test_gate_accounting_per_execution () =
   let metrics = Metrics.create () in
   let m =
@@ -314,7 +314,7 @@ let test_gate_accounting_per_execution () =
   in
   Alcotest.(check (list string)) "executed plan's verdict" [ "DISCO-W003" ]
     (codes fresh);
-  Alcotest.check pair "miss: 18 candidates + the executed plan" (19, 0)
+  Alcotest.check pair "miss: 6 candidate warnings + the executed plan" (7, 0)
     miss_counts;
   List.iter
     (fun label ->
@@ -323,7 +323,7 @@ let test_gate_accounting_per_execution () =
       Alcotest.check pair (label ^ ": the runtime's share of the miss") (1, 0)
         hit_counts)
     [ "second run"; "third run" ];
-  Alcotest.check pair "totals" (21, 0) (counts ())
+  Alcotest.check pair "totals" (9, 0) (counts ())
 
 let wrappers = [| "WrapperPostgres"; "WrapperSelect"; "WrapperScan" |]
 

@@ -1048,6 +1048,23 @@ let test_explain () =
   let hybrid = Mediator.explain m "sum(select x.salary from x in person)" in
   Alcotest.(check bool) "hybrid notice" true (contains hybrid "hybrid")
 
+(* With no recorded costs every exec estimates at time 0 / data 1; a
+   keyed join across two sources is then implemented as a hash join. *)
+let test_cold_keyed_join_is_hash_join () =
+  let m = paper_mediator () in
+  let q =
+    "select struct(a: x.name, b: y.name) from x in person0, y in person1 \
+     where x.id = y.id"
+  in
+  let text = Mediator.explain m q in
+  Alcotest.(check bool) ("hash join in: " ^ text) true
+    (contains text
+       "hashjoin(exec(r0, map(struct(x: @elem), get(person0))), exec(r1, \
+        map(struct(y: @elem), get(person1))))");
+  Alcotest.check check_value "joined on id"
+    (V.bag [ V.strct [ ("a", V.String "Mary"); ("b", V.String "Sam") ] ])
+    (complete (Mediator.query m q))
+
 (* -- hybrid partial answers -- *)
 
 let test_hybrid_partial_answer () =
@@ -1268,6 +1285,8 @@ let () =
           Alcotest.test_case "run-time type check" `Quick
             test_type_check_detects_mismatch;
           Alcotest.test_case "explain" `Quick test_explain;
+          Alcotest.test_case "cold keyed join is a hash join" `Quick
+            test_cold_keyed_join_is_hash_join;
         ] );
       ( "system",
         [

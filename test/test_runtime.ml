@@ -173,39 +173,14 @@ let test_hash_vs_nested_loop () =
     (Expr.eval ~resolve:(fun _ -> None) logical)
     (Plan.run_local hj)
 
-let test_merge_join_agrees () =
-  (* all three join algorithms agree with the logical semantics, including
-     duplicate key groups on both sides *)
-  let mk side n =
-    V.bag
-      (List.map
-         (fun i ->
-           V.strct
-             [ (side, V.strct [ ("id", V.Int (i mod 4)); ("v", V.Int i) ]) ])
-         (List.init n Fun.id))
-  in
-  let rows_l = mk "x" 17 and rows_r = mk "y" 13 in
-  let pairs = [ ([ "x"; "id" ], [ "y"; "id" ]) ] in
-  let nl = Plan.Nested_loop_join (Plan.Mk_data rows_l, Plan.Mk_data rows_r, pairs) in
-  let hj = Plan.Hash_join (Plan.Mk_data rows_l, Plan.Mk_data rows_r, pairs) in
-  let mj = Plan.Merge_join (Plan.Mk_data rows_l, Plan.Mk_data rows_r, pairs) in
-  Alcotest.check check_value "merge = nested" (Plan.run_local nl) (Plan.run_local mj);
-  Alcotest.check check_value "merge = hash" (Plan.run_local hj) (Plan.run_local mj)
-
-let test_join_algorithm_variants () =
+let test_semijoin_variants () =
   let j =
     Plan.Hash_join
       ( Plan.Exec ("r0", get0),
         Plan.Exec ("r1", Expr.Get "person1"),
         [ ([ "x"; "id" ], [ "y"; "id" ]) ] )
   in
-  let variants = Plan.join_algorithm_variants j in
-  Alcotest.(check int) "one algorithmic alternative (merge)" 1
-    (List.length variants);
-  (match variants with
-  | [ Plan.Merge_join _ ] -> ()
-  | _ -> Alcotest.fail "expected a merge-join variant");
-  (* semijoins are generated separately, and only with informed costs *)
+  (* semijoins are generated only with informed costs *)
   Alcotest.(check int) "no semijoin without statistics" 0
     (List.length (Plan.semijoin_variants ~informed:(fun _ _ -> false) j));
   let semis = Plan.semijoin_variants ~informed:(fun _ _ -> true) j in
@@ -237,14 +212,6 @@ let test_hash_build_side () =
   in
   check_agrees (mk "x" 12) (mk "y" 3);
   check_agrees (mk "x" 3) (mk "y" 12)
-
-let test_merge_key_length_invariant () =
-  Alcotest.check_raises "unequal key lists raise"
-    (Plan.Physical_error "merge join: key lists of unequal length (2 vs 1)")
-    (fun () ->
-      ignore (Plan.compare_key_lists [ V.Int 1; V.Int 2 ] [ V.Int 1 ]));
-  Alcotest.(check int) "equal-length lists compare" 0
-    (Plan.compare_key_lists [ V.Int 1; V.String "a" ] [ V.Int 1; V.String "a" ])
 
 let test_run_local_requires_substitution () =
   Alcotest.check_raises "exec must be substituted"
@@ -878,12 +845,8 @@ let () =
           Alcotest.test_case "implementation rules" `Quick test_implement_shapes;
           Alcotest.test_case "logical roundtrip" `Quick test_plan_logical_roundtrip;
           Alcotest.test_case "hash vs nested loop" `Quick test_hash_vs_nested_loop;
-          Alcotest.test_case "merge join agrees" `Quick test_merge_join_agrees;
-          Alcotest.test_case "join algorithm variants" `Quick
-            test_join_algorithm_variants;
+          Alcotest.test_case "semijoin variants" `Quick test_semijoin_variants;
           Alcotest.test_case "hash build side" `Quick test_hash_build_side;
-          Alcotest.test_case "merge key length invariant" `Quick
-            test_merge_key_length_invariant;
           Alcotest.test_case "exec substitution required" `Quick
             test_run_local_requires_substitution;
         ] );
