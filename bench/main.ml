@@ -2,11 +2,11 @@
 
    The paper (INRIA RR-2704 / ICDCS'96) is a design paper: its two figures
    are architecture diagrams and it reports no measurements. Each
-   experiment below (E1-E14, the soak harness, plus ablations A1-A3, indexed in DESIGN.md
-   and EXPERIMENTS.md) quantifies one of the paper's load-bearing claims
-   on the simulated substrate, printing a table; the bechamel suite at
-   the end times the system's hot paths (one Test.make per experiment
-   family).
+   experiment below (E1-E6, E8-E14, E16, E17, the soak harness, plus
+   ablations A1-A3, indexed in DESIGN.md and EXPERIMENTS.md) quantifies
+   one of the paper's load-bearing claims, printing a table. The
+   mediator's per-layer wall-clock cost is measured by benchmark/
+   (disco_bench), not here.
 
    Every mediator built here carries a shared trace sink, so each
    experiment additionally emits one machine-readable JSON line with its
@@ -14,8 +14,7 @@
 
    Run everything:            dune exec bench/main.exe
    One experiment:            dune exec bench/main.exe -- --experiment e4
-   Scale trial counts:        dune exec bench/main.exe -- --trials 20
-   Skip wall-clock benches:   dune exec bench/main.exe -- --no-bechamel *)
+   Scale trial counts:        dune exec bench/main.exe -- --trials 20 *)
 
 module V = Disco_value.Value
 module Shard = Disco_shard.Shard
@@ -30,8 +29,6 @@ module Eval = Disco_oql.Eval
 module Expr = Disco_algebra.Expr
 module Compile = Disco_algebra.Compile
 module Rules = Disco_algebra.Rules
-module Decompile = Disco_algebra.Decompile
-module Grammar = Disco_wrapper.Grammar
 module Wrapper = Disco_wrapper.Wrapper
 module Cost_model = Disco_cost.Cost_model
 module Plan = Disco_physical.Plan
@@ -44,9 +41,6 @@ module Maintenance = Disco_core.Maintenance
 module Composition = Disco_core.Composition
 module Trace = Disco_obs.Trace
 module Metrics = Disco_obs.Metrics
-module Scheduler = Disco_source.Scheduler
-module Server = Disco_serve.Server
-module Loadgen = Disco_serve.Loadgen
 module Registry = Disco_odl.Registry
 module Odl_parser = Disco_odl.Odl_parser
 module Check = Disco_check.Check
@@ -617,39 +611,6 @@ let e6 () =
     ~columns:
       [ "deadline (ms)"; "answer"; "source fraction in data"; "resubmit = full?" ]
     (List.rev !rows)
-
-(* ==================================================================== *)
-(* E7 - the Figure 2 pipeline                                           *)
-(* ==================================================================== *)
-
-let e7 () =
-  header "E7: Prototype 0 pipeline stages vs federation size (Figure 2)";
-  let rows =
-    List.map
-      (fun n_sources ->
-        let m = person_federation ~rows:100 n_sources in
-        let q = paper_query in
-        let time f =
-          let t0 = Sys.time () in
-          let r = f () in
-          ((Sys.time () -. t0) *. 1e6, r)
-        in
-        let t_parse, _ = time (fun () -> Oql.parse q) in
-        let t_plan, _ = time (fun () -> Mediator.explain m q) in
-        let t_exec, o = time (fun () -> Mediator.query m q) in
-        [
-          string_of_int n_sources;
-          Fmt.str "%.0f us" t_parse;
-          Fmt.str "%.0f us" t_plan;
-          Fmt.str "%.0f us" t_exec;
-          string_of_int o.Mediator.stats.Runtime.execs_issued;
-        ])
-      [ 1; 2; 4; 8; 16; 32 ]
-  in
-  table
-    ~columns:
-      [ "sources"; "parse (wall)"; "plan (wall)"; "plan+execute (wall)"; "execs" ]
-    rows
 
 (* ==================================================================== *)
 (* E8 - modeling features: maps, subtyping, views (Sections 2.2-2.3)    *)
@@ -1656,195 +1617,6 @@ let a3 () =
       row "2 (learned costs: semijoin)" o2;
     ]
 
-(* ==================================================================== *)
-(* bechamel wall-clock benches                                          *)
-(* ==================================================================== *)
-
-let bechamel_suite () =
-  header "wall-clock micro-benchmarks (bechamel)";
-  let open Bechamel in
-  let m16 = person_federation ~rows:200 16 in
-  let grammar_expr =
-    Expr.Map
-      ( Expr.Select
-          ( Expr.Get "person0",
-            Expr.Cmp (Expr.Gt, Expr.Attr [ "salary" ], Expr.Const (V.Int 10)) ),
-        Expr.Hscalar (Expr.Attr [ "name" ]) )
-  in
-  let compiled = Result.get_ok (Compile.compile (Oql.parse paper_query)) in
-  let partial_plan =
-    Plan.Mk_union
-      [ Plan.Exec ("r0", grammar_expr); Plan.Mk_data (V.bag [ V.String "Sam" ]) ]
-  in
-  let tests =
-    [
-      Test.make ~name:"e7.parse-oql" (Staged.stage (fun () -> Oql.parse paper_query));
-      Test.make ~name:"e7.compile+normalize"
-        (Staged.stage (fun () ->
-             Rules.normalize ~can_push:Rules.push_all
-               (Compile.locate ~repo_of:(fun _ -> Some "r0") compiled)));
-      Test.make ~name:"e7.end-to-end-16-sources"
-        (Staged.stage (fun () -> Mediator.query m16 paper_query));
-      Test.make ~name:"e4.grammar-check"
-        (Staged.stage (fun () ->
-             Grammar.accepts Grammar.full_relational grammar_expr));
-      Test.make ~name:"e6.partial-answer-decompile"
-        (Staged.stage (fun () ->
-             Decompile.decompile (Plan.to_logical partial_plan)));
-      Test.make ~name:"e5.cost-estimate"
-        (Staged.stage
-           (let cm = Cost_model.create () in
-            Cost_model.record cm ~repo:"r0" ~expr:grammar_expr ~time_ms:5.0
-              ~rows:10;
-            fun () -> Cost_model.estimate cm ~repo:"r0" grammar_expr));
-      Test.make ~name:"e3.odl-load"
-        (Staged.stage (fun () ->
-             let reg = Disco_odl.Registry.create () in
-             Disco_odl.Odl_parser.load reg
-               {|w0 := WrapperPostgres();
-                 r0 := Repository(host="h", name="d", address="a");
-                 interface Person (extent person) {
-                   attribute String name;
-                   attribute Short salary; }
-                 extent person0 of Person wrapper w0 repository r0;|}));
-    ]
-  in
-  let benchmark test =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
-    in
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~stabilize:false ()
-    in
-    let raw = Benchmark.all cfg instances test in
-    Analyze.all ols Toolkit.Instance.monotonic_clock raw
-  in
-  let results = benchmark (Test.make_grouped ~name:"disco" ~fmt:"%s/%s" tests) in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols ->
-      let ns =
-        match Analyze.OLS.estimates ols with
-        | Some [ x ] -> Fmt.str "%.0f ns" x
-        | _ -> "n/a"
-      in
-      rows := [ name; ns ] :: !rows)
-    results;
-  table ~columns:[ "bench"; "time/run" ] (List.sort compare !rows)
-
-(* ==================================================================== *)
-(* E15 - wall-clock serving: admission control and load shedding        *)
-(* ==================================================================== *)
-
-(* A person-federation replica for serve mode. Unlike [mk_mediator] it
-   carries no trace sink — the sink's hashtable fold is not thread-safe
-   and serve-mode workers finish queries concurrently — and it runs on
-   the given wall scheduler, so the sources' simulated latencies become
-   real service times. One replica per worker thread: per-worker state
-   needs no locking. *)
-let e15_replica ~sched n =
-  let m =
-    Mediator.create
-      ~config:
-        { Mediator.Config.default with sched = Some sched; metrics = bench_metrics }
-      ~name:"serve" ()
-  in
-  Mediator.load_odl m
-    {|w0 := WrapperPostgres();
-      interface Person (extent person) {
-        attribute Short id;
-        attribute String name;
-        attribute Short salary; }|};
-  for i = 0 to n - 1 do
-    Mediator.register_source m ~name:(Fmt.str "r%d" i)
-      (person_source ~index:i ~rows:5 ());
-    Mediator.load_odl m
-      (Fmt.str
-         {|r%d := Repository(host="site%d", name="db", address="0.0.0.0");
-           extent person%d of Person wrapper w0 repository r%d;|}
-         i i i i)
-  done;
-  m
-
-let e15_pool =
-  [|
-    paper_query;
-    "select x.name from x in person where x.salary > 30";
-    "select x from x in person where x.id = 3";
-    "select x.salary from x in person";
-  |]
-
-(* One open-loop run against an in-process server; returns the table row
-   ingredients and pushes a wall-clock JSON record for the artifact. *)
-let e15_run ~label ~inflight ~queue_bound ~rate ~duration_s =
-  let sched = Scheduler.wall ~domains:2 () in
-  let meds = Array.init inflight (fun _ -> e15_replica ~sched 4) in
-  let opts = qopts ~timeout_ms:5000.0 () in
-  let worker i ~tenant:_ oql =
-    match Mediator.query ~opts meds.(i) oql with
-    | o ->
-        Server.Answered
-          { body = "ok"; elapsed_ms = o.Mediator.stats.Runtime.elapsed_ms }
-    | exception e -> Server.Failed (Printexc.to_string e)
-  in
-  let srv =
-    Server.create ~inflight ~queue_bound ~metrics:bench_metrics ~worker ()
-  in
-  let r =
-    Loadgen.run ~zipf_s:1.1 ~seed:42 ~tenants:[ "t0"; "t1" ] ~queries:e15_pool
-      ~rate ~duration_s (Loadgen.Direct srv)
-  in
-  Server.stop srv;
-  Scheduler.shutdown sched;
-  bench_results :=
-    Fmt.str
-      "{\"experiment\":\"e15\",\"mode\":\"wall\",\"run\":%S,\"inflight\":%d,\"queue_bound\":%d,\"offered_qps\":%.0f,\"sent\":%d,\"completed\":%d,\"shed\":%d,\"errors\":%d,\"qps\":%.1f,\"p50_ms\":%.3f,\"p99_ms\":%.3f,\"p999_ms\":%.3f}"
-      label inflight queue_bound rate r.Loadgen.r_sent r.Loadgen.r_completed
-      r.Loadgen.r_shed r.Loadgen.r_errors r.Loadgen.r_qps r.Loadgen.r_p50_ms
-      r.Loadgen.r_p99_ms r.Loadgen.r_p999_ms
-    :: !bench_results;
-  (label, inflight, queue_bound, rate, r)
-
-let e15 () =
-  header "E15: wall-clock serving - admission control and load shedding";
-  Fmt.pr "claim: the serve-mode admission limit bounds concurrency: offered@.";
-  Fmt.pr "       load below capacity sheds nothing, while past the queue@.";
-  Fmt.pr "       bound excess arrivals are rejected with resubmittable@.";
-  Fmt.pr "       residuals (open-loop Zipf arrivals, real domains).@.@.";
-  let under =
-    e15_run ~label:"underload" ~inflight:4 ~queue_bound:64 ~rate:40.0
-      ~duration_s:1.5
-  in
-  let over =
-    e15_run ~label:"overload" ~inflight:1 ~queue_bound:2 ~rate:200.0
-      ~duration_s:1.0
-  in
-  table
-    ~columns:
-      [
-        "run"; "inflight"; "qbound"; "offered"; "sent"; "done"; "shed"; "err";
-        "qps"; "p50 ms"; "p99 ms"; "p999 ms";
-      ]
-    (List.map
-       (fun (label, inflight, qb, rate, r) ->
-         [
-           label; string_of_int inflight; string_of_int qb;
-           Fmt.str "%.0f/s" rate; string_of_int r.Loadgen.r_sent;
-           string_of_int r.Loadgen.r_completed; string_of_int r.Loadgen.r_shed;
-           string_of_int r.Loadgen.r_errors; Fmt.str "%.1f" r.Loadgen.r_qps;
-           Fmt.str "%.2f" r.Loadgen.r_p50_ms; Fmt.str "%.2f" r.Loadgen.r_p99_ms;
-           Fmt.str "%.2f" r.Loadgen.r_p999_ms;
-         ])
-       [ under; over ]);
-  let (_, _, _, _, ur) = under and _, _, _, _, ov = over in
-  if ur.Loadgen.r_shed <> 0 then failwith "E15: underload run shed requests";
-  if ur.Loadgen.r_errors <> 0 then failwith "E15: underload run errored";
-  if ov.Loadgen.r_shed = 0 then failwith "E15: overload run shed nothing";
-  if ov.Loadgen.r_errors <> 0 then failwith "E15: overload run errored";
-  Fmt.pr "@.underload shed=0, overload shed=%d: admission limit enforced@."
-    ov.Loadgen.r_shed
-
 (* == E16: columnar relation engine =================================== *)
 
 (* Wall-clock micro-benchmark of lib/relation itself — no mediator, no
@@ -2060,15 +1832,14 @@ let e17 () =
 let experiments =
   [
     ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
-    ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11);
-    ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15); ("e16", e16);
-    ("e17", e17);
+    ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11); ("e12", e12);
+    ("e13", e13); ("e14", e14); ("e16", e16); ("e17", e17);
     ("a1", a1); ("a2", a2); ("a3", a3); ("soak", soak);
   ]
 
 (* --merge-results folds an existing BENCH_RESULTS.json (one object per
    line) in front of this run's entries, so a follow-up invocation (CI's
-   wall-clock E15 step) appends to the artifact instead of overwriting
+   E16 and E17 steps) appends to the artifact instead of overwriting
    the virtual-clock series. *)
 let merge_existing_results () =
   match open_in "BENCH_RESULTS.json" with
@@ -2110,7 +1881,6 @@ let () =
     | [] -> ()
   in
   scan args;
-  let no_bechamel = List.mem "--no-bechamel" args in
   let run (name, f) =
     reset_observations ();
     f ();
@@ -2121,10 +1891,9 @@ let () =
       match List.assoc_opt name experiments with
       | Some f -> run (name, f)
       | None ->
-          Fmt.epr "unknown experiment %s (e1..e16, a1..a3, soak)@." name;
+          Fmt.epr "unknown experiment %s (%s)@." name
+            (String.concat ", " (List.map fst experiments));
           exit 1)
-  | None ->
-      List.iter run experiments;
-      if not no_bechamel then bechamel_suite ());
+  | None -> List.iter run experiments);
   if List.mem "--merge-results" args then merge_existing_results ();
   write_results_file ()

@@ -114,14 +114,10 @@ type plan_cache_stats = {
   p_evictions : int;
 }
 
-(* A chosen plan with the optimizer's verdict on it, valid while the
-   registry stays at [c_version]: a hit reuses both, so the runtime gate
+(* The optimizer's choice, valid while the registry stays at
+   [c_version]: a hit reuses its plan and verdict, so the runtime gate
    reports the verdict without re-verifying the plan. *)
-type cached_plan = {
-  c_plan : Plan.plan;
-  c_verdict : Check.diag list option;
-  c_version : int;
-}
+type cached_plan = { c_choice : Optimizer.choice; c_version : int }
 
 type t = {
   m_name : string;
@@ -393,74 +389,74 @@ let apply_semantics t semantics answer =
           mediator_error "null-semantics evaluation failed: %s" m)
   | (Wait_all | Null_sources), a -> a
 
-(* -- the compiled path -- *)
+(* -- planning and running: the one path every algebraic query takes --
 
-let compiled_outcome t ~timeout_ms ~type_check ~semantics ~tr ~oql located =
-  let cache_key = oql in
-  let version = Registry.version t.registry in
-  let cached =
-    match Lru.find t.plan_cache cache_key with
-    | Some ({ c_version; _ } as c) when c_version = version -> Some c
-    | _ -> None
-  in
-  let { c_plan = plan; c_verdict = verdict; _ }, from_cache =
-    in_span t tr "optimize" (fun () ->
-        match cached with
-        | Some c ->
-            t.plan_hits <- t.plan_hits + 1;
-            Metrics.incr t.metrics "plan_cache.hit";
-            span_meta tr "plan_cache" "hit";
-            (c, true)
-        | None ->
-            t.plan_misses <- t.plan_misses + 1;
-            Metrics.incr t.metrics "plan_cache.miss";
-            span_meta tr "plan_cache" "miss";
-            let choice = Pipeline.optimize t.pipeline located in
-            span_meta tr "alternatives"
-              (string_of_int choice.Optimizer.alternatives);
-            span_meta tr "est_time_ms"
-              (Printf.sprintf "%.3f" choice.Optimizer.cost.Plan.time_ms);
-            let c =
-              {
-                c_plan = choice.Optimizer.plan;
-                c_verdict = choice.Optimizer.verdict;
-                c_version = version;
-              }
-            in
-            Lru.add t.plan_cache cache_key c;
-            (c, false))
-  in
+   Whole compiled queries, hybrid fragments and [explain] all plan
+   through [plan] and execute through [run], so each shares the plan
+   cache, the stage spans and the capability fallback. *)
+
+(* The optimizer's choice for [located], looked up under [key] in the
+   plan cache at the current registry version, optimized and cached on a
+   miss. Returns the choice and whether it came from the cache. *)
+let plan t ~tr ~key located =
+  in_span t tr "optimize" (fun () ->
+      let version = Registry.version t.registry in
+      match Lru.find t.plan_cache key with
+      | Some { c_choice; c_version } when c_version = version ->
+          t.plan_hits <- t.plan_hits + 1;
+          Metrics.incr t.metrics "plan_cache.hit";
+          span_meta tr "plan_cache" "hit";
+          (c_choice, true)
+      | Some _ | None ->
+          t.plan_misses <- t.plan_misses + 1;
+          Metrics.incr t.metrics "plan_cache.miss";
+          span_meta tr "plan_cache" "miss";
+          let choice = Pipeline.optimize t.pipeline located in
+          span_meta tr "alternatives"
+            (string_of_int choice.Optimizer.alternatives);
+          span_meta tr "est_time_ms"
+            (Printf.sprintf "%.3f" choice.Optimizer.cost.Plan.time_ms);
+          Lru.add t.plan_cache key { c_choice = choice; c_version = version };
+          (choice, false))
+
+(* Execute a planned query. The outcome carries the runtime's answer,
+   before [semantics] is applied to it. When a wrapper refuses its
+   expression at run time, [located] is replanned without pushdown and
+   run instead. *)
+let run t ~timeout_ms ~type_check ~semantics ~tr located
+    ({ Optimizer.plan; verdict; _ }, from_cache) =
   let env = runtime_env t ~type_check ~semantics ~tr (plan_extents plan) in
-  let run ?verdict plan =
-    (* execution-layer failures (bad maps, misbehaving wrappers) surface
-       as clean mediator errors, never raw engine exceptions *)
-    let execute () =
+  let execute ?verdict plan =
+    let issue () = Runtime.execute ~timeout_ms ?verdict env plan in
+    let round () =
       match shard_children_of_plan t plan with
-      | [] -> Runtime.execute ~timeout_ms ?verdict env plan
+      | [] -> issue ()
       | shards ->
           (* the scatter-gather round over a partitioned extent gets its
              own span so traces show the fan-out width *)
           Metrics.incr t.metrics "shard.rounds";
           in_span t tr "shard" (fun () ->
               span_meta tr "shards" (string_of_int (List.length shards));
-              Runtime.execute ~timeout_ms ?verdict env plan)
+              issue ())
     in
-    match in_span t tr "execute" execute with
-    | answer, stats -> (answer_of_runtime answer, stats)
+    (* execution-layer failures (bad maps, misbehaving wrappers) surface
+       as clean mediator errors, never raw engine exceptions *)
+    match in_span t tr "execute" round with
+    | answer, stats ->
+        {
+          answer = answer_of_runtime answer;
+          stats;
+          plan = Some plan;
+          from_cache;
+          answer_cache = cache_use_of stats;
+          fallback = false;
+        }
     | exception Plan.Physical_error m -> mediator_error "execution failed: %s" m
     | exception Expr.Algebra_error m -> mediator_error "execution failed: %s" m
     | exception V.Type_error m -> mediator_error "execution failed: %s" m
   in
-  match run ?verdict plan with
-  | answer, stats ->
-      {
-        answer = apply_semantics t semantics answer;
-        stats;
-        plan = Some plan;
-        from_cache;
-        answer_cache = cache_use_of stats;
-        fallback = false;
-      }
+  match execute ?verdict plan with
+  | outcome -> outcome
   | exception Runtime.Runtime_error reason ->
       (* a wrapper refused its expression: replan without pushdown *)
       Log.warn (fun m -> m "capability fallback: %s" reason);
@@ -469,24 +465,23 @@ let compiled_outcome t ~timeout_ms ~type_check ~semantics ~tr ~oql located =
         in_span t tr "replan" (fun () ->
             Plan.implement (Rules.normalize ~can_push:Rules.push_none located))
       in
-      let answer, stats = run conservative in
-      {
-        answer = apply_semantics t semantics answer;
-        stats;
-        plan = Some conservative;
-        from_cache = false;
-        answer_cache = cache_use_of stats;
-        fallback = true;
-      }
+      { (execute conservative) with from_cache = false; fallback = true }
+
+let compiled_outcome t ~timeout_ms ~type_check ~semantics ~tr ~key located =
+  let outcome =
+    run t ~timeout_ms ~type_check ~semantics ~tr located
+      (plan t ~tr ~key located)
+  in
+  { outcome with answer = apply_semantics t semantics outcome.answer }
 
 (* -- the hybrid path: full OQL with engine-executed fragments --
 
    A query outside the algebraic subset (aggregates, correlated
    subqueries, quantifiers, order by) still contains closed fragments
-   that ARE algebraic; each maximal such fragment is planned and executed
-   through the optimizer/runtime — so capability pushdown keeps working —
-   and the rest is evaluated on the mediator. Fragments run as successive
-   parallel rounds against the virtual clock. *)
+   that ARE algebraic; each maximal such fragment is planned and run like
+   a compiled query — so capability pushdown and the plan cache keep
+   working — and the rest is evaluated on the mediator. Fragments run as
+   successive parallel rounds against the virtual clock. *)
 
 let hybrid_outcome t ~timeout_ms ~type_check ~semantics ~tr expanded =
   (match
@@ -499,6 +494,7 @@ let hybrid_outcome t ~timeout_ms ~type_check ~semantics ~tr expanded =
   span_meta tr "mode" "hybrid";
   let stats_acc = ref Runtime.zero_stats in
   let blocked_repos = ref [] in
+  let fallback = ref false in
   let try_fragment sub =
     match sub with
     | Ast.Const _ | Ast.Ident _ -> None
@@ -516,29 +512,23 @@ let hybrid_outcome t ~timeout_ms ~type_check ~semantics ~tr expanded =
           match Pipeline.compile t.pipeline sub with
           | Error _ -> None
           | Ok located -> (
-              let { Optimizer.plan; verdict; _ } =
-                Pipeline.optimize t.pipeline located
+              let o =
+                run t ~timeout_ms ~type_check ~semantics ~tr located
+                  (plan t ~tr ~key:(Ast.to_string sub) located)
               in
-              let env =
-                runtime_env t ~type_check ~semantics ~tr (plan_extents plan)
-              in
-              match Runtime.execute ~timeout_ms ?verdict env plan with
-              | Runtime.Complete v, st ->
-                  stats_acc := Runtime.add_stats !stats_acc st;
-                  Some (Ast.Const v)
-              | Runtime.Partial { unavailable; _ }, st ->
-                  stats_acc := Runtime.add_stats !stats_acc st;
+              stats_acc := Runtime.add_stats !stats_acc o.stats;
+              fallback := !fallback || o.fallback;
+              match o.answer with
+              | Complete v -> Some (Ast.Const v)
+              | Partial { Runtime.unavailable; _ } | Unavailable unavailable ->
                   blocked_repos := unavailable @ !blocked_repos;
                   (* leave the fragment symbolic for the partial answer *)
-                  None
-              | exception Runtime.Runtime_error _ ->
-                  (* capability surprise: fall back to plain fetches *)
                   None))
   in
-  let substituted, fetched, fetch_stats =
+  let substituted = Expand.map_closed_subqueries try_fragment expanded in
+  let fetched, fetch_stats =
     in_span t tr "execute" (fun () ->
-        let substituted = Expand.map_closed_subqueries try_fragment expanded in
-        (* whatever extents remain (bare or in failed fragments) are
+        (* whatever extents remain (bare or in partial fragments) are
            fetched whole, in one parallel round *)
         let extents =
           List.filter
@@ -546,8 +536,7 @@ let hybrid_outcome t ~timeout_ms ~type_check ~semantics ~tr expanded =
             (Ast.free_collections substituted)
         in
         let env = runtime_env t ~type_check ~semantics ~tr extents in
-        let fetched, fetch_stats = Runtime.fetch ~timeout_ms env extents in
-        (substituted, fetched, fetch_stats))
+        Runtime.fetch ~timeout_ms env extents)
   in
   let stats = Runtime.add_stats !stats_acc fetch_stats in
   let fetch_blocked = List.filter (fun (_, v) -> v = None) fetched in
@@ -563,7 +552,7 @@ let hybrid_outcome t ~timeout_ms ~type_check ~semantics ~tr expanded =
           plan = None;
           from_cache = false;
           answer_cache = cache_use_of stats;
-          fallback = false;
+          fallback = !fallback;
         }
     | exception Eval.Eval_error m -> mediator_error "evaluation failed: %s" m
   else
@@ -592,7 +581,7 @@ let hybrid_outcome t ~timeout_ms ~type_check ~semantics ~tr expanded =
       plan = None;
       from_cache = false;
       answer_cache = cache_use_of stats;
-      fallback = false;
+      fallback = !fallback;
     }
 
 (* -- entry points -- *)
@@ -677,7 +666,7 @@ let query ?(opts = Query_opts.default) t oql =
     with
     | Ok located ->
         compiled_outcome t ~timeout_ms ~type_check ~semantics ~tr
-          ~oql:(Ast.to_string expanded) located
+          ~key:(Ast.to_string expanded) located
     | Error _ -> hybrid_outcome t ~timeout_ms ~type_check ~semantics ~tr expanded
   in
   (match outcome.answer with
@@ -742,9 +731,10 @@ let record_partial resubmissions outcome =
   | Complete _ | Unavailable _ -> None
 
 let explain t oql =
-  match Pipeline.compile t.pipeline (front_exn t oql) with
+  let expanded = front_exn t oql in
+  match Pipeline.compile t.pipeline expanded with
   | Ok located ->
-      let choice = Pipeline.optimize t.pipeline located in
+      let choice, _ = plan t ~tr:None ~key:(Ast.to_string expanded) located in
       Fmt.str "plan (%d alternatives, est. %.3f ms, %.1f rows shipped):@\n%s"
         choice.Optimizer.alternatives choice.Optimizer.cost.Plan.time_ms
         choice.Optimizer.cost.Plan.shipped

@@ -68,13 +68,19 @@ type outcome = {
   answer : answer;
   stats : Runtime.stats;
   plan : Disco_physical.Plan.plan option;
-      (** the physical plan, when the compiled path ran ([None] for
-          hybrid-evaluated queries) *)
-  from_cache : bool;  (** the plan came from the plan cache *)
+      (** the physical plan, when the compiled path ran. [None] for
+          hybrid-evaluated queries, whose fragments each have their own
+          plan. *)
+  from_cache : bool;
+      (** the plan came from the plan cache. Always [false] for hybrid
+          queries: their fragments' cache use shows in
+          {!plan_cache_stats}, the [plan_cache.*] metrics and the
+          trace. *)
   answer_cache : answer_cache_use;
   fallback : bool;
-      (** a wrapper refused its expression at run time and the query was
-          replanned without pushdown *)
+      (** a wrapper refused its expression at run time and the query (or,
+          on the hybrid path, one of its fragments) was replanned without
+          pushdown *)
 }
 
 and answer =
@@ -249,10 +255,16 @@ val load_odl : t -> string -> unit
 
 val query : ?opts:Query_opts.t -> t -> string -> outcome
 (** Run an OQL query ([opts] defaults to {!Query_opts.default}). Raises
-    {!Mediator_error} on parse/expansion errors. When the mediator was
-    created with a [trace_sink], the sink receives the query's span tree
-    — phases parse → expand → compile → optimize → execute with one exec
-    leaf per issued exec — after the outcome is computed. *)
+    {!Mediator_error} on parse/expansion errors and on execution
+    failures. An algebraic query is planned through the plan cache
+    (keyed on its expanded text) and run; a query outside the algebra
+    takes the hybrid path, where each closed algebraic fragment is
+    planned through the same cache (keyed on the fragment's text) and
+    run the same way, and the rest is evaluated on the mediator. When
+    the mediator was created with a [trace_sink], the sink receives the
+    query's span tree — phases parse → expand → compile → optimize →
+    execute with one exec leaf per issued exec, and one optimize/execute
+    pair per hybrid fragment — after the outcome is computed. *)
 
 val answer_oql : answer -> string
 (** The OQL text of an answer: a collection literal for {!Complete}, the
@@ -293,8 +305,11 @@ val record_partial : Disco_cache.Resubmission.t -> outcome -> int option
     replay either). *)
 
 val explain : t -> string -> string
-(** The chosen physical plan (or the hybrid-evaluation notice) for a
-    query, without executing it. *)
+(** The physical plan {!query} would run (or the hybrid-evaluation
+    notice), without executing it. It reads the plan cache and fills it
+    on a miss, so a later [query] of the same text is a cache hit, and
+    once a plan is cached [explain] prints it rather than what a fresh
+    optimization would now choose. *)
 
 val register_in_catalog : t -> Disco_catalog.Catalog.t -> unit
 (** Advertise this mediator, its repositories and wrappers. *)

@@ -1,5 +1,5 @@
-(** Open-loop Zipfian load generator — the repo's first wall-clock
-    workload driver (EXPERIMENTS.md E15).
+(** Open-loop Zipfian load generator: drives a {!Server} in process
+    ([Direct], the tests) or over TCP ([Tcp], [discoctl load]).
 
     Open loop: arrival [k] fires at [k/rate] seconds after start
     {e regardless} of whether earlier requests completed, so a saturated

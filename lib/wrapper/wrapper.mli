@@ -73,7 +73,7 @@ val make :
     input expression.
 
     {b Concurrency.} Under a wall-clock scheduler
-    ({!Disco_source.Scheduler.wall} — serve mode, E15) the runtime
+    ({!Disco_source.Scheduler.wall} — serve mode) the runtime
     issues one round's per-source batches genuinely in parallel on
     several domains, so [execute] and [execute_batch] may be invoked
     concurrently (for different sources within one query, and for the

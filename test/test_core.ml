@@ -615,10 +615,11 @@ let test_hybrid_fragment_partial () =
 
 (* -- semijoin reduction (future-work extension, Sections 3.2 / 6.2) -- *)
 
-let test_semijoin_reduction () =
+(* A tiny "managers" source and a large "employees" source at
+   different sites; transfer costs dominate the large side, so once the
+   join's costs are learned the optimizer reduces it with a semijoin. *)
+let semijoin_mediator () =
   let m = Mediator.create ~name:"sj" () in
-  (* a tiny "managers" source and a large "employees" source at different
-     sites; transfer costs dominate the large side *)
   let small_db = Database.create ~name:"db" in
   ignore
     (Datagen.table_of small_db ~name:"vip0" Datagen.person_schema
@@ -645,9 +646,15 @@ let test_semijoin_reduction () =
         attribute Short salary; }
       extent vip0 of Person wrapper w0 repository r0;
       extent staff0 of Person wrapper w0 repository r1;|};
-  let q =
-    "select struct(a: x.name, b: y.name) from x in vip0, y in staff0 where      x.id = y.id"
-  in
+  m
+
+let semijoin_query =
+  "select struct(a: x.name, b: y.name) from x in vip0, y in staff0 where x.id \
+   = y.id"
+
+let test_semijoin_reduction () =
+  let m = semijoin_mediator () in
+  let q = semijoin_query in
   (* run 1: no cost information, maximal pushdown ships everything *)
   let o1 = Mediator.query ~opts:(qopts ~timeout_ms:10_000.0 ()) m q in
   let shipped1 = o1.Mediator.stats.Disco_runtime.Runtime.tuples_shipped in
@@ -669,6 +676,23 @@ let test_semijoin_reduction () =
     (shipped2 < shipped1 / 10);
   (* and the answers agree *)
   Alcotest.check check_value "same answer" (complete o1) (complete o2)
+
+(* [explain] reads the plan cache: once the join has run, it shows the
+   cached plan [query] goes on to run, not the semijoin plan a fresh
+   optimization would now pick. *)
+let test_explain_shows_cached_plan () =
+  let m = semijoin_mediator () in
+  let opts = qopts ~timeout_ms:10_000.0 () in
+  ignore (Mediator.query ~opts m semijoin_query);
+  let text = Mediator.explain m semijoin_query in
+  match (Mediator.query ~opts m semijoin_query).Mediator.plan with
+  | Some plan ->
+      Alcotest.(check int) "no semijoin" 0 (Plan.semi_joins plan);
+      Alcotest.(check bool)
+        ("explain prints the executed plan: " ^ text)
+        true
+        (String.ends_with ~suffix:("\n" ^ Plan.to_string plan) text)
+  | None -> Alcotest.fail "expected a compiled plan"
 
 let test_semijoin_partial_degrades () =
   (* if the reduced side is down, the residual query must be the plain
@@ -820,9 +844,9 @@ let test_plan_cache () =
 
 (* -- wrapper capability fallback -- *)
 
-let test_runtime_fallback_on_refusal () =
-  (* A lying wrapper: advertises full capability, refuses everything but
-     get. The mediator must fall back and still answer. *)
+(* A lying wrapper: advertises full capability, refuses everything but
+   get. The mediator must fall back and still answer. *)
+let liar_mediator ?(config = Mediator.Config.default) rows =
   let lying =
     Wrapper.make ~name:"WrapperLiar"
       ~grammar:Disco_wrapper.Grammar.full_relational
@@ -833,9 +857,8 @@ let test_runtime_fallback_on_refusal () =
         | _ -> Error (Wrapper.Refused "liar"))
       ()
   in
-  let m = Mediator.create ~name:"m1" () in
-  Mediator.register_source m ~name:"r0"
-    (paper_source ~id:0 ~host:"rodin" [ person_row 1 "Mary" 200 ]);
+  let m = Mediator.create ~config ~name:"m1" () in
+  Mediator.register_source m ~name:"r0" (paper_source ~id:0 ~host:"rodin" rows);
   Mediator.register_wrapper m ~name:"w0" lying;
   Mediator.load_odl m
     {|
@@ -846,9 +869,63 @@ let test_runtime_fallback_on_refusal () =
       attribute Short salary; }
     extent person0 of Person wrapper w0 repository r0;
   |};
+  m
+
+let test_runtime_fallback_on_refusal () =
+  let m = liar_mediator [ person_row 1 "Mary" 200 ] in
   let o = Mediator.query m "select x.name from x in person where x.salary > 10" in
   Alcotest.(check bool) "fallback used" true o.Mediator.fallback;
   Alcotest.check check_value "still answered" (V.bag [ V.String "Mary" ]) (complete o)
+
+(* A hybrid fragment the wrapper refuses takes the compiled path's
+   fallback: replanned without pushdown, counted once, and planned
+   through the plan cache like any compiled query. *)
+let test_fragment_fallback_on_refusal () =
+  let rows =
+    [ person_row 1 "Mary" 200; person_row 2 "Sam" 5; person_row 3 "Zoe" 80 ]
+  in
+  let metrics = Disco_obs.Metrics.create () in
+  let traces = ref [] in
+  let m =
+    liar_mediator
+      ~config:
+        {
+          Mediator.Config.default with
+          metrics;
+          trace_sink = Some (fun tr -> traces := tr :: !traces);
+        }
+      rows
+  in
+  let q = "sum(select x.salary from x in person where x.salary > 10)" in
+  let reference =
+    let person =
+      V.bag
+        (List.map
+           (fun r -> V.strct [ ("name", r.(1)); ("salary", r.(2)) ])
+           rows)
+    in
+    Disco_oql.Eval.eval_string
+      (Disco_oql.Eval.env
+         ~resolve:(function "person" -> Some person | _ -> None)
+         ())
+      q
+  in
+  let fallbacks () =
+    Disco_obs.Metrics.find_counter metrics "mediator.capability_fallback"
+  in
+  let o = Mediator.query m q in
+  Alcotest.check check_value "complete and equal to Eval" reference (complete o);
+  Alcotest.(check int) "one capability fallback" 1 (fallbacks ());
+  Alcotest.(check bool) "reported on the outcome" true o.Mediator.fallback;
+  ignore (Mediator.query m q);
+  let rec plan_cache (span : Disco_obs.Trace.span) =
+    if span.s_name = "optimize" then List.assoc_opt "plan_cache" span.s_meta
+    else List.find_map plan_cache span.s_children
+  in
+  Alcotest.(check (list (option string)))
+    "optimize spans: miss, then hit"
+    [ Some "miss"; Some "hit" ]
+    (List.rev_map (fun tr -> plan_cache tr.Disco_obs.Trace.t_root) !traces)
 
 (* Registering a wrapper replaces what [can_push] and the verifier
    resolve, so plans cached against the old wrapper must go: a stale plan
@@ -1267,6 +1344,8 @@ let () =
           Alcotest.test_case "hybrid fragment partial" `Quick
             test_hybrid_fragment_partial;
           Alcotest.test_case "semijoin reduction" `Quick test_semijoin_reduction;
+          Alcotest.test_case "explain shows the cached plan" `Quick
+            test_explain_shows_cached_plan;
           Alcotest.test_case "semijoin degrades on outage" `Quick
             test_semijoin_partial_degrades;
           Alcotest.test_case "replica failover" `Quick test_replica_failover;
@@ -1276,6 +1355,8 @@ let () =
           Alcotest.test_case "per-source stats" `Quick test_source_stats;
           Alcotest.test_case "fallback on wrapper refusal" `Quick
             test_runtime_fallback_on_refusal;
+          Alcotest.test_case "fragment fallback on wrapper refusal" `Quick
+            test_fragment_fallback_on_refusal;
           Alcotest.test_case "register_wrapper drops cached plans" `Quick
             test_register_wrapper_drops_cached_plans;
           Alcotest.test_case "pushdown tuples shipped" `Quick

@@ -775,13 +775,29 @@ let fresh_choice ?wrappers m q =
 let verdict_reused_equals_fresh m q =
   match fresh_choice m q with
   | None ->
-      (* the hybrid path: fragments are planned and verified per query *)
+      (* the hybrid path: fragments plan through the plan cache, so the
+         reruns only hit it and never call the optimizer *)
+      let counts () =
+        let pc = Mediator.plan_cache_stats m in
+        ( pc.Mediator.p_hits,
+          pc.Mediator.p_misses,
+          Option.fold ~none:0
+            ~some:(fun h -> h.Metrics.h_count)
+            (Metrics.find_histogram (Mediator.metrics m) "optimizer.candidates")
+        )
+      in
       List.for_all
-        (fun () ->
-          match (Mediator.query m q).Mediator.answer with
-          | Mediator.Complete _ -> true
-          | _ -> false)
-        [ (); (); () ]
+        (fun i ->
+          let hits, misses, candidates = counts () in
+          let complete =
+            match (Mediator.query m q).Mediator.answer with
+            | Mediator.Complete _ -> true
+            | _ -> false
+          in
+          let hits', misses', candidates' = counts () in
+          complete
+          && (i = 0 || (hits' > hits && misses' = misses && candidates' = candidates)))
+        [ 0; 1; 2 ]
   | Some (p, choice, search_counts) ->
       let plan = choice.Optimizer.plan in
       let fresh = Check.check_plan (Pipeline.checker p) plan in
