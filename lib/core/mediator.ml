@@ -114,10 +114,23 @@ type plan_cache_stats = {
   p_evictions : int;
 }
 
-(* The optimizer's choice, valid while the registry stays at
-   [c_version]: a hit reuses its plan and verdict, so the runtime gate
-   reports the verdict without re-verifying the plan. *)
-type cached_plan = { c_choice : Optimizer.choice; c_version : int }
+(* A plan-cache key. A whole query is keyed on its text as received and
+   its [static_check] flag, so a hit needs no front-end work. A hybrid
+   fragment, and a [Skip_sources] query (whose expansion depends on which
+   sources are up at that instant), is keyed on its printed expansion. *)
+type plan_key = Text of string * bool | Expansion of string
+
+(* Everything derived from a key, valid while the registry stays at
+   [c_version]: the located expression (replanned without pushdown on a
+   capability fallback), the optimizer's choice with its verdict (so the
+   runtime gate reports the verdict without re-verifying the plan), and
+   the extents the plan scans. *)
+type cached_plan = {
+  c_located : Expr.expr;
+  c_choice : Optimizer.choice;
+  c_extents : string list;
+  c_version : int;
+}
 
 type t = {
   m_name : string;
@@ -127,7 +140,7 @@ type t = {
   cost : Cost_model.t;
   sources : (string, Source.t) Hashtbl.t;
   pipeline : Pipeline.t;
-  plan_cache : (string, cached_plan) Lru.t;
+  plan_cache : (plan_key, cached_plan) Lru.t;
   mutable plan_hits : int;
   mutable plan_misses : int;
   cache : Answer_cache.t option;
@@ -316,12 +329,10 @@ let plan_extents plan =
   List.sort_uniq String.compare
     (List.concat_map (fun (_, e) -> Expr.gets e) (Plan.all_source_exprs plan))
 
-(* Shard children the plan scans: drives the shard span and metrics of
-   the scatter-gather round. *)
-let shard_children_of_plan t plan =
-  List.filter
-    (fun name -> Pipeline.shard_of t.pipeline name <> None)
-    (plan_extents plan)
+(* The shard children among a plan's extents: drives the shard span and
+   metrics of the scatter-gather round. *)
+let shard_children t extents =
+  List.filter (fun name -> Pipeline.shard_of t.pipeline name <> None) extents
 
 (* -- answers -- *)
 
@@ -392,22 +403,31 @@ let apply_semantics t semantics answer =
 (* -- planning and running: the one path every algebraic query takes --
 
    Whole compiled queries, hybrid fragments and [explain] all plan
-   through [plan] and execute through [run], so each shares the plan
+   through [plan] (a whole query's hit goes to [plan_hit] before any
+   front-end work) and execute through [run], so each shares the plan
    cache, the stage spans and the capability fallback. *)
 
-(* The optimizer's choice for [located], looked up under [key] in the
-   plan cache at the current registry version, optimized and cached on a
-   miss. Returns the choice and whether it came from the cache. *)
-let plan t ~tr ~key located =
+(* The entry cached under [key], if it was made at the current registry
+   version. *)
+let cached t key =
+  match Lru.find t.plan_cache key with
+  | Some entry when entry.c_version = Registry.version t.registry -> Some entry
+  | Some _ | None -> None
+
+let plan_hit t ~tr entry =
   in_span t tr "optimize" (fun () ->
-      let version = Registry.version t.registry in
-      match Lru.find t.plan_cache key with
-      | Some { c_choice; c_version } when c_version = version ->
-          t.plan_hits <- t.plan_hits + 1;
-          Metrics.incr t.metrics "plan_cache.hit";
-          span_meta tr "plan_cache" "hit";
-          (c_choice, true)
-      | Some _ | None ->
+      t.plan_hits <- t.plan_hits + 1;
+      Metrics.incr t.metrics "plan_cache.hit";
+      span_meta tr "plan_cache" "hit";
+      (entry, true))
+
+(* The plan-cache entry for [located] under [key], optimized and cached
+   on a miss. Returns the entry and whether it came from the cache. *)
+let plan t ~tr ~key located =
+  match cached t key with
+  | Some entry -> plan_hit t ~tr entry
+  | None ->
+      in_span t tr "optimize" (fun () ->
           t.plan_misses <- t.plan_misses + 1;
           Metrics.incr t.metrics "plan_cache.miss";
           span_meta tr "plan_cache" "miss";
@@ -416,20 +436,30 @@ let plan t ~tr ~key located =
             (string_of_int choice.Optimizer.alternatives);
           span_meta tr "est_time_ms"
             (Printf.sprintf "%.3f" choice.Optimizer.cost.Plan.time_ms);
-          Lru.add t.plan_cache key { c_choice = choice; c_version = version };
-          (choice, false))
+          let entry =
+            {
+              c_located = located;
+              c_choice = choice;
+              c_extents = plan_extents choice.Optimizer.plan;
+              c_version = Registry.version t.registry;
+            }
+          in
+          Lru.add t.plan_cache key entry;
+          (entry, false))
 
 (* Execute a planned query. The outcome carries the runtime's answer,
    before [semantics] is applied to it. When a wrapper refuses its
-   expression at run time, [located] is replanned without pushdown and
-   run instead. *)
-let run t ~timeout_ms ~type_check ~semantics ~tr located
-    ({ Optimizer.plan; verdict; _ }, from_cache) =
-  let env = runtime_env t ~type_check ~semantics ~tr (plan_extents plan) in
-  let execute ?verdict plan =
+   expression at run time, the located expression is replanned without
+   pushdown and run instead. *)
+let run t ~timeout_ms ~type_check ~semantics ~tr (entry, from_cache) =
+  let { c_located; c_choice = { Optimizer.plan; verdict; _ }; c_extents; _ } =
+    entry
+  in
+  let env = runtime_env t ~type_check ~semantics ~tr c_extents in
+  let execute ?verdict ~extents plan =
     let issue () = Runtime.execute ~timeout_ms ?verdict env plan in
     let round () =
-      match shard_children_of_plan t plan with
+      match shard_children t extents with
       | [] -> issue ()
       | shards ->
           (* the scatter-gather round over a partitioned extent gets its
@@ -455,7 +485,7 @@ let run t ~timeout_ms ~type_check ~semantics ~tr located
     | exception Expr.Algebra_error m -> mediator_error "execution failed: %s" m
     | exception V.Type_error m -> mediator_error "execution failed: %s" m
   in
-  match execute ?verdict plan with
+  match execute ?verdict ~extents:c_extents plan with
   | outcome -> outcome
   | exception Runtime.Runtime_error reason ->
       (* a wrapper refused its expression: replan without pushdown *)
@@ -463,16 +493,14 @@ let run t ~timeout_ms ~type_check ~semantics ~tr located
       Metrics.incr t.metrics "mediator.capability_fallback";
       let conservative =
         in_span t tr "replan" (fun () ->
-            Plan.implement (Rules.normalize ~can_push:Rules.push_none located))
+            Plan.implement
+              (Rules.normalize ~can_push:Rules.push_none c_located))
       in
-      { (execute conservative) with from_cache = false; fallback = true }
-
-let compiled_outcome t ~timeout_ms ~type_check ~semantics ~tr ~key located =
-  let outcome =
-    run t ~timeout_ms ~type_check ~semantics ~tr located
-      (plan t ~tr ~key located)
-  in
-  { outcome with answer = apply_semantics t semantics outcome.answer }
+      {
+        (execute ~extents:(plan_extents conservative) conservative) with
+        from_cache = false;
+        fallback = true;
+      }
 
 (* -- the hybrid path: full OQL with engine-executed fragments --
 
@@ -513,8 +541,8 @@ let hybrid_outcome t ~timeout_ms ~type_check ~semantics ~tr expanded =
           | Error _ -> None
           | Ok located -> (
               let o =
-                run t ~timeout_ms ~type_check ~semantics ~tr located
-                  (plan t ~tr ~key:(Ast.to_string sub) located)
+                run t ~timeout_ms ~type_check ~semantics ~tr
+                  (plan t ~tr ~key:(Expansion (Ast.to_string sub)) located)
               in
               stats_acc := Runtime.add_stats !stats_acc o.stats;
               fallback := !fallback || o.fallback;
@@ -619,6 +647,36 @@ let apply_skip t expanded =
           else Some (Ast.Const (V.Bag [])))
     expanded
 
+(* A whole query's plan. A hit under its text at the current registry
+   version goes straight to the cached entry, with no parse, expand,
+   compile or printing. Otherwise the query is parsed, expanded and
+   compiled, and planned under its text (or, under [Skip_sources], its
+   printed expansion); [Error] carries the expansion of a query outside
+   the algebra, for the hybrid path, which adds no whole-query entry. *)
+let plan_query t ~tr ~static_check ~skip oql =
+  let key = if skip then None else Some (Text (oql, static_check)) in
+  match Option.bind key (cached t) with
+  | Some entry -> Ok (plan_hit t ~tr entry)
+  | None -> (
+      let expanded =
+        front_exn
+          ~span:{ Pipeline.span = (fun name f -> in_span t tr name f) }
+          ?typecheck:(if static_check then Some `Parsed else None)
+          t oql
+      in
+      let expanded = if skip then apply_skip t expanded else expanded in
+      match
+        in_span t tr "compile" (fun () -> Pipeline.compile t.pipeline expanded)
+      with
+      | Ok located ->
+          let key =
+            match key with
+            | Some key -> key
+            | None -> Expansion (Ast.to_string expanded)
+          in
+          Ok (plan t ~tr ~key located)
+      | Error reason -> Error (expanded, reason))
+
 let typecheck t oql =
   match Pipeline.parse oql with
   | Ok ast ->
@@ -649,25 +707,17 @@ let query ?(opts = Query_opts.default) t oql =
       t.trace_sink
   in
   let outcome =
-    let expanded =
-      front_exn
-        ~span:{ Pipeline.span = (fun name f -> in_span t tr name f) }
-        ?typecheck:(if static_check then Some `Parsed else None)
-        t oql
-    in
-    let expanded =
+    let skip =
       match semantics with
-      | Skip_sources -> apply_skip t expanded
-      | Partial_answers | Wait_all | Null_sources | Cached_fallback _ ->
-          expanded
+      | Skip_sources -> true
+      | Partial_answers | Wait_all | Null_sources | Cached_fallback _ -> false
     in
-    match
-      in_span t tr "compile" (fun () -> Pipeline.compile t.pipeline expanded)
-    with
-    | Ok located ->
-        compiled_outcome t ~timeout_ms ~type_check ~semantics ~tr
-          ~key:(Ast.to_string expanded) located
-    | Error _ -> hybrid_outcome t ~timeout_ms ~type_check ~semantics ~tr expanded
+    match plan_query t ~tr ~static_check ~skip oql with
+    | Ok planned ->
+        let outcome = run t ~timeout_ms ~type_check ~semantics ~tr planned in
+        { outcome with answer = apply_semantics t semantics outcome.answer }
+    | Error (expanded, _) ->
+        hybrid_outcome t ~timeout_ms ~type_check ~semantics ~tr expanded
   in
   (match outcome.answer with
   | Complete _ -> Metrics.incr t.metrics "mediator.answers.complete"
@@ -731,15 +781,13 @@ let record_partial resubmissions outcome =
   | Complete _ | Unavailable _ -> None
 
 let explain t oql =
-  let expanded = front_exn t oql in
-  match Pipeline.compile t.pipeline expanded with
-  | Ok located ->
-      let choice, _ = plan t ~tr:None ~key:(Ast.to_string expanded) located in
+  match plan_query t ~tr:None ~static_check:false ~skip:false oql with
+  | Ok ({ c_choice = choice; _ }, _) ->
       Fmt.str "plan (%d alternatives, est. %.3f ms, %.1f rows shipped):@\n%s"
         choice.Optimizer.alternatives choice.Optimizer.cost.Plan.time_ms
         choice.Optimizer.cost.Plan.shipped
         (Plan.to_string choice.Optimizer.plan)
-  | Error reason -> Fmt.str "hybrid evaluation (%s)" reason
+  | Error (_, reason) -> Fmt.str "hybrid evaluation (%s)" reason
 
 let register_in_catalog t catalog =
   Catalog.register catalog

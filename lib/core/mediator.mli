@@ -256,15 +256,21 @@ val load_odl : t -> string -> unit
 val query : ?opts:Query_opts.t -> t -> string -> outcome
 (** Run an OQL query ([opts] defaults to {!Query_opts.default}). Raises
     {!Mediator_error} on parse/expansion errors and on execution
-    failures. An algebraic query is planned through the plan cache
-    (keyed on its expanded text) and run; a query outside the algebra
-    takes the hybrid path, where each closed algebraic fragment is
-    planned through the same cache (keyed on the fragment's text) and
-    run the same way, and the rest is evaluated on the mediator. When
-    the mediator was created with a [trace_sink], the sink receives the
-    query's span tree — phases parse → expand → compile → optimize →
-    execute with one exec leaf per issued exec, and one optimize/execute
-    pair per hybrid fragment — after the outcome is computed. *)
+    failures. An algebraic query is planned through the plan cache and
+    run. Its entry is keyed on the query text exactly as received
+    together with [static_check], so a hit skips parsing, expansion and
+    compilation as well as optimization; under [Skip_sources] the key is
+    the printed expansion instead, because which extents the expansion
+    keeps depends on which sources are up at that instant. A query
+    outside the algebra takes the hybrid path, where each closed
+    algebraic fragment is planned through the same cache (keyed on the
+    fragment's printed text) and run the same way, and the rest is
+    evaluated on the mediator; the hybrid query itself adds no entry.
+    When the mediator was created with a [trace_sink], the sink receives
+    the query's span tree after the outcome is computed: phases parse →
+    expand → compile → optimize → execute with one exec leaf per issued
+    exec on a plan-cache miss, only optimize → execute on a hit, and one
+    optimize/execute pair per hybrid fragment. *)
 
 val answer_oql : answer -> string
 (** The OQL text of an answer: a collection literal for {!Complete}, the
@@ -306,10 +312,12 @@ val record_partial : Disco_cache.Resubmission.t -> outcome -> int option
 
 val explain : t -> string -> string
 (** The physical plan {!query} would run (or the hybrid-evaluation
-    notice), without executing it. It reads the plan cache and fills it
-    on a miss, so a later [query] of the same text is a cache hit, and
-    once a plan is cached [explain] prints it rather than what a fresh
-    optimization would now choose. *)
+    notice), without executing it. It reads the plan cache under the
+    same key as a [query] of the same text without [static_check], and
+    fills it on a miss, so a later [query] of that text is a cache hit
+    (and [explain] after such a [query] is one too); once a plan is
+    cached [explain] prints it rather than what a fresh optimization
+    would now choose. *)
 
 val register_in_catalog : t -> Disco_catalog.Catalog.t -> unit
 (** Advertise this mediator, its repositories and wrappers. *)
@@ -321,7 +329,14 @@ val source_stats : t -> (string * Disco_source.Source.stats) list
 val plan_cache_size : t -> int
 
 val plan_cache_stats : t -> plan_cache_stats
-(** Hit/miss/eviction counters of the LRU-bounded plan cache. *)
+(** Hit/miss/eviction counters of the LRU-bounded plan cache. An entry
+    is keyed on a whole query's text and [static_check] flag, or on the
+    printed expansion of a hybrid fragment or [Skip_sources] query
+    (see {!query}). It holds the located expression, the optimizer's
+    plan with its verdict, and the extents the plan scans, and is used
+    only at the registry version it was made at: any ODL load replans
+    it, and {!register_source}, {!register_wrapper} and {!declare_index}
+    drop every entry. *)
 
 val clear_plan_cache : t -> unit
 (** Drop every cached plan {e and} reset the hit/miss counters. *)

@@ -181,7 +181,14 @@ let rec run_local = function
   | Semi_join (_, (repo, _), _) ->
       physical_error "semijoin(%s) must be resolved by the runtime" repo
   | Mk_union ps ->
-      List.fold_left (fun acc p -> V.bag_union acc (run_local p)) (V.bag []) ps
+      (* one sort over every branch's elements, not one per branch *)
+      V.bag
+        (List.concat_map
+           (fun p ->
+             match run_local p with
+             | V.Bag xs | V.Set xs | V.List xs -> xs
+             | _ -> raise (V.Type_error "union of non-collections"))
+           ps)
   | Mk_shard_merge ps ->
       (* A hash-ring rebalance window can double-cover a key range, so
          two shards may deliver the same tuple; drop tuples an earlier

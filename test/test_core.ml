@@ -842,6 +842,125 @@ let test_plan_cache () =
     (V.bag [ V.String "Mary"; V.String "Sam"; V.String "Zoe" ])
     (complete o3)
 
+(* -- plan-cache keys --
+
+   A whole query is cached under its text as received (plus the
+   [static_check] flag); a hybrid fragment and a [Skip_sources] query
+   under their printed expansion. Each test below fails if the key
+   ignores the case it covers. *)
+
+let plan_cache_counts m =
+  let p = Mediator.plan_cache_stats m in
+  (p.Mediator.p_hits, p.Mediator.p_misses)
+
+let test_key_load_odl_replans () =
+  let m = paper_mediator () in
+  (* attached before anything is cached: only the ODL change remains *)
+  Mediator.register_source m ~name:"r2"
+    (paper_source ~id:2 ~host:"lip6" [ person_row 3 "Zoe" 80 ]);
+  let q = "select x.name from x in person where x.salary > 10" in
+  ignore (Mediator.query m q);
+  Alcotest.(check bool) "cached" true (Mediator.query m q).Mediator.from_cache;
+  Mediator.load_odl m
+    {|r2 := Repository(host="lip6", name="db", address="x");
+      extent person2 of Person wrapper w0 repository r2;|};
+  let o = Mediator.query m q in
+  Alcotest.(check bool) "replanned after load_odl" false o.Mediator.from_cache;
+  Alcotest.check check_value "new extent visible"
+    (V.bag [ V.String "Mary"; V.String "Sam"; V.String "Zoe" ])
+    (complete o)
+
+let test_key_static_check () =
+  let m = paper_mediator () in
+  (* ill-typed (Person declares no id), yet the sources' tables have one *)
+  let q = "select x.id from x in person" in
+  Alcotest.check check_value "runs unchecked"
+    (V.bag [ V.Int 1; V.Int 1 ])
+    (complete (Mediator.query m q));
+  Alcotest.(check bool)
+    "cached unchecked" true (Mediator.query m q).Mediator.from_cache;
+  match Mediator.query ~opts:(qopts ~static_check:true ()) m q with
+  | _ -> Alcotest.fail "expected the static type error"
+  | exception Mediator.Mediator_error msg ->
+      Alcotest.(check bool) ("type error: " ^ msg) true (contains msg "type error")
+
+let test_key_skip_sources_tracks_outage () =
+  let m = paper_mediator () in
+  let r1 = Option.get (Mediator.find_source m "r1") in
+  let opts = qopts ~semantics:Mediator.Skip_sources () in
+  let q = "select x.name from x in person where x.salary > 10" in
+  Source.set_schedule r1 Schedule.always_down;
+  Alcotest.check check_value "r1 skipped" (V.bag [ V.String "Mary" ])
+    (complete (Mediator.query ~opts m q));
+  Source.set_schedule r1 Schedule.always_up;
+  let up = Mediator.query ~opts m q in
+  Alcotest.(check bool) "replanned once r1 is up" false up.Mediator.from_cache;
+  Alcotest.check check_value "r1 answers again"
+    (V.bag [ V.String "Mary"; V.String "Sam" ])
+    (complete up);
+  Source.set_schedule r1 Schedule.always_down;
+  Alcotest.(check bool)
+    "the outage plan is still cached" true
+    (Mediator.query ~opts m q).Mediator.from_cache
+
+let test_key_text_vs_fragment () =
+  let m = paper_mediator () in
+  let inner = "select x.salary from x in person where x.salary > 10" in
+  ignore (Mediator.query m ("sum(" ^ inner ^ ")"));
+  Alcotest.(check (pair int int)) "the fragment missed" (0, 1) (plan_cache_counts m);
+  (* the fragment's printed form, sent as a whole query *)
+  let printed =
+    match
+      Disco_core.Pipeline.front
+        (Disco_core.Pipeline.create (Mediator.registry m))
+        inner
+    with
+    | Ok expanded -> Disco_oql.Ast.to_string expanded
+    | Error _ -> Alcotest.fail "inner query does not expand"
+  in
+  let o = Mediator.query m printed in
+  Alcotest.(check bool) ("no collision on " ^ printed) false o.Mediator.from_cache;
+  Alcotest.(check (pair int int)) "a second miss" (0, 2) (plan_cache_counts m)
+
+let test_key_explain_and_query_share () =
+  let m = paper_mediator () in
+  let q1 = "select x.name from x in person where x.salary > 10" in
+  let q2 = "select x.name from x in person where x.salary > 100" in
+  ignore (Mediator.explain m q1);
+  Alcotest.(check bool)
+    "query after explain hits" true (Mediator.query m q1).Mediator.from_cache;
+  ignore (Mediator.query m q2);
+  ignore (Mediator.explain m q2);
+  Alcotest.(check (pair int int))
+    "explain after query hits" (2, 2) (plan_cache_counts m)
+
+let test_key_repeated_hybrid () =
+  let m = paper_mediator () in
+  let q = "sum(select x.salary from x in person where x.salary > 10)" in
+  let reference =
+    let person =
+      V.bag
+        [
+          V.strct [ ("name", V.String "Mary"); ("salary", V.Int 200) ];
+          V.strct [ ("name", V.String "Sam"); ("salary", V.Int 50) ];
+        ]
+    in
+    Disco_oql.Eval.eval_string
+      (Disco_oql.Eval.env
+         ~resolve:(function "person" -> Some person | _ -> None)
+         ())
+      q
+  in
+  for i = 1 to 3 do
+    Alcotest.check check_value
+      (Fmt.str "run %d equals Eval" i)
+      reference
+      (complete (Mediator.query m q))
+  done;
+  Alcotest.(check int) "only the fragment is cached" 1 (Mediator.plan_cache_size m);
+  Alcotest.(check (pair int int)) "fragment: one miss, then hits" (2, 1)
+    (plan_cache_counts m)
+
 (* -- wrapper capability fallback -- *)
 
 (* A lying wrapper: advertises full capability, refuses everything but
@@ -1352,6 +1471,18 @@ let () =
           Alcotest.test_case "replica needs a source" `Quick
             test_replica_requires_attached_source;
           Alcotest.test_case "plan cache" `Quick test_plan_cache;
+          Alcotest.test_case "plan key: load_odl replans" `Quick
+            test_key_load_odl_replans;
+          Alcotest.test_case "plan key: static_check" `Quick
+            test_key_static_check;
+          Alcotest.test_case "plan key: skip_sources outage" `Quick
+            test_key_skip_sources_tracks_outage;
+          Alcotest.test_case "plan key: text vs fragment" `Quick
+            test_key_text_vs_fragment;
+          Alcotest.test_case "plan key: explain and query share" `Quick
+            test_key_explain_and_query_share;
+          Alcotest.test_case "plan key: repeated hybrid" `Quick
+            test_key_repeated_hybrid;
           Alcotest.test_case "per-source stats" `Quick test_source_stats;
           Alcotest.test_case "fallback on wrapper refusal" `Quick
             test_runtime_fallback_on_refusal;

@@ -168,8 +168,9 @@ let q = "select x.name from x in person where x.salary > 10"
    take r1 down and query under Cached_fallback.  r0's fragment is
    served fresh from the cache (origin [cache]), r1's from the stale
    entry (origin [stale]); everything runs on the virtual clock so the
-   trace is byte-for-byte deterministic. *)
-let golden_trace () =
+   trace is byte-for-byte deterministic. Returns the warm-up's trace (a
+   plan-cache miss) and the golden one (a hit). *)
+let golden_traces () =
   let traces = ref [] in
   let sink tr = traces := tr :: !traces in
   let m, _, s1, t1 =
@@ -199,17 +200,16 @@ let golden_trace () =
         v
   | _ -> Alcotest.fail "expected complete under Cached_fallback");
   match !traces with
-  | [ second; _first ] -> second
+  | [ second; first ] -> (first, second)
   | l -> Alcotest.fail (Fmt.str "expected two traces, got %d" (List.length l))
+
+let golden_trace () = snd (golden_traces ())
 
 let golden_pretty =
   String.concat "\n"
     [
       "trace \"select x.name from x in person where x.salary > 10\"";
       "`- query @5.0 +0.0ms {answer=complete; execs=2; tuples_shipped=0}";
-      "   |- parse @5.0 +0.0ms";
-      "   |- expand @5.0 +0.0ms";
-      "   |- compile @5.0 +0.0ms";
       "   |- optimize @5.0 +0.0ms {plan_cache=hit}";
       "   `- execute @5.0 +0.0ms";
       "      |- exec r0 [cache] @5.0 +0.0ms, 0 tuples, 1 rows (predicted \
@@ -227,7 +227,7 @@ let test_golden_pretty () =
     (Fmt.str "%a" Trace.pp tr)
 
 let golden_json =
-  {|{"query":"select x.name from x in person where x.salary > 10","root":{"name":"query","start_ms":5.0,"elapsed_ms":0.0,"meta":{"answer":"complete","execs":"2","tuples_shipped":"0"},"children":[{"name":"parse","start_ms":5.0,"elapsed_ms":0.0},{"name":"expand","start_ms":5.0,"elapsed_ms":0.0},{"name":"compile","start_ms":5.0,"elapsed_ms":0.0},{"name":"optimize","start_ms":5.0,"elapsed_ms":0.0,"meta":{"plan_cache":"hit"}},{"name":"execute","start_ms":5.0,"elapsed_ms":0.0,"children":[{"name":"exec","start_ms":5.0,"elapsed_ms":0.0,"exec":{"repo":"r0","wrapper":"WrapperSql","expr":"map(name, select(salary > 10, get(person0)))","origin":"cache","start_ms":5.0,"elapsed_ms":0.0,"tuples":0,"rows":1,"predicted_ms":5.0,"predicted_rows":1.0}},{"name":"exec","start_ms":5.0,"elapsed_ms":0.0,"exec":{"repo":"r1","wrapper":"WrapperSql","expr":"map(name, select(salary > 10, get(person1)))","origin":"stale","stale_age_ms":0.0,"start_ms":5.0,"elapsed_ms":0.0,"tuples":0,"rows":1,"predicted_ms":5.0,"predicted_rows":1.0}}]}]}}|}
+  {|{"query":"select x.name from x in person where x.salary > 10","root":{"name":"query","start_ms":5.0,"elapsed_ms":0.0,"meta":{"answer":"complete","execs":"2","tuples_shipped":"0"},"children":[{"name":"optimize","start_ms":5.0,"elapsed_ms":0.0,"meta":{"plan_cache":"hit"}},{"name":"execute","start_ms":5.0,"elapsed_ms":0.0,"children":[{"name":"exec","start_ms":5.0,"elapsed_ms":0.0,"exec":{"repo":"r0","wrapper":"WrapperSql","expr":"map(name, select(salary > 10, get(person0)))","origin":"cache","start_ms":5.0,"elapsed_ms":0.0,"tuples":0,"rows":1,"predicted_ms":5.0,"predicted_rows":1.0}},{"name":"exec","start_ms":5.0,"elapsed_ms":0.0,"exec":{"repo":"r1","wrapper":"WrapperSql","expr":"map(name, select(salary > 10, get(person1)))","origin":"stale","stale_age_ms":0.0,"start_ms":5.0,"elapsed_ms":0.0,"tuples":0,"rows":1,"predicted_ms":5.0,"predicted_rows":1.0}}]}]}}|}
 
 let test_golden_json () =
   let tr = golden_trace () in
@@ -361,31 +361,35 @@ let mem k = function
 
 let test_json_consumable () =
   (* the exported JSON parses, and the structure the CLI and bench
-     consume is reachable: root name, phase children, exec origins *)
-  let tr = golden_trace () in
-  let j = parse_json (Trace.to_json tr) in
-  (match mem "query" j with
-  | Some (Str s) -> Alcotest.(check string) "query field" q s
-  | _ -> Alcotest.fail "no query field");
-  let root = match mem "root" j with Some r -> r | None -> Alcotest.fail "no root" in
-  (match mem "name" root with
-  | Some (Str "query") -> ()
-  | _ -> Alcotest.fail "root not named query");
-  let children =
+     consume is reachable: root name, phase children, exec origins. A
+     plan-cache miss runs every phase; a hit skips the front end. *)
+  let first, second = golden_traces () in
+  let children tr =
+    let j = parse_json (Trace.to_json tr) in
+    (match mem "query" j with
+    | Some (Str s) -> Alcotest.(check string) "query field" q s
+    | _ -> Alcotest.fail "no query field");
+    let root = match mem "root" j with Some r -> r | None -> Alcotest.fail "no root" in
+    (match mem "name" root with
+    | Some (Str "query") -> ()
+    | _ -> Alcotest.fail "root not named query");
     match mem "children" root with
     | Some (Arr l) -> l
     | _ -> Alcotest.fail "root has no children"
   in
-  let names =
+  let names l =
     List.filter_map
       (fun c -> match mem "name" c with Some (Str s) -> Some s | _ -> None)
-      children
+      l
   in
   Alcotest.(check (list string))
-    "phases in order"
+    "miss: phases in order"
     [ "parse"; "expand"; "compile"; "optimize"; "execute" ]
-    names;
-  let execute = List.nth children 4 in
+    (names (children first));
+  let children = children second in
+  Alcotest.(check (list string))
+    "hit: phases in order" [ "optimize"; "execute" ] (names children);
+  let execute = List.nth children 1 in
   let origins =
     match mem "children" execute with
     | Some (Arr execs) ->

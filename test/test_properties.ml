@@ -166,6 +166,39 @@ let prop_join_algorithms_agree =
       let nl = Plan.run_local (Plan.Nested_loop_join (Plan.Mk_data l, Plan.Mk_data r, [])) in
       V.equal hj (reference pairs) && V.equal nl (reference []))
 
+(* -- a union builds its bag with one sort -- *)
+
+let union_branches_gen =
+  QCheck.Gen.(
+    list_size (int_range 0 5)
+      (map2
+         (fun as_set xs -> if as_set then V.set xs else V.bag xs)
+         bool
+         (list_size (int_range 0 6)
+            (oneof
+               [
+                 map (fun k -> V.Int k) (int_range 0 4);
+                 map (fun k -> V.Float (float_of_int k)) (int_range 0 4);
+                 map (fun k -> V.String (string_of_int k)) (int_range 0 2);
+               ]))))
+
+let prop_union_one_sort =
+  QCheck.Test.make ~name:"mkunion = left fold of bag_union" ~count:500
+    (QCheck.make
+       ~print:(fun bs -> String.concat " | " (List.map V.to_string bs))
+       union_branches_gen)
+    (fun branches ->
+      let reference = List.fold_left V.bag_union (V.bag []) branches in
+      Plan.run_local (Plan.Mk_union (List.map (fun b -> Plan.Mk_data b) branches))
+      = reference)
+
+let test_union_rejects_non_collection () =
+  Alcotest.check_raises "non-collection branch"
+    (V.Type_error "union of non-collections") (fun () ->
+      ignore
+        (Plan.run_local
+           (Plan.Mk_union [ Plan.Mk_data (V.bag [ V.Int 1 ]); Plan.Mk_data (V.Int 2) ])))
+
 (* -- cost smoothing stays within observed bounds -- *)
 
 let prop_smoothing_bounded =
@@ -1154,6 +1187,7 @@ let () =
           [
             prop_like_matches_oracle;
             prop_join_algorithms_agree;
+            prop_union_one_sort;
             prop_smoothing_bounded;
             prop_typemap_roundtrip;
             prop_cache_transparent;
@@ -1171,6 +1205,11 @@ let () =
             test_retry_idle_stats_identical;
           Alcotest.test_case "retry learns from every call" `Quick
             test_retry_learns_every_call;
+        ] );
+      ( "union",
+        [
+          Alcotest.test_case "non-collection branch" `Quick
+            test_union_rejects_non_collection;
         ] );
       ( "smoothing",
         [ Alcotest.test_case "tracks level shifts" `Quick test_smoothing_tracks_shift ] );
