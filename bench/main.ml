@@ -1671,6 +1671,23 @@ let e16 () =
         Sql.parse (Fmt.str "SELECT name FROM person WHERE id = %d" (n / 2))
       in
       let range_q = Sql.parse "SELECT id FROM person WHERE salary < 15" in
+      let range2_q =
+        Sql.parse "SELECT id FROM person WHERE salary >= 100 AND salary < 130"
+      in
+      (* a 50-row write, then the range read that sees it: the read
+         merges the new rows into the kept index *)
+      let written = ref 0 in
+      let write_then_read run () =
+        Table.insert_all tbl
+          (List.init 50 (fun k ->
+               incr written;
+               [|
+                 V.Int (n + !written);
+                 V.String (Datagen.pick_name ~seed:7 (n + !written));
+                 V.Int (10 + ((k * 37) mod 490));
+               |]));
+        run db range2_q
+      in
       let bag r = List.sort compare r.Sql.rows in
       let check q label =
         if bag (Sql.run db q) <> bag (Sql.run_rows db q) then
@@ -1693,12 +1710,22 @@ let e16 () =
       (match Sql.explain_engine db range_q with
       | `Columnar_indexed "salary" -> ()
       | _ -> failwith "E16: range filter not index-served");
+      (match Sql.explain_engine db range2_q with
+      | `Columnar_indexed "salary" -> ()
+      | _ -> failwith "E16: two-sided range not index-served");
       check point_q "indexed point lookup";
       check range_q "indexed range filter";
+      check range2_q "indexed two-sided range";
       ignore (Sql.run db point_q) (* build the lazy indexes once *);
       let point_ix = e16_best ~reps:1000 (fun () -> Sql.run db point_q) in
       let range_ix = e16_best ~reps:100 (fun () -> Sql.run db range_q) in
       let range_col = e16_best (fun () -> Sql.run_rows db range_q) in
+      let range2_ix = e16_best ~reps:100 (fun () -> Sql.run db range2_q) in
+      let range2_col = e16_best (fun () -> Sql.run_rows db range2_q) in
+      let write_ix = e16_best (write_then_read Sql.run) in
+      check range2_q "two-sided range after a write";
+      let write_col = e16_best (write_then_read Sql.run_rows) in
+      check range2_q "two-sided range after writes its index has not seen";
       Table.drop_index tbl "id";
       Table.drop_index tbl "salary";
       let tps dt = float_of_int n /. dt in
@@ -1720,12 +1747,24 @@ let e16 () =
              Fmt.str "%.2e" (tps range_col); "-"; Fmt.str "%.2e" (tps range_ix);
              Fmt.str "%.0fx" (tps range_ix /. tps range_col);
            ]
+        :: [
+             string_of_int n; "range 100<=salary<130";
+             Fmt.str "%.2e" (tps range2_col); "-";
+             Fmt.str "%.2e" (tps range2_ix);
+             Fmt.str "%.0fx" (tps range2_ix /. tps range2_col);
+           ]
+        :: [
+             string_of_int n; "insert 50, then range";
+             Fmt.str "%.2e" (tps write_col); "-"; Fmt.str "%.2e" (tps write_ix);
+             Fmt.str "%.0fx" (tps write_ix /. tps write_col);
+           ]
         :: !rows_out;
       bench_results :=
         Fmt.str
-          "{\"experiment\":\"e16\",\"rows\":%d,\"scan_row_tps\":%.0f,\"scan_col_tps\":%.0f,\"scan_speedup\":%.2f,\"point_row_tps\":%.0f,\"point_col_tps\":%.0f,\"point_indexed_tps\":%.0f,\"range_row_tps\":%.0f,\"range_indexed_tps\":%.0f}"
+          "{\"experiment\":\"e16\",\"rows\":%d,\"scan_row_tps\":%.0f,\"scan_col_tps\":%.0f,\"scan_speedup\":%.2f,\"point_row_tps\":%.0f,\"point_col_tps\":%.0f,\"point_indexed_tps\":%.0f,\"range_row_tps\":%.0f,\"range_indexed_tps\":%.0f,\"range2_row_tps\":%.0f,\"range2_indexed_tps\":%.0f,\"write_read_row_tps\":%.0f,\"write_read_indexed_tps\":%.0f}"
           n (tps scan_row) (tps scan_col) speedup (tps point_row)
           (tps point_col) (tps point_ix) (tps range_col) (tps range_ix)
+          (tps range2_col) (tps range2_ix) (tps write_col) (tps write_ix)
         :: !bench_results;
       if n >= 1_000_000 && speedup < 5.0 then
         failwith

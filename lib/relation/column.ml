@@ -98,6 +98,60 @@ let append t v =
            (Schema.col_type_name (col_type t))));
   t.len <- i + 1
 
+let filter t ids n =
+  (* the old capacity: a delete is often followed by appends *)
+  let cap = Bytes.length t.nulls in
+  let kept f =
+    for i = 0 to t.len - 1 do
+      let j = ids.(i) in
+      if j >= 0 then f i j
+    done
+  in
+  let nulls = Bytes.make cap '\000' in
+  kept (fun i j -> Bytes.set nulls j (Bytes.get t.nulls i));
+  let payload =
+    match t.payload with
+    | Ints a ->
+        let a' = Array.make cap 0 in
+        kept (fun i j -> a'.(j) <- a.(i));
+        Ints a'
+    | Floats a ->
+        let a' = Array.make cap 0.0 in
+        kept (fun i j -> a'.(j) <- a.(i));
+        Floats a'
+    | Bools b ->
+        let b' = Bytes.make cap '\000' in
+        kept (fun i j -> Bytes.set b' j (Bytes.get b i));
+        Bools b'
+    | Strings s ->
+        (* renumber the surviving codes in their old order *)
+        let recode = Array.make (max 1 s.dict_size) (-1) in
+        kept (fun i _ ->
+            let c = s.codes.(i) in
+            if c >= 0 then recode.(c) <- 0);
+        let dict_size = ref 0 in
+        Array.iteri
+          (fun c mark ->
+            if mark = 0 then (
+              recode.(c) <- !dict_size;
+              incr dict_size))
+          recode;
+        let dict = Array.make (Array.length s.dict) "" in
+        let interned = Hashtbl.create (max 64 !dict_size) in
+        Array.iteri
+          (fun c c' ->
+            if c' >= 0 then (
+              dict.(c') <- s.dict.(c);
+              Hashtbl.add interned s.dict.(c) c'))
+          recode;
+        let codes = Array.make cap (-1) in
+        kept (fun i j ->
+            let c = s.codes.(i) in
+            if c >= 0 then codes.(j) <- recode.(c));
+        Strings { codes; dict; dict_size = !dict_size; interned }
+  in
+  { len = n; nulls; payload }
+
 let is_null t i = Bytes.get t.nulls i = '\001'
 
 let get t i =

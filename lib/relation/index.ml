@@ -16,165 +16,168 @@ let kind_supported kind ty =
   | Sorted, (Schema.TInt | Schema.TFloat) -> true
   | Sorted, (Schema.TString | Schema.TBool) -> false
 
-type t =
-  | Hash_index of {
-      buckets : (int, int list) Hashtbl.t;  (* key -> row ids, ascending *)
-      null_rows : int list;  (* ascending *)
-    }
-  | Sorted_index of int array
-      (* row ids: NULLs first, then ascending by value, ties by row id *)
+type op = Op_eq | Op_lt | Op_le | Op_gt | Op_ge
 
-type op = Op_eq | Op_ne | Op_lt | Op_le | Op_gt | Op_ge
+let serves kind op =
+  match (kind, op) with
+  | Sorted, _ | Hash, Op_eq -> true
+  | Hash, (Op_lt | Op_le | Op_gt | Op_ge) -> false
 
-(* Distinct floats must get distinct keys except where [Float.compare]
-   calls them equal: NaNs collapse to one bucket (all NaNs are equal under
-   the total order), and [Int64.to_int]'s dropped sign bit only ever
-   merges buckets, which the probe-side exact re-check undoes. *)
-let float_key f =
-  let f = if Float.is_nan f then Float.nan else f in
-  Int64.to_int (Int64.bits_of_float f)
+(* Both kinds share one layout: every row id, the [nulls] NULL rows first
+   in ascending order, then the other rows by key with ties in ascending
+   id order. The key is the value on numeric columns, the dictionary
+   code on string columns (whose codes keep their relative order across
+   {!Column.filter}), false before true on boolean ones. The rows a
+   comparison with a probe selects form one slice of [order]. *)
+type t = { kind : kind; nulls : int; order : int array }
 
-let max_exact_float_int = 4503599627370496.0 (* 2^52 *)
+let key_compare col =
+  match col.Column.payload with
+  | Column.Ints a -> fun r1 r2 -> Int.compare a.(r1) a.(r2)
+  | Column.Floats a -> fun r1 r2 -> Float.compare a.(r1) a.(r2)
+  | Column.Bools b -> fun r1 r2 -> Char.compare (Bytes.get b r1) (Bytes.get b r2)
+  | Column.Strings s -> fun r1 r2 -> Int.compare s.codes.(r1) s.codes.(r2)
 
-let build_hash col =
-  let buckets = Hashtbl.create 1024 in
-  let null_rows = ref [] in
+(* Rows [from, length col) in index order, and how many are NULL. *)
+let sorted_run col ~from =
   let n = Column.length col in
-  let add key row =
-    match Hashtbl.find_opt buckets key with
-    | Some rows -> Hashtbl.replace buckets key (row :: rows)
-    | None -> Hashtbl.replace buckets key [ row ]
-  in
-  let key_at =
-    match col.Column.payload with
-    | Column.Ints a -> fun i -> a.(i)
-    | Column.Floats a -> fun i -> float_key a.(i)
-    | Column.Bools b -> fun i -> if Bytes.get b i = '\001' then 1 else 0
-    | Column.Strings s -> fun i -> s.codes.(i)
-  in
-  for i = n - 1 downto 0 do
-    if Column.is_null col i then null_rows := i :: !null_rows
-    else add (key_at i) i
+  let nulls = ref 0 in
+  for r = from to n - 1 do
+    if Column.is_null col r then incr nulls
   done;
-  Hash_index { buckets; null_rows = !null_rows }
-
-let build_sorted col =
-  let n = Column.length col in
-  let order = Array.init n Fun.id in
-  let value_cmp =
-    match col.Column.payload with
-    | Column.Ints a -> fun r1 r2 -> Int.compare a.(r1) a.(r2)
-    | Column.Floats a -> fun r1 r2 -> Float.compare a.(r1) a.(r2)
-    | Column.Bools _ | Column.Strings _ ->
-        invalid_arg "Index.build: sorted index requires a numeric column"
-  in
-  let cmp r1 r2 =
-    match (Column.is_null col r1, Column.is_null col r2) with
-    | true, true -> Int.compare r1 r2
-    | true, false -> -1
-    | false, true -> 1
-    | false, false ->
-        let c = value_cmp r1 r2 in
-        if c <> 0 then c else Int.compare r1 r2
-  in
-  Array.sort cmp order;
-  Sorted_index order
+  let run = Array.make (n - from) 0 in
+  let i = ref 0 and j = ref !nulls in
+  for r = from to n - 1 do
+    if Column.is_null col r then (
+      run.(!i) <- r;
+      incr i)
+    else (
+      run.(!j) <- r;
+      incr j)
+  done;
+  let keyed = Array.sub run !nulls (n - from - !nulls) in
+  Array.stable_sort (key_compare col) keyed;
+  Array.blit keyed 0 run !nulls (Array.length keyed);
+  (!nulls, run)
 
 let build kind col =
-  match kind with Hash -> build_hash col | Sorted -> build_sorted col
+  let nulls, order = sorted_run col ~from:0 in
+  { kind; nulls; order }
 
-let sorted_of_list rows =
-  (* already ascending by construction *)
-  Array.of_list rows
-
-let sort_rows a =
-  Array.sort Int.compare a;
-  a
-
-(* -- hash lookups -- *)
-
-let bucket_rows buckets key =
-  match Hashtbl.find_opt buckets key with Some rows -> rows | None -> []
-
-let hash_eq col buckets probe =
-  (* Returns [None] when the probe cannot be mapped onto the key space. *)
-  let exact_rows key = Some (sorted_of_list (bucket_rows buckets key)) in
-  let float_rows f =
-    let rows = bucket_rows buckets (float_key f) in
-    let a =
-      match col.Column.payload with
-      | Column.Floats data ->
-          List.filter (fun r -> Float.compare data.(r) f = 0) rows
-      | _ -> rows
-    in
-    Some (sorted_of_list a)
-  in
-  match (col.Column.payload, probe) with
-  | Column.Ints _, V.Int k -> exact_rows k
-  | Column.Ints a, V.Float f ->
-      (* equality is [Float.compare (float x) f = 0]; only exactly
-         representable integral probes can be mapped back to an int key *)
-      if not (Float.is_integer f) then Some [||]
-      else if Float.abs f <= max_exact_float_int then (
-        let k = int_of_float f in
-        let rows = bucket_rows buckets k in
-        let rows =
-          List.filter (fun r -> Float.compare (float_of_int a.(r)) f = 0) rows
-        in
-        Some (sorted_of_list rows))
-      else None
-  | Column.Floats _, V.Float f -> float_rows f
-  | Column.Floats _, V.Int k -> float_rows (float_of_int k)
-  | Column.Strings _, V.String str -> (
-      match Column.code_of_opt col str with
-      | Some code -> exact_rows code
-      | None -> Some [||])
-  | Column.Bools _, V.Bool b -> exact_rows (if b then 1 else 0)
-  | _ -> None
-
-(* -- sorted lookups -- *)
-
-(* First index in [order] where [f] holds; [f] must be monotone
-   (false then true) along the sort order. *)
-let bsearch order f =
-  let lo = ref 0 and hi = ref (Array.length order) in
+(* First position in [lo, hi) of [a] where [f] holds; [f] must be monotone
+   (false then true) over the range. *)
+let bsearch a lo hi f =
+  let lo = ref lo and hi = ref hi in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if f order.(mid) then hi := mid else lo := mid + 1
+    if f a.(mid) then hi := mid else lo := mid + 1
   done;
   !lo
 
-let sorted_lookup col order op probe =
-  match probe with
-  | V.Int _ | V.Float _ | V.Null ->
-      let cmp r =
-        match V.numeric_compare (Column.get col r) probe with
-        | Some c -> c
-        | None -> assert false (* numeric column, numeric/NULL probe *)
-      in
-      let n = Array.length order in
-      let lower = bsearch order (fun r -> cmp r >= 0) in
-      let upper = bsearch order (fun r -> cmp r > 0) in
-      let slice lo hi = Array.sub order lo (hi - lo) in
-      let rows =
-        match op with
-        | Op_eq -> slice lower upper
-        | Op_ne -> Array.append (slice 0 lower) (slice upper n)
-        | Op_lt -> slice 0 lower
-        | Op_le -> slice 0 upper
-        | Op_gt -> slice upper n
-        | Op_ge -> slice lower n
-      in
-      Some (sort_rows rows)
+let covers t col = Array.length t.order = Column.length col
+
+(* Each appended row goes after the old rows whose key is not above its
+   own: its id is larger than theirs. *)
+let merge_appended t col =
+  let old = t.order and n_old = Array.length t.order in
+  let fresh_nulls, fresh = sorted_run col ~from:n_old in
+  let order = Array.make (Column.length col) 0 in
+  Array.blit old 0 order 0 t.nulls;
+  Array.blit fresh 0 order t.nulls fresh_nulls;
+  let cmp = key_compare col in
+  let src = ref t.nulls and dst = ref (t.nulls + fresh_nulls) in
+  for j = fresh_nulls to Array.length fresh - 1 do
+    let r = fresh.(j) in
+    let stop = bsearch old !src n_old (fun o -> cmp o r > 0) in
+    Array.blit old !src order !dst (stop - !src);
+    dst := !dst + (stop - !src);
+    src := stop;
+    order.(!dst) <- r;
+    incr dst
+  done;
+  Array.blit old !src order !dst (n_old - !src);
+  { t with nulls = t.nulls + fresh_nulls; order }
+
+let extend t col = if covers t col then t else merge_appended t col
+
+let remap t ids =
+  let order = Array.make (Array.length t.order) 0 in
+  let k = ref 0 and nulls = ref 0 in
+  Array.iteri
+    (fun pos r ->
+      let r' = ids.(r) in
+      if r' >= 0 then (
+        order.(!k) <- r';
+        incr k;
+        if pos < t.nulls then incr nulls))
+    t.order;
+  { t with nulls = !nulls; order = Array.sub order 0 !k }
+
+(* Sign of (row value - probe) on the non-NULL rows, following
+   {!Disco_value.Value.numeric_compare}; [None] when the probe is not
+   comparable with the column. A string absent from the dictionary equals
+   no row: its comparator answers "above" everywhere, which is right for
+   equality, the only operator a string column's index serves. *)
+let probe_compare col probe =
+  match (col.Column.payload, probe) with
+  | Column.Ints a, V.Int k -> Some (fun r -> Int.compare a.(r) k)
+  | Column.Ints a, V.Float f -> Some (fun r -> Float.compare (float_of_int a.(r)) f)
+  | Column.Floats a, V.Float f -> Some (fun r -> Float.compare a.(r) f)
+  | Column.Floats a, V.Int k ->
+      let f = float_of_int k in
+      Some (fun r -> Float.compare a.(r) f)
+  | Column.Bools b, V.Bool x ->
+      let c = if x then '\001' else '\000' in
+      Some (fun r -> Char.compare (Bytes.get b r) c)
+  | Column.Strings s, V.String str -> (
+      match Column.code_of_opt col str with
+      | Some code -> Some (fun r -> Int.compare s.codes.(r) code)
+      | None -> Some (fun _ -> 1))
   | _ -> None
 
-let lookup t col op probe =
-  match t with
-  | Sorted_index order -> sorted_lookup col order op probe
-  | Hash_index { buckets; null_rows } -> (
-      match (op, probe) with
-      | Op_eq, V.Null ->
-          (* NULL = NULL holds (and only for NULL rows) *)
-          Some (sorted_of_list null_rows)
-      | Op_eq, _ -> hash_eq col buckets probe
-      | _ -> None)
+let interval t col op probe =
+  let n = Array.length t.order in
+  (* [lower, upper): the rows equal to the probe; rows before compare
+     below it (NULL is below every value), rows after above it *)
+  let bounds =
+    match probe with
+    | V.Null -> Some (0, t.nulls)
+    | _ ->
+        Option.map
+          (fun cmp ->
+            ( bsearch t.order t.nulls n (fun r -> cmp r >= 0),
+              bsearch t.order t.nulls n (fun r -> cmp r > 0) ))
+          (probe_compare col probe)
+  in
+  match bounds with
+  | Some (lower, upper) when serves t.kind op ->
+      Some
+        (match op with
+        | Op_eq -> (lower, upper)
+        | Op_lt -> (0, lower)
+        | Op_le -> (0, upper)
+        | Op_gt -> (upper, n)
+        | Op_ge -> (lower, n))
+  | _ -> None
+
+(* A small slice is sorted; a large one is marked on a bitmap of the
+   row ids, which is read back in id order. *)
+let rows t (lo, hi) =
+  let k = hi - lo and n = Array.length t.order in
+  if k <= 0 then [||]
+  else if 64 * k < n then (
+    let a = Array.sub t.order lo k in
+    Array.stable_sort Int.compare a;
+    a)
+  else
+    let marks = Bytes.make n '\000' in
+    for p = lo to hi - 1 do
+      Bytes.set marks t.order.(p) '\001'
+    done;
+    let a = Array.make k 0 and j = ref 0 in
+    for r = 0 to n - 1 do
+      if Bytes.get marks r = '\001' then (
+        a.(!j) <- r;
+        incr j)
+    done;
+    a

@@ -965,48 +965,64 @@ let rec conjoin = function
 
 let index_op = function
   | Eq -> Some Index.Op_eq
-  | Ne -> Some Index.Op_ne
   | Lt -> Some Index.Op_lt
   | Le -> Some Index.Op_le
   | Gt -> Some Index.Op_gt
   | Ge -> Some Index.Op_ge
-  | Like -> None
+  | Ne | Like -> None
 
-(* The first conjunct an index can serve, as
-   [(column, rows, remaining conjuncts)]. Only called on statically total
-   predicates, where dropping one conjunct out of evaluation order is
-   unobservable. *)
+(* The index access for a statically total predicate, as
+   [(column, rows, remaining conjuncts)]. The column is that of the first
+   conjunct its index can serve; every conjunct on it the index can serve
+   narrows one slice of the index, and the others stay to be evaluated
+   on that slice's rows. Taking conjuncts out of evaluation order is
+   unobservable on a total predicate. *)
 let pick_index frames pred =
   let table = frames.(0).cf_table in
-  let try_probe op q c v =
-    match index_op op with
-    | None -> None
-    | Some iop -> (
+  let probe op q c v =
+    match (index_op op, Table.index_kind table c) with
+    | Some iop, Some kind when Index.serves kind iop -> (
         match resolve_col frames q c with
-        | Error _ -> None
-        | Ok (_, ci) -> (
-            match Table.index_for table c with
-            | None -> None
-            | Some ix ->
-                Option.map
-                  (fun rows -> (c, rows))
-                  (Index.lookup ix (Table.column_at table ci) iop v)))
+        | Ok (_, ci) -> Some (ci, c, iop, v)
+        | Error _ -> None)
+    | _ -> None
   in
-  let rec go seen = function
-    | [] -> None
-    | p :: rest -> (
-        let probe =
+  let probes =
+    List.map
+      (fun p ->
+        ( p,
           match p with
-          | Cmp (op, Col (q, c), Lit v) -> try_probe op q c v
+          | Cmp (op, Col (q, c), Lit v) -> probe op q c v
           | Cmp (op, Lit v, Col (q, c)) when op <> Like ->
-              try_probe (flip_cmp op) q c v
-          | _ -> None
-        in
-        match probe with
-        | Some (c, rows) -> Some (c, rows, List.rev_append seen rest)
-        | None -> go (p :: seen) rest)
+              probe (flip_cmp op) q c v
+          | _ -> None ))
+      (conjuncts pred)
   in
-  go [] (conjuncts pred)
+  let slice ix ci (_, probe) =
+    match probe with
+    | Some (ci', _, iop, v) when ci' = ci ->
+        Index.interval ix (Table.column_at table ci) iop v
+    | _ -> None
+  in
+  (* the column and index of a conjunct its index serves *)
+  let access = function
+    | (_, Some (ci, c, _, _)) as p ->
+        let ix = Option.get (Table.index_for table c) in
+        Option.map (fun _ -> (ci, c, ix)) (slice ix ci p)
+    | _, None -> None
+  in
+  Option.map
+    (fun (ci, c, ix) ->
+      let (lo, hi), rest =
+        List.fold_left
+          (fun ((lo, hi), rest) p ->
+            match slice ix ci p with
+            | Some (lo', hi') -> ((max lo lo', min hi hi'), rest)
+            | None -> ((lo, hi), fst p :: rest))
+          ((0, max_int), []) probes
+      in
+      (c, Index.rows ix (lo, hi), List.rev rest))
+    (List.find_map access probes)
 
 (* -- single-table execution -- *)
 
@@ -1041,6 +1057,15 @@ let run_single q table alias =
   finalize q columns !rows
 
 (* -- two-table hash join -- *)
+
+(* Hash key of a float: raw bits with NaNs collapsed to one key. Distinct
+   floats get distinct keys except where [Float.compare] calls them equal
+   (all NaNs are equal under the total order), and [Int64.to_int]'s
+   dropped sign bit only ever merges buckets, which the probe side's
+   exact re-check undoes. *)
+let float_key f =
+  let f = if Float.is_nan f then Float.nan else f in
+  Int64.to_int (Int64.bits_of_float f)
 
 (* An equi-join conjunct [left.col = right.col] both sides resolve and
    whose column types agree (hash keys must be comparable without
@@ -1097,7 +1122,7 @@ let run_join q (t0, a0) (t1, a1) =
       let key1 =
         match col1.Column.payload with
         | Column.Ints a -> fun i -> a.(i)
-        | Column.Floats a -> fun i -> Index.float_key a.(i)
+        | Column.Floats a -> fun i -> float_key a.(i)
         | Column.Bools b -> fun i -> if Bytes.get b i = '\001' then 1 else 0
         | Column.Strings s -> fun i -> s.Column.codes.(i)
       in
@@ -1127,7 +1152,7 @@ let run_join q (t0, a0) (t1, a1) =
               let f = a0_.(l) in
               List.filter
                 (fun r -> Float.compare a1_.(r) f = 0)
-                (match Hashtbl.find_opt buckets (Index.float_key f) with
+                (match Hashtbl.find_opt buckets (float_key f) with
                 | Some rows -> rows
                 | None -> [])
         | Column.Bools b0, _ ->

@@ -1,10 +1,11 @@
 module V = Disco_value.Value
 
-type index_state = {
-  ix_kind : Index.kind;
-  mutable ix : Index.t option;
-  mutable ix_version : int;  (* table version the snapshot was built at *)
-}
+(* [ix] is the column's latest index snapshot, [None] before its first
+   use. It covers a prefix of the rows: a delete remaps it, so every write
+   since it was taken is an append. A published snapshot is never
+   mutated; a read that extends it and a delete replace [ix] whole, so a
+   reader on another domain keeps a consistent one. *)
+type index_state = { ix_kind : Index.kind; mutable ix : Index.t option }
 
 type t = {
   name : string;
@@ -31,49 +32,55 @@ let create ~name schema =
 let name t = t.name
 let schema t = t.schema
 
-let append_row t row =
-  Schema.check_row t.schema row;
-  Array.iteri (fun i col -> Column.append col row.(i)) t.columns;
-  t.count <- t.count + 1
+let arity t = Array.length t.columns
 
-let insert t row =
-  append_row t row;
+let row_at t i =
+  Array.init (arity t) (fun c -> Column.get t.columns.(c) i)
+
+let column_named t column = t.columns.(Schema.index_of t.schema column)
+
+(* The whole batch conforms before any row is appended, so a bad row
+   leaves the table as it was. The append pass holds no reference to the
+   rows behind it, which a large load then frees as it goes. *)
+let append_rows t rows =
+  List.iter (Schema.check_row t.schema) rows;
+  List.iter
+    (fun row ->
+      Array.iteri (fun i col -> Column.append col row.(i)) t.columns;
+      t.count <- t.count + 1)
+    rows;
   t.version <- t.version + 1
+
+let insert t row = append_rows t [ row ]
 
 let insert_struct t v = insert t (Schema.struct_to_row t.schema v)
 
 let insert_all t rows =
   (* One logical load, one version bump: bulk loads must not churn
      data-version-keyed caches once per row. *)
-  match rows with
-  | [] -> ()
-  | rows ->
-      t.version <- t.version + 1;
-      List.iter (append_row t) rows
-
-let arity t = Array.length t.columns
-
-let row_at t i =
-  Array.init (arity t) (fun c -> Column.get t.columns.(c) i)
+  match rows with [] -> () | rows -> append_rows t rows
 
 let rows t = List.init t.count (row_at t)
 
 let delete_where t pred =
-  let removed = ref 0 in
-  let kept = ref [] in
-  for i = t.count - 1 downto 0 do
-    let row = row_at t i in
-    if pred row then incr removed else kept := row :: !kept
+  let ids = Array.make t.count (-1) in
+  let kept = ref 0 in
+  for i = 0 to t.count - 1 do
+    if not (pred (row_at t i)) then (
+      ids.(i) <- !kept;
+      incr kept)
   done;
-  if !removed > 0 then (
-    let columns = columns_of_schema t.schema in
-    List.iter
-      (fun row -> Array.iteri (fun c col -> Column.append col row.(c)) columns)
-      !kept;
-    t.columns <- columns;
-    t.count <- t.count - !removed;
+  let removed = t.count - !kept in
+  if removed > 0 then (
+    (* rows are only ever appended after a snapshot, and survivors keep
+       their order, so a remapped snapshot still covers a prefix *)
+    Hashtbl.iter
+      (fun _ st -> st.ix <- Option.map (fun ix -> Index.remap ix ids) st.ix)
+      t.indexes;
+    t.columns <- Array.map (fun col -> Column.filter col ids !kept) t.columns;
+    t.count <- !kept;
     t.version <- t.version + 1);
-  !removed
+  removed
 
 let cardinality t = t.count
 
@@ -101,8 +108,7 @@ let declare_index t ~column kind =
     schema_error "%s index on %s.%s: unsupported for column type %s"
       (Index.kind_name kind) t.name column
       (Schema.col_type_name ty);
-  Hashtbl.replace t.indexes column
-    { ix_kind = kind; ix = None; ix_version = -1 }
+  Hashtbl.replace t.indexes column { ix_kind = kind; ix = None }
 
 let drop_index t column = Hashtbl.remove t.indexes column
 
@@ -113,17 +119,19 @@ let indexes t =
 let index_kind t column =
   Option.map (fun st -> st.ix_kind) (Hashtbl.find_opt t.indexes column)
 
+let publish st ix =
+  st.ix <- Some ix;
+  ix
+
 let index_for t column =
-  match Hashtbl.find_opt t.indexes column with
-  | None -> None
-  | Some st ->
-      (match st.ix with
-      | Some _ when st.ix_version = t.version -> ()
-      | _ ->
-          let col = t.columns.(Schema.index_of t.schema column) in
-          st.ix <- Some (Index.build st.ix_kind col);
-          st.ix_version <- t.version);
-      st.ix
+  Option.map
+    (fun st ->
+      let col = column_named t column in
+      match st.ix with
+      | Some ix when Index.covers ix col -> ix
+      | Some ix -> publish st (Index.extend ix col)
+      | None -> publish st (Index.build st.ix_kind col))
+    (Hashtbl.find_opt t.indexes column)
 
 let pp ppf t =
   Fmt.pf ppf "table %s%a [%d rows]" t.name Schema.pp t.schema t.count

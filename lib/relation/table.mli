@@ -4,7 +4,9 @@
     insert and materialized back on demand; the row-oriented API below is
     a façade over that store, so wrappers and tests are unaffected by the
     storage layout. Optional secondary indexes ({!Index}) are declared
-    per column and rebuilt lazily when the table version moves. *)
+    per column, built on first use and kept across writes: the next read
+    after an append merges the new rows into the index, and a delete
+    remaps it. *)
 
 type t
 
@@ -13,7 +15,8 @@ val name : t -> string
 val schema : t -> Schema.t
 
 val insert : t -> Disco_value.Value.t array -> unit
-(** Append a row. Raises {!Schema.Schema_error} if the row does not conform. *)
+(** Append a row. Raises {!Schema.Schema_error} if the row does not
+    conform, leaving the table unchanged. *)
 
 val insert_struct : t -> Disco_value.Value.t -> unit
 (** Insert a row given as a struct (missing fields become [Null]). *)
@@ -21,10 +24,14 @@ val insert_struct : t -> Disco_value.Value.t -> unit
 val insert_all : t -> Disco_value.Value.t array list -> unit
 (** Bulk insert. Bumps {!version} once for the whole batch (not once per
     row), so one logical load invalidates data-version-keyed caches once.
-    The empty batch is a no-op. *)
+    The empty batch is a no-op. Every row is checked before any is
+    appended: if one does not conform, {!Schema.Schema_error} is raised
+    and the table (rows and {!version}) is unchanged. *)
 
 val delete_where : t -> (Disco_value.Value.t array -> bool) -> int
-(** Remove rows matching the predicate; returns the number removed. *)
+(** Remove rows matching the predicate; returns the number removed.
+    Surviving rows keep their order; each index snapshot is remapped to
+    their new ids. *)
 
 val rows : t -> Disco_value.Value.t array list
 (** Rows in insertion order, materialized from the column store. *)
@@ -56,9 +63,10 @@ val indexes : t -> (string * Index.kind) list
 val index_kind : t -> string -> Index.kind option
 
 val index_for : t -> string -> Index.t option
-(** The live index snapshot for a column, rebuilding lazily if the table
-    changed since the last build. [None] when no index is declared.
-    Engine-internal: used by {!Sql}'s columnar planner. *)
+(** The index snapshot for a column at the current version: the last
+    one, extended by the rows appended since ({!delete_where} remaps the
+    snapshots it finds), or built on first use. [None] when no index is
+    declared. Engine-internal: used by {!Sql}'s columnar planner. *)
 
 (** {1 Columnar internals} *)
 

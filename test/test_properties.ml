@@ -1050,6 +1050,30 @@ let sql_pred_gen =
         return (Sql.Lit V.Null);
       ]
   in
+  (* Two comparisons on one numeric column, as an index slice serves
+     them: bounds that cross (empty intervals), equality with a range,
+     NULL and float bounds, either operand first, qualified or bare. *)
+  let two_bounds =
+    let bound c =
+      map3
+        (fun op l (qualified, flipped) ->
+          let col = Sql.Col ((if qualified then Some "person" else None), c) in
+          if flipped then Sql.Cmp (op, l, col) else Sql.Cmp (op, col, l))
+        (oneofl [ Sql.Eq; Sql.Ne; Sql.Lt; Sql.Le; Sql.Gt; Sql.Ge ])
+        (frequency
+           [
+             (6, map (fun i -> Sql.Lit (V.Int i)) (int_range (-2) 42));
+             ( 2,
+               map
+                 (fun i -> Sql.Lit (V.Float (float_of_int i /. 2.)))
+                 (int_range (-4) 84) );
+             (1, return (Sql.Lit V.Null));
+           ])
+        (pair bool bool)
+    in
+    oneofl [ "id"; "salary" ] >>= fun c ->
+    map2 (fun a b -> Sql.And (a, b)) (bound c) (bound c)
+  in
   let leaf =
     oneof
       [
@@ -1073,6 +1097,7 @@ let sql_pred_gen =
         map2
           (fun a b -> Sql.Cmp (Sql.Eq, Sql.Col (None, a), Sql.Col (None, b)))
           (oneofl sql_col_names) (oneofl sql_col_names);
+        two_bounds;
       ]
   in
   fix
@@ -1167,6 +1192,93 @@ let prop_columnar_matches_rows =
       | Error (), Error () -> true
       | _ -> false)
 
+(* -- indexes maintained across writes -- *)
+
+type table_op =
+  | Insert of V.t array list
+  | Delete_id of int  (* rows whose id is this *)
+  | Delete_name of string  (* drops dictionary codes *)
+  | Query of Sql.query
+
+let pp_table_op = function
+  | Insert rows -> Fmt.str "insert %d rows" (List.length rows)
+  | Delete_id k -> Fmt.str "delete id = %d" k
+  | Delete_name n -> Fmt.str "delete name = %S" n
+  | Query q -> Sql.to_string q
+
+let table_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun rows -> Insert (List.filteri (fun i _ -> i < 6) rows)) sql_rows_gen);
+        (2, map (fun k -> Delete_id k) (int_range 0 12));
+        (1, map (fun n -> Delete_name n) (oneofl [ "a"; "ab"; "b"; "c%"; "_d"; "" ]));
+        (4, map (fun q -> Query q) sql_query_gen);
+      ])
+
+let indexed_columns = [ ("id", Index.Hash); ("name", Index.Hash); ("salary", Index.Sorted) ]
+
+let index_probes =
+  V.Null
+  :: List.map (fun s -> V.String s) [ "a"; "ab"; "zz" ]
+  @ List.map (fun i -> V.Int i) [ -1; 0; 5; 12; 20; 40; 41 ]
+  @ List.map (fun f -> V.Float f) [ -0.5; 0.0; 6.5; 12.0; 39.75 ]
+
+(* Every probe a snapshot answers, it answers as a fresh build of the same
+   column does; NULL and ill-typed probes included. *)
+let snapshot_matches_fresh t (column, kind) =
+  let ix = Option.get (Table.index_for t column) in
+  let col = Table.column_at t (Schema.index_of (Table.schema t) column) in
+  let fresh = Index.build kind col in
+  List.for_all
+    (fun op ->
+      List.for_all
+        (fun v ->
+          let rows ix = Option.map (Index.rows ix) (Index.interval ix col op v) in
+          rows ix = rows fresh)
+        index_probes)
+    Index.[ Op_eq; Op_lt; Op_le; Op_gt; Op_ge ]
+
+let prop_maintained_indexes =
+  let gen =
+    QCheck.Gen.(pair sql_rows_gen (list_size (int_range 1 12) table_op_gen))
+  in
+  QCheck.Test.make ~name:"maintained indexes = fresh builds and the row oracle"
+    ~count:200
+    (QCheck.make
+       ~print:(fun (rows, ops) ->
+         Fmt.str "%d rows; %s" (List.length rows)
+           (String.concat "; " (List.map pp_table_op ops)))
+       gen)
+    (fun (rows, ops) ->
+      let db = Database.create ~name:"prop" in
+      let t = Database.create_table db ~name:"person" sql_schema in
+      Table.insert_all t rows;
+      List.iter
+        (fun (column, kind) ->
+          Table.declare_index t ~column kind;
+          ignore (Table.index_for t column))
+        indexed_columns;
+      List.for_all
+        (function
+          | Insert rows ->
+              Table.insert_all t rows;
+              true
+          | Delete_id k ->
+              ignore (Table.delete_where t (fun row -> V.equal row.(0) (V.Int k)));
+              true
+          | Delete_name n ->
+              ignore
+                (Table.delete_where t (fun row -> V.equal row.(1) (V.String n)));
+              true
+          | Query q ->
+              (match (sql_outcome Sql.run db q, sql_outcome Sql.run_rows db q) with
+              | Ok (ca, ba), Ok (cb, bb) -> ca = cb && V.equal ba bb
+              | Error (), Error () -> true
+              | _ -> false)
+              && List.for_all (snapshot_matches_fresh t) indexed_columns)
+        ops)
+
 (* Printing is the wrappers' submit path: the printed text must reparse
    to a query that prints identically (literals — negative numbers, LIKE
    patterns, quotes, floats — all survive the trip). *)
@@ -1195,6 +1307,7 @@ let () =
             prop_shard_twin_equivalent;
             prop_verdict_reused;
             prop_columnar_matches_rows;
+            prop_maintained_indexes;
             prop_sql_print_parse_stable;
           ] );
       ( "batching",

@@ -340,6 +340,24 @@ let test_insert_all_version () =
   Table.insert_all t [];
   Alcotest.(check int) "empty batch: no bump" (v0 + 1) (Table.version t)
 
+(* A batch with a bad row part-way through appends nothing. *)
+let test_insert_all_atomic () =
+  let t = Table.create ~name:"t" person_schema in
+  Table.insert_all t [ [| V.Int 1; V.String "a"; V.Int 1 |] ];
+  let v0 = Table.version t in
+  (try
+     Table.insert_all t
+       [
+         [| V.Int 2; V.String "b"; V.Int 2 |];
+         [| V.String "bad"; V.String "c"; V.Int 3 |];
+         [| V.Int 4; V.String "d"; V.Int 4 |];
+       ];
+     Alcotest.fail "expected Schema_error for a non-conforming row"
+   with Schema.Schema_error _ -> ());
+  Alcotest.(check int) "cardinality unchanged" 1 (Table.cardinality t);
+  Alcotest.(check int) "version unchanged" v0 (Table.version t);
+  Alcotest.(check int) "rows unchanged" 1 (List.length (Table.rows t))
+
 (* -- columnar engine and secondary indexes -- *)
 
 module Index = Disco_relation.Index
@@ -430,6 +448,11 @@ let test_index_serving () =
   Alcotest.(check bool) "sorted serves ranges" true
     (engine "SELECT id FROM person WHERE salary < 30"
     = `Columnar_indexed "salary");
+  Alcotest.(check bool) "sorted serves a two-bound range" true
+    (engine "SELECT id FROM person WHERE salary >= 30 AND salary < 90"
+    = `Columnar_indexed "salary");
+  Alcotest.(check bool) "hash does not serve a range" true
+    (engine "SELECT name FROM person WHERE id >= 5 AND id < 9" = `Columnar);
   Alcotest.(check bool) "string hash equality" true
     (engine "SELECT id FROM person WHERE name = 'n3'"
     = `Columnar_indexed "name");
@@ -449,20 +472,53 @@ let test_index_serving () =
       "SELECT id FROM person WHERE name = 'n3'";
       "SELECT id FROM person WHERE name = 'absent'";
       "SELECT id FROM person WHERE id = 42 AND salary > 10";
+      "SELECT id FROM person WHERE salary >= 30 AND salary < 90";
+      "SELECT id FROM person WHERE salary > 30 AND person.salary <= 90 AND name = 'n3'";
+      "SELECT id FROM person WHERE salary > 90 AND salary < 30";
+      "SELECT id FROM person WHERE salary = 39 AND salary >= 30";
+      "SELECT id FROM person WHERE salary < 90 AND salary <> 39";
+      "SELECT id FROM person WHERE salary <= NULL AND salary < 5.5";
+      "SELECT id FROM person WHERE 30 <= salary AND 90 > salary";
     ]
 
+(* Indexes are kept across writes: each read after a delete or an append
+   must see exactly the table's rows, whichever write came first. *)
 let test_index_lazy_rebuild () =
-  let db, t = big_db () in
-  Table.declare_index t ~column:"id" Index.Hash;
-  let count sql = List.length (Sql.run_string db sql).Sql.rows in
-  Alcotest.(check int) "before insert" 1
-    (count "SELECT id FROM person WHERE id = 5");
-  Table.insert t [| V.Int 5; V.String "dup"; V.Int 1 |];
-  Alcotest.(check int) "index sees the new row" 2
-    (count "SELECT id FROM person WHERE id = 5");
-  ignore (Table.delete_where t (fun row -> V.equal row.(0) (V.Int 5)));
-  Alcotest.(check int) "index sees the delete" 0
-    (count "SELECT id FROM person WHERE id = 5")
+  let check_writes ~column kind ~probe ~written ~row_of =
+    let db, t = big_db () in
+    Table.declare_index t ~column kind;
+    let count () =
+      let sql = "SELECT id FROM person WHERE " ^ probe in
+      check_engines_agree db sql;
+      List.length (Sql.run_string db sql).Sql.rows
+    in
+    let n0 = count () in
+    let is_written row = V.equal row.(0) (V.Int written) in
+    let delete () = ignore (Table.delete_where t is_written) in
+    let before = List.length (List.filter is_written (Table.rows t)) in
+    (* delete, then append *)
+    delete ();
+    let after_delete = count () in
+    Alcotest.(check int) (probe ^ ": after delete") (n0 - before) after_delete;
+    Table.insert_all t [ row_of 1; row_of 2 ];
+    Alcotest.(check int) (probe ^ ": after append") (after_delete + 2) (count ());
+    (* append, then delete *)
+    Table.insert_all t [ row_of 3 ];
+    delete ();
+    Alcotest.(check int) (probe ^ ": append then delete") after_delete (count ());
+    Table.insert t (row_of 4);
+    Alcotest.(check int) (probe ^ ": append again") (after_delete + 1) (count ())
+  in
+  check_writes ~column:"id" Index.Hash ~probe:"id = 5" ~written:5
+    ~row_of:(fun k -> [| V.Int 5; V.String (Fmt.str "w%d" k); V.Int 1 |]);
+  check_writes ~column:"name" Index.Hash ~probe:"name = 'n5'" ~written:5
+    ~row_of:(fun k -> [| V.Int 5; V.String "n5"; V.Int k |]);
+  check_writes ~column:"salary" Index.Sorted
+    ~probe:"salary >= 10 AND salary < 20" ~written:1000
+    ~row_of:(fun k ->
+      [| V.Int 1000; V.String "w"; (if k = 3 then V.Null else V.Int (10 + k)) |]);
+  check_writes ~column:"salary" Index.Sorted ~probe:"salary <= NULL" ~written:1000
+    ~row_of:(fun _ -> [| V.Int 1000; V.String "w"; V.Null |])
 
 let () =
   Alcotest.run "disco_relation"
@@ -500,6 +556,7 @@ let () =
       ( "table",
         [
           Alcotest.test_case "insert_all version" `Quick test_insert_all_version;
+          Alcotest.test_case "insert_all atomic" `Quick test_insert_all_atomic;
         ] );
       ( "columnar",
         [
