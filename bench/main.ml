@@ -557,7 +557,12 @@ let e5 () =
     ~columns:[ "cost store"; "chosen plan"; "mediator ops" ]
     [
       [ "empty (defaults)"; Plan.to_string choice.Optimizer.plan; string_of_int ops ];
-    ]
+    ];
+  (* the acceptance claim, Section 3.3's default rule: the whole query
+     runs at the source, so the plan is its one exec *)
+  if ops <> 1 then
+    failwith
+      (Fmt.str "E5b: the empty-store plan has %d mediator ops, not 1" ops)
 
 (* ==================================================================== *)
 (* E6 - partial evaluation (Section 4)                                  *)

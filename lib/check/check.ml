@@ -27,14 +27,6 @@ type mode = Off | Warn | Enforce
 
 exception Check_error of diag list
 
-let mode_of_string s =
-  match String.lowercase_ascii s with
-  | "off" -> Some Off
-  | "warn" -> Some Warn
-  | "enforce" -> Some Enforce
-  | _ -> None
-
-let mode_name = function Off -> "off" | Warn -> "warn" | Enforce -> "enforce"
 let severity_name = function Warning -> "warning" | Error -> "error"
 
 type t = {
@@ -1001,6 +993,27 @@ let pp_diag ppf d =
     (severity_name d.d_severity)
     (if d.d_path = "" then "" else " at " ^ d.d_path)
     d.d_message
+
+(* -- reporting a verdict -- *)
+
+let log_src = Logs.Src.create "disco.check" ~doc:"Disco static verifier"
+
+module Log = (val Logs.src_log log_src)
+
+let report ?metrics diags =
+  let errs = List.length (errors diags) in
+  let warns = List.length diags - errs in
+  (match metrics with
+  | Some m ->
+      if warns > 0 then Disco_obs.Metrics.incr ~by:warns m "check.warnings";
+      if errs > 0 then Disco_obs.Metrics.incr ~by:errs m "check.violations"
+  | None -> ());
+  List.iter
+    (fun d ->
+      match d.d_severity with
+      | Error -> Log.warn (fun f -> f "%a" pp_diag d)
+      | Warning -> Log.debug (fun f -> f "%a" pp_diag d))
+    diags
 
 let json_escape s =
   let b = Buffer.create (String.length s + 8) in

@@ -116,9 +116,6 @@ exception Check_error of diag list
 (** Raised (by callers in [Enforce] mode) with the error-severity
     diagnostics of a rejected tree. *)
 
-val mode_of_string : string -> mode option
-val mode_name : mode -> string
-
 type t
 (** A checker: schema plus capability context. Everything is optional —
     what the checker does not know it does not check. *)
@@ -210,6 +207,14 @@ val has_errors : diag list -> bool
 
 val pp_diag : Format.formatter -> diag -> unit
 (** [DISCO-E005 error at join.l: ...] *)
+
+val report : ?metrics:Disco_obs.Metrics.t -> diag list -> unit
+(** Report one plan's verdict: count its error diagnostics into
+    [check.violations] and its warnings into [check.warnings] of
+    [metrics], and log each diagnostic (errors at warning level,
+    warnings at debug level). Whether an error refuses the plan is the
+    caller's decision, by {!mode}. The optimizer reports each plan it
+    verifies, the runtime gate each plan it is about to execute. *)
 
 val severity_name : severity -> string
 

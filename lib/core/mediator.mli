@@ -146,16 +146,17 @@ module Config : sig
             identical to pre-batching builds. *)
     check : Disco_check.Check.mode;
         (** static verification of plans ({!Disco_check.Check}): [Warn]
-            (the default) runs the verifier over every optimizer
-            candidate, caches the chosen plan's verdict with it, and
-            reports that verdict on every execution (a plan the
-            optimizer never saw, such as the capability fallback, is
-            verified at execution), counting violations into
-            [check.violations] / [check.warnings] metrics; [Enforce]
-            additionally excludes candidates with error diagnostics from
-            the search and raises {!Disco_check.Check.Check_error} if a
-            plan about to execute (or every candidate of a query) fails;
-            [Off] skips verification. *)
+            (the default) runs the verifier over the optimizer's chosen
+            plan only, caches its verdict with it, and reports that
+            verdict on every execution (a plan the optimizer never saw,
+            such as the capability fallback, is verified at execution),
+            counting violations into [check.violations] /
+            [check.warnings] metrics; [Enforce] instead chooses the
+            cheapest plan without error diagnostics, verifying down the
+            optimizer's ranking, and raises
+            {!Disco_check.Check.Check_error} if a plan about to execute
+            (or every candidate of a query) fails; [Off] skips
+            verification. *)
     retry : Disco_runtime.Runtime.Retry.t option;
         (** deadline-aware retry scheduler
             ({!Disco_runtime.Runtime.Retry}): blocked execs are re-polled

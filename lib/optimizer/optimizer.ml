@@ -77,66 +77,6 @@ let better (a : Plan.cost * int * int) (b : Plan.cost * int * int) =
         ca.Plan.shipped < cb.Plan.shipped
       else pusheda > pushedb
 
-(* Run the static verifier over each implemented candidate, pairing each
-   with its verdict ([] when no checker runs). In [Warn] mode violations
-   only feed metrics and the log; in [Enforce] mode failing candidates
-   are dropped from the search space, and if nothing survives the error
-   diagnostics of the first candidate are raised. *)
-let verify_candidates ?metrics ~check candidates =
-  match check with
-  | None | Some (_, Check.Off) -> List.map (fun cand -> (cand, [])) candidates
-  | Some (checker, mode) -> (
-      let verdicts =
-        List.map
-          (fun ((_, p) as cand) -> (cand, Check.check_plan checker p))
-          candidates
-      in
-      let errs, warns =
-        List.fold_left
-          (fun (e, w) (_, ds) ->
-            let ne = List.length (Check.errors ds) in
-            (e + ne, w + (List.length ds - ne)))
-          (0, 0) verdicts
-      in
-      Option.iter
-        (fun m ->
-          if errs > 0 then
-            Disco_obs.Metrics.incr ~by:errs m "check.violations";
-          if warns > 0 then
-            Disco_obs.Metrics.incr ~by:warns m "check.warnings")
-        metrics;
-      List.iter
-        (fun (_, ds) ->
-          List.iter
-            (fun d ->
-              Log.debug (fun f -> f "%a" Check.pp_diag d))
-            ds)
-        verdicts;
-      match mode with
-      | Check.Enforce -> (
-          match
-            List.filter (fun (_, ds) -> not (Check.has_errors ds)) verdicts
-          with
-          | [] ->
-              raise
-                (Check.Check_error
-                   (match verdicts with
-                   | (_, ds) :: _ -> Check.errors ds
-                   | [] -> []))
-          | ok -> ok)
-      | Check.Off | Check.Warn -> verdicts)
-
-(* The chosen plan's verdict, looked up by identity among the verified
-   candidates it was chosen from; [None] when no checker ran. *)
-let rec find_verdict plan = function
-  | ((_, p), ds) :: rest -> if p == plan then ds else find_verdict plan rest
-  | [] -> []
-
-let verdict_of ~check plan verified =
-  match check with
-  | None | Some (_, Check.Off) -> None
-  | Some (_, (Check.Warn | Check.Enforce)) -> Some (find_verdict plan verified)
-
 (* Join-commutation variants explored per optimization. *)
 let join_variant_limit = 8
 
@@ -206,8 +146,8 @@ let optimize ?params ?metrics ?(batch = false) ?check ?shard ~can_push ~cost
      pushdown level that rewrote nothing, a commutation that recreated
      the original order, two logicals implementing to one physical tree.
      Cost each distinct plan exactly once — keeping the first occurrence
-     preserves the final choice, because [better] is strict and the
-     selection fold keeps the earliest among equals. *)
+     preserves the final choice, because the ranking keeps the earliest
+     among equals first. *)
   let unique =
     List.rev
       (List.fold_left
@@ -215,17 +155,6 @@ let optimize ?params ?metrics ?(batch = false) ?check ?shard ~can_push ~cost
            if List.exists (fun (_, p') -> p' = p) acc then acc
            else cand :: acc)
          [] implemented)
-  in
-  let verified = verify_candidates ?metrics ~check unique in
-  let costed =
-    List.map
-      (fun ((logical, p), _) ->
-        ( logical,
-          p,
-          ( Plan.estimate ?params ~batch cost p,
-            Plan.mediator_op_count p,
-            pushed_size p ) ))
-      verified
   in
   (* what the enumeration produced before any deduplication: duplicate
      logical candidates contribute their whole plan-variant list *)
@@ -244,35 +173,52 @@ let optimize ?params ?metrics ?(batch = false) ?check ?shard ~can_push ~cost
       Disco_obs.Metrics.observe m "optimizer.candidates_raw"
         (float_of_int (max 1 raw_count));
       Disco_obs.Metrics.observe m "optimizer.candidates"
-        (float_of_int (max 1 (List.length costed))))
+        (float_of_int (max 1 (List.length unique))))
     metrics;
-  match costed with
-  | [] ->
-      (* fall back to the located expression itself (still verified) *)
-      let plan = shard_merge (Plan.implement located) in
-      let verified = verify_candidates ?metrics ~check [ (located, plan) ] in
-      {
-        plan;
-        logical = located;
-        cost = Plan.estimate ?params ~batch cost plan;
-        alternatives = 1;
-        verdict = verdict_of ~check plan verified;
-      }
-  | first :: rest ->
-      let best_logical, best_plan, (best_cost, _, _) =
-        List.fold_left
-          (fun (bl, bp, bc) (l, p, c) ->
-            if better c bc then (l, p, c) else (bl, bp, bc))
-          first rest
-      in
-      Log.debug (fun m ->
-          m "chose plan (%.3f ms, %.1f shipped) out of %d candidates: %s"
-            best_cost.Plan.time_ms best_cost.Plan.shipped (List.length costed)
-            (Plan.to_string best_plan));
-      {
-        plan = best_plan;
-        logical = best_logical;
-        cost = best_cost;
-        alternatives = List.length costed;
-        verdict = verdict_of ~check best_plan verified;
-      }
+  (* With no implementable candidate, the located expression itself is
+     the only one. *)
+  let candidates =
+    match unique with
+    | [] -> [ (located, shard_merge (Plan.implement located)) ]
+    | _ -> unique
+  in
+  (* [better] is a strict weak order, so the stable sort puts the
+     cheapest plan first, and the earliest among equals. *)
+  let ranking =
+    List.stable_sort
+      (fun (_, _, a) (_, _, b) ->
+        if better a b then -1 else if better b a then 1 else 0)
+      (List.map
+         (fun (logical, p) ->
+           ( logical,
+             p,
+             ( Plan.estimate ?params ~batch cost p,
+               Plan.mediator_op_count p,
+               pushed_size p ) ))
+         candidates)
+  in
+  (* Only the plan that runs is verified: the cheapest, or under
+     [Enforce] the cheapest without errors. If every plan has errors, the
+     first candidate's are raised. *)
+  let verdict, (logical, plan, (best_cost, _, _)) =
+    match check with
+    | None | Some (_, Check.Off) -> (None, List.hd ranking)
+    | Some (checker, mode) ->
+        let rec pick = function
+          | ((_, p, _) as c) :: rest ->
+              let ds = Check.check_plan checker p in
+              Check.report ?metrics ds;
+              if mode = Check.Enforce && Check.has_errors ds then pick rest
+              else (Some ds, c)
+          | [] ->
+              let _, p = List.hd candidates in
+              raise
+                (Check.Check_error (Check.errors (Check.check_plan checker p)))
+        in
+        pick ranking
+  in
+  Log.debug (fun m ->
+      m "chose plan (%.3f ms, %.1f shipped) out of %d candidates: %s"
+        best_cost.Plan.time_ms best_cost.Plan.shipped (List.length ranking)
+        (Plan.to_string plan));
+  { plan; logical; cost = best_cost; alternatives = List.length ranking; verdict }

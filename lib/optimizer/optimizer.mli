@@ -14,7 +14,8 @@
     algorithm follows from its key pairs: hash join with keys, nested
     loops without), adds semijoin reductions where the cost model has
     real statistics for both sides, costs every plan against the learned
-    {!Disco_cost.Cost_model}, and keeps the cheapest.
+    {!Disco_cost.Cost_model}, and ranks them, cheapest first. Only the
+    plan picked from the ranking is verified.
 
     With an empty cost store every [exec] estimates at time 0 / data 1,
     so the maximal-pushdown plan wins — the paper's designed bias. *)
@@ -25,12 +26,14 @@ type choice = {
   plan : Disco_physical.Plan.plan;
   logical : Expr.expr;  (** the logical tree the plan implements *)
   cost : Disco_physical.Plan.cost;
-  alternatives : int;  (** number of candidates costed *)
+  alternatives : int;
+      (** number of distinct candidates costed, in every [check] mode *)
   verdict : Disco_check.Check.diag list option;
-      (** the static verifier's diagnostics for [plan], computed during
-          the search; [None] when [optimize] ran without [check] (or in
-          [Off] mode). The mediator caches it with the plan and hands it
-          to the runtime's gate, so each plan is verified once. *)
+      (** the static verifier's diagnostics for [plan], the one plan the
+          search verified (see [check] below); [None] when [optimize]
+          ran without [check] (or in [Off] mode). The mediator caches it
+          with the plan and hands it to the runtime's gate, so each plan
+          is verified once. *)
 }
 
 val optimize :
@@ -50,7 +53,8 @@ val optimize :
     Candidate plans are structurally deduplicated before costing (the
     enumeration re-derives the same physical tree along many paths), so
     each distinct plan is costed exactly once; the first occurrence is
-    kept, which preserves the choice under the strict comparison.
+    kept, which preserves the choice: the ranking is a stable sort, so
+    the earliest among equally good plans ranks first.
 
     [batch] (default [false]) costs candidates for the batched transport
     — see {!Disco_physical.Plan.estimate}.
@@ -70,10 +74,15 @@ val optimize :
     [Mk_shard_merge]s on every implemented candidate. Without [shard]
     both passes are skipped and plans are bit-for-bit what they were.
 
-    When [check] is given, every distinct implemented candidate (and the
-    no-candidate fallback plan) is run through the static verifier
-    ({!Disco_check.Check.check_plan}), and the chosen plan's diagnostics
-    are returned as [verdict]. In [Warn] mode violations count into
-    [check.violations] / [check.warnings] metrics; in [Enforce] mode
-    candidates with error diagnostics are excluded from the search, and
-    {!Disco_check.Check.Check_error} is raised if none survive. *)
+    When [check] is given, the ranked plans are run through the static
+    verifier ({!Disco_check.Check.check_plan}) one at a time, and each
+    verdict is reported with {!Disco_check.Check.report} (the
+    [check.violations] / [check.warnings] counters and log lines). In
+    [Warn] mode only the cheapest plan is verified, and it is chosen
+    whatever its verdict. In [Enforce] mode the search walks down the
+    ranking to the first plan without error diagnostics, and raises
+    {!Disco_check.Check.Check_error} with the errors of the first
+    enumerated candidate if no plan passes. The chosen plan's
+    diagnostics are returned as [verdict]. With no implementable
+    candidate, the located expression's own plan is the one-element
+    ranking. *)

@@ -1051,26 +1051,17 @@ let checker_of_bindings bindings =
     ~repo_known:(fun r -> List.mem r repos)
     ()
 
-let report env mode diags =
-  let errs = Check.errors diags in
-  let warns = List.length diags - List.length errs in
-  if warns > 0 then Metrics.incr ~by:warns env.metrics "check.warnings";
-  if errs <> [] then (
-    Metrics.incr ~by:(List.length errs) env.metrics "check.violations";
-    List.iter (fun d -> Log.warn (fun m -> m "%a" Check.pp_diag d)) errs;
-    match mode with
-    | Check.Enforce -> raise (Check.Check_error errs)
-    | Check.Off | Check.Warn -> ())
-
 let verify ?verdict env plan =
-  match env.check with
-  | Check.Off -> ()
-  | mode ->
-      report env mode
-        (match (verdict, env.checker) with
-        | Some ds, _ -> ds
-        | None, Some checker -> Check.check_plan checker plan
-        | None, None -> Check.check_plan (checker_of_bindings env.bindings) plan)
+  if env.check <> Check.Off then (
+    let diags =
+      match (verdict, env.checker) with
+      | Some ds, _ -> ds
+      | None, Some checker -> Check.check_plan checker plan
+      | None, None -> Check.check_plan (checker_of_bindings env.bindings) plan
+    in
+    Check.report ~metrics:env.metrics diags;
+    if env.check = Check.Enforce && Check.has_errors diags then
+      raise (Check.Check_error (Check.errors diags)))
 
 let execute ?(timeout_ms = 1000.0) ?verdict env plan =
   verify ?verdict env plan;

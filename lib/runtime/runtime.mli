@@ -145,9 +145,9 @@ module Config : sig
             path. *)
     check : Disco_check.Check.mode;
         (** the debug gate: {!execute} reports every plan's static
-            verdict before issuing anything. [Warn] (the default) counts
-            its diagnostics into [check.violations] / [check.warnings]
-            metrics and logs the errors; [Enforce] additionally raises
+            verdict before issuing anything. [Warn] (the default)
+            reports it with {!Disco_check.Check.report} (counters and log
+            lines); [Enforce] additionally raises
             {!Disco_check.Check.Check_error} on any error-severity
             diagnostic, refusing the plan before execution; [Off] skips
             the gate. The verdict is the optimizer's when the caller
@@ -241,11 +241,12 @@ val execute :
 
     Before issuing anything the gate ({!Config.check}) reports the plan's
     [verdict]: the diagnostics the optimizer already computed for it
-    (its choice's [verdict]), which the mediator caches with the plan. Without [verdict] — a plan the optimizer never
-    saw, such as the mediator's capability-fallback plan or a
-    standalone call — the gate runs {!Disco_check.Check.check_plan}
-    itself. Either way the report is the same: counters, log lines, and
-    under [Enforce] the refusal. *)
+    (its choice's [verdict]), which the mediator caches with the plan.
+    Without [verdict] — a plan the optimizer never saw, such as the
+    mediator's capability-fallback plan or a standalone call — the gate
+    runs {!Disco_check.Check.check_plan} itself. Either way the report
+    is the same: {!Disco_check.Check.report}, and under [Enforce] the
+    refusal. *)
 
 val fetch :
   ?timeout_ms:float -> env -> string list -> (string * V.t option) list * stats

@@ -184,6 +184,53 @@ let test_optimizer_warn_counts () =
     "violations counted" true
     (Metrics.find_counter metrics "check.violations" > 0)
 
+(* Only the plan that runs is verified. Pushing the project into the
+   scan-only person1 is the cheapest candidate under an empty cost store
+   (the fewest mediator ops), but it breaks the grammar; the as-written
+   plan has no error. The union with an int bag gives every candidate a
+   DISCO-W001 warning, so counting more than one verdict would show.
+   [Warn] verifies and keeps the cheapest; [Enforce] walks down the
+   ranking to the plan without errors. Both cost the same candidates. *)
+let test_optimizer_verifies_the_choice () =
+  let located =
+    Expr.Union
+      [
+        Expr.Project (Expr.Submit ("r1", Expr.Get "person1"), [ "name" ]);
+        Expr.Data (V.bag [ V.Int 1 ]);
+      ]
+  in
+  let optimize mode =
+    let metrics = Metrics.create () in
+    let choice =
+      Optimizer.optimize ~metrics ~check:(checker (), mode)
+        ~can_push:Rules.push_all ~cost:(Cost_model.create ()) located
+    in
+    ( choice,
+      ( Metrics.find_counter metrics "check.warnings",
+        Metrics.find_counter metrics "check.violations" ) )
+  in
+  let warn, warn_counts = optimize Check.Warn in
+  let verdict = Option.get warn.Optimizer.verdict in
+  check_has "DISCO-E005" verdict;
+  let errs = List.length (Check.errors verdict) in
+  Alcotest.(check (pair int int))
+    "Warn reports the chosen plan's verdict only"
+    (List.length verdict - errs, errs)
+    warn_counts;
+  let enforce, enforce_counts = optimize Check.Enforce in
+  Alcotest.(check (list string))
+    "Enforce chooses the plan without errors" [ "DISCO-W001" ]
+    (codes (Option.get enforce.Optimizer.verdict));
+  Alcotest.(check (pair int int))
+    "Enforce reports both plans it verified" (2, 1) enforce_counts;
+  Alcotest.(check bool)
+    "Warn keeps the cheapest plan" true
+    (Plan.mediator_op_count warn.Optimizer.plan
+    < Plan.mediator_op_count enforce.Optimizer.plan);
+  Alcotest.(check int)
+    "same alternatives" warn.Optimizer.alternatives
+    enforce.Optimizer.alternatives
+
 (* -- the runtime gate: a capability-violating plan is refused before
    anything reaches a source -- *)
 
@@ -278,9 +325,9 @@ let test_mediator_enforce_clean () =
 
 (* The runtime gate reports a verdict on every execution, cached plan or
    not. Here the chosen plan keeps a commuted join over a scan-only
-   source, so each execution reports one DISCO-W003 round-trip warning;
-   the miss additionally reports the optimizer's verdicts on its 12
-   candidates, 6 warnings in all. *)
+   source, so each execution reports one DISCO-W003 round-trip warning.
+   The optimizer verifies only the plan it chooses, so the miss reports
+   that same warning once more, at search. *)
 let test_gate_accounting_per_execution () =
   let metrics = Metrics.create () in
   let m =
@@ -314,8 +361,8 @@ let test_gate_accounting_per_execution () =
   in
   Alcotest.(check (list string)) "executed plan's verdict" [ "DISCO-W003" ]
     (codes fresh);
-  Alcotest.check pair "miss: 6 candidate warnings + the executed plan" (7, 0)
-    miss_counts;
+  Alcotest.check pair "miss: the chosen plan at search and at the gate"
+    (2, 0) miss_counts;
   List.iter
     (fun label ->
       let o, hit_counts = run () in
@@ -323,19 +370,50 @@ let test_gate_accounting_per_execution () =
       Alcotest.check pair (label ^ ": the runtime's share of the miss") (1, 0)
         hit_counts)
     [ "second run"; "third run" ];
-  Alcotest.check pair "totals" (9, 0) (counts ())
+  Alcotest.check pair "totals" (4, 0) (counts ())
 
 let wrappers = [| "WrapperPostgres"; "WrapperSelect"; "WrapperScan" |]
 
+(* Plan [q] through a fresh pipeline over [m]'s registry and cost model;
+   [None] for a query the compiled path does not plan whole (hybrid). *)
+let choice_of m check q =
+  let p =
+    Disco_core.Pipeline.create ~check
+      ~source_known:(fun r -> Mediator.find_source m r <> None)
+      ~cost:(Mediator.cost_model m) (Mediator.registry m)
+  in
+  match Disco_core.Pipeline.front p q with
+  | Error _ -> None
+  | Ok expanded -> (
+      match Disco_core.Pipeline.compile p expanded with
+      | Error _ -> None
+      | Ok located -> Some (Disco_core.Pipeline.optimize p located))
+
+(* When the cheapest plan has no error, [Enforce] verifies it first and
+   keeps it: the choice and the candidates costed equal [Warn]'s. *)
 let prop_enforce_random_federations =
   QCheck.Test.make ~count:15
     ~name:"every optimized plan passes the verifier under Enforce"
     QCheck.(triple (int_bound 2) (int_bound 2) (int_bound 5))
     (fun (w0, w1, qi) ->
       let m = mk_mediator ~w0:wrappers.(w0) ~w1:wrappers.(w1) () in
-      match (Mediator.query m query_pool.(qi)).Mediator.answer with
-      | Mediator.Complete _ -> true
-      | _ -> false)
+      let q = query_pool.(qi) in
+      let complete =
+        match (Mediator.query m q).Mediator.answer with
+        | Mediator.Complete _ -> true
+        | _ -> false
+      in
+      complete
+      &&
+      match choice_of m Check.Warn q with
+      | Some warn when not (Check.has_errors (Option.get warn.Optimizer.verdict))
+        -> (
+          match choice_of m Check.Enforce q with
+          | Some enforce ->
+              enforce.Optimizer.plan = warn.Optimizer.plan
+              && enforce.Optimizer.alternatives = warn.Optimizer.alternatives
+          | None -> false)
+      | Some _ | None -> true)
 
 (* -- the wrapper conformance audit -- *)
 
@@ -455,6 +533,8 @@ let () =
             test_optimizer_enforce_raises;
           Alcotest.test_case "optimizer Warn counts" `Quick
             test_optimizer_warn_counts;
+          Alcotest.test_case "optimizer verifies only the chosen plan" `Quick
+            test_optimizer_verifies_the_choice;
           Alcotest.test_case "gate reports on every execution" `Quick
             test_gate_accounting_per_execution;
           Alcotest.test_case "runtime Enforce refuses before execution" `Quick
