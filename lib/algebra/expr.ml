@@ -29,27 +29,6 @@ type expr =
   | Distinct of expr
   | Submit of string * expr
 
-type op_name = Oget | Oselect | Oproject | Omap | Ojoin | Ounion | Odistinct
-
-let op_name_string = function
-  | Oget -> "get"
-  | Oselect -> "select"
-  | Oproject -> "project"
-  | Omap -> "map"
-  | Ojoin -> "join"
-  | Ounion -> "union"
-  | Odistinct -> "distinct"
-
-let top_op = function
-  | Get _ -> Some Oget
-  | Select _ -> Some Oselect
-  | Project _ -> Some Oproject
-  | Map _ -> Some Omap
-  | Join _ -> Some Ojoin
-  | Union _ -> Some Ounion
-  | Distinct _ -> Some Odistinct
-  | Data _ | Submit _ -> None
-
 exception Algebra_error of string
 
 let algebra_error fmt = Format.kasprintf (fun s -> raise (Algebra_error s)) fmt

@@ -65,13 +65,6 @@ type expr =
           [e] is in the mediator's name space; the physical [exec]
           translates names through the extent's {!Disco_odl.Typemap}. *)
 
-(** Operator names, used by wrapper capability grammars. *)
-type op_name = Oget | Oselect | Oproject | Omap | Ojoin | Ounion | Odistinct
-
-val op_name_string : op_name -> string
-val top_op : expr -> op_name option
-(** [None] for [Data] and [Submit]. *)
-
 val pp_scalar : Format.formatter -> scalar -> unit
 val pp_pred : Format.formatter -> pred -> unit
 val pp : Format.formatter -> expr -> unit

@@ -36,9 +36,6 @@ let explicit_union_query ~n =
   in
   Fmt.str "select x.name from x in %s where x.salary > 10" union
 
-let disco_odl_for_source i =
-  Fmt.str "extent person%d of Person wrapper w0 repository r%d;" i i
-
 let query_size text = ast_size (Parser.parse text)
 
 let disco ~n =

@@ -39,5 +39,3 @@ val disco_query : n:int -> string
 val explicit_union_query : n:int -> string
 (** The explicit query over n extents. *)
 
-val disco_odl_for_source : int -> string
-(** The single ODL statement integrating source [i]. *)

@@ -345,8 +345,8 @@ let cache_use_of (stats : Runtime.stats) =
 
 let no_cache_use = { answer_hits = 0; stale_hits = 0; stale_ms = 0.0 }
 
-let eval_env ?(resolve = fun _ -> None) t =
-  Eval.env ~resolve ~interface_names:(Registry.interface_names t.registry) ()
+let eval_env t =
+  Eval.env ~interface_names:(Registry.interface_names t.registry) ()
 
 (* The runtime and the mediator share one partial-answer payload
    ([Runtime.partial]); converting is constructor renaming only. *)
@@ -508,7 +508,9 @@ let run t ~timeout_ms ~type_check ~semantics ~tr (entry, from_cache) =
    subqueries, quantifiers, order by) still contains closed fragments
    that ARE algebraic; each maximal such fragment is planned and run like
    a compiled query — so capability pushdown and the plan cache keep
-   working — and the rest is evaluated on the mediator. Fragments run as
+   working — and the rest is evaluated on the mediator. A bare extent is
+   a fragment too, and a fragment that answers partially is replaced by
+   its own residual, so each fragment runs once. Fragments run as
    successive parallel rounds against the virtual clock. *)
 
 let hybrid_outcome t ~timeout_ms ~type_check ~semantics ~tr expanded =
@@ -524,93 +526,54 @@ let hybrid_outcome t ~timeout_ms ~type_check ~semantics ~tr expanded =
   let blocked_repos = ref [] in
   let fallback = ref false in
   let try_fragment sub =
-    match sub with
-    | Ast.Const _ | Ast.Ident _ -> None
-        (* bare extents go through the batched fetch below *)
-    | _ -> (
-        let frees = Ast.free_collections sub in
-        if
-          frees = []
-          || not
-               (List.for_all
-                  (fun n -> Registry.find_extent t.registry n <> None)
-                  frees)
-        then None
-        else
-          match Pipeline.compile t.pipeline sub with
-          | Error _ -> None
-          | Ok located -> (
-              let o =
-                run t ~timeout_ms ~type_check ~semantics ~tr
-                  (plan t ~tr ~key:(Expansion (Ast.to_string sub)) located)
-              in
-              stats_acc := Runtime.add_stats !stats_acc o.stats;
-              fallback := !fallback || o.fallback;
-              match o.answer with
-              | Complete v -> Some (Ast.Const v)
-              | Partial { Runtime.unavailable; _ } | Unavailable unavailable ->
-                  blocked_repos := unavailable @ !blocked_repos;
-                  (* leave the fragment symbolic for the partial answer *)
-                  None))
+    (* every free name was checked above to be an extent *)
+    if Ast.free_collections sub = [] then None
+    else
+      match Pipeline.compile t.pipeline sub with
+      | Error _ -> None
+      | Ok located -> (
+          let o =
+            run t ~timeout_ms ~type_check ~semantics ~tr
+              (plan t ~tr ~key:(Expansion (Ast.to_string sub)) located)
+          in
+          stats_acc := Runtime.add_stats !stats_acc o.stats;
+          fallback := !fallback || o.fallback;
+          match o.answer with
+          | Complete v -> Some (Ast.Const v)
+          | Partial { Runtime.query; unavailable; _ } ->
+              (* the fragment's own residual stands in for it, closed
+                 because the fragment was *)
+              blocked_repos := unavailable @ !blocked_repos;
+              Some query
+          | Unavailable unavailable ->
+              blocked_repos := unavailable @ !blocked_repos;
+              None)
   in
   let substituted = Expand.map_closed_subqueries try_fragment expanded in
-  let fetched, fetch_stats =
-    in_span t tr "execute" (fun () ->
-        (* whatever extents remain (bare or in partial fragments) are
-           fetched whole, in one parallel round *)
-        let extents =
-          List.filter
-            (fun name -> Registry.find_extent t.registry name <> None)
-            (Ast.free_collections substituted)
-        in
-        let env = runtime_env t ~type_check ~semantics ~tr extents in
-        Runtime.fetch ~timeout_ms env extents)
+  let stats = !stats_acc in
+  let answer =
+    if !blocked_repos = [] then
+      (* every extent was inside a fragment that answered *)
+      match Eval.eval (eval_env t) substituted with
+      | v -> Complete v
+      | exception Eval.Eval_error m -> mediator_error "evaluation failed: %s" m
+    else
+      apply_semantics t semantics
+        (Partial
+           {
+             Runtime.query = substituted;
+             unavailable = List.sort_uniq String.compare !blocked_repos;
+             versions = [];
+           })
   in
-  let stats = Runtime.add_stats !stats_acc fetch_stats in
-  let fetch_blocked = List.filter (fun (_, v) -> v = None) fetched in
-  if fetch_blocked = [] && !blocked_repos = [] then
-    let resolve name =
-      match List.assoc_opt name fetched with Some v -> v | None -> None
-    in
-    match Eval.eval (eval_env ~resolve t) substituted with
-    | v ->
-        {
-          answer = Complete v;
-          stats;
-          plan = None;
-          from_cache = false;
-          answer_cache = cache_use_of stats;
-          fallback = !fallback;
-        }
-    | exception Eval.Eval_error m -> mediator_error "evaluation failed: %s" m
-  else
-    (* general partial answer: plug what did arrive into the query *)
-    let residual =
-      Expand.substitute_collections
-        (fun name ->
-          match List.assoc_opt name fetched with
-          | Some (Some v) -> Some (Ast.Const v)
-          | _ -> None)
-        substituted
-    in
-    let unavailable =
-      List.sort_uniq String.compare
-        (!blocked_repos
-        @ List.filter_map
-            (fun (extent, _) -> Pipeline.repo_of t.pipeline extent)
-            fetch_blocked)
-    in
-    let answer =
-      Partial { Runtime.query = residual; unavailable; versions = [] }
-    in
-    {
-      answer = apply_semantics t semantics answer;
-      stats;
-      plan = None;
-      from_cache = false;
-      answer_cache = cache_use_of stats;
-      fallback = !fallback;
-    }
+  {
+    answer;
+    stats;
+    plan = None;
+    from_cache = false;
+    answer_cache = cache_use_of stats;
+    fallback = !fallback;
+  }
 
 (* -- entry points -- *)
 
@@ -876,10 +839,3 @@ let clear_plan_cache t =
   Lru.clear t.plan_cache;
   t.plan_hits <- 0;
   t.plan_misses <- 0
-
-let clear_answer_cache t =
-  match t.cache with
-  | Some cache ->
-      Answer_cache.clear cache;
-      Answer_cache.reset_stats cache
-  | None -> ()

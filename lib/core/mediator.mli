@@ -264,9 +264,12 @@ val query : ?opts:Query_opts.t -> t -> string -> outcome
     the printed expansion instead, because which extents the expansion
     keeps depends on which sources are up at that instant. A query
     outside the algebra takes the hybrid path, where each closed
-    algebraic fragment is planned through the same cache (keyed on the
-    fragment's printed text) and run the same way, and the rest is
-    evaluated on the mediator; the hybrid query itself adds no entry.
+    algebraic fragment, a bare extent name included, is planned through
+    the same cache (keyed on the fragment's printed text) and run once
+    the same way, and the rest is evaluated on the mediator; the hybrid
+    query itself adds no entry. A fragment that answers partially is
+    replaced by its own residual query, so the hybrid answer is then the
+    query with that residual in the fragment's place.
     When the mediator was created with a [trace_sink], the sink receives
     the query's span tree after the outcome is computed: phases parse →
     expand → compile → optimize → execute with one exec leaf per issued
@@ -341,7 +344,3 @@ val plan_cache_stats : t -> plan_cache_stats
 
 val clear_plan_cache : t -> unit
 (** Drop every cached plan {e and} reset the hit/miss counters. *)
-
-val clear_answer_cache : t -> unit
-(** Drop every cached answer and reset its counters; a no-op on a
-    mediator without an answer cache. *)

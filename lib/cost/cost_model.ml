@@ -213,9 +213,6 @@ let estimate_batch t ~repo ~size =
       in
       Some (Float.max 0.0 predicted)
 
-let recorded_batches t =
-  Hashtbl.fold (fun _ entries acc -> acc + List.length entries) t.batch 0
-
 let recorded_calls t =
   Hashtbl.fold (fun _ entries acc -> acc + List.length entries) t.exact 0
 

@@ -71,9 +71,6 @@ val estimate_batch : t -> repo:string -> size:int -> float option
     [None] when no batch to [repo] has been recorded — callers fall back
     to per-call estimates. *)
 
-val recorded_batches : t -> int
-(** Total batched round-trips currently held (after trimming). *)
-
 val skeleton : Expr.expr -> string
 (** The close-match fingerprint: the expression with every constant
     erased. Exposed for tests. *)

@@ -51,19 +51,9 @@ let rec equal a b =
   | TBag x, TBag y | TSet x, TSet y | TList x, TList y -> equal x y
   | _ -> false
 
-let element_type = function
-  | TBag e | TSet e | TList e -> Some e
-  | TBool | TInt | TFloat | TString | TVoid | TInterface _ | TStruct _ -> None
-
 let to_col_type = function
   | TBool -> Some Schema.TBool
   | TInt -> Some Schema.TInt
   | TFloat -> Some Schema.TFloat
   | TString -> Some Schema.TString
   | TVoid | TInterface _ | TStruct _ | TBag _ | TSet _ | TList _ -> None
-
-let of_col_type = function
-  | Schema.TBool -> TBool
-  | Schema.TInt -> TInt
-  | Schema.TFloat -> TFloat
-  | Schema.TString -> TString

@@ -21,11 +21,6 @@ val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 val equal : t -> t -> bool
 
-val element_type : t -> t option
-(** Element type of a collection type. *)
-
 val to_col_type : t -> Disco_relation.Schema.col_type option
 (** The relational column type corresponding to an atomic mediator type,
     when one exists. *)
-
-val of_col_type : Disco_relation.Schema.col_type -> t

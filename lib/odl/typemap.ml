@@ -46,7 +46,6 @@ let make ?collection fields =
 
 let collection t = t.collection
 let field_pairs t = List.map (fun f -> (f.fe_src, f.fe_med)) t.fields
-let field_equivs t = t.fields
 
 let source_collection t name =
   match t.collection with

@@ -55,7 +55,6 @@ val make_ext : ?collection:string * string -> field_equiv list -> t
 
 val collection : t -> (string * string) option
 val field_pairs : t -> (string * string) list
-val field_equivs : t -> field_equiv list
 
 val source_collection : t -> string -> string
 (** Translate a mediator extent name to the source collection name

@@ -33,12 +33,6 @@ and select = {
 
 and order_dir = Asc | Desc
 
-let builtin_functions =
-  [
-    "union"; "intersect"; "except"; "flatten"; "distinct"; "count"; "sum";
-    "avg"; "min"; "max"; "element"; "exists"; "abs";
-  ]
-
 let binop_symbol = function
   | Add -> "+"
   | Sub -> "-"

@@ -56,9 +56,6 @@ and select = {
 
 and order_dir = Asc | Desc
 
-val builtin_functions : string list
-(** Names recognized in {!Call} position. *)
-
 val pp : Format.formatter -> query -> unit
 (** Pretty-prints parseable OQL text. *)
 

@@ -266,8 +266,6 @@ and parse_select s =
       sel_order = order;
     }
 
-let parse_stream s = parse_query s
-
 let parse input =
   let s = Stream.of_string ~puncts input in
   let q = parse_query s in

@@ -25,8 +25,5 @@
 val parse : string -> Ast.query
 (** Raises [Disco_lex.Lexer.Error] on malformed input. *)
 
-val parse_stream : Disco_lex.Lexer.Stream.t -> Ast.query
-(** Parse one query from an existing stream, leaving trailing tokens. *)
-
 val puncts : string list
 (** The punctuation set OQL is tokenized with. *)

@@ -18,10 +18,6 @@ let create_table t ~name schema =
   t.ddl_ops <- t.ddl_ops + 1;
   table
 
-let drop_table t name =
-  Hashtbl.remove t.tables name;
-  t.ddl_ops <- t.ddl_ops + 1
-
 let find_table t name = Hashtbl.find_opt t.tables name
 
 let get_table t name =

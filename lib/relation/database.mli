@@ -8,7 +8,6 @@ val name : t -> string
 val create_table : t -> name:string -> Schema.t -> Table.t
 (** Raises [Schema.Schema_error] if a table with that name exists. *)
 
-val drop_table : t -> string -> unit
 val find_table : t -> string -> Table.t option
 
 val get_table : t -> string -> Table.t

@@ -8,14 +8,6 @@ let col_type_name = function
   | TString -> "string"
   | TBool -> "bool"
 
-let col_type_of_string s =
-  match String.lowercase_ascii s with
-  | "int" | "integer" | "short" | "long" -> Some TInt
-  | "float" | "double" | "real" -> Some TFloat
-  | "string" | "text" | "varchar" -> Some TString
-  | "bool" | "boolean" -> Some TBool
-  | _ -> None
-
 let value_conforms ty v =
   match (ty, v) with
   | _, V.Null -> true

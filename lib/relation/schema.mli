@@ -7,7 +7,6 @@
 type col_type = TInt | TFloat | TString | TBool
 
 val col_type_name : col_type -> string
-val col_type_of_string : string -> col_type option
 
 val value_conforms : col_type -> Disco_value.Value.t -> bool
 (** [Null] conforms to every column type. *)

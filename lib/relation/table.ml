@@ -53,8 +53,6 @@ let append_rows t rows =
 
 let insert t row = append_rows t [ row ]
 
-let insert_struct t v = insert t (Schema.struct_to_row t.schema v)
-
 let insert_all t rows =
   (* One logical load, one version bump: bulk loads must not churn
      data-version-keyed caches once per row. *)

@@ -18,9 +18,6 @@ val insert : t -> Disco_value.Value.t array -> unit
 (** Append a row. Raises {!Schema.Schema_error} if the row does not
     conform, leaving the table unchanged. *)
 
-val insert_struct : t -> Disco_value.Value.t -> unit
-(** Insert a row given as a struct (missing fields become [Null]). *)
-
 val insert_all : t -> Disco_value.Value.t array list -> unit
 (** Bulk insert. Bumps {!version} once for the whole batch (not once per
     row), so one logical load invalidates data-version-keyed caches once.

@@ -758,8 +758,7 @@ let find_result results repo logical =
       if String.equal r repo && Expr.equal l logical then Some res else None)
     results
 
-(* One parallel round of execs — a plan's ready execs or a fetch's
-   extents.  Structurally identical execs are deduplicated (the answer is
+(* One parallel round of a plan's ready execs.  Structurally identical execs are deduplicated (the answer is
    computed once and substituted everywhere); each remaining exec is
    looked up in the answer cache once; the rest are grouped by
    destination — (chosen repository, wrapper) — and each group rides one
@@ -1099,42 +1098,3 @@ let execute ?(timeout_ms = 1000.0) ?verdict env plan =
       (Complete (Plan.run_local substituted), stats_acc))
   in
   loop plan zero_stats []
-
-let fetch ?(timeout_ms = 1000.0) env extents =
-  let deadline = Scheduler.now env.sched +. timeout_ms in
-  let execs =
-    List.map (fun extent -> ((binding_of env extent).b_repo, Expr.Get extent)) extents
-  in
-  let results, stats = issue_round env ~deadline execs in
-  ( List.map2
-      (fun extent (repo, logical) ->
-        ( extent,
-          match find_result results repo logical with
-          | Some (Done d) -> Some d.value
-          | Some Blocked | None -> None ))
-      extents execs,
-    stats )
-
-let resubmit_hint env = function
-  | Complete _ -> []
-  | Partial { versions; _ } ->
-      List.filter_map
-        (fun (repo, recorded_version) ->
-          (* the recorded repository may be a replica (hedge or failover
-             winner), which has no binding of its own — look it up among
-             the replicas too *)
-          let source =
-            match
-              List.find_opt (fun b -> String.equal b.b_repo repo) env.bindings
-            with
-            | Some b -> Some b.b_source
-            | None ->
-                List.find_map
-                  (fun b -> List.assoc_opt repo b.b_replicas)
-                  env.bindings
-          in
-          match source with
-          | Some src when Source.data_version src <> recorded_version ->
-              Some repo
-          | _ -> None)
-        versions

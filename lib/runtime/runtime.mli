@@ -236,8 +236,10 @@ val execute :
   env ->
   Disco_physical.Plan.plan ->
   answer * stats
-(** [timeout_ms] is the designated deadline (default 1000 virtual ms).
-    Advances the env's clock to the completion (or deadline) time.
+(** The only way to run execs: whole queries and the mediator's hybrid
+    fragments all come here as plans. [timeout_ms] is the designated
+    deadline (default 1000 virtual ms). Advances the env's clock to the
+    completion (or deadline) time.
 
     Before issuing anything the gate ({!Config.check}) reports the plan's
     [verdict]: the diagnostics the optimizer already computed for it
@@ -247,15 +249,3 @@ val execute :
     runs {!Disco_check.Check.check_plan} itself. Either way the report
     is the same: {!Disco_check.Check.report}, and under [Enforce] the
     refusal. *)
-
-val fetch :
-  ?timeout_ms:float -> env -> string list -> (string * V.t option) list * stats
-(** Materialize whole extents in one parallel round of [exec(repo,
-    get(extent))] calls — the fallback the mediator's hybrid evaluator
-    uses for queries outside the algebraic subset. [None] marks extents
-    whose source did not answer by the deadline. *)
-
-val resubmit_hint : env -> answer -> string list
-(** For a partial answer: the repositories whose data changed since the
-    answer was produced (the staleness check). Empty for complete
-    answers. *)

@@ -44,15 +44,6 @@ let person_two_schema =
       ("consult", Schema.TInt);
     ]
 
-let person_two_rows ~seed ~n =
-  List.init n (fun i ->
-      [|
-        V.Int i;
-        V.String (pick_name ~seed i);
-        V.Int (uniform_int ~seed 3 i 10 400);
-        V.Int (uniform_int ~seed 4 i 0 100);
-      |])
-
 let employee_schema =
   Schema.make [ ("name", Schema.TString); ("dept", Schema.TString) ]
 

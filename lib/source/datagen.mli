@@ -19,8 +19,6 @@ val person_two_schema : Disco_relation.Schema.t
 (** (id int, name string, regular int, consult int) — Section 2.3's
     [PersonTwo] with split pay. *)
 
-val person_two_rows : seed:int -> n:int -> V.t array list
-
 val employee_schema : Disco_relation.Schema.t
 (** (name string, dept string) *)
 

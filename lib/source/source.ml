@@ -112,12 +112,6 @@ let file_append t v =
 
 let file_records t = List.rev !(file_store t)
 
-let text_index t =
-  match t.kind with
-  | Text idx -> idx
-  | Relational _ | Key_value _ | Flat_file _ ->
-      invalid_arg (Fmt.str "source %s is not a text server" t.id)
-
 type 'a outcome = Answered of 'a * float | Unavailable | Timed_out of float
 
 (* Deterministic jitter in [0, jitter] as a fraction of the nominal

@@ -75,9 +75,6 @@ val file_append : t -> V.t -> unit
 val file_records : t -> V.t list
 (** Raises [Invalid_argument] on non-flat-file sources. *)
 
-val text_index : t -> Text_index.t
-(** Raises [Invalid_argument] on non-text sources. *)
-
 (** {1 Simulated calls} *)
 
 (** The outcome of a network call issued at some virtual time. *)

@@ -125,10 +125,6 @@ let elements = function
 
 let is_collection = function Bag _ | Set _ | List _ -> true | _ -> false
 
-let to_bool = function
-  | Bool b -> b
-  | v -> type_error "expected bool, got %s" (type_name v)
-
 let to_int = function
   | Int i -> i
   | _ -> type_error "expected int"
@@ -137,10 +133,6 @@ let to_float = function
   | Float f -> f
   | Int i -> float_of_int i
   | _ -> type_error "expected numeric"
-
-let to_string_exn = function
-  | String s -> s
-  | _ -> type_error "expected string"
 
 let bag_union a b =
   match (a, b) with

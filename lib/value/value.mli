@@ -75,14 +75,9 @@ val elements : t -> t list
 
 val is_collection : t -> bool
 
-val to_bool : t -> bool
-(** Raises {!Type_error} if the value is not a [Bool]. *)
-
 val to_int : t -> int
 val to_float : t -> float
 (** [to_float] accepts both [Int] and [Float]. *)
-
-val to_string_exn : t -> string
 
 (** {1 Collection algebra} *)
 

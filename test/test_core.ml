@@ -961,6 +961,57 @@ let test_key_repeated_hybrid () =
   Alcotest.(check (pair int int)) "fragment: one miss, then hits" (2, 1)
     (plan_cache_counts m)
 
+(* Each closed fragment of a hybrid query runs once: a partial fragment
+   is replaced by its own residual, so the source that answered is not
+   asked again, and a bare extent is planned and run like any other
+   fragment. *)
+let test_hybrid_fragment_runs_once () =
+  let m = paper_mediator () in
+  let timeout_ms = 50.0 in
+  let set_schedule repo schedule =
+    match Mediator.find_source m repo with
+    | Some src -> Source.set_schedule src schedule
+    | None -> Alcotest.fail ("no source " ^ repo)
+  in
+  set_schedule "r1" Schedule.always_down;
+  let o =
+    Mediator.query ~opts:(qopts ~timeout_ms ()) m
+      "sum(select x.salary from x in person where x.salary > 10)"
+  in
+  let stats = o.Mediator.stats in
+  Alcotest.(check int) "execs issued" 2 stats.Disco_runtime.Runtime.execs_issued;
+  Alcotest.(check int) "execs blocked" 1 stats.Disco_runtime.Runtime.execs_blocked;
+  Alcotest.(check (float 1e-9)) "one deadline" timeout_ms
+    stats.Disco_runtime.Runtime.elapsed_ms;
+  (match Mediator.find_source m "r0" with
+  | Some src ->
+      Alcotest.(check int) "r0 answered once" 1
+        (Source.stats src).Source.calls_answered
+  | None -> Alcotest.fail "no source r0");
+  (match o.Mediator.answer with
+  | Mediator.Partial _ as p ->
+      let oql = Mediator.answer_oql p in
+      Alcotest.(check bool) "residual names person1" true (contains oql "person1");
+      Alcotest.(check bool) "residual does not name person0" false
+        (contains oql "person0")
+  | _ -> Alcotest.fail "expected partial");
+  set_schedule "r1" Schedule.always_up;
+  Alcotest.check check_value "resubmission is complete" (V.Int 250)
+    (complete (Mediator.resubmit m o.Mediator.answer));
+  (* bare extents are fragments: each is planned (one miss apiece) *)
+  let q = "count(person0) + count(person1)" in
+  let one_row = V.bag [ V.strct [ ("name", V.String "x") ] ] in
+  let reference =
+    Disco_oql.Eval.eval_string
+      (Disco_oql.Eval.env ~resolve:(fun _ -> Some one_row) ())
+      q
+  in
+  let _, misses = plan_cache_counts m in
+  Alcotest.check check_value "bare extents equal Eval" reference
+    (complete (Mediator.query m q));
+  Alcotest.(check int) "one plan per bare extent" (misses + 2)
+    (snd (plan_cache_counts m))
+
 (* -- wrapper capability fallback -- *)
 
 (* A lying wrapper: advertises full capability, refuses everything but
@@ -1462,6 +1513,8 @@ let () =
             test_hybrid_fragment_pushdown;
           Alcotest.test_case "hybrid fragment partial" `Quick
             test_hybrid_fragment_partial;
+          Alcotest.test_case "hybrid fragment runs once" `Quick
+            test_hybrid_fragment_runs_once;
           Alcotest.test_case "semijoin reduction" `Quick test_semijoin_reduction;
           Alcotest.test_case "explain shows the cached plan" `Quick
             test_explain_shows_cached_plan;

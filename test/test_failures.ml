@@ -76,6 +76,11 @@ let prop_resubmission_equivalence =
               x.salary < 250";
              "count(person)" (* hybrid path *);
              "select distinct x.name from x in person";
+             "sum(select x.salary from x in person where x.salary > 100)";
+             "count(person0) + count(person5)";
+             "select struct(n: x.name, c: count(select y from y in person \
+              where y.salary = x.salary)) from x in person where x.salary > \
+              400";
            ]))
     (fun (mask, query) ->
       let m = federation () in
@@ -257,6 +262,51 @@ let test_stale_hint () =
            (V.elements v))
   | _ -> Alcotest.fail "expected complete after recovery"
 
+(* When a replica answers for a down primary, the staleness check
+   watches the replica that answered. *)
+let test_stale_hint_replica () =
+  let m = Mediator.create ~name:"stale-replica" () in
+  let attach repo table ~seed =
+    let db = Database.create ~name:"db" in
+    ignore
+      (Datagen.table_of db ~name:table Datagen.person_schema
+         (Datagen.person_rows ~seed ~n:8));
+    Mediator.register_source m ~name:repo
+      (Source.create ~id:repo
+         ~address:(Source.address ~host:repo ~db_name:"db" ~ip:"0" ())
+         ~latency:{ Source.base_ms = 5.0; per_row_ms = 0.0; jitter = 0.0 }
+         (Source.Relational db));
+    db
+  in
+  ignore (attach "r0" "person0" ~seed:500);
+  let replica_db = attach "r0x" "person0" ~seed:500 in
+  ignore (attach "r1" "person1" ~seed:501);
+  Mediator.load_odl m
+    {|w0 := WrapperPostgres();
+      r0 := Repository(host="r0", name="db", address="0");
+      r0x := Repository(host="r0x", name="db", address="0");
+      r1 := Repository(host="r1", name="db", address="0");
+      interface Person (extent person) {
+        attribute Short id;
+        attribute String name;
+        attribute Short salary; }
+      extent person0 of Person wrapper w0 repository r0 replica r0x;
+      extent person1 of Person wrapper w0 repository r1;|};
+  set_down m 0;
+  set_down m 1;
+  let o = Mediator.query ~opts:(qopts ~timeout_ms:100.0 ()) m q in
+  (match o.Mediator.answer with
+  | Mediator.Partial { unavailable; _ } as p ->
+      Alcotest.(check (list string)) "only r1 blocked" [ "r1" ] unavailable;
+      Alcotest.(check (list string)) "fresh answer: no hint" []
+        (Mediator.stale_hint m p)
+  | _ -> Alcotest.fail "expected partial");
+  Disco_relation.Table.insert
+    (Database.get_table replica_db "person0")
+    [| V.Int 99; V.String "New"; V.Int 999 |];
+  Alcotest.(check (list string)) "replica change flags the answer" [ "r0x" ]
+    (Mediator.stale_hint m o.Mediator.answer)
+
 let test_deep_nesting_robustness () =
   (* a deeply nested query exercises parser/eval recursion *)
   let m = federation ~n:1 () in
@@ -297,6 +347,8 @@ let () =
       ( "staleness-and-depth",
         [
           Alcotest.test_case "data changes after partial" `Quick test_stale_hint;
+          Alcotest.test_case "replica data changes after partial" `Quick
+            test_stale_hint_replica;
           Alcotest.test_case "deep nesting" `Quick test_deep_nesting_robustness;
         ] );
     ]
