@@ -1930,14 +1930,30 @@ let () =
     f ();
     emit_summary name
   in
-  (match !wanted with
-  | Some name -> (
-      match List.assoc_opt name experiments with
-      | Some f -> run (name, f)
-      | None ->
-          Fmt.epr "unknown experiment %s (%s)@." name
-            (String.concat ", " (List.map fst experiments));
-          exit 1)
-  | None -> List.iter run experiments);
+  (* a full run goes on past a failed experiment, so one violation does
+     not hide the others' tables and verdicts; it still exits non-zero *)
+  let failed =
+    match !wanted with
+    | Some name -> (
+        match List.assoc_opt name experiments with
+        | Some f ->
+            run (name, f);
+            []
+        | None ->
+            Fmt.epr "unknown experiment %s (%s)@." name
+              (String.concat ", " (List.map fst experiments));
+            exit 1)
+    | None ->
+        List.filter_map
+          (fun (name, f) ->
+            match run (name, f) with
+            | () -> None
+            | exception e -> Some (name, Printexc.to_string e))
+          experiments
+  in
   if List.mem "--merge-results" args then merge_existing_results ();
-  write_results_file ()
+  write_results_file ();
+  if failed <> [] then (
+    Fmt.epr "@.%d experiment(s) failed:@." (List.length failed);
+    List.iter (fun (name, reason) -> Fmt.epr "  %s: %s@." name reason) failed;
+    exit 1)

@@ -976,7 +976,11 @@ let audit_shards checker =
                   match grammars with
                   | [] -> ()
                   | (_, g0) :: rest ->
-                      if List.exists (fun (_, g) -> g <> g0) rest then
+                      if
+                        List.exists
+                          (fun (_, g) -> not (Grammar.equal g g0))
+                          rest
+                      then
                         warn st w005 path
                           "shard wrappers advertise heterogeneous grammars \
                            (%s); pushdown degrades to the weakest shard"

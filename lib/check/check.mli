@@ -183,8 +183,9 @@ val audit_shards : t -> diag list
     partitioned extent's shard repositories must be registered sources
     ([DISCO-E014]), its shard key a declared scalar attribute
     ([DISCO-E015]), its range boundaries strictly increasing
-    ([DISCO-E016]); shards served through wrappers with structurally
-    different grammars warn [DISCO-W005]. Empty without a registry. *)
+    ([DISCO-E016]); shards served through wrappers whose grammars differ
+    ({!Disco_wrapper.Grammar.equal}: start symbol and productions, not
+    recorded verdicts) warn [DISCO-W005]. Empty without a registry. *)
 
 val diag :
   code:string ->

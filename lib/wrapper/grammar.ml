@@ -2,7 +2,25 @@ module Expr = Disco_algebra.Expr
 
 type symbol = T of string | N of string
 type production = { lhs : string; rhs : symbol list }
-type t = { start : string; productions : production list }
+
+(* The verdicts [accepts] has recorded for one grammar value, keyed on
+   the token string. The map is immutable and published whole by
+   compare-and-set, so readers on any domain or thread see a consistent
+   snapshot without a lock. *)
+module Verdicts = Map.Make (struct
+  type t = string list
+
+  let compare = List.compare String.compare
+end)
+
+type verdicts = { known : bool Verdicts.t; entries : int }
+type memo = verdicts Atomic.t
+type t = { start : string; productions : production list; memo : memo }
+
+let memo_bound = 1024
+
+let equal a b =
+  a == b || (String.equal a.start b.start && a.productions = b.productions)
 
 let pp_symbol ppf = function
   | T s -> Fmt.string ppf s
@@ -61,7 +79,12 @@ let parse text =
   in
   match productions with
   | [] -> invalid_arg "Grammar.parse: empty grammar"
-  | first :: _ -> { start = first.lhs; productions }
+  | first :: _ ->
+      {
+        start = first.lhs;
+        productions;
+        memo = Atomic.make { known = Verdicts.empty; entries = 0 };
+      }
 
 (* -- serialization -- *)
 
@@ -246,7 +269,31 @@ let derives g tokens =
       && item.dot = List.length item.prod.rhs)
     chart.(n)
 
-let accepts g e = derives g (tokens_of_expr e)
+(* Record a verdict unless another asker got there first; a full memo
+   starts again from this one entry. *)
+let rec record memo tokens verdict =
+  let seen = Atomic.get memo in
+  if not (Verdicts.mem tokens seen.known) then
+    let next =
+      if seen.entries >= memo_bound then
+        { known = Verdicts.singleton tokens verdict; entries = 1 }
+      else
+        {
+          known = Verdicts.add tokens verdict seen.known;
+          entries = seen.entries + 1;
+        }
+    in
+    if not (Atomic.compare_and_set memo seen next) then
+      record memo tokens verdict
+
+let accepts g e =
+  let tokens = tokens_of_expr e in
+  match Verdicts.find_opt tokens (Atomic.get g.memo).known with
+  | Some verdict -> verdict
+  | None ->
+      let verdict = derives g tokens in
+      record g.memo tokens verdict;
+      verdict
 
 (* -- derivation coverage -- *)
 

@@ -4,9 +4,10 @@
     context-free grammar over operator tokens; the mediator serializes a
     candidate [Submit] argument into a token string and checks
     derivability. This module implements the grammar representation, an
-    Earley recognizer (the grammars are tiny, so worst-case cubic cost is
-    irrelevant), the serializer, and builders for the paper's grammar
-    shapes — including its literal example: a wrapper that understands
+    Earley recognizer, a per-grammar memo of its verdicts (so each
+    capability question is answered once; see {!accepts}), the
+    serializer, and builders for the paper's grammar shapes — including
+    its literal example: a wrapper that understands
     [get] and [project] of sources but not their composition:
 
     {v
@@ -20,7 +21,21 @@ type symbol = T of string | N of string
 
 type production = { lhs : string; rhs : symbol list }
 
-type t = { start : string; productions : production list }
+type memo
+(** The verdicts {!accepts} has recorded for one grammar value. *)
+
+type t = private {
+  start : string;
+  productions : production list;
+  memo : memo;
+}
+(** Grammars are built by {!parse} (and the builders below), each with
+    its own empty memo. Compare them with {!equal}: polymorphic equality
+    also compares memos, so two equal grammars asked different questions
+    would differ. *)
+
+val equal : t -> t -> bool
+(** Same start symbol and same productions; memos are ignored. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints in the paper's [a :- b] notation. *)
@@ -61,7 +76,20 @@ val derives : t -> string list -> bool
 (** Earley recognition: does the grammar derive the token string? *)
 
 val accepts : t -> Disco_algebra.Expr.expr -> bool
-(** [derives g (tokens_of_expr e)]. *)
+(** [derives g (tokens_of_expr e)], answered once per token string.
+    Each grammar value keeps a memo from token string to verdict: a miss
+    runs {!derives} and records the answer. The token string erases
+    sources, constants and range-variable names, so every expression of
+    one shape shares a verdict. The memo holds at most {!memo_bound}
+    entries and starts again empty when full.
+
+    Thread safety: the memo is an immutable map in an [Atomic.t],
+    replaced whole by compare-and-set, so one grammar value (say
+    {!full_relational}) may be asked concurrently from several domains
+    and threads. A lost race only means a verdict is computed twice. *)
+
+val memo_bound : int
+(** The most verdicts one grammar's memo holds (1024). *)
 
 (** {1 Coverage} *)
 

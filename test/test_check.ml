@@ -448,6 +448,55 @@ let test_audit_kv_overclaims () =
   in
   check_has "DISCO-W002" ds
 
+(* -- W005: shards behind different grammars -- *)
+
+let sharded_schema =
+  {|
+  r0 := Repository(host="h0", name="db", address="1");
+  r1 := Repository(host="h1", name="db", address="2");
+  w0 := WrapperSelect();
+  interface Person (extent person) {
+    attribute Short id;
+    attribute String name;
+    attribute Short salary;
+  }
+  extent people of Person wrapper w0 sharded by id range (100) across r0 r1;
+|}
+
+(* audit_shards with the two shards of [people] served by [w_a] and [w_b] *)
+let audit_two_shards w_a w_b =
+  let reg = Registry.create () in
+  Odl_parser.load reg sharded_schema;
+  let serving =
+    match Registry.shard_children reg "people" with
+    | [ a; b ] -> [ (a.Registry.me_name, w_a); (b.Registry.me_name, w_b) ]
+    | _ -> Alcotest.fail "expected two shards"
+  in
+  Check.audit_shards
+    (Check.of_registry ~wrapper_of:(fun ext -> List.assoc_opt ext serving) reg)
+
+let test_w005_equal_grammars_warmed_memo () =
+  let w_a = Wrapper.select_wrapper () and w_b = Wrapper.select_wrapper () in
+  (* warm only one memo: equal grammars must still read as equal *)
+  let probe =
+    Expr.Select (get0, Expr.Cmp (Expr.Eq, Expr.Attr [ "id" ], const_i 1))
+  in
+  Alcotest.(check bool) "select accepted" true (Wrapper.accepts w_a probe);
+  Alcotest.(check bool)
+    "grammars equal" true
+    (Grammar.equal (Wrapper.functionality w_a) (Wrapper.functionality w_b));
+  let ds = audit_two_shards w_a w_b in
+  Alcotest.(check bool)
+    ("no W005 in " ^ String.concat "," (codes ds))
+    false
+    (List.mem "DISCO-W005" (codes ds))
+
+let test_w005_heterogeneous_grammars () =
+  let ds =
+    audit_two_shards (Wrapper.select_wrapper ()) (Wrapper.sql_wrapper ())
+  in
+  check_has "DISCO-W005" ds
+
 (* -- capability-grammar edge cases -- *)
 
 let test_grammar_empty_production () =
@@ -551,6 +600,10 @@ let () =
             test_audit_scan_clean;
           Alcotest.test_case "kv wrapper over-claims" `Quick
             test_audit_kv_overclaims;
+          Alcotest.test_case "W005 equal grammars, one memo warmed" `Quick
+            test_w005_equal_grammars_warmed_memo;
+          Alcotest.test_case "W005 heterogeneous shard grammars" `Quick
+            test_w005_heterogeneous_grammars;
         ] );
       ( "grammar",
         [

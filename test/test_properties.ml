@@ -95,6 +95,144 @@ let test_earley_vs_brute_force () =
       (Grammar.derives tiny_grammar tokens)
   done
 
+(* -- the verdict memo answers like a fresh Earley run -- *)
+
+let memo_attrs = [ "id"; "name"; "salary"; "age" ]
+
+let memo_scalar_gen =
+  QCheck.Gen.(
+    let leaf =
+      oneof
+        [
+          map (fun a -> Expr.Attr [ "x"; a ]) (oneofl memo_attrs);
+          map (fun n -> Expr.Const (V.Int n)) small_nat;
+        ]
+    in
+    frequency
+      [ (4, leaf); (1, map2 (fun a b -> Expr.Arith (Expr.Add, a, b)) leaf leaf) ])
+
+let memo_pred_gen =
+  QCheck.Gen.(
+    fix
+      (fun self d ->
+        let cmp =
+          map3
+            (fun op a b -> Expr.Cmp (op, a, b))
+            (oneofl Expr.[ Eq; Ne; Lt; Le; Gt; Ge; Like ])
+            memo_scalar_gen memo_scalar_gen
+        in
+        let simple =
+          map3
+            (fun op a n -> Expr.Cmp (op, Expr.Attr [ "x"; a ], Expr.Const (V.Int n)))
+            (oneofl Expr.[ Eq; Eq; Eq; Lt; Ge ])
+            (oneofl memo_attrs) small_nat
+        in
+        let leaf =
+          frequency
+            [
+              (6, simple);
+              (3, cmp);
+              (1, return Expr.True);
+              ( 1,
+                map (fun a -> Expr.Member (a, V.bag [ V.Int 1 ])) memo_scalar_gen
+              );
+            ]
+        in
+        if d = 0 then leaf
+        else
+          frequency
+            [
+              (3, leaf);
+              (1, map2 (fun a b -> Expr.And (a, b)) (self (d - 1)) (self (d - 1)));
+              (1, map2 (fun a b -> Expr.Or (a, b)) (self (d - 1)) (self (d - 1)));
+              (1, map (fun a -> Expr.Not a) (self (d - 1)));
+            ])
+      2)
+
+(* Shallow selections over a scan dominate, so every standard grammar
+   sees both accepted and refused sentences. *)
+let memo_expr_gen =
+  QCheck.Gen.(
+    fix
+      (fun self d ->
+        let get = map (fun s -> Expr.Get s) (oneofl [ "s0"; "s1" ]) in
+        if d = 0 then get
+        else
+          let sub = self (d - 1) in
+          frequency
+            [
+              (2, get);
+              (4, map2 (fun e p -> Expr.Select (e, p)) get memo_pred_gen);
+              (2, map2 (fun e p -> Expr.Select (e, p)) sub memo_pred_gen);
+              ( 2,
+                map2
+                  (fun e n -> Expr.Project (e, List.filteri (fun i _ -> i <= n) memo_attrs))
+                  sub (int_bound 3) );
+              (1, map (fun e -> Expr.Map (e, Expr.Hstruct [ ("x", Expr.Attr []) ])) sub);
+              (1, map2 (fun e s -> Expr.Map (e, Expr.Hscalar s)) sub memo_scalar_gen);
+              ( 1,
+                map3
+                  (fun l r keyed ->
+                    Expr.Join
+                      (l, r, if keyed then [ ([ "x"; "id" ], [ "y"; "id" ]) ] else []))
+                  sub sub bool );
+              (1, map2 (fun a b -> Expr.Union [ a; b ]) sub sub);
+              (1, map (fun e -> Expr.Distinct e) sub);
+              (1, return (Expr.Data (V.Int 0)));
+            ])
+      3)
+
+let standard_grammars =
+  [
+    ("get_only", Grammar.get_only);
+    ("project_no_compose", Grammar.project_no_compose);
+    ("select_pushdown", Grammar.select_pushdown ());
+    ("select_pushdown =,<", Grammar.select_pushdown ~comparisons:[ "="; "<" ] ());
+    ("full_relational", Grammar.full_relational);
+    ("key_lookup", Grammar.key_lookup);
+    ("indexed_lookup", Grammar.indexed_lookup ~eq:[ "id" ] ~range:[ "salary" ] ());
+    ("indexed_lookup eq", Grammar.indexed_lookup ~eq:[ "name" ] ());
+  ]
+
+(* Asked twice, so the second answer comes from the memo. *)
+let prop_accepts_is_derives =
+  QCheck.Test.make ~name:"memoised accepts = derives on every standard grammar"
+    ~count:500
+    (QCheck.make ~print:(Fmt.to_to_string Expr.pp) memo_expr_gen)
+    (fun e ->
+      let tokens = Grammar.tokens_of_expr e in
+      List.for_all
+        (fun (_, g) ->
+          let fresh = Grammar.derives g tokens in
+          Grammar.accepts g e = fresh && Grammar.accepts g e = fresh)
+        standard_grammars)
+
+(* More distinct sentences than the memo holds, through one grammar:
+   every verdict, before and after the memo starts again, is Earley's. *)
+let test_memo_past_its_bound () =
+  let g = Grammar.select_pushdown () in
+  let n = Grammar.memo_bound + 200 in
+  let sentence i =
+    let a = Printf.sprintf "a%d" i in
+    if i mod 3 = 0 then Expr.Project (Expr.Get "s", [ a ])
+    else
+      Expr.Select
+        (Expr.Get "s", Expr.Cmp (Expr.Eq, Expr.Attr [ "x"; a ], Expr.Const (V.Int i)))
+  in
+  let agree round =
+    for i = 0 to n - 1 do
+      let e = sentence i in
+      Alcotest.(check bool)
+        (Fmt.str "round %d: %a" round Expr.pp e)
+        (Grammar.derives g (Grammar.tokens_of_expr e))
+        (Grammar.accepts g e)
+    done
+  in
+  agree 1;
+  agree 2;
+  Alcotest.(check bool) "accepts a selection" true (Grammar.accepts g (sentence 1));
+  Alcotest.(check bool) "refuses a projection" false (Grammar.accepts g (sentence 0))
+
 (* -- like vs naive oracle -- *)
 
 let oracle_like ~pattern s =
@@ -1293,10 +1431,16 @@ let () =
   Alcotest.run "disco_properties"
     [
       ( "grammar-oracle",
-        [ Alcotest.test_case "earley vs brute force" `Quick test_earley_vs_brute_force ] );
+        [
+          Alcotest.test_case "earley vs brute force" `Quick
+            test_earley_vs_brute_force;
+          Alcotest.test_case "memo past its bound" `Quick
+            test_memo_past_its_bound;
+        ] );
       ( "qcheck",
         List.map QCheck_alcotest.to_alcotest
           [
+            prop_accepts_is_derives;
             prop_like_matches_oracle;
             prop_join_algorithms_agree;
             prop_union_one_sort;

@@ -9,7 +9,9 @@
      even when stop lands mid-burst, and the health counters reconcile
      exactly with the observed replies;
    - Scheduler: the wall scheduler answers exactly like the
-     deterministic virtual one, under concurrent sessions too. *)
+     deterministic virtual one, under concurrent sessions too;
+   - Grammar: the verdict memo of one shared grammar, asked from
+     several domains and threads at once, answers like Earley. *)
 
 module V = Disco_value.Value
 module Database = Disco_relation.Database
@@ -20,6 +22,8 @@ module Mediator = Disco_core.Mediator
 module Runtime = Disco_runtime.Runtime
 module Metrics = Disco_obs.Metrics
 module Server = Disco_serve.Server
+module Expr = Disco_algebra.Expr
+module Grammar = Disco_wrapper.Grammar
 
 (* -- metrics under domain parallelism -- *)
 
@@ -267,6 +271,62 @@ let test_wall_concurrent_sessions () =
   Server.stop srv;
   Scheduler.shutdown sched
 
+(* -- one grammar memo shared by domains and threads -- *)
+
+(* A fixed mix of distinct sentences, more than the memo holds, so
+   concurrent askers also race its restart. Attribute names no other
+   test uses keep the shared grammar's memo cold for them. Every third
+   one is a union, which [full_relational] refuses. *)
+let memo_mix =
+  List.init (Grammar.memo_bound + 100) (fun i ->
+      let a = Printf.sprintf "race%d" i in
+      let sel =
+        Expr.Select
+          ( Expr.Get "s",
+            Expr.Cmp (Expr.Lt, Expr.Attr [ "x"; a ], Expr.Const (V.Int i)) )
+      in
+      if i mod 3 = 0 then Expr.Union [ sel; Expr.Get "t" ]
+      else Expr.Project (sel, [ a ]))
+
+let test_shared_grammar_memo () =
+  let g = Grammar.full_relational in
+  let mix = Array.of_list memo_mix in
+  let n = Array.length mix in
+  let expected =
+    Array.map (fun e -> Grammar.derives g (Grammar.tokens_of_expr e)) mix
+  in
+  (* each asker walks the mix from its own offset, twice, and counts the
+     verdicts that differ from the sequential ones *)
+  let ask offset () =
+    let wrong = ref 0 in
+    for pass = 0 to 1 do
+      for k = 0 to n - 1 do
+        let i = (offset + (pass * 7) + k) mod n in
+        if Grammar.accepts g mix.(i) <> expected.(i) then incr wrong
+      done
+    done;
+    !wrong
+  in
+  let domains = List.init 4 (fun d -> Domain.spawn (ask (d * 97))) in
+  let thread_wrong = Array.make 2 0 in
+  let threads =
+    List.init 2 (fun t ->
+        Thread.create
+          (fun () -> thread_wrong.(t) <- ask (500 + (t * 131)) ())
+          ())
+  in
+  List.iter Thread.join threads;
+  let domain_wrong = List.map Domain.join domains in
+  List.iteri
+    (fun d w -> Alcotest.(check int) (Fmt.str "domain %d verdicts" d) 0 w)
+    domain_wrong;
+  Array.iteri
+    (fun t w -> Alcotest.(check int) (Fmt.str "thread %d verdicts" t) 0 w)
+    thread_wrong;
+  Alcotest.(check bool)
+    "mix has both verdicts" true
+    (Array.mem true expected && Array.mem false expected)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "races"
@@ -278,4 +338,5 @@ let () =
           tc "wall = virtual" test_scheduler_equivalence;
           tc "concurrent wall sessions" test_wall_concurrent_sessions;
         ] );
+      ("grammar", [ tc "shared grammar memo" test_shared_grammar_memo ]);
     ]
