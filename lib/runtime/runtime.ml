@@ -166,7 +166,7 @@ end
 type env = {
   sched : Scheduler.t;
   cost : Cost_model.t;
-  bindings : binding list;
+  bindings : (string, binding) Hashtbl.t;  (* by extent name *)
   cache : Answer_cache.t option;
   serve_stale_ms : float option;
       (* when set, execs to unavailable sources are answered from cached
@@ -180,8 +180,8 @@ type env = {
   check : Check.mode;
   checker : Check.t option;
   retry : Retry.t option;
-      (* when set, blocked execs become pending events re-polled until
-         the deadline instead of finalizing at issue time; None is the
+      (* when set, blocked execs are re-polled until the deadline
+         instead of finalizing at issue time; None is the
          historical one-shot behavior, reproduced exactly *)
   breaker : Breaker.t;
   extra_trips : int ref;
@@ -190,13 +190,19 @@ type env = {
 }
 
 let env (c : Config.t) bindings =
+  let by_extent = Hashtbl.create (List.length bindings) in
+  List.iter
+    (fun b ->
+      if not (Hashtbl.mem by_extent b.b_extent) then
+        Hashtbl.replace by_extent b.b_extent b)
+    bindings;
   {
     sched =
       (match c.Config.sched with
       | Some s -> s
       | None -> Scheduler.of_clock c.Config.clock);
     cost = c.Config.cost;
-    bindings;
+    bindings = by_extent;
     cache = c.Config.cache;
     serve_stale_ms = c.Config.serve_stale_ms;
     trace = c.Config.trace;
@@ -214,9 +220,7 @@ let env (c : Config.t) bindings =
   }
 
 let binding_of env extent =
-  match
-    List.find_opt (fun b -> String.equal b.b_extent extent) env.bindings
-  with
+  match Hashtbl.find_opt env.bindings extent with
   | Some b -> b
   | None -> runtime_error "no binding for extent %s" extent
 
@@ -593,215 +597,184 @@ let unanswered ?batch env ~now ~deadline (p : prepared) =
           ~shipped:0 ~rows:0;
       Blocked
 
+(* One round's bookkeeping: a slot per distinct [(repository, expr)]
+   exec, in first-appearance order, found by repository and then by
+   [Expr.equal] within that repository's bucket.  Dedup fills the table,
+   completions and re-polls write outcomes into its slots, and
+   substitution, the blocked list and the version vector read them
+   back. *)
+type slot = {
+  s_repo : string;
+  s_logical : Expr.expr;
+  mutable s_result : exec_result;
+}
+
+type round = {
+  by_repo : (string, slot list) Hashtbl.t;
+  slots : slot list;  (* first-appearance order *)
+}
+
+let bucket by_repo repo =
+  Option.value ~default:[] (Hashtbl.find_opt by_repo repo)
+
+let find_slot round repo logical =
+  List.find_opt
+    (fun s -> Expr.equal s.s_logical logical)
+    (bucket round.by_repo repo)
+
+let round_of execs =
+  let by_repo = Hashtbl.create (List.length execs) in
+  let slots =
+    List.fold_left
+      (fun slots (repo, logical) ->
+        let b = bucket by_repo repo in
+        if List.exists (fun s -> Expr.equal s.s_logical logical) b then slots
+        else
+          let s = { s_repo = repo; s_logical = logical; s_result = Blocked } in
+          Hashtbl.replace by_repo repo (s :: b);
+          s :: slots)
+      [] execs
+  in
+  { by_repo; slots = List.rev slots }
+
 (* -- deadline-aware retry scheduler (Config.retry) --
 
-   Blocked execs do not finalize at issue time: each becomes a pending
-   event on the virtual clock, re-polled on exponential backoff
-   ([initial_ms], [multiplier]) until it recovers, exhausts
-   [max_attempts], or runs out of deadline.  Events across execs are
-   processed in virtual-time order — like a real event loop — so shared
-   state (the circuit breaker, source call counters) evolves the same
-   way it would under a reactor.  Each re-poll re-prepares the exec, so
-   failover re-evaluates source availability at the re-poll instant: a
-   source whose schedule flips up at t=300ms answers a 1000ms-deadline
-   query instead of forcing a partial answer.
+   Blocked execs do not finalize at issue time: each is re-polled on
+   exponential backoff ([initial_ms], [multiplier]) until it recovers,
+   exhausts [max_attempts], or runs out of deadline.  Every exec of a
+   round was issued at the same instant and backs off by the same
+   formula, so re-poll [k] of every exec falls on one instant, and the
+   instants grow with [k]: draining attempt by attempt, each pass in slot
+   order, is the virtual-time order of a real event loop, so shared
+   state (the circuit breaker, source call counters) evolves as it would
+   under a reactor.  Each re-poll re-prepares the exec, so failover
+   re-evaluates source availability at the re-poll instant: a source
+   whose schedule flips up at t=300ms answers a 1000ms-deadline query
+   instead of forcing a partial answer.
 
    A retried exec contributes exactly one trace leaf: Done (with its
    failed attempts as child spans) if some re-poll recovered, else
    Blocked at the deadline. *)
-type retry_event = {
-  ev_seq : int;  (* position in the round's result list *)
-  ev_repo : string;
-  ev_logical : Expr.expr;
-  ev_attempt : int;  (* 1-based *)
-  ev_at : float;  (* virtual instant of this re-poll *)
-  ev_history : Trace.attempt list;  (* newest first *)
-}
-
-let apply_retries env ~deadline results =
+let apply_retries env ~deadline slots =
   match env.retry with
-  | None -> results
+  | None -> ()
   | Some r ->
       let t0 = Scheduler.now env.sched in
-      let finals = Hashtbl.create 8 in
-      let queue = ref [] in
-      List.iteri
-        (fun seq ((repo, logical), res) ->
-          match res with
-          | Blocked ->
-              queue :=
-                {
-                  ev_seq = seq;
-                  ev_repo = repo;
-                  ev_logical = logical;
-                  ev_attempt = 1;
-                  ev_at = t0 +. r.Retry.initial_ms;
-                  ev_history = [];
-                }
-                :: !queue
-          | Done _ -> ())
-        results;
-      let pop () =
-        match !queue with
-        | [] -> None
-        | evs ->
-            let best =
-              List.fold_left
-                (fun acc ev ->
-                  match acc with
-                  | Some b
-                    when b.ev_at < ev.ev_at
-                         || (b.ev_at = ev.ev_at && b.ev_seq < ev.ev_seq) ->
-                      acc
-                  | _ -> Some ev)
-                None evs
-            in
-            (match best with
-            | Some b -> queue := List.filter (fun e -> e != b) !queue
-            | None -> ());
-            best
-      in
-      let requeue ev att =
-        queue :=
+      (* one blocked slot's re-poll [attempt] at [at]: [Some] with its
+         history (newest first) while it stays blocked *)
+      let repoll ~attempt ~at (s, history) =
+        let attempt_of ~elapsed outcome =
           {
-            ev with
-            ev_attempt = ev.ev_attempt + 1;
-            ev_at =
-              ev.ev_at
-              +. (r.Retry.initial_ms
-                 *. (r.Retry.multiplier ** float_of_int ev.ev_attempt));
-            ev_history = att :: ev.ev_history;
+            Trace.a_number = attempt;
+            a_start_ms = at;
+            a_elapsed_ms = elapsed;
+            a_outcome = outcome;
           }
-          :: !queue
+        in
+        let again ~elapsed outcome =
+          Some (s, attempt_of ~elapsed outcome :: history)
+        in
+        if at >= deadline || attempt > r.Retry.max_attempts then (
+          (* out of budget: finalize as blocked, with the re-poll history
+             attached to the leaf *)
+          let p = prepare_exec env ~now:deadline s.s_repo s.s_logical in
+          observe ~attempts:(List.rev history) env p ~start:t0 ~finish:deadline
+            ~origin:Trace.Blocked ~shipped:0 ~rows:0;
+          None)
+        else
+          let p = prepare_exec env ~now:at s.s_repo s.s_logical in
+          if not (breaker_allows env ~now:at p.p_chosen) then
+            again ~elapsed:0.0 "breaker-open"
+          else (
+            Metrics.incr env.metrics "runtime.retry.attempts";
+            incr env.extra_trips;
+            let answered_repo, answered_src, outcome =
+              settle env ~now:at ~deadline [ p ]
+                (wire_call ~now:at ~deadline p.p_chosen [ p ])
+            in
+            match outcome with
+            | Source.Unavailable -> again ~elapsed:0.0 "unavailable"
+            | Source.Timed_out completion ->
+                again ~elapsed:(completion -. at) "timed-out"
+            | Source.Answered (answers, finish) ->
+                let won = attempt_of ~elapsed:(finish -. at) "recovered" in
+                complete_group
+                  ~attempts:(List.rev (won :: history))
+                  env [ p ] ~start:at ~finish ~answered_repo ~answered_src
+                  answers
+                |> List.iter (fun res -> s.s_result <- res);
+                Metrics.incr env.metrics "runtime.retry.recovered";
+                Log.info (fun m ->
+                    m "exec(%s) recovered on re-poll %d at t=%.1f" p.p_repo
+                      attempt finish);
+                None)
       in
-      let attempt_of ev ~elapsed outcome =
-        {
-          Trace.a_number = ev.ev_attempt;
-          a_start_ms = ev.ev_at;
-          a_elapsed_ms = elapsed;
-          a_outcome = outcome;
-        }
+      let rec drain attempt at waiting =
+        if waiting <> [] then (
+          (* wall schedulers really wait for the attempt's instant; the
+             virtual drain resolves it immediately *)
+          Scheduler.pace env.sched (Float.min at deadline);
+          let waiting = List.filter_map (repoll ~attempt ~at) waiting in
+          drain (attempt + 1)
+            (at
+            +. (r.Retry.initial_ms *. (r.Retry.multiplier ** float_of_int attempt)))
+            waiting)
       in
-      let rec drain () =
-        match pop () with
-        | None -> ()
-        | Some ev ->
-            (* wall schedulers really wait for the event's instant; the
-               virtual drain resolves it immediately *)
-            Scheduler.pace env.sched (Float.min ev.ev_at deadline);
-            (if ev.ev_at >= deadline || ev.ev_attempt > r.Retry.max_attempts
-             then (
-               (* out of budget: finalize as blocked, with the re-poll
-                  history attached to the leaf *)
-               let p = prepare_exec env ~now:deadline ev.ev_repo ev.ev_logical in
-               observe
-                 ~attempts:(List.rev ev.ev_history)
-                 env p ~start:t0 ~finish:deadline ~origin:Trace.Blocked
-                 ~shipped:0 ~rows:0;
-               Hashtbl.replace finals ev.ev_seq Blocked)
-             else
-               let p = prepare_exec env ~now:ev.ev_at ev.ev_repo ev.ev_logical in
-               if not (breaker_allows env ~now:ev.ev_at p.p_chosen) then
-                 requeue ev (attempt_of ev ~elapsed:0.0 "breaker-open")
-               else (
-                 Metrics.incr env.metrics "runtime.retry.attempts";
-                 incr env.extra_trips;
-                 let answered_repo, answered_src, outcome =
-                   settle env ~now:ev.ev_at ~deadline [ p ]
-                     (wire_call ~now:ev.ev_at ~deadline p.p_chosen [ p ])
-                 in
-                 match outcome with
-                 | Source.Unavailable ->
-                     requeue ev (attempt_of ev ~elapsed:0.0 "unavailable")
-                 | Source.Timed_out completion ->
-                     requeue ev
-                       (attempt_of ev ~elapsed:(completion -. ev.ev_at)
-                          "timed-out")
-                 | Source.Answered (answers, finish) ->
-                     let won =
-                       attempt_of ev ~elapsed:(finish -. ev.ev_at) "recovered"
-                     in
-                     complete_group
-                       ~attempts:(List.rev (won :: ev.ev_history))
-                       env [ p ] ~start:ev.ev_at ~finish ~answered_repo
-                       ~answered_src answers
-                     |> List.iter (Hashtbl.replace finals ev.ev_seq);
-                     Metrics.incr env.metrics "runtime.retry.recovered";
-                     Log.info (fun m ->
-                         m "exec(%s) recovered on re-poll %d at t=%.1f"
-                           p.p_repo ev.ev_attempt finish)));
-            drain ()
-      in
-      drain ();
-      List.mapi
-        (fun seq (key, res) ->
-          match Hashtbl.find_opt finals seq with
-          | Some res' -> (key, res')
-          | None -> (key, res))
-        results
+      drain 1 (t0 +. r.Retry.initial_ms)
+        (List.filter_map
+           (fun s ->
+             match s.s_result with Blocked -> Some (s, []) | Done _ -> None)
+           slots)
 
-(* [xs] grouped by [key]: groups in first-appearance order, members in
-   input order. *)
-let group_by key xs =
+(* [xs] grouped by [key] through one insertion-ordered table: groups in
+   first-appearance order, members in input order. *)
+let grouped key xs =
+  let table = Hashtbl.create (List.length xs) in
   List.fold_left
-    (fun groups x ->
+    (fun order x ->
       let k = key x in
-      if List.mem_assoc k groups then
-        List.map (fun (k', g) -> if k' = k then (k', g @ [ x ]) else (k', g)) groups
-      else groups @ [ (k, [ x ]) ])
+      match Hashtbl.find_opt table k with
+      | Some members ->
+          Hashtbl.replace table k (x :: members);
+          order
+      | None ->
+          Hashtbl.replace table k [ x ];
+          k :: order)
     [] xs
-  |> List.map snd
+  |> List.rev_map (fun k -> List.rev (Hashtbl.find table k))
 
-let find_result results repo logical =
-  List.find_map
-    (fun ((r, l), res) ->
-      if String.equal r repo && Expr.equal l logical then Some res else None)
-    results
-
-(* One parallel round of a plan's ready execs.  Structurally identical execs are deduplicated (the answer is
-   computed once and substituted everywhere); each remaining exec is
-   looked up in the answer cache once; the rest are grouped by
-   destination — (chosen repository, wrapper) — and each group rides one
+(* One parallel round of a plan's ready execs, one per slot of [round]
+   (structurally identical execs share a slot: the answer is computed
+   once and substituted everywhere).  Each slot's exec is looked up in
+   the answer cache once; the rest are grouped by destination — (chosen
+   repository, wrapper) — and each group rides one
    [Wrapper.execute_batch] round-trip.  Config.batch only caps the group
-   size: without it every exec rides alone.  Returns the per-exec
-   results in the order of the deduplicated exec list, and the round's
-   stats. *)
+   size: without it every exec rides alone.  Returns the round, its
+   outcomes in the slots, and its stats. *)
 let issue_round env ~deadline execs =
   let now = Scheduler.now env.sched in
   let trips0 = !(env.extra_trips) in
-  let unique =
-    List.rev
-      (List.fold_left
-         (fun acc ((repo, logical) as key) ->
-           if
-             List.exists
-               (fun (r, l) -> String.equal r repo && Expr.equal l logical)
-               acc
-           then acc
-           else key :: acc)
-         [] execs)
-  in
-  let dedup_hits = List.length execs - List.length unique in
+  let round = round_of execs in
+  let issued = List.length round.slots in
+  let dedup_hits = List.length execs - issued in
   if dedup_hits > 0 then (
     Log.debug (fun m ->
         m "dedup: %d duplicate exec(s) share answers this round" dedup_hits);
     Metrics.incr ~by:dedup_hits env.metrics "runtime.batch.dedup_hits");
-  let results = Array.make (List.length unique) Blocked in
   let pending =
-    List.concat
-      (List.mapi
-         (fun i (repo, logical) ->
-           let p = prepare_exec env ~now repo logical in
-           match fresh_hit env p ~now with
-           | Some d ->
-               results.(i) <- Done d;
-               []
-           | None -> [ (i, p) ])
-         unique)
+    List.filter_map
+      (fun s ->
+        let p = prepare_exec env ~now s.s_repo s.s_logical in
+        match fresh_hit env p ~now with
+        | Some d ->
+            s.s_result <- Done d;
+            None
+        | None -> Some (s, p))
+      round.slots
   in
   let groups =
     if env.batch then
-      group_by
+      grouped
         (fun (_, p) -> (p.p_chosen_repo, Wrapper.name p.p_binding.b_wrapper))
         pending
     else List.map (fun m -> [ m ]) pending
@@ -809,11 +782,11 @@ let issue_round env ~deadline execs =
   (* batch ids, trip counts and metrics are assigned before any wire
      call, so they are identical whichever scheduler runs the calls *)
   let groups =
-    List.map
-      (fun members ->
+    List.mapi
+      (fun i members ->
         Metrics.incr env.metrics "runtime.batch.rounds";
         incr env.batch_seq;
-        (!(env.batch_seq), List.map fst members, List.map snd members))
+        (i, !(env.batch_seq), List.map fst members, List.map snd members))
       groups
   in
   (* Only the wire exchanges go through the scheduler, which may fan them
@@ -823,20 +796,19 @@ let issue_round env ~deadline execs =
      exact order.  Breaker and hedge state are shared, so [settle] runs
      afterwards, off the parallel pool. *)
   let chosen_of group = (List.hd group).p_chosen in
-  let outcomes =
-    group_by (fun (_, _, group) -> Source.id (chosen_of group)) groups
-    |> Scheduler.map_rounds env.sched
-         (List.map (fun (id, _, group) ->
-              (id, wire_call ~now ~deadline (chosen_of group) group)))
-    |> List.concat
-  in
+  let outcomes = Array.make (List.length groups) None in
+  grouped (fun (_, _, _, group) -> Source.id (chosen_of group)) groups
+  |> Scheduler.map_rounds env.sched
+       (List.map (fun (i, _, _, group) ->
+            (i, wire_call ~now ~deadline (chosen_of group) group)))
+  |> List.iter (List.iter (fun (i, o) -> outcomes.(i) <- Some o));
   List.iter
-    (fun (id, slots, group) ->
+    (fun (i, id, slots, group) ->
       let batch =
         match group with [ _ ] -> None | _ -> Some (id, List.length group)
       in
       let answered_repo, answered_src, outcome =
-        settle env ~now ~deadline group (List.assoc id outcomes)
+        settle env ~now ~deadline group (Option.get outcomes.(i))
       in
       let done_ =
         match outcome with
@@ -846,15 +818,15 @@ let issue_round env ~deadline execs =
         | Source.Unavailable | Source.Timed_out _ ->
             List.map (unanswered ?batch env ~now ~deadline) group
       in
-      List.iter2 (fun i r -> results.(i) <- r) slots done_)
+      List.iter2 (fun s r -> s.s_result <- r) slots done_)
     groups;
-  let results =
-    apply_retries env ~deadline (List.combine unique (Array.to_list results))
-  in
+  apply_retries env ~deadline round.slots;
   let answered =
-    List.filter_map (function _, Done d -> Some d | _, Blocked -> None) results
+    List.filter_map
+      (fun s -> match s.s_result with Done d -> Some d | Blocked -> None)
+      round.slots
   in
-  let blocked = List.length results - List.length answered in
+  let blocked = issued - List.length answered in
   let finish_time =
     if blocked > 0 then deadline
     else List.fold_left (fun acc d -> Float.max acc d.finish) now answered
@@ -868,9 +840,9 @@ let issue_round env ~deadline execs =
         | _ -> (n, age))
       (0, 0.0) answered
   in
-  ( results,
+  ( round,
     {
-      execs_issued = List.length unique;
+      execs_issued = issued;
       execs_answered = List.length answered;
       execs_blocked = blocked;
       tuples_shipped = List.fold_left (fun acc d -> acc + d.shipped) 0 answered;
@@ -904,30 +876,33 @@ let rec fold_ready plan =
       | Plan.Mk_distinct p -> Plan.Mk_distinct (fold_ready p))
 
 (* One round of a plan: issue its ready execs, then substitute the
-   answers into the plan and collect the blocked repositories and the
-   version vector. *)
+   answers into the plan (each exec looked up in the round's table, never
+   by position: [Plan.substitute_execs] may visit a node's children in
+   any order) and collect the blocked repositories and the version
+   vector. *)
 let run_round env ~deadline plan =
-  let results, stats = issue_round env ~deadline (Plan.execs plan) in
+  let round, stats = issue_round env ~deadline (Plan.execs plan) in
   let substituted =
     Plan.substitute_execs
       (fun repo logical ->
-        match find_result results repo logical with
-        | Some (Done d) -> Plan.Mk_data d.value
-        | Some Blocked | None -> Plan.Exec (repo, logical))
+        match find_slot round repo logical with
+        | Some { s_result = Done d; _ } -> Plan.Mk_data d.value
+        | Some { s_result = Blocked; _ } | None -> Plan.Exec (repo, logical))
       plan
   in
   let blocked =
     List.filter_map
-      (function (repo, _), Blocked -> Some repo | _, Done _ -> None)
-      results
+      (fun s -> match s.s_result with Blocked -> Some s.s_repo | Done _ -> None)
+      round.slots
   in
   (* the version vector records who actually answered — when a replica
      served the exec, pinning the primary's version here would make the
      staleness check (Section 4) watch the wrong repository *)
   let versions =
     List.filter_map
-      (function _, Done d -> Some d.answered_by | _, Blocked -> None)
-      results
+      (fun s ->
+        match s.s_result with Done d -> Some d.answered_by | Blocked -> None)
+      round.slots
   in
   (substituted, blocked, versions, stats)
 
@@ -1036,13 +1011,11 @@ let zero_stats =
    is derived from the bindings — wrappers and repositories are known,
    the schema is not. *)
 let checker_of_bindings bindings =
-  let find ext =
-    List.find_opt (fun b -> String.equal b.b_extent ext) bindings
-  in
+  let find = Hashtbl.find_opt bindings in
   let repos =
-    List.concat_map
-      (fun b -> b.b_repo :: List.map fst b.b_replicas)
-      bindings
+    Hashtbl.fold
+      (fun _ b acc -> (b.b_repo :: List.map fst b.b_replicas) @ acc)
+      bindings []
   in
   Check.make
     ~wrapper_of:(fun ext -> Option.map (fun b -> b.b_wrapper) (find ext))

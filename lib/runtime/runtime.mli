@@ -41,13 +41,16 @@ type binding = {
 type env
 
 (** Deadline-aware retry policy (DESIGN.md §4g).  When attached to
-    {!Config.t}, blocked execs do not finalize at issue time: each
-    becomes a pending event on the virtual clock, re-polled on
-    exponential backoff until it recovers, exhausts [max_attempts], or
-    runs out of deadline — a source whose schedule flips up mid-query
-    answers instead of forcing a partial answer.  [hedge_ms] additionally
-    races a replica against a slow (or timed-out) primary; the first
-    completion wins. *)
+    {!Config.t}, blocked execs do not finalize at issue time: each is
+    re-polled on exponential backoff until it recovers, exhausts
+    [max_attempts], or runs out of deadline — a source whose schedule
+    flips up mid-query answers instead of forcing a partial answer.  The
+    round's blocked execs are drained attempt by attempt, each pass in
+    issue order: every exec of a round starts at the same instant and
+    backs off by the same formula, so re-poll [k] of each lands on one
+    instant, and this order is exactly the virtual-time order of an
+    event loop.  [hedge_ms] additionally races a replica against a slow
+    (or timed-out) primary; the first completion wins. *)
 module Retry : sig
   type t = {
     initial_ms : float;  (** delay before the first re-poll *)

@@ -218,6 +218,25 @@ let shutdown_requested t =
       ( try Unix.close fd with Unix.Unix_error _ -> ())
   | None -> ()
 
+let max_line_bytes = 1 lsl 20
+
+(* [input_line] that stops at [max_line_bytes]: [None] for a longer
+   line, so a client that never sends a newline cannot grow the session's
+   buffer without bound. *)
+let read_line ic =
+  let buf = Buffer.create 128 in
+  let rec go () =
+    match input_char ic with
+    | '\n' -> Some (Buffer.contents buf)
+    | _ when Buffer.length buf >= max_line_bytes -> None
+    | c ->
+        Buffer.add_char buf c;
+        go ()
+    | exception End_of_file when Buffer.length buf > 0 ->
+        Some (Buffer.contents buf)
+  in
+  go ()
+
 let handle_session t conn =
   let ic = Unix.in_channel_of_descr conn in
   let oc = Unix.out_channel_of_descr conn in
@@ -227,10 +246,11 @@ let handle_session t conn =
     flush oc
   in
   let rec loop () =
-    match input_line ic with
+    match read_line ic with
     | exception End_of_file -> ()
     | exception Sys_error _ -> ()
-    | line -> (
+    | None -> send "error line too long"
+    | Some line -> (
         let line = String.trim line in
         let verb, rest =
           match String.index_opt line ' ' with

@@ -79,7 +79,12 @@ val stop : t -> unit
     metrics                   ->  ok <metrics json>
     quit                      ->  ok bye            (closes the session)
     shutdown                  ->  ok shutting down  (stops the server)
-    v} *)
+    v}
+    A request line longer than {!max_line_bytes} (newline excluded) is
+    answered with [error line too long], and the session closes. *)
+
+val max_line_bytes : int
+(** The longest request line a session reads: 1 MiB. *)
 
 val serve_tcp : t -> ?host:string -> port:int -> unit -> unit
 (** Bind, accept sessions (one thread per connection, requests within a

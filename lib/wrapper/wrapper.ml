@@ -116,10 +116,18 @@ let select_execute source e =
       | Expr.Get _ | Expr.Select (Expr.Get _, _) -> eval_against_db db e
       | e -> refuse "select wrapper cannot evaluate %s" (Expr.to_string e))
 
+(* Grammars are values with their own [accepts] memo: built once here,
+   every wrapper of a kind shares one grammar and so one set of
+   verdicts. *)
+let select_grammar = Grammar.select_pushdown ()
+
 let select_wrapper ?comparisons () =
   {
     name = "WrapperSelect";
-    grammar = Grammar.select_pushdown ?comparisons ();
+    grammar =
+      (match comparisons with
+      | None -> select_grammar
+      | Some comparisons -> Grammar.select_pushdown ~comparisons ());
     execute = select_execute;
     execute_batch = None;
   }
@@ -230,16 +238,18 @@ let text_execute source e =
                 pattern)
       | e -> refuse "text server cannot evaluate %s" (Expr.to_string e))
 
+let text_grammar =
+  Grammar.parse
+    {|
+    a :- b
+    a :- select OPEN ATTRIBUTE like CONST COMMA b CLOSE
+    b :- get OPEN SOURCE CLOSE
+  |}
+
 let text_wrapper () =
   {
     name = "WrapperText";
-    grammar =
-      Grammar.parse
-        {|
-        a :- b
-        a :- select OPEN ATTRIBUTE like CONST COMMA b CLOSE
-        b :- get OPEN SOURCE CLOSE
-      |};
+    grammar = text_grammar;
     execute = text_execute;
     execute_batch = None;
   }

@@ -624,6 +624,135 @@ let test_failover_records_replica_version () =
         versions
   | Runtime.Complete _ -> Alcotest.fail "expected partial"
 
+(* One round whose blocked execs drain together: five execs on four
+   sources (two share rA and its breaker), recovering at attempts 1, 2
+   (through a hedge) and 4, or never.  With threshold 3 and a 250 ms
+   cooldown, rA's breaker opens at t=50 between its two execs' re-polls
+   and re-opens at t=350 after a failed half-open probe.  rB's primary
+   always times out, and its replica rBx, up from t=160, wins the hedge
+   dialed at t=180.  Pins every exec's outcome, the attempt history of
+   each exec leaf, the counters and the final clock, so any reordering
+   of the drain shows. *)
+let test_retry_drain_pinned () =
+  let clock = Clock.create () in
+  let cost = Cost_model.create () in
+  let metrics = Disco_obs.Metrics.create () in
+  let source id schedule tables =
+    let db = Disco_relation.Database.create ~name:id in
+    List.iter
+      (fun (name, seed) ->
+        ignore
+          (Datagen.table_of db ~name Datagen.person_schema
+             (Datagen.person_rows ~seed ~n:10)))
+      tables;
+    Source.create ~id ~address:addr ~latency:nominal_latency ~schedule
+      (Source.Relational db)
+  in
+  let src_a = source "srcA" (Schedule.down_during [ (0.0, 400.0) ]) [ ("pa0", 0); ("pa1", 1) ] in
+  let src_b = source "srcB" (Schedule.slow_during [ (0.0, 1e9) ] ~factor:300.0) [ ("pb0", 2) ] in
+  let src_bx = source "srcBx" (Schedule.down_during [ (0.0, 160.0) ]) [ ("pb0", 2) ] in
+  let src_c = source "srcC" (Schedule.down_during [ (0.0, 30.0) ]) [ ("pc0", 3) ] in
+  let src_d = source "srcD" Schedule.always_down [ ("pd0", 4) ] in
+  let binding extent repo src replicas =
+    {
+      Runtime.b_extent = extent;
+      b_repo = repo;
+      b_source = src;
+      b_replicas = replicas;
+      b_wrapper = Wrapper.sql_wrapper ();
+      b_map = Typemap.identity;
+      b_check = None;
+    }
+  in
+  let bindings =
+    [
+      binding "pa0" "rA" src_a [];
+      binding "pa1" "rA" src_a [];
+      binding "pb0" "rB" src_b [ ("rBx", src_bx) ];
+      binding "pc0" "rC" src_c [];
+      binding "pd0" "rD" src_d [];
+    ]
+  in
+  let retry =
+    Runtime.Retry.make ~hedge_ms:30.0 ~breaker_threshold:3
+      ~breaker_cooldown_ms:250.0 ()
+  in
+  let tr = Disco_obs.Trace.make ~query:"drain" ~now:0.0 in
+  let env =
+    Runtime.env
+      (Runtime.Config.make ~trace:tr ~metrics ~retry ~clock ~cost ())
+      bindings
+  in
+  let part (repo, extent) =
+    Expr.Map
+      ( Expr.Submit (repo, Expr.Select (Expr.Get extent, gt 10)),
+        Expr.Hscalar (Expr.Attr [ "name" ]) )
+  in
+  let plan =
+    Plan.implement
+      (Expr.Union
+         (List.map part
+            [ ("rA", "pa0"); ("rA", "pa1"); ("rB", "pb0"); ("rC", "pc0"); ("rD", "pd0") ]))
+  in
+  let answer, stats = Runtime.execute ~timeout_ms:2000.0 env plan in
+  (match answer with
+  | Runtime.Partial { unavailable; versions; _ } ->
+      Alcotest.(check (list string)) "only rD unanswered" [ "rD" ] unavailable;
+      Alcotest.(check (list string))
+        "answering repositories" [ "rA"; "rBx"; "rC" ]
+        (List.sort_uniq String.compare (List.map fst versions))
+  | Runtime.Complete _ -> Alcotest.fail "expected partial");
+  Alcotest.(check int) "execs issued" 5 stats.Runtime.execs_issued;
+  Alcotest.(check int) "execs answered" 4 stats.Runtime.execs_answered;
+  Alcotest.(check int) "execs blocked" 1 stats.Runtime.execs_blocked;
+  Alcotest.(check int) "round trips" 16 stats.Runtime.round_trips;
+  Alcotest.(check (float 0.0)) "elapsed" 2000.0 stats.Runtime.elapsed_ms;
+  Alcotest.(check (float 0.0)) "final clock" 2000.0 (Clock.now clock);
+  List.iter
+    (fun (name, expected) ->
+      Alcotest.(check int) name expected (counter metrics name))
+    [
+      ("runtime.retry.attempts", 11);
+      ("runtime.retry.recovered", 4);
+      ("runtime.breaker.open", 5);
+      ("runtime.hedge.issued", 1);
+      ("runtime.hedge.won", 1);
+    ];
+  let expected =
+    String.concat ""
+      [
+        "{\"query\":\"drain\",\"root\":";
+        "{\"name\":\"query\",\"start_ms\":0.0,\"elapsed_ms\":2000.0,\"children\":[";
+        "{\"name\":\"exec\",\"start_ms\":50.0,\"elapsed_ms\":10.0,";
+        "\"exec\":{\"repo\":\"rC\",\"wrapper\":\"WrapperSql\",\"expr\":\"select(salary > 10, get(pc0))\",\"origin\":\"source\",\"start_ms\":50.0,\"elapsed_ms\":10.0,\"tuples\":10,\"rows\":10,\"predicted_ms\":0.0,\"predicted_rows\":1.0},\"children\":[";
+        "{\"name\":\"retry\",\"start_ms\":50.0,\"elapsed_ms\":10.0,\"meta\":{\"attempt\":\"1\",\"outcome\":\"recovered\"}}]},";
+        "{\"name\":\"exec\",\"start_ms\":150.0,\"elapsed_ms\":40.0,";
+        "\"exec\":{\"repo\":\"rB\",\"wrapper\":\"WrapperSql\",\"expr\":\"select(salary > 10, get(pb0))\",\"origin\":\"failover\",\"failover_repo\":\"rBx\",\"start_ms\":150.0,\"elapsed_ms\":40.0,\"tuples\":10,\"rows\":10,\"predicted_ms\":0.0,\"predicted_rows\":1.0},\"children\":[";
+        "{\"name\":\"retry\",\"start_ms\":50.0,\"elapsed_ms\":3000.0,\"meta\":{\"attempt\":\"1\",\"outcome\":\"timed-out\"}},";
+        "{\"name\":\"retry\",\"start_ms\":150.0,\"elapsed_ms\":40.0,\"meta\":{\"attempt\":\"2\",\"outcome\":\"recovered\"}}]},";
+        "{\"name\":\"exec\",\"start_ms\":750.0,\"elapsed_ms\":10.0,";
+        "\"exec\":{\"repo\":\"rA\",\"wrapper\":\"WrapperSql\",\"expr\":\"select(salary > 10, get(pa0))\",\"origin\":\"source\",\"start_ms\":750.0,\"elapsed_ms\":10.0,\"tuples\":10,\"rows\":10,\"predicted_ms\":0.0,\"predicted_rows\":1.0},\"children\":[";
+        "{\"name\":\"retry\",\"start_ms\":50.0,\"elapsed_ms\":0.0,\"meta\":{\"attempt\":\"1\",\"outcome\":\"unavailable\"}},";
+        "{\"name\":\"retry\",\"start_ms\":150.0,\"elapsed_ms\":0.0,\"meta\":{\"attempt\":\"2\",\"outcome\":\"breaker-open\"}},";
+        "{\"name\":\"retry\",\"start_ms\":350.0,\"elapsed_ms\":0.0,\"meta\":{\"attempt\":\"3\",\"outcome\":\"unavailable\"}},";
+        "{\"name\":\"retry\",\"start_ms\":750.0,\"elapsed_ms\":10.0,\"meta\":{\"attempt\":\"4\",\"outcome\":\"recovered\"}}]},";
+        "{\"name\":\"exec\",\"start_ms\":750.0,\"elapsed_ms\":10.0,";
+        "\"exec\":{\"repo\":\"rA\",\"wrapper\":\"WrapperSql\",\"expr\":\"select(salary > 10, get(pa1))\",\"origin\":\"source\",\"start_ms\":750.0,\"elapsed_ms\":10.0,\"tuples\":10,\"rows\":10,\"predicted_ms\":0.0,\"predicted_rows\":1.0},\"children\":[";
+        "{\"name\":\"retry\",\"start_ms\":50.0,\"elapsed_ms\":0.0,\"meta\":{\"attempt\":\"1\",\"outcome\":\"unavailable\"}},";
+        "{\"name\":\"retry\",\"start_ms\":150.0,\"elapsed_ms\":0.0,\"meta\":{\"attempt\":\"2\",\"outcome\":\"breaker-open\"}},";
+        "{\"name\":\"retry\",\"start_ms\":350.0,\"elapsed_ms\":0.0,\"meta\":{\"attempt\":\"3\",\"outcome\":\"breaker-open\"}},";
+        "{\"name\":\"retry\",\"start_ms\":750.0,\"elapsed_ms\":10.0,\"meta\":{\"attempt\":\"4\",\"outcome\":\"recovered\"}}]},";
+        "{\"name\":\"exec\",\"start_ms\":0.0,\"elapsed_ms\":2000.0,";
+        "\"exec\":{\"repo\":\"rD\",\"wrapper\":\"WrapperSql\",\"expr\":\"select(salary > 10, get(pd0))\",\"origin\":\"blocked\",\"start_ms\":0.0,\"elapsed_ms\":2000.0,\"tuples\":0,\"rows\":0,\"predicted_ms\":0.0,\"predicted_rows\":1.0},\"children\":[";
+        "{\"name\":\"retry\",\"start_ms\":50.0,\"elapsed_ms\":0.0,\"meta\":{\"attempt\":\"1\",\"outcome\":\"unavailable\"}},";
+        "{\"name\":\"retry\",\"start_ms\":150.0,\"elapsed_ms\":0.0,\"meta\":{\"attempt\":\"2\",\"outcome\":\"unavailable\"}},";
+        "{\"name\":\"retry\",\"start_ms\":350.0,\"elapsed_ms\":0.0,\"meta\":{\"attempt\":\"3\",\"outcome\":\"breaker-open\"}},";
+        "{\"name\":\"retry\",\"start_ms\":750.0,\"elapsed_ms\":0.0,\"meta\":{\"attempt\":\"4\",\"outcome\":\"unavailable\"}}]}]}}";
+      ]
+  in
+  Alcotest.(check string) "exec leaves and attempt histories" expected
+    (Disco_obs.Trace.to_json (Disco_obs.Trace.finish tr ~now:(Clock.now clock)))
+
 (* -- batched transport (DESIGN.md Section 4e) -- *)
 
 (* [n_extents] Person extents all bound to ONE repository/source, so a
@@ -687,28 +816,77 @@ let test_runtime_batched_round_trips () =
     (s_b.Runtime.elapsed_ms <= s_u.Runtime.elapsed_ms)
 
 let test_runtime_dedup_shared_scan () =
-  (* the same (repo, expr) appears twice in one plan: computed once,
-     substituted everywhere, with or without batching *)
-  let part = Expr.Map
-      ( Expr.Submit ("r0", Expr.Select (Expr.Get "person0", gt 10)),
+  (* the same (repo, expr) appears more than once in one plan: computed
+     once, substituted everywhere, with or without batching.  A duplicate
+     may be one shared value, a separately built equal value, or the
+     other side of a self-join. *)
+  let names_of () =
+    Expr.Map
+      ( Expr.Submit
+          ("r0", Expr.Select (Expr.Get (Fmt.str "person%d" 0), gt 10)),
         Expr.Hscalar (Expr.Attr [ "name" ]) )
   in
-  let plan = Plan.implement (Expr.Union [ part; part ]) in
-  let metrics = Disco_obs.Metrics.create () in
-  let env_b, _, _ = make_shared_env ~metrics ~batch:true ~n_extents:1 () in
-  let a_b, s_b = Runtime.execute env_b plan in
-  let env_u, _, _ = make_shared_env ~batch:false ~n_extents:1 () in
-  let a_u, s_u = Runtime.execute env_u plan in
-  (match (a_b, a_u) with
-  | Runtime.Complete vb, Runtime.Complete vu ->
-      Alcotest.check check_value "shared answer substituted everywhere" vu vb
-  | _ -> Alcotest.fail "expected complete answers");
-  Alcotest.(check int) "unbatched dedups too" 1 s_u.Runtime.execs_issued;
-  Alcotest.(check int) "batched issues the unique exec once" 1
-    s_b.Runtime.execs_issued;
-  Alcotest.(check int) "dedup hit counted" 1
-    (Disco_obs.Metrics.find_counter metrics "runtime.batch.dedup_hits");
-  Alcotest.(check int) "one round-trip" 1 s_b.Runtime.round_trips
+  let part = names_of () and twin = names_of () in
+  Alcotest.(check bool) "twins are equal but not shared" true
+    (Expr.equal part twin && part != twin);
+  let self_join =
+    Expr.Map
+      ( Expr.Join
+          ( bind "x" (Expr.Submit ("r0", get0)),
+            bind "y" (Expr.Submit ("r0", Expr.Get (Fmt.str "person%d" 0))),
+            [ ([ "x"; "id" ], [ "y"; "id" ]) ] ),
+        Expr.Hstruct
+          [ ("a", Expr.Attr [ "x"; "name" ]); ("b", Expr.Attr [ "y"; "name" ]) ]
+      )
+  in
+  let names = "select x.name from x in person0 where x.salary > 10" in
+  let resolve name =
+    let db = Disco_relation.Database.create ~name:"db" in
+    Some
+      (Disco_relation.Table.to_bag
+         (Datagen.table_of db ~name Datagen.person_schema
+            (Datagen.person_rows ~seed:0 ~n:10)))
+  in
+  let eval oql = Eval.eval_string (Eval.env ~resolve ()) oql in
+  (* (case, plan, the same query in OQL, duplicate occurrences) *)
+  let cases =
+    [
+      ("shared", Expr.Union [ part; part ], Fmt.str "union(%s, %s)" names names, 1);
+      ( "shared and twins",
+        Expr.Union [ part; part; twin; names_of () ],
+        Fmt.str "union(%s, %s, %s, %s)" names names names names,
+        3 );
+      ( "self-join",
+        self_join,
+        "select struct(a: x.name, b: y.name) from x in person0, y in person0 \
+         where x.id = y.id",
+        1 );
+    ]
+  in
+  List.iter
+    (fun (case, logical, oql, dups) ->
+      let plan = Plan.implement logical in
+      let expected = eval oql in
+      Alcotest.(check bool) (case ^ ": non-empty") true (V.cardinal expected > 0);
+      List.iter
+        (fun batch ->
+          let label what = Fmt.str "%s, batch=%b: %s" case batch what in
+          let metrics = Disco_obs.Metrics.create () in
+          let env, _, _ = make_shared_env ~metrics ~batch ~n_extents:1 () in
+          let answer, stats = Runtime.execute env plan in
+          (match answer with
+          | Runtime.Complete v ->
+              Alcotest.check check_value
+                (label "shared answer substituted everywhere") expected v
+          | Runtime.Partial _ -> Alcotest.fail (label "expected complete"));
+          Alcotest.(check int)
+            (label "the unique exec issued once") 1 stats.Runtime.execs_issued;
+          Alcotest.(check int)
+            (label "dedup hits counted") dups
+            (Disco_obs.Metrics.find_counter metrics "runtime.batch.dedup_hits");
+          Alcotest.(check int) (label "one round-trip") 1 stats.Runtime.round_trips)
+        [ true; false ])
+    cases
 
 (* -- scheduler equivalence -- *)
 
@@ -861,6 +1039,8 @@ let () =
           Alcotest.test_case "circuit breaker" `Quick test_retry_breaker;
           Alcotest.test_case "failover records replica version" `Quick
             test_failover_records_replica_version;
+          Alcotest.test_case "one round's drain pinned" `Quick
+            test_retry_drain_pinned;
         ] );
       ( "batching",
         [

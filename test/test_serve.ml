@@ -1,7 +1,8 @@
 (* Tests for the serving surface: admission control observed
    deterministically through a barrier-blocking worker factory, per-tenant
-   fair queueing, a wall-clock smoke test over real mediators, and the
-   open-loop load generator on the in-process transport. *)
+   fair queueing, a wall-clock smoke test over real mediators, the line
+   protocol's request-line bound over a real socket, and the open-loop
+   load generator on the in-process transport. *)
 
 module V = Disco_value.Value
 module Source = Disco_source.Source
@@ -254,6 +255,61 @@ let test_wall_clock_smoke () =
   Server.stop srv;
   Scheduler.shutdown sched
 
+(* -- the line protocol over a real socket -- *)
+
+let free_port () =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  let port =
+    match Unix.getsockname fd with Unix.ADDR_INET (_, p) -> p | _ -> 0
+  in
+  Unix.close fd;
+  port
+
+let connect port =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  match Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port)) with
+  | () -> (fd, Unix.in_channel_of_descr fd)
+  | exception e ->
+      Unix.close fd;
+      raise e
+
+let send_raw fd s = ignore (Unix.write_substring fd s 0 (String.length s))
+
+let test_line_bound () =
+  (* a request line of exactly [max_line_bytes] is served; one byte more
+     is refused with an error and the session closes, with the server
+     still serving other sessions *)
+  let worker _ ~tenant:_ oql = Server.Answered { body = oql; elapsed_ms = 0.0 } in
+  let srv = Server.create ~inflight:1 ~worker () in
+  let port = free_port () in
+  let server = Thread.create (fun () -> Server.serve_tcp srv ~port ()) () in
+  let rec dial tries =
+    match connect port with
+    | c -> c
+    | exception Unix.Unix_error _ when tries > 0 ->
+        Unix.sleepf 0.01;
+        dial (tries - 1)
+  in
+  let fd, ic = dial 500 in
+  let health = "health" in
+  send_raw fd
+    (health ^ String.make (Server.max_line_bytes - String.length health) ' ' ^ "\n");
+  Alcotest.(check bool) "a line at the bound is served" true
+    (String.starts_with ~prefix:"ok workers=" (input_line ic));
+  send_raw fd (String.make (Server.max_line_bytes + 1) 'x');
+  Alcotest.(check string) "one byte more is refused" "error line too long"
+    (input_line ic);
+  Alcotest.(check bool) "and the session closes" true
+    (match input_line ic with _ -> false | exception End_of_file -> true);
+  Unix.close fd;
+  let fd, ic = dial 0 in
+  send_raw fd "shutdown\n";
+  Alcotest.(check string) "other sessions still served" "ok shutting down"
+    (input_line ic);
+  Unix.close fd;
+  Thread.join server
+
 (* -- load generator -- *)
 
 let test_loadgen_direct () =
@@ -308,6 +364,8 @@ let () =
         [ Alcotest.test_case "round-robin drain" `Quick test_fair_queueing ] );
       ( "wall-clock",
         [ Alcotest.test_case "concurrent sessions" `Quick test_wall_clock_smoke ] );
+      ( "protocol",
+        [ Alcotest.test_case "request line bound" `Quick test_line_bound ] );
       ( "loadgen",
         [
           Alcotest.test_case "direct transport" `Quick test_loadgen_direct;

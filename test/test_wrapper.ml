@@ -428,6 +428,27 @@ let test_of_constructor () =
     (Wrapper.of_constructor_args "wrapperscan" [] <> None);
   Alcotest.(check bool) "unknown" true (Wrapper.of_constructor_args "Nope" [] = None)
 
+(* Each built-in wrapper kind advertises one grammar value, so every
+   wrapper of that kind shares one [accepts] memo. *)
+let test_grammar_shared_per_kind () =
+  let shared name make =
+    Alcotest.(check bool) (name ^ ": one grammar for every call") true
+      (Wrapper.functionality (make ()) == Wrapper.functionality (make ()))
+  in
+  shared "sql" Wrapper.sql_wrapper;
+  shared "select" (fun () -> Wrapper.select_wrapper ());
+  shared "project" Wrapper.project_wrapper;
+  shared "scan" Wrapper.scan_wrapper;
+  shared "kv" Wrapper.kv_wrapper;
+  shared "file" Wrapper.file_wrapper;
+  shared "text" Wrapper.text_wrapper;
+  (* explicit comparisons still build their own, narrower grammar *)
+  let eq_only = Wrapper.select_wrapper ~comparisons:[ "=" ] () in
+  Alcotest.(check bool) "restricted select is its own grammar" false
+    (Wrapper.functionality eq_only == Wrapper.functionality (Wrapper.select_wrapper ()));
+  Alcotest.(check bool) "restricted select refuses ranges" false
+    (Wrapper.accepts eq_only (Expr.Select (get, gt_pred)))
+
 let test_wrong_source_kind () =
   let src = relational_source ~n:2 () in
   let w = Wrapper.kv_wrapper () in
@@ -501,6 +522,8 @@ let () =
             test_text_wrapper_through_mediator;
           Alcotest.test_case "constructor lookup" `Quick test_of_constructor;
           Alcotest.test_case "wrong source kind" `Quick test_wrong_source_kind;
+          Alcotest.test_case "one grammar per kind" `Quick
+            test_grammar_shared_per_kind;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_sql_wrapper_agrees ] );
