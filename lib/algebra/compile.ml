@@ -5,6 +5,13 @@ exception Reject of string
 
 let reject fmt = Format.kasprintf (fun s -> raise (Reject s)) fmt
 
+(* A rejected node, printed with its subqueries elided: the hybrid
+   fragment search compiles every closed node, so a rejection's text must
+   not grow with the node's subtree. *)
+let outline q =
+  let children, rebuild = Ast.shape q in
+  Ast.to_string (rebuild (List.map (fun _ -> Ast.Ident "...") children))
+
 let arith_of = function
   | Ast.Add -> Expr.Add
   | Ast.Sub -> Expr.Sub
@@ -37,7 +44,7 @@ let rec scalar = function
       Expr.Arith (arith_of op, scalar a, scalar b)
   | Ast.Unop (Ast.Neg, a) ->
       Expr.Arith (Expr.Sub, Expr.Const (V.Int 0), scalar a)
-  | q -> reject "scalar subexpression not algebraic: %s" (Ast.to_string q)
+  | q -> reject "scalar subexpression not algebraic: %s" (outline q)
 
 let rec pred = function
   | Ast.Const (V.Bool true) -> Expr.True
@@ -48,7 +55,7 @@ let rec pred = function
       (((Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.Like) as op), a, b)
     ->
       Expr.Cmp (cmp_of op, scalar a, scalar b)
-  | q -> reject "where-clause not algebraic: %s" (Ast.to_string q)
+  | q -> reject "where-clause not algebraic: %s" (outline q)
 
 let head = function
   | Ast.Struct_expr fields ->
@@ -76,7 +83,7 @@ let rec collection q =
   | Ast.Call ("distinct", [ e ]) -> Expr.Distinct (collection e)
   | Ast.Select sel -> select sel
   | Ast.Extent_star name -> reject "unexpanded subtype extent %s*" name
-  | q -> reject "collection not algebraic: %s" (Ast.to_string q)
+  | q -> reject "collection not algebraic: %s" (outline q)
 
 and select sel =
   if sel.Ast.sel_order <> [] then
@@ -109,8 +116,6 @@ and select sel =
   if sel.Ast.sel_distinct then Expr.Distinct projected else projected
 
 let compile q = try Ok (collection q) with Reject reason -> Error reason
-let compile_pred q = try Ok (pred q) with Reject reason -> Error reason
-let compile_scalar q = try Ok (scalar q) with Reject reason -> Error reason
 
 let locate ~repo_of e =
   let rec go e =

@@ -23,10 +23,3 @@ val locate : repo_of:(string -> string option) -> Expr.expr -> Expr.expr
 (** Wrap every [Get g] whose extent has a repository in
     [Submit (repo, Get g)] — the paper's submit introduction. [Get]s
     without a repository (already-materialized names) are left alone. *)
-
-val compile_pred : Ast.query -> (Expr.pred, string) result
-(** Compile a boolean OQL expression over binding variables into an
-    algebra predicate ([x.salary > 10] becomes
-    [Cmp (Gt, Attr ["x"; "salary"], Const 10)]). *)
-
-val compile_scalar : Ast.query -> (Expr.scalar, string) result

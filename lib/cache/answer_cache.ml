@@ -145,13 +145,6 @@ let stats (t : t) =
     capacity = Lru.capacity t.lru;
   }
 
-let reset_stats (t : t) =
-  t.hits <- 0;
-  t.misses <- 0;
-  t.stale <- 0;
-  t.stale_served <- 0;
-  t.stale_ms <- 0.0
-
 let pp_stats ppf s =
   Fmt.pf ppf
     "%d/%d entries, %d hits, %d misses, %d stale, %d stale-served (max %.1f \

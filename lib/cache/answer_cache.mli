@@ -75,7 +75,5 @@ type stats = {
 }
 
 val stats : t -> stats
-val reset_stats : t -> unit
-(** Zero the counters; entries are kept. *)
 
 val pp_stats : Format.formatter -> stats -> unit

@@ -8,96 +8,61 @@ let expand_error fmt = Format.kasprintf (fun s -> raise (Expand_error s)) fmt
 
 module S = Set.Make (String)
 
-(* Generic scope-aware rewriting of free names. [f name] returns the
-   replacement for a free occurrence, or None to leave it. *)
-let rec rewrite_free bound f q =
-  match q with
-  | Ast.Const _ -> q
-  | Ast.Ident name ->
-      if S.mem name bound then q
-      else Option.value (f (`Ident name)) ~default:q
-  | Ast.Extent_star name ->
-      Option.value (f (`Star name)) ~default:q
-  | Ast.Path (base, field) -> Ast.Path (rewrite_free bound f base, field)
-  | Ast.Binop (op, a, b) ->
-      Ast.Binop (op, rewrite_free bound f a, rewrite_free bound f b)
-  | Ast.Unop (op, a) -> Ast.Unop (op, rewrite_free bound f a)
-  | Ast.Call (name, args) ->
-      Ast.Call (name, List.map (rewrite_free bound f) args)
-  | Ast.Struct_expr fields ->
-      Ast.Struct_expr (List.map (fun (n, e) -> (n, rewrite_free bound f e)) fields)
-  | Ast.Coll_expr (kind, elems) ->
-      Ast.Coll_expr (kind, List.map (rewrite_free bound f) elems)
-  | Ast.Quant (kind, var, coll, body) ->
-      let coll' = rewrite_free bound f coll in
-      Ast.Quant (kind, var, coll', rewrite_free (S.add var bound) f body)
-  | Ast.Select sel ->
-      let bound', from' =
-        List.fold_left
-          (fun (bound, acc) (var, coll) ->
-            let coll' = rewrite_free bound f coll in
-            (S.add var bound, (var, coll') :: acc))
-          (bound, []) sel.Ast.sel_from
-      in
-      Ast.Select
-        {
-          sel with
-          Ast.sel_from = List.rev from';
-          sel_proj = rewrite_free bound' f sel.Ast.sel_proj;
-          sel_where = Option.map (rewrite_free bound' f) sel.Ast.sel_where;
-          sel_order =
-            List.map
-              (fun (k, dir) -> (rewrite_free bound' f k, dir))
-              sel.Ast.sel_order;
-        }
+let bind binds bound = List.fold_right S.add binds bound
+
+(* Scope-aware rewriting of free names, top-down over [Ast.shape].
+   [f name] returns the replacement for a free occurrence, or None to
+   leave it. *)
+let rewrite_free f q =
+  let rec go bound q =
+    match q with
+    | Ast.Ident name when not (S.mem name bound) ->
+        Option.value (f (`Ident name)) ~default:q
+    | Ast.Extent_star name -> Option.value (f (`Star name)) ~default:q
+    | _ ->
+        let children, rebuild = Ast.shape q in
+        rebuild (List.map (fun (binds, c) -> go (bind binds bound) c) children)
+  in
+  go S.empty q
 
 let substitute_collections lookup q =
-  rewrite_free S.empty
-    (function `Ident name -> lookup name | `Star _ -> None)
-    q
+  rewrite_free (function `Ident name -> lookup name | `Star _ -> None) q
 
-(* Top-down: try [f] on each node whose free names do not include any
-   enclosing binding variable; recurse into children otherwise. *)
-let map_closed_subqueries f q =
-  let module SS = Set.Make (String) in
-  let closed bound q =
-    List.for_all (fun n -> not (SS.mem n bound)) (Ast.free_collections q)
-  in
-  let rec go bound q =
-    match if closed bound q then f q else None with
-    | Some replaced -> replaced
-    | None -> descend bound q
-  and descend bound q =
+(* Every node's free names, computed bottom-up once, with its children's
+   in [Ast.shape] order. *)
+type free = Free of S.t * free list
+
+let rec free_names q =
+  let children = fst (Ast.shape q) in
+  let kids = List.map (fun (_, c) -> free_names c) children in
+  let names =
     match q with
-    | Ast.Const _ | Ast.Ident _ | Ast.Extent_star _ -> q
-    | Ast.Path (base, field) -> Ast.Path (go bound base, field)
-    | Ast.Binop (op, a, b) -> Ast.Binop (op, go bound a, go bound b)
-    | Ast.Unop (op, a) -> Ast.Unop (op, go bound a)
-    | Ast.Call (name, args) -> Ast.Call (name, List.map (go bound) args)
-    | Ast.Struct_expr fields ->
-        Ast.Struct_expr (List.map (fun (n, e) -> (n, go bound e)) fields)
-    | Ast.Coll_expr (kind, elems) ->
-        Ast.Coll_expr (kind, List.map (go bound) elems)
-    | Ast.Quant (kind, var, coll, body) ->
-        Ast.Quant (kind, var, go bound coll, go (SS.add var bound) body)
-    | Ast.Select sel ->
-        let bound', from' =
-          List.fold_left
-            (fun (bound, acc) (var, coll) ->
-              (SS.add var bound, (var, go bound coll) :: acc))
-            (bound, []) sel.Ast.sel_from
-        in
-        Ast.Select
-          {
-            sel with
-            Ast.sel_from = List.rev from';
-            sel_proj = go bound' sel.Ast.sel_proj;
-            sel_where = Option.map (go bound') sel.Ast.sel_where;
-            sel_order =
-              List.map (fun (k, d) -> (go bound' k, d)) sel.Ast.sel_order;
-          }
+    | Ast.Ident name | Ast.Extent_star name -> S.singleton name
+    | _ ->
+        List.fold_left2
+          (fun acc (binds, _) (Free (names, _)) ->
+            S.union acc (List.fold_right S.remove binds names))
+          S.empty children kids
   in
-  go SS.empty q
+  Free (names, kids)
+
+(* Top-down: try [f] on each node whose free names include no enclosing
+   binding variable; recurse into its children otherwise. *)
+let map_closed_subqueries f q =
+  let rec go bound (Free (names, kids)) q =
+    let tried =
+      if S.disjoint names bound then f ~free:(S.elements names) q else None
+    in
+    match tried with
+    | Some replaced -> replaced
+    | None ->
+        let children, rebuild = Ast.shape q in
+        rebuild
+          (List.map2
+             (fun (binds, c) k -> go (bind binds bound) k c)
+             children kids)
+  in
+  go S.empty (free_names q) q
 
 (* A partitioned extent contributes its shard children (the parent never
    executes); any other extent contributes itself. *)
@@ -188,6 +153,6 @@ let expand registry q =
                              or interface"
                             name)))
     in
-    rewrite_free S.empty replace q
+    rewrite_free replace q
   in
   go [] q

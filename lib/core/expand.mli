@@ -32,13 +32,17 @@ val expand : Registry.t -> Ast.query -> Ast.query
     extent, a concrete extent, [metaextent], nor an interface name. *)
 
 val substitute_collections : (string -> Ast.query option) -> Ast.query -> Ast.query
-(** Replace free collection names (scope-aware); used by the hybrid
-    evaluator to plug materialized data into the original query when
-    constructing general partial answers. *)
+(** Replace free collection names (scope-aware). [Null_sources] uses it to
+    empty the extents of a residual, and [Skip_sources] to empty those of
+    sources that are down before planning. *)
 
-val map_closed_subqueries : (Ast.query -> Ast.query option) -> Ast.query -> Ast.query
-(** Apply [f] to every {e closed} subquery — one that references no
-    enclosing binding variables — working top-down and leaving a subtree
-    alone once [f] rewrites it. The hybrid evaluator uses this to push
-    the maximal algebra-compilable fragments of a non-algebraic query
-    through the optimized engine. *)
+val map_closed_subqueries :
+  (free:string list -> Ast.query -> Ast.query option) -> Ast.query -> Ast.query
+(** Apply [f ~free] to every {e closed} subquery — one that references no
+    enclosing binding variable — working top-down (a node before its
+    children, in {!Ast.shape} order) and leaving a subtree alone once [f]
+    rewrites it. [free] is the subquery's free names, sorted and
+    deduplicated; every node's free names are computed once, in one
+    bottom-up pass, so the search is linear in the query's size. The
+    hybrid evaluator uses this to push the maximal algebra-compilable
+    fragments of a non-algebraic query through the optimized engine. *)

@@ -525,9 +525,9 @@ let hybrid_outcome t ~timeout_ms ~type_check ~semantics ~tr expanded =
   let stats_acc = ref Runtime.zero_stats in
   let blocked_repos = ref [] in
   let fallback = ref false in
-  let try_fragment sub =
+  let try_fragment ~free sub =
     (* every free name was checked above to be an extent *)
-    if Ast.free_collections sub = [] then None
+    if free = [] then None
     else
       match Pipeline.compile t.pipeline sub with
       | Error _ -> None

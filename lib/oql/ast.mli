@@ -62,9 +62,21 @@ val pp : Format.formatter -> query -> unit
 val to_string : query -> string
 val equal : query -> query -> bool
 
-val fold_idents : (string -> 'a -> 'a) -> query -> 'a -> 'a
-(** Fold over every {!Ident} and {!Extent_star} name, including those
-    bound by [from] clauses (callers filter with scope knowledge). *)
+val shape : query -> (string list * query) list * (query list -> query)
+(** OQL's scoping rules, written once. [shape q] is [q]'s immediate
+    subqueries, each paired with the variables [q] binds around it, and a
+    function that rebuilds [q] from new subqueries given in the same
+    order (it raises [Invalid_argument] on a list of another length). A
+    [from] entry binds its variable in the later entries'
+    collections and in the projection, [where] and [order by] keys; a
+    quantifier binds its variable in its body. Leaves ({!Const},
+    {!Ident}, {!Extent_star}) have no subqueries.
+
+    Children come in the order the walks built on [shape] visit them: the
+    right operand of a {!Binop} before the left, a quantifier's body
+    before its collection, and a [select]'s [from] collections, then its
+    [order by] keys, then its [where], then its projection; call
+    arguments, struct fields and collection elements left to right. *)
 
 val free_collections : query -> string list
 (** Names appearing in collection position of [from] clauses or as bare

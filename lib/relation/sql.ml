@@ -315,15 +315,6 @@ let result_to_bag r =
        (fun row -> V.strct (List.mapi (fun i c -> (c, row.(i))) r.columns))
        r.rows)
 
-let pp_result ppf r =
-  Fmt.pf ppf "%a@\n" (Fmt.list ~sep:(Fmt.any " | ") Fmt.string) r.columns;
-  List.iter
-    (fun row ->
-      Fmt.pf ppf "%a@\n"
-        (Fmt.array ~sep:(Fmt.any " | ") V.pp)
-        row)
-    r.rows
-
 (* -- evaluation -- *)
 
 exception Sql_error of string

@@ -57,8 +57,6 @@ type result = { columns : string list; rows : Disco_value.Value.t array list }
 val result_to_bag : result -> Disco_value.Value.t
 (** Rows as a bag of structs keyed by the result column names. *)
 
-val pp_result : Format.formatter -> result -> unit
-
 (** {1 Execution} *)
 
 exception Sql_error of string

@@ -1012,6 +1012,112 @@ let test_hybrid_fragment_runs_once () =
   Alcotest.(check int) "one plan per bare extent" (misses + 2)
     (snd (plan_cache_counts m))
 
+(* The hybrid fragment search, pinned: every subquery that
+   [Expand.map_closed_subqueries] hands to its callback, in order. A
+   closed node is tried before its children; a node that names a
+   variable bound by an enclosing [from] or quantifier is not tried, and
+   once the callback rewrites a node its subtree is left alone. *)
+let test_hybrid_fragment_search_order () =
+  let parse = Disco_oql.Parser.parse in
+  let ast = Alcotest.testable Disco_oql.Ast.pp Disco_oql.Ast.equal in
+  let check name ?(rewrite = []) ?result oql ~tried =
+    let seen = ref [] in
+    let f ~free:_ q =
+      seen := q :: !seen;
+      if List.exists (Disco_oql.Ast.equal q) (List.map parse rewrite) then
+        Some (Disco_oql.Ast.Const (V.Int 0))
+      else None
+    in
+    let got = Disco_core.Expand.map_closed_subqueries f (parse oql) in
+    Alcotest.(check (list ast)) (name ^ ": tried") (List.map parse tried)
+      (List.rev !seen);
+    Alcotest.check ast (name ^ ": result")
+      (parse (Option.value result ~default:oql))
+      got
+  in
+  let q =
+    "select person0.name from person0 in person1 where person0.salary > 10"
+  in
+  check "from variable named like an extent" q ~tried:[ q; "person1"; "10" ];
+  let q = "exists x in person0 : x.salary > 10 and person1 = person1" in
+  check "quantifier variable" q
+    ~tried:[ q; "person1 = person1"; "person1"; "person1"; "10"; "person0" ];
+  let q =
+    "select struct(n: x.name, c: count(select y from y in person1 where y.id \
+     = x.id)) from x in person0 where exists z in person1 : z.id = x.id"
+  in
+  check "correlated subqueries in projection and where" q
+    ~tried:[ q; "person0"; "person1"; "person1" ];
+  let q =
+    "select x.name from x in person0 where x.salary > max(select y.salary \
+     from y in person1)"
+  in
+  check "uncorrelated subquery in where" q
+    ~tried:
+      [
+        q;
+        "person0";
+        "max(select y.salary from y in person1)";
+        "select y.salary from y in person1";
+        "person1";
+      ];
+  let q =
+    "select struct(a: x.name, b: 1, c: 2) from x in person0, y in person1 \
+     where x.salary > 3 and 4 = x.id order by x.salary + 5, 6 + x.id desc"
+  in
+  check "projection, where and order by" q
+    ~tried:[ q; "person0"; "person1"; "5"; "6"; "4"; "3"; "1"; "2" ];
+  let q =
+    "select y.name from y in (select x from x in person0 where x.salary > \
+     10), z in person1 where y.id = z.id"
+  in
+  check "nested selects" q
+    ~tried:
+      [
+        q;
+        "select x from x in person0 where x.salary > 10";
+        "person0";
+        "10";
+        "person1";
+      ];
+  let q =
+    "flatten(select (select z.name from z in person1 where z.id = x.id) from \
+     x in person0)"
+  in
+  check "nested select in a projection" q
+    ~tried:
+      [
+        q;
+        "select (select z.name from z in person1 where z.id = x.id) from x in \
+         person0";
+        "person0";
+        "person1";
+      ];
+  let q = "count(person0) + count(person1) - 1" in
+  check "bare extents" q
+    ~tried:
+      [
+        q;
+        "1";
+        "count(person0) + count(person1)";
+        "count(person1)";
+        "person1";
+        "count(person0)";
+        "person0";
+      ];
+  let q = "sum(select y.salary from y in person1) + count(person0)" in
+  check "a rewritten subtree is left alone" q
+    ~rewrite:[ "select y.salary from y in person1" ]
+    ~tried:
+      [
+        q;
+        "count(person0)";
+        "person0";
+        "sum(select y.salary from y in person1)";
+        "select y.salary from y in person1";
+      ]
+    ~result:"sum(0) + count(person0)"
+
 (* -- wrapper capability fallback -- *)
 
 (* A lying wrapper: advertises full capability, refuses everything but
@@ -1415,6 +1521,29 @@ let test_validate_views () =
 
 (* -- scale stress: 64 sources, mixed availability -- *)
 
+(* A long hybrid query costs time linear in its size: the fragment
+   search computes each node's free names once, and a compile rejection
+   names the offending construct rather than printing its subtree. The
+   bound is generous: each chain runs in well under a second. *)
+let test_long_hybrid_queries () =
+  let chain ~n term = String.concat " + " (List.init n (fun _ -> term)) in
+  let check name ~n term ~answer ~execs =
+    let m = paper_mediator () in
+    let t0 = Unix.gettimeofday () in
+    let o = Mediator.query m (chain ~n term) in
+    let wall_s = Unix.gettimeofday () -. t0 in
+    Alcotest.check check_value (name ^ ": answer") answer (complete o);
+    Alcotest.(check int) (name ^ ": execs") execs
+      o.Mediator.stats.Disco_runtime.Runtime.execs_issued;
+    Alcotest.(check bool)
+      (Fmt.str "%s: %.2f s is within 3 s" name wall_s)
+      true (wall_s < 3.0)
+  in
+  check "32,000-term 1 + ... + 1" ~n:32_000 "1" ~answer:(V.Int 32_000)
+    ~execs:0;
+  check "4,000-term count(person0) + ..." ~n:4_000 "count(person0)"
+    ~answer:(V.Int 4_000) ~execs:4_000
+
 let test_scale_64_sources () =
   let m = Mediator.create ~name:"big" () in
   Mediator.load_odl m
@@ -1515,6 +1644,8 @@ let () =
             test_hybrid_fragment_partial;
           Alcotest.test_case "hybrid fragment runs once" `Quick
             test_hybrid_fragment_runs_once;
+          Alcotest.test_case "hybrid fragment search order" `Quick
+            test_hybrid_fragment_search_order;
           Alcotest.test_case "semijoin reduction" `Quick test_semijoin_reduction;
           Alcotest.test_case "explain shows the cached plan" `Quick
             test_explain_shows_cached_plan;
@@ -1562,5 +1693,7 @@ let () =
           Alcotest.test_case "mediator composition" `Quick
             test_mediator_composition;
           Alcotest.test_case "scale: 64 sources" `Slow test_scale_64_sources;
+          Alcotest.test_case "long hybrid queries are linear" `Quick
+            test_long_hybrid_queries;
         ] );
     ]

@@ -121,7 +121,28 @@ let test_free_collections () =
   in
   Alcotest.(check (list string))
     "free names" [ "person"; "person0"; "threshold" ]
-    (Ast.free_collections q)
+    (Ast.free_collections q);
+  let free oql = Ast.free_collections (Parser.parse oql) in
+  (* a from variable shadows an extent of the same name, but only in the
+     later entries and the clauses after them *)
+  Alcotest.(check (list string))
+    "from variable shadows" [ "person0"; "person1" ]
+    (free
+       "select person0.name from y in person0, person0 in person1 where \
+        person0.id = y.id");
+  Alcotest.(check (list string))
+    "from variable not bound in its own collection" [ "x" ]
+    (free "select x from x in x");
+  (* a quantifier binds its variable in its body, not its collection *)
+  Alcotest.(check (list string))
+    "quantifier" [ "person1"; "x" ]
+    (free "exists x in x : x.salary > 10 and person1 = person1");
+  Alcotest.(check (list string))
+    "quantifier variable shadows an extent" [ "person1" ]
+    (free "for all person0 in person1 : person0.salary > 0");
+  Alcotest.(check (list string))
+    "a star is never bound" [ "person"; "person0" ]
+    (free "select y from person in person0, y in person*")
 
 (* -- evaluation -- *)
 
