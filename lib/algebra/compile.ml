@@ -71,7 +71,10 @@ let try_constant q =
 
 let bind var e = Expr.Map (e, Expr.Hstruct [ (var, Expr.Attr []) ])
 
-let rec collection q =
+(* [free] is [q]'s [Ast.free_names] tree once an enclosing select has
+   computed it, so each subquery's free names are computed once and
+   compiling is linear in the query's size. *)
+let rec collection free q =
   match q with
   | Ast.Ident name -> Expr.Get name
   | Ast.Const ((V.Bag _ | V.Set _ | V.List _) as v) -> Expr.Data v
@@ -79,27 +82,41 @@ let rec collection q =
       match try_constant q with
       | Some v -> Expr.Data v
       | None -> reject "non-constant collection literal")
-  | Ast.Call ("union", args) -> Expr.Union (List.map collection args)
-  | Ast.Call ("distinct", [ e ]) -> Expr.Distinct (collection e)
-  | Ast.Select sel -> select sel
+  | Ast.Call ("union", args) -> Expr.Union (List.map2 collection (kids free args) args)
+  | Ast.Call ("distinct", [ e ]) ->
+      Expr.Distinct (collection (List.hd (kids free [ e ])) e)
+  | Ast.Select sel -> select free sel
   | Ast.Extent_star name -> reject "unexpanded subtype extent %s*" name
   | q -> reject "collection not algebraic: %s" (outline q)
 
-and select sel =
+and kids free qs =
+  match free with
+  | Some (Ast.Free (_, kids)) -> List.map Option.some kids
+  | None -> List.map (fun _ -> None) qs
+
+and select free sel =
   if sel.Ast.sel_order <> [] then
     reject "order by is evaluated by the mediator";
   (* from-bindings must be independent (no dependent joins in the
-     algebra). *)
+     algebra); the [from] collections are the first children *)
   let vars = List.map fst sel.Ast.sel_from in
+  let from_kids =
+    match free with
+    | Some (Ast.Free (_, kids)) ->
+        let n = List.length vars in
+        List.filteri (fun i _ -> i < n) kids
+    | None -> List.map (fun (_, c) -> Ast.free_names c) sel.Ast.sel_from
+  in
   List.iter
-    (fun (_, coll_q) ->
-      let free = Ast.free_collections coll_q in
-      match List.find_opt (fun f -> List.mem f vars) free with
+    (fun (Ast.Free (names, _)) ->
+      match Ast.Names.(min_elt_opt (filter (fun f -> List.mem f vars) names)) with
       | Some v -> reject "dependent from-binding on %s" v
       | None -> ())
-    sel.Ast.sel_from;
+    from_kids;
   let sides =
-    List.map (fun (var, coll_q) -> bind var (collection coll_q)) sel.Ast.sel_from
+    List.map2
+      (fun (var, coll_q) kid -> bind var (collection (Some kid) coll_q))
+      sel.Ast.sel_from from_kids
   in
   let joined =
     match sides with
@@ -115,22 +132,16 @@ and select sel =
   let projected = Expr.Map (filtered, head sel.Ast.sel_proj) in
   if sel.Ast.sel_distinct then Expr.Distinct projected else projected
 
-let compile q = try Ok (collection q) with Reject reason -> Error reason
+let compile q = try Ok (collection None q) with Reject reason -> Error reason
 
 let locate ~repo_of e =
   let rec go e =
     match e with
     | Expr.Get name -> (
         match repo_of name with
-        | Some repo -> Expr.Submit (repo, Expr.Get name)
+        | Some repo -> Expr.Submit (repo, e)
         | None -> e)
-    | Expr.Data _ -> e
-    | Expr.Select (e, p) -> Expr.Select (go e, p)
-    | Expr.Project (e, attrs) -> Expr.Project (go e, attrs)
-    | Expr.Map (e, h) -> Expr.Map (go e, h)
-    | Expr.Join (l, r, pairs) -> Expr.Join (go l, go r, pairs)
-    | Expr.Union es -> Expr.Union (List.map go es)
-    | Expr.Distinct e -> Expr.Distinct (go e)
-    | Expr.Submit (repo, e) -> Expr.Submit (repo, e)
+    | Expr.Submit _ -> e
+    | _ -> Expr.map_children go e
   in
   go e

@@ -142,30 +142,52 @@ let rec binding_vars = function
   | Data (V.Bag [] | V.Set [] | V.List []) -> Some []
   | Union [] | Get _ | Data _ | Project (_, _) -> None
 
-let rec submits = function
-  | Submit (repo, e) -> (repo, e) :: submits e
-  | Get _ | Data _ -> []
-  | Select (e, _) | Project (e, _) | Map (e, _) | Distinct e -> submits e
-  | Join (l, r, _) -> submits l @ submits r
-  | Union es -> List.concat_map submits es
+let map_children f e =
+  match e with
+  | Get _ | Data _ -> e
+  | Select (c, p) -> let c' = f c in if c' == c then e else Select (c', p)
+  | Project (c, a) -> let c' = f c in if c' == c then e else Project (c', a)
+  | Map (c, h) -> let c' = f c in if c' == c then e else Map (c', h)
+  | Join (l, r, pairs) ->
+      let l' = f l in
+      let r' = f r in
+      if l' == l && r' == r then e else Join (l', r', pairs)
+  | Union es -> Union (List.map f es)
+  | Distinct c -> let c' = f c in if c' == c then e else Distinct c'
+  | Submit (repo, c) -> let c' = f c in if c' == c then e else Submit (repo, c')
 
-let rec gets = function
-  | Get name -> [ name ]
-  | Data _ -> []
-  | Select (e, _) | Project (e, _) | Map (e, _) | Distinct e | Submit (_, e) ->
-      gets e
-  | Join (l, r, _) -> gets l @ gets r
-  | Union es -> List.concat_map gets es
+let fold_children f acc = function
+  | Get _ | Data _ -> acc
+  | Select (c, _) | Project (c, _) | Map (c, _) | Distinct c | Submit (_, c) ->
+      f acc c
+  | Join (l, r, _) -> f (f acc l) r
+  | Union es -> List.fold_left f acc es
 
-let rec map_submits f = function
-  | Submit (repo, e) -> f repo e
-  | (Get _ | Data _) as e -> e
-  | Select (e, p) -> Select (map_submits f e, p)
-  | Project (e, attrs) -> Project (map_submits f e, attrs)
-  | Map (e, h) -> Map (map_submits f e, h)
-  | Distinct e -> Distinct (map_submits f e)
-  | Join (l, r, pairs) -> Join (map_submits f l, map_submits f r, pairs)
-  | Union es -> Union (List.map (map_submits f) es)
+let rec map_pred_scalars f = function
+  | True -> True
+  | Cmp (op, a, b) -> Cmp (op, f a, f b)
+  | Member (a, keys) -> Member (f a, keys)
+  | And (a, b) -> And (map_pred_scalars f a, map_pred_scalars f b)
+  | Or (a, b) -> Or (map_pred_scalars f a, map_pred_scalars f b)
+  | Not a -> Not (map_pred_scalars f a)
+
+let map_head_scalars f = function
+  | Hscalar s -> Hscalar (f s)
+  | Hstruct fields -> Hstruct (List.map (fun (n, s) -> (n, f s)) fields)
+
+let submits e =
+  let rec go acc e =
+    fold_children go (match e with Submit (r, body) -> (r, body) :: acc | _ -> acc) e
+  in
+  List.rev (go [] e)
+
+let gets e =
+  let rec go acc = function Get name -> name :: acc | e -> fold_children go acc e in
+  List.rev (go [] e)
+
+let map_submits f e =
+  let rec go = function Submit (repo, e) -> f repo e | e -> map_children go e in
+  go e
 
 let rec scalar_paths = function
   | Attr p -> [ p ]

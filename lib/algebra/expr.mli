@@ -82,6 +82,23 @@ val binding_vars : expr -> string list option
 (** The binding-struct field names of the elements an expression produces,
     when statically known (see the discipline above). *)
 
+val map_children : (expr -> expr) -> expr -> expr
+(** [map_children f e] applies [f] to each immediate child of [e], left to
+    right, and rebuilds [e] around the results; a [Submit]'s child is its
+    body. A node whose children all come back physically equal is
+    returned itself, so a rewrite that changes nothing allocates nothing
+    (a [Union]'s list excepted). *)
+
+val fold_children : ('a -> expr -> 'a) -> 'a -> expr -> 'a
+(** Folds over [e]'s children in {!map_children}'s order. *)
+
+val map_pred_scalars : (scalar -> scalar) -> pred -> pred
+(** Rewrites every scalar operand of a predicate, keeping its connectives
+    (and a [Member]'s key set). *)
+
+val map_head_scalars : (scalar -> scalar) -> head -> head
+(** Rewrites every scalar of a head, keeping struct labels. *)
+
 val submits : expr -> (string * expr) list
 (** All [Submit] nodes, preorder. *)
 

@@ -7,19 +7,9 @@ let push_none ~repo:_ _ = false
 
 (* -- generic bottom-up rewriting -- *)
 
-let rec bottom_up f e =
-  let e' =
-    match e with
-    | Get _ | Data _ -> e
-    | Select (inner, p) -> Select (bottom_up f inner, p)
-    | Project (inner, attrs) -> Project (bottom_up f inner, attrs)
-    | Map (inner, h) -> Map (bottom_up f inner, h)
-    | Join (l, r, pairs) -> Join (bottom_up f l, bottom_up f r, pairs)
-    | Union es -> Union (List.map (bottom_up f) es)
-    | Distinct inner -> Distinct (bottom_up f inner)
-    | Submit (repo, inner) -> Submit (repo, bottom_up f inner)
-  in
-  f e'
+let bottom_up f e =
+  let rec go e = f (map_children go e) in
+  go e
 
 let rec fixpoint ?(fuel = 32) step e =
   if fuel = 0 then e

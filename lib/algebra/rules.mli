@@ -22,6 +22,10 @@ val push_all : can_push
 val push_none : can_push
 (** Accepts nothing: every operator stays on the mediator. *)
 
+val bottom_up : (Expr.expr -> Expr.expr) -> Expr.expr -> Expr.expr
+(** [bottom_up f e] rewrites [e]'s children first, then applies [f] to the
+    rebuilt node: the traversal every rule pass below runs. *)
+
 val extract_join_pairs : Expr.expr -> Expr.expr
 (** Move equi-join conjuncts of a [Select] above a [Join] into the join's
     pair list ([Select(Join(l,r,[]), x.id = y.id)] becomes

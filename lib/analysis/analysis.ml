@@ -231,9 +231,7 @@ let outages_of_extents reg extents =
 let rec fully_pushed = function
   | Expr.Submit _ | Expr.Data _ -> true
   | Expr.Union es -> List.for_all fully_pushed es
-  | Expr.Get _ | Expr.Select _ | Expr.Project _ | Expr.Map _ | Expr.Join _
-  | Expr.Distinct _ ->
-      false
+  | _ -> false
 
 (* -- workload-facing coverage facts gathered per query -- *)
 
@@ -258,27 +256,21 @@ let filtered_fields reg expr =
   let field_of_path p =
     match List.rev p with [] -> None | last :: _ -> Some last
   in
-  let rec walk e =
-    match e with
-    | Expr.Get _ | Expr.Data _ -> ()
+  let rec walk () e =
+    (match e with
     | Expr.Select (inner, pred) ->
         charge (Expr.gets inner)
-          (List.filter_map field_of_path (Expr.pred_paths pred));
-        walk inner
+          (List.filter_map field_of_path (Expr.pred_paths pred))
     | Expr.Join (l, r, pairs) ->
         List.iter
           (fun (lp, rp) ->
             charge (Expr.gets l) (Option.to_list (field_of_path lp));
             charge (Expr.gets r) (Option.to_list (field_of_path rp)))
-          pairs;
-        walk l;
-        walk r
-    | Expr.Project (inner, _) | Expr.Map (inner, _) | Expr.Distinct inner
-    | Expr.Submit (_, inner) ->
-        walk inner
-    | Expr.Union es -> List.iter walk es
+          pairs
+    | _ -> ());
+    Expr.fold_children walk () e
   in
-  walk expr;
+  walk () expr;
   !acc
 
 (* -- synthetic data: deterministic rows derived from the schema -- *)

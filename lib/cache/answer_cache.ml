@@ -47,15 +47,10 @@ and rebuild mk parts =
 
 let rec normalize e =
   match e with
-  | Expr.Get _ | Expr.Data _ -> e
   | Expr.Select (e, p) -> Expr.Select (normalize e, normalize_pred p)
-  | Expr.Project (e, attrs) -> Expr.Project (normalize e, attrs)
-  | Expr.Map (e, h) -> Expr.Map (normalize e, h)
   | Expr.Join (l, r, pairs) ->
       Expr.Join (normalize l, normalize r, List.sort compare pairs)
-  | Expr.Union es -> Expr.Union (List.map normalize es)
-  | Expr.Distinct e -> Expr.Distinct (normalize e)
-  | Expr.Submit (repo, e) -> Expr.Submit (repo, normalize e)
+  | _ -> Expr.map_children normalize e
 
 let key ~repo expr = repo ^ "|" ^ Expr.to_string (normalize expr)
 
@@ -119,8 +114,6 @@ let invalidate_repo t repo =
       if String.length k >= plen && String.sub k 0 plen = prefix then
         Lru.remove t.lru k)
     (Lru.to_list t.lru)
-
-let clear t = Lru.clear t.lru
 
 type stats = {
   hits : int;

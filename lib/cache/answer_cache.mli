@@ -59,8 +59,6 @@ val invalidate_repo : t -> string -> unit
 (** Drop every entry of one repository (e.g. after an out-of-band bulk
     load the version counter cannot describe). *)
 
-val clear : t -> unit
-
 (** Cumulative counters. [stale_ms] is the maximum age ever served by
     {!find_stale}. *)
 type stats = {

@@ -532,33 +532,19 @@ let check_submit st path repo sub =
 
 let rec strip_submits (e : Expr.expr) : Expr.expr =
   match e with
-  | Expr.Get _ | Expr.Data _ -> e
-  | Expr.Select (i, p) -> Expr.Select (strip_submits i, p)
-  | Expr.Project (i, a) -> Expr.Project (strip_submits i, a)
-  | Expr.Map (i, h) -> Expr.Map (strip_submits i, h)
-  | Expr.Join (l, r, pairs) ->
-      Expr.Join (strip_submits l, strip_submits r, pairs)
-  | Expr.Union es -> Expr.Union (List.map strip_submits es)
-  | Expr.Distinct i -> Expr.Distinct (strip_submits i)
   | Expr.Submit (_, i) -> strip_submits i
+  | _ -> Expr.map_children strip_submits e
 
 (* [Project] is semantically the struct-rebuilding [Map]; canonicalize so
    wrapper-split trees (Project pushed, Map kept) compare equal to their
    recompilations *)
 let rec project_as_map (e : Expr.expr) : Expr.expr =
   match e with
-  | Expr.Get _ | Expr.Data _ -> e
-  | Expr.Select (i, p) -> Expr.Select (project_as_map i, p)
   | Expr.Project (i, attrs) ->
       Expr.Map
         ( project_as_map i,
           Expr.Hstruct (List.map (fun a -> (a, Expr.Attr [ a ])) attrs) )
-  | Expr.Map (i, h) -> Expr.Map (project_as_map i, h)
-  | Expr.Join (l, r, pairs) ->
-      Expr.Join (project_as_map l, project_as_map r, pairs)
-  | Expr.Union es -> Expr.Union (List.map project_as_map es)
-  | Expr.Distinct i -> Expr.Distinct (project_as_map i)
-  | Expr.Submit (r, i) -> Expr.Submit (r, project_as_map i)
+  | _ -> Expr.map_children project_as_map e
 
 let rec contains_member_pred (p : Expr.pred) =
   match p with
@@ -574,36 +560,22 @@ let rec contains_member_pred (p : Expr.pred) =
    re-read; for such trees only decompilation itself is required *)
 let rec roundtrip_exempt (e : Expr.expr) =
   match e with
-  | Expr.Get _ -> false
   | Expr.Data _ -> true
-  | Expr.Select (i, p) -> contains_member_pred p || roundtrip_exempt i
-  | Expr.Project (i, _) | Expr.Map (i, _) | Expr.Distinct i
-  | Expr.Submit (_, i) ->
-      roundtrip_exempt i
-  | Expr.Join (l, r, _) -> roundtrip_exempt l || roundtrip_exempt r
-  | Expr.Union es -> List.exists roundtrip_exempt es
+  | Expr.Select (_, p) when contains_member_pred p -> true
+  | _ -> Expr.fold_children (fun exempt c -> exempt || roundtrip_exempt c) false e
 
 (* α-canonicalization: rename binding variables (the fields of pure
    binding structs) positionally, in order of first occurrence *)
 let alpha_rename (e : Expr.expr) : Expr.expr =
-  let order = ref [] in
-  let rec collect (e : Expr.expr) =
+  let rec collect order (e : Expr.expr) =
+    let order = Expr.fold_children collect order e in
     match e with
-    | Expr.Map (i, Expr.Hstruct [ (v, Expr.Attr []) ]) ->
-        collect i;
-        if not (List.mem v !order) then order := v :: !order
-    | Expr.Get _ | Expr.Data _ -> ()
-    | Expr.Select (i, _) | Expr.Project (i, _) | Expr.Map (i, _)
-    | Expr.Distinct i
-    | Expr.Submit (_, i) ->
-        collect i
-    | Expr.Join (l, r, _) ->
-        collect l;
-        collect r
-    | Expr.Union es -> List.iter collect es
+    | Expr.Map (_, Expr.Hstruct [ (v, Expr.Attr []) ])
+      when not (List.mem v order) ->
+        v :: order
+    | _ -> order
   in
-  collect e;
-  let vars = List.rev !order in
+  let vars = List.rev (collect [] e) in
   let renaming =
     List.mapi (fun i v -> (v, Printf.sprintf "\xce\xb1%d" i)) vars
   in
@@ -615,37 +587,20 @@ let alpha_rename (e : Expr.expr) : Expr.expr =
     | Expr.Const _ -> s
     | Expr.Arith (op, a, b) -> Expr.Arith (op, ren_scalar a, ren_scalar b)
   in
-  let rec ren_pred (p : Expr.pred) =
-    match p with
-    | Expr.True -> p
-    | Expr.Cmp (op, a, b) -> Expr.Cmp (op, ren_scalar a, ren_scalar b)
-    | Expr.Member (s, keys) -> Expr.Member (ren_scalar s, keys)
-    | Expr.And (a, b) -> Expr.And (ren_pred a, ren_pred b)
-    | Expr.Or (a, b) -> Expr.Or (ren_pred a, ren_pred b)
-    | Expr.Not a -> Expr.Not (ren_pred a)
-  in
   let ren_head (h : Expr.head) =
     match h with
     | Expr.Hstruct [ (v, Expr.Attr []) ] ->
         Expr.Hstruct [ (ren v, Expr.Attr []) ]
-    | Expr.Hstruct fields ->
-        Expr.Hstruct (List.map (fun (n, s) -> (n, ren_scalar s)) fields)
-    | Expr.Hscalar s -> Expr.Hscalar (ren_scalar s)
+    | _ -> Expr.map_head_scalars ren_scalar h
   in
   let rec go (e : Expr.expr) : Expr.expr =
     match e with
-    | Expr.Get _ | Expr.Data _ -> e
-    | Expr.Select (i, p) -> Expr.Select (go i, ren_pred p)
-    | Expr.Project (i, a) -> Expr.Project (go i, a)
+    | Expr.Select (i, p) ->
+        Expr.Select (go i, Expr.map_pred_scalars ren_scalar p)
     | Expr.Map (i, h) -> Expr.Map (go i, ren_head h)
     | Expr.Join (l, r, pairs) ->
-        Expr.Join
-          ( go l,
-            go r,
-            List.map (fun (a, b) -> (ren_path a, ren_path b)) pairs )
-    | Expr.Union es -> Expr.Union (List.map go es)
-    | Expr.Distinct i -> Expr.Distinct (go i)
-    | Expr.Submit (r, i) -> Expr.Submit (r, go i)
+        Expr.Join (go l, go r, List.map (fun (a, b) -> (ren_path a, ren_path b)) pairs)
+    | _ -> Expr.map_children go e
   in
   go e
 

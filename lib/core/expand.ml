@@ -6,7 +6,7 @@ exception Expand_error of string
 
 let expand_error fmt = Format.kasprintf (fun s -> raise (Expand_error s)) fmt
 
-module S = Set.Make (String)
+module S = Ast.Names
 
 let bind binds bound = List.fold_right S.add binds bound
 
@@ -28,28 +28,10 @@ let rewrite_free f q =
 let substitute_collections lookup q =
   rewrite_free (function `Ident name -> lookup name | `Star _ -> None) q
 
-(* Every node's free names, computed bottom-up once, with its children's
-   in [Ast.shape] order. *)
-type free = Free of S.t * free list
-
-let rec free_names q =
-  let children = fst (Ast.shape q) in
-  let kids = List.map (fun (_, c) -> free_names c) children in
-  let names =
-    match q with
-    | Ast.Ident name | Ast.Extent_star name -> S.singleton name
-    | _ ->
-        List.fold_left2
-          (fun acc (binds, _) (Free (names, _)) ->
-            S.union acc (List.fold_right S.remove binds names))
-          S.empty children kids
-  in
-  Free (names, kids)
-
 (* Top-down: try [f] on each node whose free names include no enclosing
    binding variable; recurse into its children otherwise. *)
 let map_closed_subqueries f q =
-  let rec go bound (Free (names, kids)) q =
+  let rec go bound (Ast.Free (names, kids)) q =
     let tried =
       if S.disjoint names bound then f ~free:(S.elements names) q else None
     in
@@ -62,7 +44,7 @@ let map_closed_subqueries f q =
              (fun (binds, c) k -> go (bind binds bound) k c)
              children kids)
   in
-  go S.empty (free_names q) q
+  go S.empty (Ast.free_names q) q
 
 (* A partitioned extent contributes its shard children (the parent never
    executes); any other extent contributes itself. *)

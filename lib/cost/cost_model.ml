@@ -66,21 +66,11 @@ let rec erase_pred = function
   | Expr.Or (a, b) -> Expr.Or (erase_pred a, erase_pred b)
   | Expr.Not a -> Expr.Not (erase_pred a)
 
-let erase_head = function
-  | Expr.Hscalar s -> Expr.Hscalar (erase_scalar s)
-  | Expr.Hstruct fields ->
-      Expr.Hstruct (List.map (fun (n, s) -> (n, erase_scalar s)) fields)
-
 let rec erase = function
-  | Expr.Get name -> Expr.Get name
   | Expr.Data _ -> Expr.Data (V.Bag [])
   | Expr.Select (e, p) -> Expr.Select (erase e, erase_pred p)
-  | Expr.Project (e, attrs) -> Expr.Project (erase e, attrs)
-  | Expr.Map (e, h) -> Expr.Map (erase e, erase_head h)
-  | Expr.Join (l, r, pairs) -> Expr.Join (erase l, erase r, pairs)
-  | Expr.Union es -> Expr.Union (List.map erase es)
-  | Expr.Distinct e -> Expr.Distinct (erase e)
-  | Expr.Submit (repo, e) -> Expr.Submit (repo, erase e)
+  | Expr.Map (e, h) -> Expr.Map (erase e, Expr.map_head_scalars erase_scalar h)
+  | e -> Expr.map_children erase e
 
 let skeleton e = Expr.to_string (erase e)
 

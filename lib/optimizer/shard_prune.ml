@@ -90,20 +90,14 @@ let key_constraints ~shard expr =
                 constrs
             in
             acc := (name, ks) :: !acc)
-    | Expr.Data _ -> ()
     | Expr.Select (inner, pred) ->
         walk (constraints_of_pred pred @ constrs) inner
     | Expr.Map (inner, head) -> (
         match translate_constrs head constrs with
         | Some constrs' -> walk constrs' inner
         | None -> walk [] inner)
-    | Expr.Project (inner, _) | Expr.Distinct inner | Expr.Submit (_, inner)
-      ->
-        walk constrs inner
-    | Expr.Union es -> List.iter (walk constrs) es
-    | Expr.Join (l, r, _) ->
-        walk [] l;
-        walk [] r
+    | Expr.Join _ -> Expr.fold_children (fun () -> walk []) () e
+    | _ -> Expr.fold_children (fun () -> walk constrs) () e
   in
   walk [] expr;
   List.rev !acc
@@ -213,9 +207,7 @@ let merge_rewrite ~shard plan =
     | Plan.Mk_select (q, _) | Plan.Mk_project (q, _) | Plan.Mk_map (q, _)
     | Plan.Mk_distinct q ->
         member_scans q
-    | Plan.Mk_data _ | Plan.Nested_loop_join _ | Plan.Hash_join _
-    | Plan.Semi_join _ | Plan.Mk_union _ | Plan.Mk_shard_merge _ ->
-        None
+    | _ -> None
   in
   let hash_child name =
     match shard name with
@@ -246,20 +238,8 @@ let merge_rewrite ~shard plan =
         List.length (List.sort_uniq String.compare names) = List.length names
   in
   let rec go p =
-    match p with
-    | Plan.Exec _ | Plan.Mk_data _ -> p
-    | Plan.Mk_select (q, pred) -> Plan.Mk_select (go q, pred)
-    | Plan.Mk_project (q, attrs) -> Plan.Mk_project (go q, attrs)
-    | Plan.Mk_map (q, h) -> Plan.Mk_map (go q, h)
-    | Plan.Mk_distinct q -> Plan.Mk_distinct (go q)
-    | Plan.Nested_loop_join (l, r, pairs) ->
-        Plan.Nested_loop_join (go l, go r, pairs)
-    | Plan.Hash_join (l, r, pairs) -> Plan.Hash_join (go l, go r, pairs)
-    | Plan.Semi_join (l, right, pairs) -> Plan.Semi_join (go l, right, pairs)
-    | Plan.Mk_shard_merge ps -> Plan.Mk_shard_merge (List.map go ps)
-    | Plan.Mk_union ps ->
-        let ps = List.map go ps in
-        if hash_sharded_family ps then Plan.Mk_shard_merge ps
-        else Plan.Mk_union ps
+    match Plan.map_children go p with
+    | Plan.Mk_union ps when hash_sharded_family ps -> Plan.Mk_shard_merge ps
+    | p -> p
   in
   go plan

@@ -187,17 +187,33 @@ let shape q =
       in
       (List.rev_append from rest, rebuild)
 
-module S = Set.Make (String)
+module Names = Set.Make (String)
+
+type free = Free of Names.t * free list
+
+let rec free_names q =
+  match q with
+  | Ident name | Extent_star name -> Free (Names.singleton name, [])
+  | _ ->
+      let children = fst (shape q) in
+      let kids = List.map (fun (_, c) -> free_names c) children in
+      let names =
+        List.fold_left2
+          (fun acc (binds, _) (Free (names, _)) ->
+            Names.union acc (List.fold_right Names.remove binds names))
+          Names.empty children kids
+      in
+      Free (names, kids)
 
 let free_collections q =
   let rec go bound acc q =
     match q with
-    | Ident name -> if S.mem name bound then acc else S.add name acc
-    | Extent_star name -> S.add name acc
+    | Ident name -> if Names.mem name bound then acc else Names.add name acc
+    | Extent_star name -> Names.add name acc
     | _ ->
         List.fold_left
           (fun acc (binds, c) ->
-            go (List.fold_right S.add binds bound) acc c)
+            go (List.fold_right Names.add binds bound) acc c)
           acc (fst (shape q))
   in
-  S.elements (go S.empty S.empty q)
+  Names.elements (go Names.empty Names.empty q)

@@ -78,7 +78,19 @@ val shape : query -> (string list * query) list * (query list -> query)
     [order by] keys, then its [where], then its projection; call
     arguments, struct fields and collection elements left to right. *)
 
+module Names : Set.S with type elt = string
+
+(** A node's free names, with its children's trees in {!shape} order. *)
+type free = Free of Names.t * free list
+
+val free_names : query -> free
+(** Every node's free names, computed bottom-up in one pass, so a walk
+    that needs them at each subquery reads them off the tree instead of
+    recomputing them per node. Each set is its own subquery's: a variable
+    a node binds stays in the set of the child it scopes over. *)
+
 val free_collections : query -> string list
 (** Names appearing in collection position of [from] clauses or as bare
     identifiers outside any enclosing binding — the extents/views a query
-    mentions. Sorted, deduplicated. *)
+    mentions. Sorted, deduplicated. Unlike in {!free_names}, an [x*] is
+    never bound. *)

@@ -69,30 +69,38 @@ let rec to_logical = function
   | Mk_union ps | Mk_shard_merge ps -> Expr.Union (List.map to_logical ps)
   | Mk_distinct p -> Expr.Distinct (to_logical p)
 
-let rec execs = function
-  | Exec (repo, e) -> [ (repo, e) ]
-  | Mk_data _ -> []
-  | Mk_select (p, _) | Mk_project (p, _) | Mk_map (p, _) | Mk_distinct p ->
-      execs p
-  | Nested_loop_join (l, r, _) | Hash_join (l, r, _) ->
-      execs l @ execs r
-  | Semi_join (l, _, _) -> execs l
-  | Mk_union ps | Mk_shard_merge ps -> List.concat_map execs ps
-
-let rec substitute_execs f = function
-  | Exec (repo, e) -> f repo e
-  | Mk_data v -> Mk_data v
-  | Mk_select (p, pred) -> Mk_select (substitute_execs f p, pred)
-  | Mk_project (p, attrs) -> Mk_project (substitute_execs f p, attrs)
-  | Mk_map (p, h) -> Mk_map (substitute_execs f p, h)
+let map_children f p =
+  match p with
+  | Exec _ | Mk_data _ -> p
+  | Mk_select (c, pred) -> Mk_select (f c, pred)
+  | Mk_project (c, attrs) -> Mk_project (f c, attrs)
+  | Mk_map (c, h) -> Mk_map (f c, h)
   | Nested_loop_join (l, r, pairs) ->
-      Nested_loop_join (substitute_execs f l, substitute_execs f r, pairs)
+      let l = f l in
+      Nested_loop_join (l, f r, pairs)
   | Hash_join (l, r, pairs) ->
-      Hash_join (substitute_execs f l, substitute_execs f r, pairs)
-  | Semi_join (l, right, pairs) -> Semi_join (substitute_execs f l, right, pairs)
-  | Mk_union ps -> Mk_union (List.map (substitute_execs f) ps)
-  | Mk_shard_merge ps -> Mk_shard_merge (List.map (substitute_execs f) ps)
-  | Mk_distinct p -> Mk_distinct (substitute_execs f p)
+      let l = f l in
+      Hash_join (l, f r, pairs)
+  | Semi_join (l, right, pairs) -> Semi_join (f l, right, pairs)
+  | Mk_union ps -> Mk_union (List.map f ps)
+  | Mk_shard_merge ps -> Mk_shard_merge (List.map f ps)
+  | Mk_distinct c -> Mk_distinct (f c)
+
+let fold_children f acc = function
+  | Exec _ | Mk_data _ -> acc
+  | Mk_select (c, _) | Mk_project (c, _) | Mk_map (c, _) | Mk_distinct c
+  | Semi_join (c, _, _) ->
+      f acc c
+  | Nested_loop_join (l, r, _) | Hash_join (l, r, _) -> f (f acc l) r
+  | Mk_union ps | Mk_shard_merge ps -> List.fold_left f acc ps
+
+let execs p =
+  let rec go acc = function Exec (r, e) -> (r, e) :: acc | p -> fold_children go acc p in
+  List.rev (go [] p)
+
+let substitute_execs f p =
+  let rec go = function Exec (repo, e) -> f repo e | p -> map_children go p in
+  go p
 
 (* -- local execution -- *)
 
@@ -210,40 +218,21 @@ let rec run_local = function
       V.bag merged
   | Mk_distinct p -> V.distinct (run_local p)
 
-let rec all_source_exprs = function
-  | Exec (repo, e) -> [ (repo, e) ]
-  | Mk_data _ -> []
-  | Mk_select (p, _) | Mk_project (p, _) | Mk_map (p, _) | Mk_distinct p ->
-      all_source_exprs p
-  | Nested_loop_join (l, r, _) | Hash_join (l, r, _) ->
-      all_source_exprs l @ all_source_exprs r
-  | Semi_join (l, (repo, re), _) -> all_source_exprs l @ [ (repo, re) ]
-  | Mk_union ps | Mk_shard_merge ps -> List.concat_map all_source_exprs ps
+let all_source_exprs p =
+  let rec go acc = function
+    | Exec (repo, e) -> (repo, e) :: acc
+    | Semi_join (_, right, _) as p -> right :: fold_children go acc p
+    | p -> fold_children go acc p
+  in
+  List.rev (go [] p)
 
-let rec semi_joins = function
-  | Exec _ | Mk_data _ -> 0
-  | Mk_select (p, _) | Mk_project (p, _) | Mk_map (p, _) | Mk_distinct p ->
-      semi_joins p
-  | Nested_loop_join (l, r, _) | Hash_join (l, r, _) ->
-      semi_joins l + semi_joins r
-  | Semi_join (l, _, _) -> 1 + semi_joins l
-  | Mk_union ps | Mk_shard_merge ps ->
-      List.fold_left (fun acc p -> acc + semi_joins p) 0 ps
+let rec semi_joins p =
+  fold_children (fun n c -> n + semi_joins c) (match p with Semi_join _ -> 1 | _ -> 0) p
 
 let rec degrade_semi_joins = function
-  | (Exec _ | Mk_data _) as p -> p
-  | Mk_select (p, pred) -> Mk_select (degrade_semi_joins p, pred)
-  | Mk_project (p, attrs) -> Mk_project (degrade_semi_joins p, attrs)
-  | Mk_map (p, h) -> Mk_map (degrade_semi_joins p, h)
-  | Mk_distinct p -> Mk_distinct (degrade_semi_joins p)
-  | Nested_loop_join (l, r, pairs) ->
-      Nested_loop_join (degrade_semi_joins l, degrade_semi_joins r, pairs)
-  | Hash_join (l, r, pairs) ->
-      Hash_join (degrade_semi_joins l, degrade_semi_joins r, pairs)
   | Semi_join (l, (repo, re), pairs) ->
       Hash_join (degrade_semi_joins l, Exec (repo, re), pairs)
-  | Mk_union ps -> Mk_union (List.map degrade_semi_joins ps)
-  | Mk_shard_merge ps -> Mk_shard_merge (List.map degrade_semi_joins ps)
+  | p -> map_children degrade_semi_joins p
 
 (* Semijoin alternatives for joins whose both sides are single execs to
    distinct repositories. [informed repo expr] should report whether the
@@ -253,26 +242,15 @@ let rec degrade_semi_joins = function
 let semijoin_variants ~informed plan =
   let rec go p =
     match p with
-    | Exec _ | Mk_data _ -> [ p ]
     | Mk_select (q, pred) -> List.map (fun q -> Mk_select (q, pred)) (go q)
     | Mk_project (q, attrs) -> List.map (fun q -> Mk_project (q, attrs)) (go q)
     | Mk_map (q, h) -> List.map (fun q -> Mk_map (q, h)) (go q)
     | Mk_distinct q -> List.map (fun q -> Mk_distinct q) (go q)
-    | Mk_union ps -> [ Mk_union ps ]
-    | Mk_shard_merge ps -> [ Mk_shard_merge ps ]
-    | Nested_loop_join (l, r, pairs) -> [ Nested_loop_join (l, r, pairs) ]
-    | Semi_join (l, right, pairs) -> [ Semi_join (l, right, pairs) ]
-    | Hash_join (l, r, pairs) -> (
-        match (l, r) with
-        | Exec (r1, le), Exec (r2, re)
-          when r1 <> r2 && informed r1 le && informed r2 re ->
-            let swapped = List.map (fun (a, b) -> (b, a)) pairs in
-            [
-              p;
-              Semi_join (l, (r2, re), pairs);
-              Semi_join (r, (r1, le), swapped);
-            ]
-        | _ -> [ p ])
+    | Hash_join ((Exec (r1, le) as l), (Exec (r2, re) as r), pairs)
+      when r1 <> r2 && informed r1 le && informed r2 re ->
+        let swapped = List.map (fun (a, b) -> (b, a)) pairs in
+        [ p; Semi_join (l, (r2, re), pairs); Semi_join (r, (r1, le), swapped) ]
+    | _ -> [ p ]
   in
   List.filter (fun p -> p <> plan) (go plan)
 
@@ -308,15 +286,8 @@ type cost = {
   defaulted_execs : int;
 }
 
-let rec mediator_op_count = function
-  | Exec _ | Mk_data _ -> 1
-  | Mk_select (p, _) | Mk_project (p, _) | Mk_map (p, _) | Mk_distinct p ->
-      1 + mediator_op_count p
-  | Nested_loop_join (l, r, _) | Hash_join (l, r, _) ->
-      1 + mediator_op_count l + mediator_op_count r
-  | Semi_join (l, _, _) -> 1 + mediator_op_count l
-  | Mk_union ps | Mk_shard_merge ps ->
-      List.fold_left (fun acc p -> acc + mediator_op_count p) 1 ps
+let rec mediator_op_count p =
+  fold_children (fun n c -> n + mediator_op_count c) 1 p
 
 let estimate ?(params = default_params) ?(batch = false) model plan =
   (* Under the batched transport, the first-round execs sharing a

@@ -70,6 +70,13 @@ val semijoin_variants : informed:(string -> Expr.expr -> bool) -> plan -> plan l
 val to_logical : plan -> Expr.expr
 (** The inverse correspondence used by partial evaluation. *)
 
+val map_children : (plan -> plan) -> plan -> plan
+(** As {!Disco_algebra.Expr.map_children}, over plans: a [Semi_join]'s
+    child is its left input (its right side is an expression). *)
+
+val fold_children : ('a -> plan -> 'a) -> 'a -> plan -> 'a
+(** Folds over [p]'s children in {!map_children}'s order. *)
+
 val execs : plan -> (string * Expr.expr) list
 (** All [Exec] nodes ready to issue, preorder. The dependent right side
     of a {!constructor:Semi_join} is {e not} included — it only becomes

@@ -859,27 +859,13 @@ let issue_round env ~deadline execs =
 let rec fold_ready plan =
   match Plan.execs plan with
   | [] -> Plan.Mk_data (Plan.run_local plan)
-  | _ -> (
-      match plan with
-      | Plan.Exec _ | Plan.Mk_data _ -> plan
-      | Plan.Mk_select (p, pred) -> Plan.Mk_select (fold_ready p, pred)
-      | Plan.Mk_project (p, attrs) -> Plan.Mk_project (fold_ready p, attrs)
-      | Plan.Mk_map (p, h) -> Plan.Mk_map (fold_ready p, h)
-      | Plan.Nested_loop_join (l, r, pairs) ->
-          Plan.Nested_loop_join (fold_ready l, fold_ready r, pairs)
-      | Plan.Hash_join (l, r, pairs) ->
-          Plan.Hash_join (fold_ready l, fold_ready r, pairs)
-      | Plan.Semi_join (l, right, pairs) ->
-          Plan.Semi_join (fold_ready l, right, pairs)
-      | Plan.Mk_union ps -> Plan.Mk_union (List.map fold_ready ps)
-      | Plan.Mk_shard_merge ps -> Plan.Mk_shard_merge (List.map fold_ready ps)
-      | Plan.Mk_distinct p -> Plan.Mk_distinct (fold_ready p))
+  | _ -> Plan.map_children fold_ready plan
 
 (* One round of a plan: issue its ready execs, then substitute the
-   answers into the plan (each exec looked up in the round's table, never
-   by position: [Plan.substitute_execs] may visit a node's children in
-   any order) and collect the blocked repositories and the version
-   vector. *)
+   answers into the plan and collect the blocked repositories and the
+   version vector.  [Plan.substitute_execs] visits children left to right
+   (it is a walk over [Plan.map_children]), but each exec is still looked
+   up in the round's table, never matched by position. *)
 let run_round env ~deadline plan =
   let round, stats = issue_round env ~deadline (Plan.execs plan) in
   let substituted =
@@ -915,18 +901,6 @@ let max_semijoin_keys = 1000
 
 let rec resolve_semi_joins env plan =
   match plan with
-  | Plan.Exec _ | Plan.Mk_data _ -> plan
-  | Plan.Mk_select (p, pred) -> Plan.Mk_select (resolve_semi_joins env p, pred)
-  | Plan.Mk_project (p, attrs) -> Plan.Mk_project (resolve_semi_joins env p, attrs)
-  | Plan.Mk_map (p, h) -> Plan.Mk_map (resolve_semi_joins env p, h)
-  | Plan.Mk_distinct p -> Plan.Mk_distinct (resolve_semi_joins env p)
-  | Plan.Nested_loop_join (l, r, pairs) ->
-      Plan.Nested_loop_join (resolve_semi_joins env l, resolve_semi_joins env r, pairs)
-  | Plan.Hash_join (l, r, pairs) ->
-      Plan.Hash_join (resolve_semi_joins env l, resolve_semi_joins env r, pairs)
-  | Plan.Mk_union ps -> Plan.Mk_union (List.map (resolve_semi_joins env) ps)
-  | Plan.Mk_shard_merge ps ->
-      Plan.Mk_shard_merge (List.map (resolve_semi_joins env) ps)
   | Plan.Semi_join (l, (repo, rexpr), pairs) ->
       let l = resolve_semi_joins env l in
       if Plan.execs l <> [] || Plan.semi_joins l > 0 then
@@ -977,6 +951,7 @@ let rec resolve_semi_joins env plan =
             rexpr)
         in
         Plan.Hash_join (Plan.Mk_data left_v, Plan.Exec (repo, final_expr), pairs)
+  | _ -> Plan.map_children (resolve_semi_joins env) plan
 
 let add_stats a b =
   {

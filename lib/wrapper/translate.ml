@@ -90,21 +90,6 @@ let rec rename_scalar map_of shape = function
   | Expr.Arith (op, a, b) ->
       Expr.Arith (op, rename_scalar map_of shape a, rename_scalar map_of shape b)
 
-let rec rename_pred map_of shape = function
-  | Expr.True -> Expr.True
-  | Expr.Cmp (op, a, b) ->
-      Expr.Cmp (op, rename_scalar map_of shape a, rename_scalar map_of shape b)
-  | Expr.Member (a, keys) -> Expr.Member (rename_scalar map_of shape a, keys)
-  | Expr.And (a, b) -> Expr.And (rename_pred map_of shape a, rename_pred map_of shape b)
-  | Expr.Or (a, b) -> Expr.Or (rename_pred map_of shape a, rename_pred map_of shape b)
-  | Expr.Not a -> Expr.Not (rename_pred map_of shape a)
-
-let rename_head map_of shape = function
-  | Expr.Hscalar s -> Expr.Hscalar (rename_scalar map_of shape s)
-  | Expr.Hstruct fields ->
-      Expr.Hstruct
-        (List.map (fun (n, s) -> (n, rename_scalar map_of shape s)) fields)
-
 let to_source ~map_of e =
   let rec go e =
     match e with
@@ -112,7 +97,8 @@ let to_source ~map_of e =
         Expr.Get (Typemap.source_collection (map_of name) name)
     | Expr.Data v -> Expr.Data v
     | Expr.Select (inner, p) ->
-        Expr.Select (go inner, rename_pred map_of (shape_of inner) p)
+        Expr.Select
+          (go inner, Expr.map_pred_scalars (rename_scalar map_of (shape_of inner)) p)
     | Expr.Project (inner, attrs) ->
         let attrs' =
           match shape_of inner with
@@ -122,7 +108,8 @@ let to_source ~map_of e =
         in
         Expr.Project (go inner, attrs')
     | Expr.Map (inner, h) ->
-        Expr.Map (go inner, rename_head map_of (shape_of inner) h)
+        Expr.Map
+          (go inner, Expr.map_head_scalars (rename_scalar map_of (shape_of inner)) h)
     | Expr.Join (l, r, pairs) ->
         let ls = shape_of l and rs = shape_of r in
         let pairs' =
@@ -156,9 +143,14 @@ let rec rename_value map_of shape v =
            vfields)
   | Record _, _ -> v
 
+(* Wrappers build answers with [V.bag]/[V.strct], so with no field map
+   the rebuild below would only re-sort an already canonical value. *)
 let answer_renamer ~map_of e =
-  let shape = shape_of e in
-  fun answer ->
-    if V.is_collection answer then
-      V.map_elements (rename_value map_of shape) answer
-    else rename_value map_of shape answer
+  if List.for_all (fun ext -> Typemap.field_pairs (map_of ext) = []) (Expr.gets e)
+  then Fun.id
+  else
+    let shape = shape_of e in
+    fun answer ->
+      if V.is_collection answer then
+        V.map_elements (rename_value map_of shape) answer
+      else rename_value map_of shape answer

@@ -32,4 +32,6 @@ val to_source : map_of:(string -> Typemap.t) -> Expr.expr -> Expr.expr
 val answer_renamer : map_of:(string -> Typemap.t) -> Expr.expr -> V.t -> V.t
 (** [answer_renamer ~map_of e] reformats a source-name-space answer of the
     {e mediator-name-space} expression [e] back to mediator names
-    (element-wise over collections). *)
+    (element-wise over collections). When no extent [e] reads has a field
+    map, the answer is returned unchanged: wrappers already build answers
+    in {!Disco_value.Value}'s canonical form. *)

@@ -1523,14 +1523,26 @@ let test_validate_views () =
 
 (* A long hybrid query costs time linear in its size: the fragment
    search computes each node's free names once, and a compile rejection
-   names the offending construct rather than printing its subtree. The
-   bound is generous: each chain runs in well under a second. *)
+   names the offending construct rather than printing its subtree. A deep
+   nested select compiles in linear time too: the dependent-binding check
+   reads each [from] collection's free names off one bottom-up pass. The
+   bound is generous: each query runs in well under a second. *)
 let test_long_hybrid_queries () =
   let chain ~n term = String.concat " + " (List.init n (fun _ -> term)) in
-  let check name ~n term ~answer ~execs =
-    let m = paper_mediator () in
+  (* count(select x0 from x0 in (select x1 from x1 in (... (person0)))) *)
+  let nested ~n =
+    let b = Buffer.create (n * 32) in
+    Buffer.add_string b "count(";
+    for i = 0 to n - 1 do
+      Printf.bprintf b "select x%d from x%d in (" i i
+    done;
+    Buffer.add_string b "person0";
+    Buffer.add_string b (String.make (n + 1) ')');
+    Buffer.contents b
+  in
+  let check ?(m = paper_mediator ()) name q ~answer ~execs =
     let t0 = Unix.gettimeofday () in
-    let o = Mediator.query m (chain ~n term) in
+    let o = Mediator.query m q in
     let wall_s = Unix.gettimeofday () -. t0 in
     Alcotest.check check_value (name ^ ": answer") answer (complete o);
     Alcotest.(check int) (name ^ ": execs") execs
@@ -1539,10 +1551,32 @@ let test_long_hybrid_queries () =
       (Fmt.str "%s: %.2f s is within 3 s" name wall_s)
       true (wall_s < 3.0)
   in
-  check "32,000-term 1 + ... + 1" ~n:32_000 "1" ~answer:(V.Int 32_000)
+  check "32,000-term 1 + ... + 1" (chain ~n:32_000 "1") ~answer:(V.Int 32_000)
     ~execs:0;
-  check "4,000-term count(person0) + ..." ~n:4_000 "count(person0)"
-    ~answer:(V.Int 4_000) ~execs:4_000
+  check "4,000-term count(person0) + ..." (chain ~n:4_000 "count(person0)")
+    ~answer:(V.Int 4_000) ~execs:4_000;
+  let rows = Datagen.person_rows ~seed:1 ~n:10 in
+  let m = Mediator.create ~name:"m0" () in
+  Mediator.register_source m ~name:"r0" (paper_source ~id:0 ~host:"rodin" rows);
+  Mediator.register_source m ~name:"r1"
+    (paper_source ~id:1 ~host:"umiacs" [ person_row 1 "Sam" 50 ]);
+  Mediator.load_odl m paper_odl;
+  let q = nested ~n:8_000 in
+  let reference =
+    let person0 =
+      V.bag
+        (List.map
+           (fun r -> V.strct [ ("id", r.(0)); ("name", r.(1)); ("salary", r.(2)) ])
+           rows)
+    in
+    Disco_oql.Eval.eval_string
+      (Disco_oql.Eval.env
+         ~resolve:(function "person0" -> Some person0 | _ -> None)
+         ())
+      q
+  in
+  Alcotest.check check_value "Eval counts person0's rows" (V.Int 10) reference;
+  check ~m "8,000-level nested select" q ~answer:reference ~execs:1
 
 let test_scale_64_sources () =
   let m = Mediator.create ~name:"big" () in

@@ -4,7 +4,8 @@
    - the like-matcher against a naive backtracking oracle;
    - the three join algorithms against each other on random data;
    - cost-model smoothing bounds;
-   - type-map composition. *)
+   - type-map composition;
+   - the algebra's and the plan's child maps, and their walks' order. *)
 
 module V = Disco_value.Value
 module Expr = Disco_algebra.Expr
@@ -12,6 +13,7 @@ module Grammar = Disco_wrapper.Grammar
 module Typemap = Disco_odl.Typemap
 module Cost_model = Disco_cost.Cost_model
 module Plan = Disco_physical.Plan
+module Rules = Disco_algebra.Rules
 
 (* -- Earley vs brute force -- *)
 
@@ -232,6 +234,81 @@ let test_memo_past_its_bound () =
   agree 2;
   Alcotest.(check bool) "accepts a selection" true (Grammar.accepts g (sentence 1));
   Alcotest.(check bool) "refuses a projection" false (Grammar.accepts g (sentence 0))
+
+(* -- the algebra's and the plan's child maps and folds -- *)
+
+(* [memo_expr_gen]'s trees, located at repositories at several depths *)
+let located_expr_gen =
+  QCheck.Gen.(
+    fix
+      (fun self d ->
+        if d = 0 then memo_expr_gen
+        else
+          let sub = self (d - 1) in
+          frequency
+            [
+              (3, memo_expr_gen);
+              (2, map (fun e -> Expr.Submit ("r0", e)) sub);
+              ( 1,
+                map2 (fun a b -> Expr.Join (Expr.Submit ("r1", a), b, [])) sub sub
+              );
+              (1, map2 (fun a b -> Expr.Union [ a; Expr.Submit ("r0", b) ]) sub sub);
+            ])
+      3)
+
+let prop_identity_rewrites =
+  QCheck.Test.make ~name:"identity rewrites rebuild an equal tree" ~count:500
+    (QCheck.make ~print:(Fmt.to_to_string Expr.pp) located_expr_gen)
+    (fun e ->
+      Expr.equal (Expr.map_children Fun.id e) e
+      && Expr.equal (Rules.bottom_up Fun.id e) e
+      && Expr.equal (Expr.map_submits (fun r b -> Expr.Submit (r, b)) e) e)
+
+(* Slot order, batch ids and golden traces follow these walks' order. *)
+let test_walk_orders () =
+  let get name = Expr.Get name in
+  let keys = [ ([ "x"; "id" ], [ "y"; "id" ]) ] in
+  let plan =
+    Plan.Mk_distinct
+      (Plan.Hash_join
+         ( Plan.Mk_shard_merge
+             [ Plan.Exec ("r2", get "p__s0"); Plan.Exec ("r3", get "p__s1") ],
+           Plan.Semi_join
+             ( Plan.Nested_loop_join
+                 ( Plan.Exec ("r0", get "a"),
+                   Plan.Mk_union
+                     [
+                       Plan.Mk_select (Plan.Exec ("r1", get "b"), Expr.True);
+                       Plan.Mk_data (V.bag []);
+                       Plan.Exec ("r0", Expr.Union [ get "c"; get "d" ]);
+                     ],
+                   [] ),
+               ("r4", get "e"),
+               keys ),
+           keys ))
+  in
+  let names = List.map (fun (repo, e) -> repo ^ ":" ^ Expr.to_string e) in
+  let ready =
+    [ "r2:get(p__s0)"; "r3:get(p__s1)"; "r0:get(a)"; "r1:get(b)";
+      "r0:union(get(c), get(d))" ]
+  in
+  Alcotest.(check (list string)) "Plan.execs" ready (names (Plan.execs plan));
+  Alcotest.(check (list string)) "Plan.all_source_exprs" (ready @ [ "r4:get(e)" ])
+    (names (Plan.all_source_exprs plan));
+  let logical = Plan.to_logical plan in
+  Alcotest.(check (list string)) "Expr.gets"
+    [ "p__s0"; "p__s1"; "a"; "b"; "c"; "d"; "e" ]
+    (Expr.gets logical);
+  Alcotest.(check (list string)) "Expr.submits" (ready @ [ "r4:get(e)" ])
+    (names (Expr.submits logical));
+  Alcotest.(check (list string)) "Expr.submits, nested"
+    [ "r0:submit(r1, get(a))"; "r1:get(a)"; "r2:get(b)" ]
+    (names
+       (Expr.submits
+          (Expr.Join
+             ( Expr.Submit ("r0", Expr.Submit ("r1", get "a")),
+               Expr.Submit ("r2", get "b"),
+               [] ))))
 
 (* -- like vs naive oracle -- *)
 
@@ -1453,7 +1530,10 @@ let () =
             prop_columnar_matches_rows;
             prop_maintained_indexes;
             prop_sql_print_parse_stable;
+            prop_identity_rewrites;
           ] );
+      ( "walks",
+        [ Alcotest.test_case "walk orders" `Quick test_walk_orders ] );
       ( "batching",
         [
           Alcotest.test_case "batch:false pinned stats" `Quick

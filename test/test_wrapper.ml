@@ -456,6 +456,118 @@ let test_wrong_source_kind () =
   | Error (Wrapper.Native_error _) -> ()
   | Ok _ | Error (Wrapper.Refused _) -> Alcotest.fail "expected native error"
 
+(* -- answers arrive in canonical form -- *)
+
+(* Every collection and struct of [v] rebuilt by [V.bag], [V.set] and
+   [V.strct]: what [Translate.answer_renamer] used to apply to every
+   answer, type map or not. *)
+let rec canonical v =
+  match v with
+  | V.Bag xs -> V.bag (List.map canonical xs)
+  | V.Set xs -> V.set (List.map canonical xs)
+  | V.List xs -> V.List (List.map canonical xs)
+  | V.Struct fields -> V.strct (List.map (fun (n, x) -> (n, canonical x)) fields)
+  | v -> v
+
+(* [Translate.answer_renamer] hands an answer on untouched when no extent
+   of the exec has a field map. That is sound only because every wrapper
+   kind already answers in canonical form, which this pins for each kind
+   over the shapes it accepts. *)
+let test_answers_are_canonical () =
+  let address = Source.address ~host:"h" ~db_name:"db" ~ip:"0" () in
+  let people =
+    List.mapi
+      (fun i row ->
+        V.strct
+          [ ("key", V.String (string_of_int i)); ("name", row.(1)); ("salary", row.(2)) ])
+      (Datagen.person_rows ~seed:7 ~n:20)
+  in
+  let kv = Source.create ~id:"kv" ~address (Source.Key_value (Hashtbl.create 8)) in
+  List.iteri (fun i p -> Source.kv_put kv (string_of_int i) p) people;
+  let file = Source.create ~id:"f" ~address (Source.Flat_file (ref [])) in
+  List.iter (Source.file_append file) (List.rev people);
+  let text =
+    let module Text_index = Disco_source.Text_index in
+    let idx = Text_index.create () in
+    ignore (Text_index.add idx ~title:"Seine flows" ~body:"discharge in the Seine");
+    ignore (Text_index.add idx ~title:"Air quality" ~body:"ozone levels");
+    ignore (Text_index.add idx ~title:"Water quality" ~body:"nitrate in the Seine");
+    Source.create ~id:"t" ~address (Source.Text idx)
+  in
+  let child =
+    let module Mediator = Disco_core.Mediator in
+    let m = Mediator.create ~name:"child" () in
+    Mediator.register_source m ~name:"r0" (relational_source ~n:20 ());
+    Mediator.load_odl m
+      {|r0 := Repository(host="rodin", name="db", address="1.2.3.4");
+        w0 := WrapperPostgres();
+        interface Person (extent person) {
+          attribute Short id; attribute String name; attribute Short salary; }
+        extent person0 of Person wrapper w0 repository r0;|};
+    Disco_core.Composition.as_source m
+  in
+  let x_salary = Expr.Cmp (Expr.Gt, Expr.Attr [ "x"; "salary" ], Expr.Const (V.Int 100)) in
+  let relational_shapes =
+    [
+      get;
+      Expr.Select (get, gt_pred);
+      Expr.Project (get, [ "salary"; "name" ]);
+      Expr.Map (get, Expr.Hstruct [ ("s", Expr.Attr [ "salary" ]); ("n", Expr.Attr [ "name" ]) ]);
+      Expr.Distinct (Expr.Map (get, Expr.Hscalar (Expr.Attr [ "name" ])));
+      Expr.Select (bind "x" get, x_salary);
+      Expr.Join (bind "x" get, bind "y" get, [ ([ "x"; "id" ], [ "y"; "id" ]) ]);
+    ]
+  in
+  let kinds =
+    [
+      ("sql", Wrapper.sql_wrapper (), relational_source ~n:20 (), relational_shapes);
+      ( "indexed",
+        Wrapper.indexed_wrapper ~eq:[ "id" ] ~range:[ "salary" ] (),
+        relational_source ~n:20 (),
+        relational_shapes );
+      ("select", Wrapper.select_wrapper (), relational_source ~n:20 (), relational_shapes);
+      ("project", Wrapper.project_wrapper (), relational_source ~n:20 (), relational_shapes);
+      ("scan", Wrapper.scan_wrapper (), relational_source ~n:20 (), relational_shapes);
+      ( "kv",
+        Wrapper.kv_wrapper (),
+        kv,
+        [
+          Expr.Get "people";
+          Expr.Select
+            ( Expr.Get "people",
+              Expr.Cmp (Expr.Eq, Expr.Attr [ "key" ], Expr.Const (V.String "3")) );
+        ] );
+      ("file", Wrapper.file_wrapper (), file, [ Expr.Get "records" ]);
+      ( "text",
+        Wrapper.text_wrapper (),
+        text,
+        [
+          Expr.Get "docs";
+          Expr.Select
+            (Expr.Get "docs", Expr.Cmp (Expr.Like, Expr.Attr [ "body" ], Expr.Const (V.String "%seine%")));
+        ] );
+      ("mediator", snd child, fst child, relational_shapes);
+    ]
+  in
+  List.iter
+    (fun (kind, w, src, shapes) ->
+      let answered =
+        List.filter_map
+          (fun e ->
+            match Wrapper.execute w src e with
+            | Ok (v, _) ->
+                Alcotest.(check bool)
+                  (Fmt.str "%s: %a is canonical" kind Expr.pp e)
+                  true (canonical v = v);
+                Some v
+            | Error (Wrapper.Refused _) -> None
+            | Error e -> Alcotest.fail (kind ^ ": " ^ Wrapper.error_message e))
+          shapes
+      in
+      Alcotest.(check bool) (kind ^ ": some non-empty answer") true
+        (List.exists (fun v -> V.cardinal v > 1) answered))
+    kinds
+
 (* -- property: SQL wrapper agrees with reference evaluation on random
    filtered projections -- *)
 
@@ -502,6 +614,8 @@ let () =
             test_answer_renamer_computed_head;
           Alcotest.test_case "binding structs renamed" `Quick
             test_answer_renamer_binding_struct;
+          Alcotest.test_case "every wrapper kind answers canonically" `Quick
+            test_answers_are_canonical;
         ] );
       ( "sqlgen",
         [
