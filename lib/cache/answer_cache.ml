@@ -77,8 +77,8 @@ let create ?(capacity = 512) () =
     stale_ms = 0.0;
   }
 
-let find_fresh t ~repo ~version expr =
-  match Lru.find t.lru (key ~repo expr) with
+let find_fresh t ~key ~version =
+  match Lru.find t.lru key with
   | Some e when e.e_version = version ->
       t.hits <- t.hits + 1;
       Some e.e_value
@@ -91,19 +91,19 @@ let find_fresh t ~repo ~version expr =
       t.misses <- t.misses + 1;
       None
 
-let find_stale t ~repo ~now ~max_stale_ms expr =
-  match Lru.find t.lru (key ~repo expr) with
+let find_stale t ~key ~now ~max_stale_ms =
+  match Lru.find t.lru key with
   | Some e when now -. e.e_stored_at <= max_stale_ms ->
       let age = now -. e.e_stored_at in
       t.stale_served <- t.stale_served + 1;
       t.stale_ms <- Float.max t.stale_ms age;
       Log.info (fun m ->
-          m "serving exec(%s) from cache at staleness %.1f ms" repo age);
+          m "serving %s from cache at staleness %.1f ms" key age);
       Some (e.e_value, age)
   | Some _ | None -> None
 
-let store t ~repo ~version ~now expr value =
-  Lru.add t.lru (key ~repo expr)
+let store t ~key ~version ~now value =
+  Lru.add t.lru key
     { e_value = value; e_version = version; e_stored_at = now }
 
 let invalidate_repo t repo =

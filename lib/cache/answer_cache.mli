@@ -36,22 +36,23 @@ val normalize : Expr.expr -> Expr.expr
     syntactic — semantics are preserved. *)
 
 val key : repo:string -> Expr.expr -> string
-(** The cache key: repository name + printed normalized expression. *)
+(** The cache key: repository name + printed normalized expression.
+    Lookups and stores take it ready-made, so an exec run many times
+    prints its key once. *)
 
-val find_fresh : t -> repo:string -> version:int -> Expr.expr -> V.t option
+val find_fresh : t -> key:string -> version:int -> V.t option
 (** The cached answer when one exists {e and} its recorded data version
     equals [version]. A version mismatch counts on the [stale] counter
     and misses (the caller re-executes); absence counts on [misses]. *)
 
 val find_stale :
-  t -> repo:string -> now:float -> max_stale_ms:float -> Expr.expr ->
-  (V.t * float) option
+  t -> key:string -> now:float -> max_stale_ms:float -> (V.t * float) option
 (** The cached answer regardless of version, provided its age
     ([now - stored_at]) is at most [max_stale_ms]; returns the value and
     the served age. Used by the runtime's [Cached_fallback] path when the
     source is down. Counts on [stale_served]. *)
 
-val store : t -> repo:string -> version:int -> now:float -> Expr.expr -> V.t -> unit
+val store : t -> key:string -> version:int -> now:float -> V.t -> unit
 (** Record a completed exec answer (replacing any previous entry for the
     same key), possibly evicting the least-recently-used entry. *)
 

@@ -120,15 +120,23 @@ type plan_cache_stats = {
    sources are up at that instant), is keyed on its printed expansion. *)
 type plan_key = Text of string * bool | Expansion of string
 
+(* What running a plan needs that depends only on the plan and the
+   federation, made once: the number of shard children it scans (for the
+   scatter-gather round's span) and the plan prepared over the bindings
+   of its extents — or the error building a binding raised, raised again
+   by each run. *)
+type prepared = { shards : int; program : (Runtime.program, exn) result }
+
 (* Everything derived from a key, valid while the registry stays at
-   [c_version]: the located expression (replanned without pushdown on a
-   capability fallback), the optimizer's choice with its verdict (so the
-   runtime gate reports the verdict without re-verifying the plan), and
-   the extents the plan scans. *)
+   [c_version] and no source, wrapper or index is registered (each
+   clears the cache): the located expression (replanned without pushdown
+   on a capability fallback), the optimizer's choice with its verdict (so
+   the runtime gate reports the verdict without re-verifying the plan),
+   and the plan prepared to run. *)
 type cached_plan = {
   c_located : Expr.expr;
   c_choice : Optimizer.choice;
-  c_extents : string list;
+  c_prepared : prepared;
   c_version : int;
 }
 
@@ -243,7 +251,9 @@ let load_odl t text =
 
 (* -- name resolution -- *)
 
-let binding_for t ~type_check extent_name =
+(* A binding carries its extent's run-time type check; a query without
+   [type_check] runs with the checks off. *)
+let binding_for t extent_name =
   match Registry.find_extent t.registry extent_name with
   | None -> mediator_error "no extent named %s" extent_name
   | Some ext -> (
@@ -278,12 +288,10 @@ let binding_for t ~type_check extent_name =
             b_wrapper = wrapper;
             b_map = ext.Registry.me_map;
             b_check =
-              (if type_check then
-                 Some
-                   (fun v ->
-                     Registry.struct_conforms t.registry
-                       ext.Registry.me_interface v)
-               else None);
+              Some
+                (fun v ->
+                  Registry.struct_conforms t.registry ext.Registry.me_interface
+                    v);
           })
 
 (* Cached_fallback is partial-answer semantics with the runtime allowed
@@ -293,15 +301,15 @@ let serve_stale_of = function
   | Cached_fallback { max_stale_ms } -> Some max_stale_ms
   | Partial_answers | Wait_all | Null_sources | Skip_sources -> None
 
-let runtime_env t ~type_check ~semantics ~tr extents =
-  let bindings = List.map (binding_for t ~type_check) extents in
+(* The per-query runtime env. Programs carry their own bindings. *)
+let runtime_env t ~semantics ~tr =
   Runtime.env
     (Runtime.Config.make ~sched:t.sched ?cache:t.cache
        ?serve_stale_ms:(serve_stale_of semantics)
        ?trace:tr ~metrics:t.metrics ~batch:t.batch ~check:t.check
        ~checker:(Pipeline.checker t.pipeline) ?retry:t.retry ~breaker:t.breaker
        ~clock:t.clock ~cost:t.cost ())
-    bindings
+    []
 
 (* -- tracing helpers --
 
@@ -324,15 +332,22 @@ let in_span t tr name f =
 
 let span_meta tr k v = Option.iter (fun b -> Trace.meta b k v) tr
 
-(* Extents the plan's execs scan: the runtime binds exactly these. *)
-let plan_extents plan =
-  List.sort_uniq String.compare
-    (List.concat_map (fun (_, e) -> Expr.gets e) (Plan.all_source_exprs plan))
-
-(* The shard children among a plan's extents: drives the shard span and
-   metrics of the scatter-gather round. *)
-let shard_children t extents =
-  List.filter (fun name -> Pipeline.shard_of t.pipeline name <> None) extents
+(* The runtime binds exactly the extents the plan's execs scan. *)
+let prepare t plan =
+  let extents =
+    List.sort_uniq String.compare
+      (List.concat_map (fun (_, e) -> Expr.gets e) (Plan.all_source_exprs plan))
+  in
+  {
+    shards =
+      List.length
+        (List.filter (fun name -> Pipeline.shard_of t.pipeline name <> None)
+           extents);
+    program =
+      (match List.map (binding_for t) extents with
+      | bindings -> Ok (Runtime.prepare ?cache:t.cache bindings plan)
+      | exception (Mediator_error _ as e) -> Error e);
+  }
 
 (* -- answers -- *)
 
@@ -440,7 +455,7 @@ let plan t ~tr ~key located =
             {
               c_located = located;
               c_choice = choice;
-              c_extents = plan_extents choice.Optimizer.plan;
+              c_prepared = prepare t choice.Optimizer.plan;
               c_version = Registry.version t.registry;
             }
           in
@@ -452,22 +467,22 @@ let plan t ~tr ~key located =
    expression at run time, the located expression is replanned without
    pushdown and run instead. *)
 let run t ~timeout_ms ~type_check ~semantics ~tr (entry, from_cache) =
-  let { c_located; c_choice = { Optimizer.plan; verdict; _ }; c_extents; _ } =
+  let { c_located; c_choice = { Optimizer.plan; verdict; _ }; c_prepared; _ } =
     entry
   in
-  let env = runtime_env t ~type_check ~semantics ~tr c_extents in
-  let execute ?verdict ~extents plan =
-    let issue () = Runtime.execute ~timeout_ms ?verdict env plan in
+  let env = runtime_env t ~semantics ~tr in
+  let execute ?verdict plan { shards; program } =
+    let program = Result.fold ~ok:Fun.id ~error:raise program in
+    let issue () = Runtime.run ~timeout_ms ?verdict ~type_check env program in
     let round () =
-      match shard_children t extents with
-      | [] -> issue ()
-      | shards ->
-          (* the scatter-gather round over a partitioned extent gets its
-             own span so traces show the fan-out width *)
-          Metrics.incr t.metrics "shard.rounds";
-          in_span t tr "shard" (fun () ->
-              span_meta tr "shards" (string_of_int (List.length shards));
-              issue ())
+      if shards = 0 then issue ()
+      else (
+        (* the scatter-gather round over a partitioned extent gets its
+           own span so traces show the fan-out width *)
+        Metrics.incr t.metrics "shard.rounds";
+        in_span t tr "shard" (fun () ->
+            span_meta tr "shards" (string_of_int shards);
+            issue ()))
     in
     (* execution-layer failures (bad maps, misbehaving wrappers) surface
        as clean mediator errors, never raw engine exceptions *)
@@ -485,7 +500,7 @@ let run t ~timeout_ms ~type_check ~semantics ~tr (entry, from_cache) =
     | exception Expr.Algebra_error m -> mediator_error "execution failed: %s" m
     | exception V.Type_error m -> mediator_error "execution failed: %s" m
   in
-  match execute ?verdict ~extents:c_extents plan with
+  match execute ?verdict plan c_prepared with
   | outcome -> outcome
   | exception Runtime.Runtime_error reason ->
       (* a wrapper refused its expression: replan without pushdown *)
@@ -497,7 +512,7 @@ let run t ~timeout_ms ~type_check ~semantics ~tr (entry, from_cache) =
               (Rules.normalize ~can_push:Rules.push_none c_located))
       in
       {
-        (execute ~extents:(plan_extents conservative) conservative) with
+        (execute conservative (prepare t conservative)) with
         from_cache = false;
         fallback = true;
       }

@@ -8,22 +8,27 @@ type estimate = { est_time_ms : float; est_rows : float; est_basis : basis }
 (* Paper Section 3.3: "a default time cost of 0 and a data cost of 1". *)
 let default_estimate = { est_time_ms = 0.0; est_rows = 1.0; est_basis = Default }
 
-type record_entry = { time_ms : float; rows : int }
-
-(* One observed batched round-trip: [b_size] expressions answered by one
-   wrapper call taking [b_time_ms] total. *)
-type batch_entry = { b_size : int; b_time_ms : float }
+(* A key's last [history] observations in a ring, written in place. It
+   starts with one slot (a key recorded once, as most ad-hoc execs are,
+   costs no more than a one-entry list) and takes its full size at the
+   second observation, after which recording allocates nothing. An
+   observation is a time and a count: a call's rows, or a batched
+   round-trip's size (that many expressions answered by one wrapper call
+   taking that time in total). *)
+type ring = {
+  mutable times : float array;
+  mutable counts : int array;
+  mutable len : int;
+  mutable next : int;  (* the slot the next observation overwrites *)
+}
 
 type t = {
   history : int;
   smoothing : float;
   close_matching : bool;
-  (* exact key -> most-recent-first entries *)
-  exact : (string, record_entry list) Hashtbl.t;
-  (* skeleton key -> most-recent-first entries (bounded the same way) *)
-  close : (string, record_entry list) Hashtbl.t;
-  (* repo -> most-recent-first batched round-trips (bounded the same way) *)
-  batch : (string, batch_entry list) Hashtbl.t;
+  exact : (string, ring) Hashtbl.t;  (* exact key -> calls *)
+  close : (string, ring) Hashtbl.t;  (* skeleton key -> calls *)
+  batch : (string, ring) Hashtbl.t;  (* repo -> batched round-trips *)
   (* repo -> attributes with a declared source-side index *)
   declared : (string, (string * [ `Hash | `Sorted ]) list) Hashtbl.t;
 }
@@ -74,33 +79,81 @@ let rec erase = function
 
 let skeleton e = Expr.to_string (erase e)
 
-let exact_key ~repo e = repo ^ "|" ^ Expr.to_string e
-let close_key ~repo e = repo ^ "|" ^ skeleton e
+(* An exec's two history keys, printed once: the exact key (repository
+   and printed expression) and the close key (repository and skeleton). *)
+type key = {
+  k_repo : string;
+  k_expr : Expr.expr;
+  k_printed : string;
+  k_exact : string;
+  k_close : string;
+}
 
-let push t table key entry =
-  let existing = Option.value (Hashtbl.find_opt table key) ~default:[] in
-  let trimmed = List.filteri (fun i _ -> i < t.history - 1) existing in
-  Hashtbl.replace table key (entry :: trimmed)
+let key ~repo e =
+  let printed = Expr.to_string e in
+  {
+    k_repo = repo;
+    k_expr = e;
+    k_printed = printed;
+    k_exact = repo ^ "|" ^ printed;
+    k_close = repo ^ "|" ^ skeleton e;
+  }
+
+let printed k = k.k_printed
+
+let push t table key ~time ~count =
+  let r =
+    match Hashtbl.find_opt table key with
+    | Some r -> r
+    | None ->
+        let r = { times = [||]; counts = [||]; len = 0; next = 0 } in
+        Hashtbl.replace table key r;
+        r
+  in
+  let cap = Array.length r.times in
+  if r.len = cap && cap < t.history then (
+    (* nothing was overwritten yet, so slots [0, len) hold the
+       observations oldest first *)
+    let grown = if cap = 0 then 1 else t.history in
+    let grow a fill =
+      let b = Array.make grown fill in
+      Array.blit a 0 b 0 cap;
+      b
+    in
+    r.times <- grow r.times 0.0;
+    r.counts <- grow r.counts 0;
+    r.next <- r.len);
+  let cap = Array.length r.times in
+  r.times.(r.next) <- time;
+  r.counts.(r.next) <- count;
+  r.next <- (r.next + 1) mod cap;
+  r.len <- min (r.len + 1) cap
+
+(* The slot of a ring's [i]th most recent observation. *)
+let slot r i =
+  let cap = Array.length r.times in
+  (r.next - 1 - i + cap) mod cap
+
+let record_key t k ~time_ms ~rows =
+  push t t.exact k.k_exact ~time:time_ms ~count:rows;
+  push t t.close k.k_close ~time:time_ms ~count:rows
 
 let record t ~repo ~expr ~time_ms ~rows =
-  let entry = { time_ms; rows } in
-  push t t.exact (exact_key ~repo expr) entry;
-  push t t.close (close_key ~repo expr) entry
+  record_key t (key ~repo expr) ~time_ms ~rows
 
 (* Exponential smoothing, most recent first: the newest call has weight
    alpha, the next alpha*(1-alpha), etc., renormalized over the window. *)
-let smooth t entries =
+let smooth t r =
   let alpha = t.smoothing in
-  let _, wsum, tsum, rsum =
-    List.fold_left
-      (fun (w, wsum, tsum, rsum) e ->
-        ( w *. (1.0 -. alpha),
-          wsum +. w,
-          tsum +. (w *. e.time_ms),
-          rsum +. (w *. float_of_int e.rows) ))
-      (alpha, 0.0, 0.0, 0.0) entries
-  in
-  (tsum /. wsum, rsum /. wsum)
+  let w = ref alpha and wsum = ref 0.0 and tsum = ref 0.0 and rsum = ref 0.0 in
+  for i = 0 to r.len - 1 do
+    let j = slot r i in
+    wsum := !wsum +. !w;
+    tsum := !tsum +. (!w *. r.times.(j));
+    rsum := !rsum +. (!w *. float_of_int r.counts.(j));
+    w := !w *. (1.0 -. alpha)
+  done;
+  (!tsum /. !wsum, !rsum /. !wsum)
 
 (* Is this submit shaped like an indexed lookup at [repo]? Strip the
    structural wrappers the compiler adds (binds, projections), then look
@@ -149,28 +202,34 @@ let indexed_estimate = { est_time_ms = 0.0; est_rows = 1.0; est_basis = Indexed 
 let uninformed t ~repo expr =
   if indexed_shape t ~repo expr then indexed_estimate else default_estimate
 
-let estimate t ~repo expr =
-  match Hashtbl.find_opt t.exact (exact_key ~repo expr) with
-  | Some (_ :: _ as entries) ->
-      let time, rows = smooth t entries in
-      { est_time_ms = time; est_rows = rows; est_basis = Exact (List.length entries) }
-  | Some [] | None when t.close_matching -> (
-      match Hashtbl.find_opt t.close (close_key ~repo expr) with
-      | Some (_ :: _ as entries) ->
-          let time, rows = smooth t entries in
-          {
-            est_time_ms = time;
-            est_rows = rows;
-            est_basis = Close (List.length entries);
-          }
-      | Some [] | None -> uninformed t ~repo expr)
-  | Some [] | None -> uninformed t ~repo expr
+(* The one estimate path, from the exec's keys when they were made
+   ([key]) and otherwise printing them here, the skeleton only when the
+   exact history is empty. *)
+let lookup t ~repo expr key =
+  let exact =
+    match key with Some k -> k.k_exact | None -> repo ^ "|" ^ Expr.to_string expr
+  in
+  match Hashtbl.find_opt t.exact exact with
+  | Some r ->
+      let time, rows = smooth t r in
+      { est_time_ms = time; est_rows = rows; est_basis = Exact r.len }
+  | None when t.close_matching -> (
+      let close =
+        match key with Some k -> k.k_close | None -> repo ^ "|" ^ skeleton expr
+      in
+      match Hashtbl.find_opt t.close close with
+      | Some r ->
+          let time, rows = smooth t r in
+          { est_time_ms = time; est_rows = rows; est_basis = Close r.len }
+      | None -> uninformed t ~repo expr)
+  | None -> uninformed t ~repo expr
+
+let estimate t ~repo expr = lookup t ~repo expr None
+let estimate_key t k = lookup t ~repo:k.k_repo k.k_expr (Some k)
 
 let record_batch t ~repo ~size ~time_ms =
   if size < 1 then invalid_arg "Cost_model.record_batch: size must be >= 1";
-  let existing = Option.value (Hashtbl.find_opt t.batch repo) ~default:[] in
-  let trimmed = List.filteri (fun i _ -> i < t.history - 1) existing in
-  Hashtbl.replace t.batch repo ({ b_size = size; b_time_ms = time_ms } :: trimmed)
+  push t t.batch repo ~time:time_ms ~count:size
 
 (* Calibrate the batched round-trip the same way Section 3.3 calibrates
    single calls: from recorded (size, time) pairs, fit
@@ -180,16 +239,19 @@ let record_batch t ~repo ~size ~time_ms =
    but monotone, and it self-corrects once a second size is observed. *)
 let estimate_batch t ~repo ~size =
   match Hashtbl.find_opt t.batch repo with
-  | None | Some [] -> None
-  | Some entries ->
-      let n = float_of_int (List.length entries) in
-      let sx, sy, sxx, sxy =
-        List.fold_left
-          (fun (sx, sy, sxx, sxy) e ->
-            let x = float_of_int e.b_size in
-            (sx +. x, sy +. e.b_time_ms, sxx +. (x *. x), sxy +. (x *. e.b_time_ms)))
-          (0.0, 0.0, 0.0, 0.0) entries
-      in
+  | None -> None
+  | Some r ->
+      let n = float_of_int r.len in
+      let sx = ref 0.0 and sy = ref 0.0 and sxx = ref 0.0 and sxy = ref 0.0 in
+      for i = 0 to r.len - 1 do
+        let j = slot r i in
+        let x = float_of_int r.counts.(j) and y = r.times.(j) in
+        sx := !sx +. x;
+        sy := !sy +. y;
+        sxx := !sxx +. (x *. x);
+        sxy := !sxy +. (x *. y)
+      done;
+      let sx = !sx and sy = !sy and sxx = !sxx and sxy = !sxy in
       let mean_x = sx /. n and mean_y = sy /. n in
       let denom = sxx -. (sx *. sx /. n) in
       let k = float_of_int size in
@@ -204,7 +266,7 @@ let estimate_batch t ~repo ~size =
       Some (Float.max 0.0 predicted)
 
 let recorded_calls t =
-  Hashtbl.fold (fun _ entries acc -> acc + List.length entries) t.exact 0
+  Hashtbl.fold (fun _ r acc -> acc + r.len) t.exact 0
 
 let clear t =
   (* observations only: index declarations are DDL, not history *)

@@ -44,6 +44,23 @@ val record : t -> repo:string -> expr:Expr.expr -> time_ms:float -> rows:int -> 
 
 val estimate : t -> repo:string -> Expr.expr -> estimate
 
+type key
+(** An exec's history keys — the exact key (repository and printed
+    expression) and the close key (repository and skeleton) — printed
+    once, so a caller that records or estimates the same exec many times
+    prints it only when the key is made. Immutable. *)
+
+val key : repo:string -> Expr.expr -> key
+
+val printed : key -> string
+(** The keyed expression as {!Disco_algebra.Expr.to_string} prints it. *)
+
+val record_key : t -> key -> time_ms:float -> rows:int -> unit
+(** [record_key t (key ~repo expr)] is [record t ~repo ~expr]. *)
+
+val estimate_key : t -> key -> estimate
+(** [estimate_key t (key ~repo expr)] is [estimate t ~repo expr]. *)
+
 val declare_index :
   t -> repo:string -> attr:string -> kind:[ `Hash | `Sorted ] -> unit
 (** Tell the model that [repo] serves lookups on [attr] from an index.

@@ -28,6 +28,7 @@ type t = {
   interfaces : (string, interface) Hashtbl.t;
   mutable interface_order : string list;  (* reverse definition order *)
   mutable extents : meta_extent list;  (* reverse definition order *)
+  by_name : (string, meta_extent) Hashtbl.t;  (* [extents], keyed by name *)
   objects : (string, obj) Hashtbl.t;
   views : (string, string) Hashtbl.t;
   mutable view_order : string list;
@@ -44,6 +45,7 @@ let create () =
     interfaces = Hashtbl.create 16;
     interface_order = [];
     extents = [];
+    by_name = Hashtbl.create 16;
     objects = Hashtbl.create 16;
     views = Hashtbl.create 16;
     view_order = [];
@@ -64,8 +66,7 @@ let rec attributes_of t name =
       in
       inherited @ itf.if_attributes
 
-let find_extent t name =
-  List.find_opt (fun e -> String.equal e.me_name name) t.extents
+let find_extent t name = Hashtbl.find_opt t.by_name name
 
 let add_interface t itf =
   if Hashtbl.mem t.interfaces itf.if_name then
@@ -218,13 +219,14 @@ let add_extent t ext =
         odl_error "extent %s refers to undefined replica repository %s"
           ext.me_name replica)
     ext.me_replicas;
-  t.extents <- ext :: t.extents;
+  let register e =
+    t.extents <- e :: t.extents;
+    Hashtbl.replace t.by_name e.me_name e
+  in
+  register ext;
   (match ext.me_partition with
   | None -> ()
-  | Some p ->
-      List.iteri
-        (fun k shard -> t.extents <- shard_child ext k shard :: t.extents)
-        p.p_shards);
+  | Some p -> List.iteri (fun k shard -> register (shard_child ext k shard)) p.p_shards);
   bump t
 
 let is_shard_child e = e.me_shard_of <> None
@@ -239,17 +241,19 @@ let shard_children t parent =
        t.extents)
 
 let remove_extent t name =
-  let before = List.length t.extents in
-  t.extents <-
-    List.filter
+  let removed, kept =
+    List.partition
       (fun e ->
-        not
-          (String.equal e.me_name name
-          || match e.me_shard_of with
-             | Some (p, _) -> String.equal p name
-             | None -> false))
-      t.extents;
-  if List.length t.extents <> before then bump t
+        String.equal e.me_name name
+        || match e.me_shard_of with
+           | Some (p, _) -> String.equal p name
+           | None -> false)
+      t.extents
+  in
+  if removed <> [] then (
+    t.extents <- kept;
+    List.iter (fun e -> Hashtbl.remove t.by_name e.me_name) removed;
+    bump t)
 
 (* Shard children are implementation detail: enumeration (implicit
    extents, [person*], the metaextent catalog) sees only the parent,

@@ -166,7 +166,8 @@ end
 type env = {
   sched : Scheduler.t;
   cost : Cost_model.t;
-  bindings : (string, binding) Hashtbl.t;  (* by extent name *)
+  bindings : (string, binding) Hashtbl.t;
+      (* by extent name; what [execute] prepares its plan with *)
   cache : Answer_cache.t option;
   serve_stale_ms : float option;
       (* when set, execs to unavailable sources are answered from cached
@@ -187,22 +188,27 @@ type env = {
   extra_trips : int ref;
       (* wrapper round-trips issued by the retry scheduler and hedging
          on top of the round's own calls *)
+  type_check : bool;  (* apply the bindings' [b_check]s *)
 }
 
-let env (c : Config.t) bindings =
-  let by_extent = Hashtbl.create (List.length bindings) in
+(* Bindings by extent name; the first binding of an extent wins. *)
+let by_extent bindings =
+  let table = Hashtbl.create (List.length bindings) in
   List.iter
     (fun b ->
-      if not (Hashtbl.mem by_extent b.b_extent) then
-        Hashtbl.replace by_extent b.b_extent b)
+      if not (Hashtbl.mem table b.b_extent) then
+        Hashtbl.replace table b.b_extent b)
     bindings;
+  table
+
+let env (c : Config.t) bindings =
   {
     sched =
       (match c.Config.sched with
       | Some s -> s
       | None -> Scheduler.of_clock c.Config.clock);
     cost = c.Config.cost;
-    bindings = by_extent;
+    bindings = by_extent bindings;
     cache = c.Config.cache;
     serve_stale_ms = c.Config.serve_stale_ms;
     trace = c.Config.trace;
@@ -217,10 +223,11 @@ let env (c : Config.t) bindings =
       | Some b -> b
       | None -> Breaker.create ());
     extra_trips = ref 0;
+    type_check = true;
   }
 
-let binding_of env extent =
-  match Hashtbl.find_opt env.bindings extent with
+let binding_of bindings extent =
+  match Hashtbl.find_opt bindings extent with
   | Some b -> b
   | None -> runtime_error "no binding for extent %s" extent
 
@@ -265,26 +272,29 @@ type exec_result = Done of exec_done | Blocked
 let cardinal v = try V.cardinal v with V.Type_error _ -> 1
 
 (* Every exec — whichever round issued it, alone or sharing a
-   round-trip, first issue or re-poll, hedged or not — flows through one
-   preparation step ([prepare_exec]: binding resolution, translation,
-   failover choice), at most one answer-cache lookup, and one of two
-   completions: [complete_group] for an answer that came over the wire,
-   [unanswered] for a refusal or timeout. *)
+   round-trip, first issue or re-poll, hedged or not — is prepared once
+   ([prepare_exec]: binding resolution, translation, the answer renamer,
+   the cost-model and answer-cache keys) and, each time it is issued,
+   only picks a live copy ([issue]). It then gets at most one
+   answer-cache lookup and one of two completions: [complete_group] for
+   an answer that came over the wire, [unanswered] for a refusal or
+   timeout.  A prepared exec is immutable, so a prepared program can be
+   shared by concurrent runs. *)
 
 type prepared = {
   p_repo : string;
   p_logical : Expr.expr;
   p_binding : binding;
+  p_copies : (string * Source.t) list;  (* primary, then replicas *)
   p_source_expr : Expr.expr;
   p_rename : V.t -> V.t;
-  p_chosen_repo : string;
-  p_chosen : Source.t;
-  p_predicted : Cost_model.estimate option;
+  p_cost : Cost_model.key;
+  p_cache_key : string option;  (* made when an answer cache is in use *)
 }
 
-let prepare_exec env ~now repo logical =
+let prepare_exec bindings ~cache repo logical =
   let extents = Expr.gets logical in
-  let bindings = List.map (binding_of env) extents in
+  let bindings = List.map (binding_of bindings) extents in
   let binding =
     match bindings with
     | [] -> runtime_error "exec(%s) references no extent" repo
@@ -303,40 +313,54 @@ let prepare_exec env ~now repo logical =
     | Some b -> b.b_map
     | None -> Typemap.identity
   in
-  let source_expr = Translate.to_source ~map_of logical in
-  let rename = Translate.answer_renamer ~map_of logical in
-  let chosen_repo, chosen =
-    let candidates =
-      (binding.b_repo, binding.b_source) :: binding.b_replicas
-    in
-    match List.find_opt (fun (_, src) -> Source.is_up src now) candidates with
-    | Some (replica_repo, src) ->
-        if not (String.equal replica_repo binding.b_repo) then
-          Log.info (fun m ->
-              m "exec(%s): primary down, failing over to replica %s" repo
-                replica_repo);
-        (replica_repo, src)
-    | None -> (binding.b_repo, binding.b_source)
-  in
-  let predicted =
-    match env.trace with
-    | None -> None
-    | Some _ -> Some (Cost_model.estimate env.cost ~repo logical)
-  in
   {
     p_repo = repo;
     p_logical = logical;
     p_binding = binding;
-    p_source_expr = source_expr;
-    p_rename = rename;
-    p_chosen_repo = chosen_repo;
-    p_chosen = chosen;
-    p_predicted = predicted;
+    p_copies = (binding.b_repo, binding.b_source) :: binding.b_replicas;
+    p_source_expr = Translate.to_source ~map_of logical;
+    p_rename = Translate.answer_renamer ~map_of logical;
+    p_cost = Cost_model.key ~repo logical;
+    p_cache_key =
+      (if cache then Some (Answer_cache.key ~repo logical) else None);
   }
 
-let typecheck_answer p renamed =
+let cache_key p =
+  match p.p_cache_key with
+  | Some key -> key
+  | None -> Answer_cache.key ~repo:p.p_repo p.p_logical
+
+(* One issue of a prepared exec at [now]: the first live copy (the
+   primary when none is up) and, when traced, the cost model's
+   prediction at that instant. *)
+type issued = {
+  prep : prepared;
+  chosen_repo : string;
+  chosen : Source.t;
+  predicted : Cost_model.estimate option;
+}
+
+let issue env ~now p =
+  let chosen_repo, chosen =
+    match List.find_opt (fun (_, src) -> Source.is_up src now) p.p_copies with
+    | Some (replica_repo, src) ->
+        if not (String.equal replica_repo p.p_binding.b_repo) then
+          Log.info (fun m ->
+              m "exec(%s): primary down, failing over to replica %s" p.p_repo
+                replica_repo);
+        (replica_repo, src)
+    | None -> (p.p_binding.b_repo, p.p_binding.b_source)
+  in
+  let predicted =
+    match env.trace with
+    | None -> None
+    | Some _ -> Some (Cost_model.estimate_key env.cost p.p_cost)
+  in
+  { prep = p; chosen_repo; chosen; predicted }
+
+let typecheck_answer env p renamed =
   match p.p_binding.b_check with
-  | Some check when V.is_collection renamed ->
+  | Some check when env.type_check && V.is_collection renamed ->
       List.iter
         (fun elem ->
           if not (check elem) then
@@ -345,18 +369,25 @@ let typecheck_answer p renamed =
         (V.elements renamed)
   | _ -> ()
 
+let origin_metric = function
+  | Trace.Source -> "exec.origin.source"
+  | Trace.Cache -> "exec.origin.cache"
+  | Trace.Stale _ -> "exec.origin.stale"
+  | Trace.Failover _ -> "exec.origin.failover"
+  | Trace.Blocked -> "exec.origin.blocked"
+
 (* every exec outcome lands in the metrics registry; the trace leaf is
    built only when a trace is attached.  [batch] is the shared
    round-trip's (id, size) when the exec did not ride alone. *)
-let observe ?(attempts = []) ?batch env (p : prepared) ~start ~finish ~origin
+let observe ?(attempts = []) ?batch env (x : issued) ~start ~finish ~origin
     ~shipped ~rows =
-  Metrics.incr env.metrics ("exec.origin." ^ Trace.origin_label origin);
+  Metrics.incr env.metrics (origin_metric origin);
   if shipped > 0 then Metrics.incr ~by:shipped env.metrics "exec.tuples_shipped";
   match env.trace with
   | None -> ()
   | Some tr ->
       let p_ms, p_rows =
-        match p.p_predicted with
+        match x.predicted with
         | Some (e : Cost_model.estimate) ->
             (Some e.Cost_model.est_time_ms, Some e.Cost_model.est_rows)
         | None -> (None, None)
@@ -368,9 +399,9 @@ let observe ?(attempts = []) ?batch env (p : prepared) ~start ~finish ~origin
       in
       Trace.exec ~attempts tr
         {
-          Trace.x_repo = p.p_repo;
-          x_wrapper = Wrapper.name p.p_binding.b_wrapper;
-          x_expr = Expr.to_string p.p_logical;
+          Trace.x_repo = x.prep.p_repo;
+          x_wrapper = Wrapper.name x.prep.p_binding.b_wrapper;
+          x_expr = Cost_model.printed x.prep.p_cost;
           x_origin = origin;
           x_start_ms = start;
           x_elapsed_ms = finish -. start;
@@ -384,24 +415,24 @@ let observe ?(attempts = []) ?batch env (p : prepared) ~start ~finish ~origin
 
 (* The exec's one answer-cache lookup: a fragment cached at the chosen
    source's current data version answers it without touching the wire. *)
-let fresh_hit env (p : prepared) ~now =
+let fresh_hit env (x : issued) ~now =
   match env.cache with
   | None -> None
   | Some cache ->
-      let version = Source.data_version p.p_chosen in
-      Answer_cache.find_fresh cache ~repo:p.p_repo ~version p.p_logical
+      let version = Source.data_version x.chosen in
+      Answer_cache.find_fresh cache ~key:(cache_key x.prep) ~version
       |> Option.map (fun value ->
              Log.debug (fun m ->
-                 m "exec(%s) answered from cache: %s" p.p_repo
-                   (Expr.to_string p.p_logical));
-             observe env p ~start:now ~finish:now ~origin:Trace.Cache
+                 m "exec(%s) answered from cache: %s" x.prep.p_repo
+                   (Cost_model.printed x.prep.p_cost));
+             observe env x ~start:now ~finish:now ~origin:Trace.Cache
                ~shipped:0 ~rows:(cardinal value);
              {
                value;
                finish = now;
                shipped = 0;
                origin = Trace.Cache;
-               answered_by = (p.p_chosen_repo, version);
+               answered_by = (x.chosen_repo, version);
              })
 
 (* One wrapper round-trip carrying a group of execs to [src]: the
@@ -410,8 +441,8 @@ let fresh_hit env (p : prepared) ~now =
 let wire_call ~now ~deadline src group =
   Source.call_at src ~now ~deadline (fun () ->
       let answers =
-        Wrapper.execute_batch (List.hd group).p_binding.b_wrapper src
-          (List.map (fun p -> p.p_source_expr) group)
+        Wrapper.execute_batch (List.hd group).prep.p_binding.b_wrapper src
+          (List.map (fun x -> x.prep.p_source_expr) group)
       in
       let rows =
         List.fold_left
@@ -453,7 +484,7 @@ let breaker_note env ~now src outcome =
    issue time is not hedged: issue-time failover already switched to a
    replica, and the retry scheduler covers later recovery.  Returns the
    answering repository, its source, and the winning outcome. *)
-let hedge env ~now ~deadline (p : prepared) primary =
+let hedge env ~now ~deadline (x : issued) primary =
   let candidate =
     match env.retry with
     | Some { Retry.hedge_ms = Some h; _ } ->
@@ -470,20 +501,19 @@ let hedge env ~now ~deadline (p : prepared) primary =
         else
           List.find_opt
             (fun (repo, src) ->
-              (not (String.equal repo p.p_chosen_repo))
+              (not (String.equal repo x.chosen_repo))
               && Source.is_up src hedge_at
               && breaker_allows env ~now:hedge_at src)
-            ((p.p_binding.b_repo, p.p_binding.b_source)
-            :: p.p_binding.b_replicas)
+            x.prep.p_copies
           |> Option.map (fun c -> (c, hedge_at))
     | _ -> None
   in
   match candidate with
-  | None -> (p.p_chosen_repo, p.p_chosen, primary)
+  | None -> (x.chosen_repo, x.chosen, primary)
   | Some ((hrepo, hsrc), hedge_at) ->
       Metrics.incr env.metrics "runtime.hedge.issued";
       incr env.extra_trips;
-      let hedged = wire_call ~now:hedge_at ~deadline hsrc [ p ] in
+      let hedged = wire_call ~now:hedge_at ~deadline hsrc [ x ] in
       breaker_note env ~now:hedge_at hsrc hedged;
       let hedge_wins =
         match (primary, hedged) with
@@ -494,20 +524,20 @@ let hedge env ~now ~deadline (p : prepared) primary =
       if hedge_wins then (
         Metrics.incr env.metrics "runtime.hedge.won";
         Log.info (fun m ->
-            m "exec(%s): hedge to replica %s won the race" p.p_repo hrepo);
+            m "exec(%s): hedge to replica %s won the race" x.prep.p_repo hrepo);
         (hrepo, hsrc, hedged))
-      else (p.p_chosen_repo, p.p_chosen, primary)
+      else (x.chosen_repo, x.chosen, primary)
 
 (* What follows every round-trip: the circuit breaker observes the
    outcome, and a lone exec may be hedged.  Multi-member batches are
    never hedged — one racing replica per wrapper call would undo the
    batching win. *)
 let settle env ~now ~deadline group outcome =
-  let p = List.hd group in
-  breaker_note env ~now p.p_chosen outcome;
+  let x = List.hd group in
+  breaker_note env ~now x.chosen outcome;
   match group with
-  | [ _ ] -> hedge env ~now ~deadline p outcome
-  | _ -> (p.p_chosen_repo, p.p_chosen, outcome)
+  | [ _ ] -> hedge env ~now ~deadline x outcome
+  | _ -> (x.chosen_repo, x.chosen, outcome)
 
 (* Completion of one source answer: rename into the mediator name space,
    run the run-time type check, store the fragment in the answer cache,
@@ -517,27 +547,27 @@ let settle env ~now ~deadline group outcome =
    time and would corrupt the estimates; a shared round-trip is
    amortized across its [size] members so the per-call Section 3.3
    estimates stay comparable with execs that rode alone. *)
-let complete_answer ?attempts ?batch env (p : prepared) ~start ~finish ~size
+let complete_answer ?attempts ?batch env (x : issued) ~start ~finish ~size
     ~answered_repo ~answered_src v =
+  let p = x.prep in
   Log.debug (fun m ->
       m "exec(%s) answered %d rows at t=%.1f" p.p_repo (cardinal v) finish);
   let renamed = p.p_rename v in
-  typecheck_answer p renamed;
+  typecheck_answer env p renamed;
   let version = Source.data_version answered_src in
   (match env.cache with
   | Some cache ->
-      Answer_cache.store cache ~repo:p.p_repo ~version ~now:finish p.p_logical
-        renamed
+      Answer_cache.store cache ~key:(cache_key p) ~version ~now:finish renamed
   | None -> ());
   let shipped = cardinal renamed in
   let origin =
     if String.equal answered_repo p.p_binding.b_repo then Trace.Source
     else Trace.Failover answered_repo
   in
-  Cost_model.record env.cost ~repo:p.p_repo ~expr:p.p_logical
+  Cost_model.record_key env.cost p.p_cost
     ~time_ms:((finish -. start) /. float_of_int size)
     ~rows:shipped;
-  observe ?attempts ?batch env p ~start ~finish ~origin ~shipped
+  observe ?attempts ?batch env x ~start ~finish ~origin ~shipped
     ~rows:shipped;
   Done
     { value = renamed; finish; shipped; origin; answered_by = (answered_repo, version) }
@@ -548,20 +578,20 @@ let complete_answer ?attempts ?batch env (p : prepared) ~start ~finish ~size
 let complete_group ?attempts ?batch env group ~start ~finish ~answered_repo
     ~answered_src answers =
   let size = List.length group in
-  let wrapper = Wrapper.name (List.hd group).p_binding.b_wrapper in
+  let wrapper = Wrapper.name (List.hd group).prep.p_binding.b_wrapper in
   if List.length answers <> size then
     runtime_error "wrapper %s on %s answered %d of a batch of %d" wrapper
       answered_repo (List.length answers) size;
   Cost_model.record_batch env.cost ~repo:answered_repo ~size
     ~time_ms:(finish -. start);
   List.map2
-    (fun p answer ->
+    (fun x answer ->
       match answer with
       | Error err ->
-          runtime_error "wrapper %s on %s: %s" wrapper p.p_repo
+          runtime_error "wrapper %s on %s: %s" wrapper x.prep.p_repo
             (Wrapper.error_message err)
       | Ok (v, _rows) ->
-          complete_answer ?attempts ?batch env p ~start ~finish ~size
+          complete_answer ?attempts ?batch env x ~start ~finish ~size
             ~answered_repo ~answered_src v)
     group answers
 
@@ -569,17 +599,17 @@ let complete_group ?attempts ?batch env group ~start ~finish ~answered_repo
    fragment when the Cached_fallback semantics allow it, else blocked.
    Under Config.retry a blocked exec is observed by the retry scheduler
    (which owns its final outcome), not here. *)
-let unanswered ?batch env ~now ~deadline (p : prepared) =
+let unanswered ?batch env ~now ~deadline (x : issued) =
+  let p = x.prep in
   let stale =
     match (env.cache, env.serve_stale_ms) with
     | Some cache, Some max_stale_ms ->
-        Answer_cache.find_stale cache ~repo:p.p_repo ~now ~max_stale_ms
-          p.p_logical
+        Answer_cache.find_stale cache ~key:(cache_key p) ~now ~max_stale_ms
     | _ -> None
   in
   match stale with
   | Some (value, age) ->
-      observe env p ~start:now ~finish:now ~origin:(Trace.Stale age) ~shipped:0
+      observe env x ~start:now ~finish:now ~origin:(Trace.Stale age) ~shipped:0
         ~rows:(cardinal value);
       Done
         {
@@ -591,51 +621,90 @@ let unanswered ?batch env ~now ~deadline (p : prepared) =
         }
   | None ->
       Log.debug (fun m ->
-          m "exec(%s) blocked: %s" p.p_repo (Expr.to_string p.p_logical));
+          m "exec(%s) blocked: %s" p.p_repo (Cost_model.printed p.p_cost));
       if env.retry = None then
-        observe ?batch env p ~start:now ~finish:deadline ~origin:Trace.Blocked
+        observe ?batch env x ~start:now ~finish:deadline ~origin:Trace.Blocked
           ~shipped:0 ~rows:0;
       Blocked
 
-(* One round's bookkeeping: a slot per distinct [(repository, expr)]
+(* A round's execs, prepared: one per distinct [(repository, expr)]
    exec, in first-appearance order, found by repository and then by
-   [Expr.equal] within that repository's bucket.  Dedup fills the table,
-   completions and re-polls write outcomes into its slots, and
-   substitution, the blocked list and the version vector read them
-   back. *)
-type slot = {
-  s_repo : string;
-  s_logical : Expr.expr;
-  mutable s_result : exec_result;
-}
-
-type round = {
-  by_repo : (string, slot list) Hashtbl.t;
-  slots : slot list;  (* first-appearance order *)
+   [Expr.equal] within that repository's bucket.  Dedup builds it once;
+   a run keeps the outcomes in an array beside it, which completions and
+   re-polls write and substitution, the blocked list and the version
+   vector read back.  A table never changes once built.  When an exec
+   cannot be prepared, [t_execs] stops before it and [t_failure] holds
+   the exception, which the round raises where it would have issued that
+   exec. *)
+type table = {
+  t_execs : prepared array;
+  t_by_repo : (string, (int * Expr.expr) list) Hashtbl.t;
+  t_count : int;  (* execs before dedup *)
+  t_distinct : int;
+  t_failure : exn option;
 }
 
 let bucket by_repo repo =
   Option.value ~default:[] (Hashtbl.find_opt by_repo repo)
 
-let find_slot round repo logical =
-  List.find_opt
-    (fun s -> Expr.equal s.s_logical logical)
-    (bucket round.by_repo repo)
-
-let round_of execs =
+let table_of bindings ~cache execs =
   let by_repo = Hashtbl.create (List.length execs) in
-  let slots =
-    List.fold_left
-      (fun slots (repo, logical) ->
+  let count = ref 0 in
+  let distinct =
+    List.filter
+      (fun (repo, logical) ->
         let b = bucket by_repo repo in
-        if List.exists (fun s -> Expr.equal s.s_logical logical) b then slots
-        else
-          let s = { s_repo = repo; s_logical = logical; s_result = Blocked } in
-          Hashtbl.replace by_repo repo (s :: b);
-          s :: slots)
-      [] execs
+        if List.exists (fun (_, l) -> Expr.equal l logical) b then false
+        else (
+          Hashtbl.replace by_repo repo ((!count, logical) :: b);
+          incr count;
+          true))
+      execs
   in
-  { by_repo; slots = List.rev slots }
+  let failure = ref None in
+  let prepared =
+    List.filter_map
+      (fun (repo, logical) ->
+        if Option.is_some !failure then None
+        else
+          match prepare_exec bindings ~cache repo logical with
+          | p -> Some p
+          | exception e ->
+              failure := Some e;
+              None)
+      distinct
+  in
+  {
+    t_execs = Array.of_list prepared;
+    t_by_repo = by_repo;
+    t_count = List.length execs;
+    t_distinct = !count;
+    t_failure = !failure;
+  }
+
+let find_exec table repo logical =
+  List.find_map
+    (fun (k, l) -> if l == logical || Expr.equal l logical then Some k else None)
+    (bucket table.t_by_repo repo)
+
+(* A plan prepared to run any number of times: its bindings and its first
+   round's execs.  Later rounds (semi-join reductions) issue execs built
+   at run time; those are prepared when issued, by the same function. *)
+type program = {
+  g_plan : Plan.plan;
+  g_bindings : (string, binding) Hashtbl.t;
+  g_first : table;
+}
+
+let prepare_in bindings ~cache plan =
+  {
+    g_plan = plan;
+    g_bindings = bindings;
+    g_first = table_of bindings ~cache (Plan.execs plan);
+  }
+
+let prepare ?cache bindings plan =
+  prepare_in (by_extent bindings) ~cache:(cache <> None) plan
 
 (* -- deadline-aware retry scheduler (Config.retry) --
 
@@ -644,25 +713,26 @@ let round_of execs =
    exhausts [max_attempts], or runs out of deadline.  Every exec of a
    round was issued at the same instant and backs off by the same
    formula, so re-poll [k] of every exec falls on one instant, and the
-   instants grow with [k]: draining attempt by attempt, each pass in slot
-   order, is the virtual-time order of a real event loop, so shared
+   instants grow with [k]: draining attempt by attempt, each pass in
+   table order, is the virtual-time order of a real event loop, so shared
    state (the circuit breaker, source call counters) evolves as it would
-   under a reactor.  Each re-poll re-prepares the exec, so failover
-   re-evaluates source availability at the re-poll instant: a source
+   under a reactor.  Each re-poll re-issues the prepared exec, so
+   failover re-chooses the live copy at the re-poll instant: a source
    whose schedule flips up at t=300ms answers a 1000ms-deadline query
    instead of forcing a partial answer.
 
    A retried exec contributes exactly one trace leaf: Done (with its
    failed attempts as child spans) if some re-poll recovered, else
    Blocked at the deadline. *)
-let apply_retries env ~deadline slots =
+let apply_retries env ~deadline table results =
   match env.retry with
   | None -> ()
   | Some r ->
       let t0 = Scheduler.now env.sched in
-      (* one blocked slot's re-poll [attempt] at [at]: [Some] with its
+      (* one blocked exec's re-poll [attempt] at [at]: [Some] with its
          history (newest first) while it stays blocked *)
-      let repoll ~attempt ~at (s, history) =
+      let repoll ~attempt ~at (k, history) =
+        let p = table.t_execs.(k) in
         let attempt_of ~elapsed outcome =
           {
             Trace.a_number = attempt;
@@ -672,25 +742,26 @@ let apply_retries env ~deadline slots =
           }
         in
         let again ~elapsed outcome =
-          Some (s, attempt_of ~elapsed outcome :: history)
+          Some (k, attempt_of ~elapsed outcome :: history)
         in
         if at >= deadline || attempt > r.Retry.max_attempts then (
           (* out of budget: finalize as blocked, with the re-poll history
              attached to the leaf *)
-          let p = prepare_exec env ~now:deadline s.s_repo s.s_logical in
-          observe ~attempts:(List.rev history) env p ~start:t0 ~finish:deadline
-            ~origin:Trace.Blocked ~shipped:0 ~rows:0;
+          observe ~attempts:(List.rev history) env
+            (issue env ~now:deadline p)
+            ~start:t0 ~finish:deadline ~origin:Trace.Blocked ~shipped:0
+            ~rows:0;
           None)
         else
-          let p = prepare_exec env ~now:at s.s_repo s.s_logical in
-          if not (breaker_allows env ~now:at p.p_chosen) then
+          let x = issue env ~now:at p in
+          if not (breaker_allows env ~now:at x.chosen) then
             again ~elapsed:0.0 "breaker-open"
           else (
             Metrics.incr env.metrics "runtime.retry.attempts";
             incr env.extra_trips;
             let answered_repo, answered_src, outcome =
-              settle env ~now:at ~deadline [ p ]
-                (wire_call ~now:at ~deadline p.p_chosen [ p ])
+              settle env ~now:at ~deadline [ x ]
+                (wire_call ~now:at ~deadline x.chosen [ x ])
             in
             match outcome with
             | Source.Unavailable -> again ~elapsed:0.0 "unavailable"
@@ -700,9 +771,9 @@ let apply_retries env ~deadline slots =
                 let won = attempt_of ~elapsed:(finish -. at) "recovered" in
                 complete_group
                   ~attempts:(List.rev (won :: history))
-                  env [ p ] ~start:at ~finish ~answered_repo ~answered_src
+                  env [ x ] ~start:at ~finish ~answered_repo ~answered_src
                   answers
-                |> List.iter (fun res -> s.s_result <- res);
+                |> List.iter (fun res -> results.(k) <- res);
                 Metrics.incr env.metrics "runtime.retry.recovered";
                 Log.info (fun m ->
                     m "exec(%s) recovered on re-poll %d at t=%.1f" p.p_repo
@@ -722,9 +793,9 @@ let apply_retries env ~deadline slots =
       in
       drain 1 (t0 +. r.Retry.initial_ms)
         (List.filter_map
-           (fun s ->
-             match s.s_result with Blocked -> Some (s, []) | Done _ -> None)
-           slots)
+           (fun k ->
+             match results.(k) with Blocked -> Some (k, []) | Done _ -> None)
+           (List.init (Array.length results) Fun.id))
 
 (* [xs] grouped by [key] through one insertion-ordered table: groups in
    first-appearance order, members in input order. *)
@@ -743,39 +814,38 @@ let grouped key xs =
     [] xs
   |> List.rev_map (fun k -> List.rev (Hashtbl.find table k))
 
-(* One parallel round of a plan's ready execs, one per slot of [round]
-   (structurally identical execs share a slot: the answer is computed
-   once and substituted everywhere).  Each slot's exec is looked up in
+(* One parallel round of a table's execs (structurally identical execs
+   share an entry: the answer is computed once and substituted
+   everywhere).  Each is issued — a live copy chosen — and looked up in
    the answer cache once; the rest are grouped by destination — (chosen
    repository, wrapper) — and each group rides one
    [Wrapper.execute_batch] round-trip.  Config.batch only caps the group
-   size: without it every exec rides alone.  Returns the round, its
-   outcomes in the slots, and its stats. *)
-let issue_round env ~deadline execs =
+   size: without it every exec rides alone.  Returns the outcomes, one
+   per table entry, and the round's stats. *)
+let issue_round env ~deadline table =
   let now = Scheduler.now env.sched in
   let trips0 = !(env.extra_trips) in
-  let round = round_of execs in
-  let issued = List.length round.slots in
-  let dedup_hits = List.length execs - issued in
+  let results = Array.make (Array.length table.t_execs) Blocked in
+  let issued = table.t_distinct in
+  let dedup_hits = table.t_count - issued in
   if dedup_hits > 0 then (
     Log.debug (fun m ->
         m "dedup: %d duplicate exec(s) share answers this round" dedup_hits);
     Metrics.incr ~by:dedup_hits env.metrics "runtime.batch.dedup_hits");
-  let pending =
-    List.filter_map
-      (fun s ->
-        let p = prepare_exec env ~now s.s_repo s.s_logical in
-        match fresh_hit env p ~now with
-        | Some d ->
-            s.s_result <- Done d;
-            None
-        | None -> Some (s, p))
-      round.slots
-  in
+  let pending = ref [] in
+  Array.iteri
+    (fun k p ->
+      let x = issue env ~now p in
+      match fresh_hit env x ~now with
+      | Some d -> results.(k) <- Done d
+      | None -> pending := (k, x) :: !pending)
+    table.t_execs;
+  Option.iter raise table.t_failure;
+  let pending = List.rev !pending in
   let groups =
     if env.batch then
       grouped
-        (fun (_, p) -> (p.p_chosen_repo, Wrapper.name p.p_binding.b_wrapper))
+        (fun (_, x) -> (x.chosen_repo, Wrapper.name x.prep.p_binding.b_wrapper))
         pending
     else List.map (fun m -> [ m ]) pending
   in
@@ -795,7 +865,7 @@ let issue_round env ~deadline execs =
      races; under the virtual scheduler jobs run sequentially in this
      exact order.  Breaker and hedge state are shared, so [settle] runs
      afterwards, off the parallel pool. *)
-  let chosen_of group = (List.hd group).p_chosen in
+  let chosen_of group = (List.hd group).chosen in
   let outcomes = Array.make (List.length groups) None in
   grouped (fun (_, _, _, group) -> Source.id (chosen_of group)) groups
   |> Scheduler.map_rounds env.sched
@@ -803,7 +873,7 @@ let issue_round env ~deadline execs =
             (i, wire_call ~now ~deadline (chosen_of group) group)))
   |> List.iter (List.iter (fun (i, o) -> outcomes.(i) <- Some o));
   List.iter
-    (fun (i, id, slots, group) ->
+    (fun (i, id, ks, group) ->
       let batch =
         match group with [ _ ] -> None | _ -> Some (id, List.length group)
       in
@@ -818,13 +888,13 @@ let issue_round env ~deadline execs =
         | Source.Unavailable | Source.Timed_out _ ->
             List.map (unanswered ?batch env ~now ~deadline) group
       in
-      List.iter2 (fun s r -> s.s_result <- r) slots done_)
+      List.iter2 (fun k r -> results.(k) <- r) ks done_)
     groups;
-  apply_retries env ~deadline round.slots;
+  apply_retries env ~deadline table results;
   let answered =
-    List.filter_map
-      (fun s -> match s.s_result with Done d -> Some d | Blocked -> None)
-      round.slots
+    Array.fold_right
+      (fun r acc -> match r with Done d -> d :: acc | Blocked -> acc)
+      results []
   in
   let blocked = issued - List.length answered in
   let finish_time =
@@ -840,7 +910,7 @@ let issue_round env ~deadline execs =
         | _ -> (n, age))
       (0, 0.0) answered
   in
-  ( round,
+  ( results,
     {
       execs_issued = issued;
       execs_answered = List.length answered;
@@ -861,37 +931,37 @@ let rec fold_ready plan =
   | [] -> Plan.Mk_data (Plan.run_local plan)
   | _ -> Plan.map_children fold_ready plan
 
-(* One round of a plan: issue its ready execs, then substitute the
-   answers into the plan and collect the blocked repositories and the
-   version vector.  [Plan.substitute_execs] visits children left to right
-   (it is a walk over [Plan.map_children]), but each exec is still looked
-   up in the round's table, never matched by position. *)
-let run_round env ~deadline plan =
-  let round, stats = issue_round env ~deadline (Plan.execs plan) in
+(* One round of a plan: issue the ready execs of [table] (the plan's,
+   prepared), then substitute the answers into the plan and collect the
+   blocked repositories and the version vector.  [Plan.substitute_execs]
+   visits children left to right (it is a walk over [Plan.map_children]),
+   but each exec is still looked up in the table, never matched by
+   position. *)
+let run_round env ~deadline table plan =
+  let results, stats = issue_round env ~deadline table in
   let substituted =
     Plan.substitute_execs
       (fun repo logical ->
-        match find_slot round repo logical with
-        | Some { s_result = Done d; _ } -> Plan.Mk_data d.value
-        | Some { s_result = Blocked; _ } | None -> Plan.Exec (repo, logical))
+        match find_exec table repo logical with
+        | Some k -> (
+            match results.(k) with
+            | Done d -> Plan.Mk_data d.value
+            | Blocked -> Plan.Exec (repo, logical))
+        | None -> Plan.Exec (repo, logical))
       plan
-  in
-  let blocked =
-    List.filter_map
-      (fun s -> match s.s_result with Blocked -> Some s.s_repo | Done _ -> None)
-      round.slots
   in
   (* the version vector records who actually answered — when a replica
      served the exec, pinning the primary's version here would make the
      staleness check (Section 4) watch the wrong repository *)
-  let versions =
-    List.filter_map
-      (fun s ->
-        match s.s_result with Done d -> Some d.answered_by | Blocked -> None)
-      round.slots
+  let rec collect k blocked versions =
+    if k < 0 then (blocked, versions)
+    else
+      match results.(k) with
+      | Blocked -> collect (k - 1) (table.t_execs.(k).p_repo :: blocked) versions
+      | Done d -> collect (k - 1) blocked (d.answered_by :: versions)
   in
+  let blocked, versions = collect (Array.length results - 1) [] [] in
   (substituted, blocked, versions, stats)
-
 
 (* Resolve semi-joins whose left side is fully materialized: compute the
    distinct keys and turn the node into a hash join over the reduced
@@ -899,10 +969,10 @@ let run_round env ~deadline plan =
    the filter dropped when refused. *)
 let max_semijoin_keys = 1000
 
-let rec resolve_semi_joins env plan =
+let rec resolve_semi_joins bindings plan =
   match plan with
   | Plan.Semi_join (l, (repo, rexpr), pairs) ->
-      let l = resolve_semi_joins env l in
+      let l = resolve_semi_joins bindings l in
       if Plan.execs l <> [] || Plan.semi_joins l > 0 then
         Plan.Semi_join (l, (repo, rexpr), pairs)
       else
@@ -935,7 +1005,7 @@ let rec resolve_semi_joins env plan =
         let wrapper_accepts =
           match Expr.gets rexpr with
           | extent :: _ ->
-              let b = binding_of env extent in
+              let b = binding_of bindings extent in
               Wrapper.accepts b.b_wrapper reduced
           | [] -> false
         in
@@ -951,7 +1021,7 @@ let rec resolve_semi_joins env plan =
             rexpr)
         in
         Plan.Hash_join (Plan.Mk_data left_v, Plan.Exec (repo, final_expr), pairs)
-  | _ -> Plan.map_children (resolve_semi_joins env) plan
+  | _ -> Plan.map_children (resolve_semi_joins bindings) plan
 
 let add_stats a b =
   {
@@ -998,26 +1068,31 @@ let checker_of_bindings bindings =
     ~repo_known:(fun r -> List.mem r repos)
     ()
 
-let verify ?verdict env plan =
+let verify ?verdict env program =
   if env.check <> Check.Off then (
     let diags =
       match (verdict, env.checker) with
       | Some ds, _ -> ds
-      | None, Some checker -> Check.check_plan checker plan
-      | None, None -> Check.check_plan (checker_of_bindings env.bindings) plan
+      | None, Some checker -> Check.check_plan checker program.g_plan
+      | None, None ->
+          Check.check_plan (checker_of_bindings program.g_bindings)
+            program.g_plan
     in
     Check.report ~metrics:env.metrics diags;
     if env.check = Check.Enforce && Check.has_errors diags then
       raise (Check.Check_error (Check.errors diags)))
 
-let execute ?(timeout_ms = 1000.0) ?verdict env plan =
-  verify ?verdict env plan;
+let run ?(timeout_ms = 1000.0) ?verdict ?(type_check = true) env program =
+  let env = if type_check = env.type_check then env else { env with type_check } in
+  verify ?verdict env program;
   let deadline = Scheduler.now env.sched +. timeout_ms in
   (* Rounds: each issues every ready exec in parallel, then resolves the
      semi-joins unlocked by the new data. A plan without semi-joins is
      exactly one round — the paper's model. *)
-  let rec loop plan stats_acc versions_acc =
-    let substituted, blocked, versions, stats = run_round env ~deadline plan in
+  let rec loop table plan stats_acc versions_acc =
+    let substituted, blocked, versions, stats =
+      run_round env ~deadline table plan
+    in
     let stats_acc = add_stats stats_acc stats in
     let versions_acc = versions @ versions_acc in
     if blocked <> [] then (
@@ -1037,7 +1112,10 @@ let execute ?(timeout_ms = 1000.0) ?verdict env plan =
           },
         stats_acc ))
     else if Plan.semi_joins substituted > 0 then
-      loop (resolve_semi_joins env substituted) stats_acc versions_acc
+      let next = prepare_in program.g_bindings ~cache:(env.cache <> None)
+          (resolve_semi_joins program.g_bindings substituted)
+      in
+      loop next.g_first next.g_plan stats_acc versions_acc
     else (
       Log.info (fun m ->
           m "executed %d execs: %d answered, %d tuples, %.1f ms"
@@ -1045,4 +1123,8 @@ let execute ?(timeout_ms = 1000.0) ?verdict env plan =
             stats_acc.tuples_shipped stats_acc.elapsed_ms);
       (Complete (Plan.run_local substituted), stats_acc))
   in
-  loop plan zero_stats []
+  loop program.g_first program.g_plan zero_stats []
+
+let execute ?timeout_ms ?verdict env plan =
+  run ?timeout_ms ?verdict env
+    (prepare_in env.bindings ~cache:(env.cache <> None) plan)

@@ -190,6 +190,8 @@ module Config : sig
 end
 
 val env : Config.t -> binding list -> env
+(** One query's run-time state. The bindings are the ones {!execute}
+    prepares its plan with; {!run} uses the program's own. *)
 
 type partial = {
   query : Ast.query;
@@ -233,14 +235,47 @@ val add_stats : stats -> stats -> stats
 (** Stats of two executions in sequence: counts and elapsed times add,
     [cache_stale_ms] keeps the maximum. *)
 
+type program
+(** A plan prepared to run any number of times (DESIGN.md §4m): its
+    bindings by extent and, for each distinct [(repository, expression)]
+    exec of its first round, the binding, the translated source
+    expression, the answer renamer, the cost-model keys and (when
+    prepared with an answer cache) the answer-cache key. Immutable, so
+    concurrent runs may share one. Execs built at run time (semi-join
+    reductions) are prepared when issued, by the same function. *)
+
+val prepare :
+  ?cache:Disco_cache.Answer_cache.t ->
+  binding list ->
+  Disco_physical.Plan.plan ->
+  program
+(** Never raises: an exec that cannot be prepared (no binding, an
+    extent bound elsewhere, a failing translation) raises its error when
+    {!run} reaches it, exactly where {!execute} would have. [cache] only
+    says whether to make answer-cache keys; its contents are not read. *)
+
+val run :
+  ?timeout_ms:float ->
+  ?verdict:Disco_check.Check.diag list ->
+  ?type_check:bool ->
+  env ->
+  program ->
+  answer * stats
+(** Run a prepared program: per exec only the choice of a live copy, the
+    answer-cache lookup, the wire call, the completion and the keyed
+    cost-model record. The env's bindings are not used (the program
+    carries its own). [type_check] (default [true]) applies the
+    bindings' [b_check]s; [false] skips them. Otherwise as {!execute}. *)
+
 val execute :
   ?timeout_ms:float ->
   ?verdict:Disco_check.Check.diag list ->
   env ->
   Disco_physical.Plan.plan ->
   answer * stats
-(** The only way to run execs: whole queries and the mediator's hybrid
-    fragments all come here as plans. [timeout_ms] is the designated
+(** [run env (prepare bindings plan)], with [env]'s bindings and answer
+    cache. Whole queries and the mediator's hybrid fragments all run
+    through {!run}. [timeout_ms] is the designated
     deadline (default 1000 virtual ms). Advances the env's clock to the
     completion (or deadline) time.
 

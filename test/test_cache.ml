@@ -93,24 +93,25 @@ let test_normalize_commutes () =
 let test_version_invalidation () =
   let c = Answer_cache.create () in
   let e = sel (gt "salary" 10) in
+  let k0 = Answer_cache.key ~repo:"r0" e in
   let v = V.bag [ V.String "Mary" ] in
-  Answer_cache.store c ~repo:"r0" ~version:1 ~now:100.0 e v;
+  Answer_cache.store c ~key:k0 ~version:1 ~now:100.0 v;
   Alcotest.(check (option check_value)) "fresh at matching version" (Some v)
-    (Answer_cache.find_fresh c ~repo:"r0" ~version:1 e);
+    (Answer_cache.find_fresh c ~key:k0 ~version:1);
   Alcotest.(check (option check_value)) "version moved: no fresh hit" None
-    (Answer_cache.find_fresh c ~repo:"r0" ~version:2 e);
+    (Answer_cache.find_fresh c ~key:k0 ~version:2);
   let s = Answer_cache.stats c in
   Alcotest.(check int) "hit counted" 1 s.Answer_cache.hits;
   Alcotest.(check int) "stale counted" 1 s.Answer_cache.stale;
   (* the stale entry is retained for outage fallback... *)
-  (match Answer_cache.find_stale c ~repo:"r0" ~now:150.0 ~max_stale_ms:60.0 e with
+  (match Answer_cache.find_stale c ~key:k0 ~now:150.0 ~max_stale_ms:60.0 with
   | Some (sv, age) ->
       Alcotest.check check_value "stale value served" v sv;
       Alcotest.(check (float 0.001)) "age" 50.0 age
   | None -> Alcotest.fail "expected stale serve");
   (* ...but only within the staleness budget *)
   Alcotest.(check bool) "over budget: refused" true
-    (Answer_cache.find_stale c ~repo:"r0" ~now:200.0 ~max_stale_ms:60.0 e
+    (Answer_cache.find_stale c ~key:k0 ~now:200.0 ~max_stale_ms:60.0
     = None);
   let s = Answer_cache.stats c in
   Alcotest.(check int) "one stale serve" 1 s.Answer_cache.stale_served;
@@ -119,13 +120,14 @@ let test_version_invalidation () =
 let test_invalidate_repo () =
   let c = Answer_cache.create () in
   let e = sel (gt "salary" 10) in
-  Answer_cache.store c ~repo:"r0" ~version:1 ~now:0.0 e (V.bag [ V.Int 1 ]);
-  Answer_cache.store c ~repo:"r1" ~version:1 ~now:0.0 e (V.bag [ V.Int 2 ]);
+  let k0 = Answer_cache.key ~repo:"r0" e and k1 = Answer_cache.key ~repo:"r1" e in
+  Answer_cache.store c ~key:k0 ~version:1 ~now:0.0 (V.bag [ V.Int 1 ]);
+  Answer_cache.store c ~key:k1 ~version:1 ~now:0.0 (V.bag [ V.Int 2 ]);
   Answer_cache.invalidate_repo c "r0";
   Alcotest.(check bool) "r0 gone" true
-    (Answer_cache.find_fresh c ~repo:"r0" ~version:1 e = None);
+    (Answer_cache.find_fresh c ~key:k0 ~version:1 = None);
   Alcotest.(check bool) "r1 kept" true
-    (Answer_cache.find_fresh c ~repo:"r1" ~version:1 e <> None)
+    (Answer_cache.find_fresh c ~key:k1 ~version:1 <> None)
 
 (* -- mediator integration -- *)
 

@@ -1238,6 +1238,155 @@ let test_register_wrapper_drops_cached_plans () =
     (contains plan "mkselect(" && contains plan "exec(r0, get(person0))");
   Alcotest.check check_value "answer" (V.bag [ V.String "Mary" ]) (complete o2)
 
+(* -- a cached plan carries its prepared execs: what invalidates them --
+
+   Each test runs one text twice (a miss, then a hit), applies a change
+   between that hit and a third run, and expects the third run to be
+   replanned and to answer as a fresh mediator with the change applied. *)
+
+let after_two_hits ~build ~change q =
+  let m = build () in
+  ignore (Mediator.query m q);
+  Alcotest.(check bool) "second run is a plan-cache hit" true
+    (Mediator.query m q).Mediator.from_cache;
+  change m;
+  let after = Mediator.query m q in
+  let fresh =
+    let f = build () in
+    change f;
+    Mediator.query f q
+  in
+  Alcotest.(check bool) "replanned after the change" false
+    after.Mediator.from_cache;
+  Alcotest.check check_value "answers as a fresh mediator" (complete fresh)
+    (complete after);
+  Alcotest.(check int) "execs as a fresh mediator"
+    fresh.Mediator.stats.Disco_runtime.Runtime.execs_issued
+    after.Mediator.stats.Disco_runtime.Runtime.execs_issued;
+  complete after
+
+let invalidation_query = "select x.name from x in person where x.salary > 10"
+
+let test_prepared_register_source () =
+  let v =
+    after_two_hits ~build:paper_mediator
+      ~change:(fun m ->
+        Mediator.register_source m ~name:"r0"
+          (paper_source ~id:0 ~host:"rodin"
+             [ person_row 1 "Ann" 300; person_row 2 "Bob" 400 ]))
+      invalidation_query
+  in
+  Alcotest.check check_value "the replacement source's rows"
+    (V.bag [ V.String "Ann"; V.String "Bob"; V.String "Sam" ])
+    v
+
+let test_prepared_register_wrapper () =
+  (* answers every expression with one fixed tuple, so an exec still
+     bound to the old wrapper would show *)
+  let fixed =
+    Wrapper.make ~name:"WrapperFixed"
+      ~grammar:(Wrapper.functionality (Wrapper.scan_wrapper ()))
+      ~execute:(fun _ _ ->
+        Ok
+          ( V.bag
+              [
+                V.strct [ ("name", V.String "Fixed"); ("salary", V.Int 999) ];
+              ],
+            1 ))
+      ()
+  in
+  let v =
+    after_two_hits ~build:paper_mediator
+      ~change:(fun m -> Mediator.register_wrapper m ~name:"w0" fixed)
+      invalidation_query
+  in
+  Alcotest.check check_value "the new wrapper's answers"
+    (V.bag [ V.String "Fixed"; V.String "Fixed" ])
+    v
+
+let test_prepared_declare_index () =
+  ignore
+    (after_two_hits ~build:paper_mediator
+       ~change:(fun m ->
+         Mediator.declare_index m ~repo:"r0" ~table:"person0" ~column:"salary"
+           ~kind:`Sorted)
+       invalidation_query)
+
+let test_prepared_load_odl_map () =
+  (* a third Person extent whose source names the fields differently:
+     its execs need a renamer that is not the identity *)
+  let v =
+    after_two_hits ~build:paper_mediator
+      ~change:(fun m ->
+        let db = Database.create ~name:"db" in
+        let schema =
+          Disco_relation.Schema.make
+            [
+              ("nom", Disco_relation.Schema.TString);
+              ("paie", Disco_relation.Schema.TInt);
+            ]
+        in
+        ignore
+          (Datagen.table_of db ~name:"staff" schema
+             [ [| V.String "Zoe"; V.Int 70 |]; [| V.String "Yan"; V.Int 5 |] ]);
+        Mediator.register_source m ~name:"r2"
+          (Source.create ~id:"src2" ~address:(addr "h2") (Source.Relational db));
+        Mediator.load_odl m
+          {|r2 := Repository(host="h2", name="db", address="x");
+            extent person2 of Person wrapper w0 repository r2
+              map ((staff=person2),(nom=name),(paie=salary));|})
+      invalidation_query
+  in
+  Alcotest.check check_value "renamed rows included"
+    (V.bag [ V.String "Mary"; V.String "Sam"; V.String "Zoe" ])
+    v
+
+(* [type_check] is per query, not part of the plan key: one cached entry
+   serves both settings, each with its own behaviour. *)
+let test_prepared_type_check_toggle () =
+  let m = Mediator.create ~name:"m" () in
+  let db = Database.create ~name:"db" in
+  let schema =
+    Disco_relation.Schema.make
+      [
+        ("name", Disco_relation.Schema.TString);
+        ("salary", Disco_relation.Schema.TInt);
+        ("extra", Disco_relation.Schema.TInt);
+      ]
+  in
+  ignore
+    (Datagen.table_of db ~name:"person0" schema
+       [ [| V.String "X"; V.Int 1; V.Int 2 |] ]);
+  Mediator.register_source m ~name:"r0"
+    (Source.create ~id:"s" ~address:(addr "h") (Source.Relational db));
+  Mediator.load_odl m
+    {|r0 := Repository(host="h", name="db", address="x");
+      w0 := WrapperPostgres();
+      interface Person (extent person) {
+        attribute String name;
+        attribute Short salary; }
+      extent person0 of Person wrapper w0 repository r0;|};
+  let q = "select x from x in person0" in
+  let unchecked () = Mediator.query ~opts:(qopts ()) m q in
+  let checked_fails label =
+    match Mediator.query ~opts:(qopts ~type_check:true ()) m q with
+    | _ -> Alcotest.failf "%s: expected a type mismatch" label
+    | exception
+        (Disco_runtime.Runtime.Runtime_error msg | Mediator.Mediator_error msg)
+      ->
+        Alcotest.(check bool) (label ^ ": mentions mismatch") true
+          (contains msg "mismatch")
+  in
+  let o = unchecked () in
+  Alcotest.(check int) "unchecked: one tuple" 1 (V.cardinal (complete o));
+  let o = unchecked () in
+  Alcotest.(check bool) "unchecked: a hit" true o.Mediator.from_cache;
+  checked_fails "checked after unchecked hits";
+  let o = unchecked () in
+  Alcotest.(check bool) "unchecked again: a hit" true o.Mediator.from_cache;
+  Alcotest.(check int) "unchecked again: one tuple" 1 (V.cardinal (complete o));
+  checked_fails "checked again"
+
 (* A custom wrapper registered via the API: the optimizer must push what
    its grammar allows (project) and keep the rest (select) local. *)
 let test_custom_wrapper_capability () =
@@ -1622,6 +1771,53 @@ let test_scale_64_sources () =
   | _ -> Alcotest.fail "expected partial");
   ()
 
+(* Allocation guard: a cached plan's execs were prepared when the plan
+   was cached (bindings, translations, renamers, cost-model keys), so a
+   hit only chooses a live copy, dials, completes and records each one.
+   Over 256 five-row sources a hit must allocate at most 2.0 kwords per
+   source; re-deriving the execs on every hit took about 3.1. Minor
+   words count allocation, not time, so the bound is deterministic. *)
+let test_hit_allocation_per_source () =
+  let n = 256 in
+  let m = Mediator.create ~name:"alloc" () in
+  Mediator.load_odl m
+    {|w0 := WrapperPostgres();
+      interface Person (extent person) {
+        attribute Short id;
+        attribute String name;
+        attribute Short salary; }|};
+  for i = 0 to n - 1 do
+    let name = Fmt.str "person%d" i in
+    let db = Database.create ~name:"db" in
+    ignore
+      (Datagen.table_of db ~name Datagen.person_schema
+         (Datagen.person_rows ~seed:(42 + i) ~n:5));
+    Mediator.register_source m ~name:(Fmt.str "r%d" i)
+      (Source.create ~id:name ~address:(addr (Fmt.str "site%d" i))
+         (Source.Relational db));
+    Mediator.load_odl m
+      (Fmt.str
+         {|r%d := Repository(host="site%d", name="db", address="0");
+           extent person%d of Person wrapper w0 repository r%d;|}
+         i i i i)
+  done;
+  let q = "select x.name from x in person where x.salary > 300 and x.id < 50" in
+  (* the first run plans; three more warm the hit path *)
+  for _ = 0 to 3 do
+    ignore (complete (Mediator.query m q))
+  done;
+  let hits = 10 in
+  let before = Gc.minor_words () in
+  for _ = 1 to hits do
+    let o = Mediator.query m q in
+    if not o.Mediator.from_cache then Alcotest.fail "expected a plan-cache hit"
+  done;
+  let kwords =
+    (Gc.minor_words () -. before) /. float_of_int (hits * n) /. 1000.0
+  in
+  if kwords > 2.0 then
+    Alcotest.failf "a hit allocates %.2f kwords per source (bound 2.0)" kwords
+
 let () =
   Alcotest.run "disco_core"
     [
@@ -1708,6 +1904,16 @@ let () =
             test_fragment_fallback_on_refusal;
           Alcotest.test_case "register_wrapper drops cached plans" `Quick
             test_register_wrapper_drops_cached_plans;
+          Alcotest.test_case "prepared: register_source" `Quick
+            test_prepared_register_source;
+          Alcotest.test_case "prepared: register_wrapper" `Quick
+            test_prepared_register_wrapper;
+          Alcotest.test_case "prepared: declare_index" `Quick
+            test_prepared_declare_index;
+          Alcotest.test_case "prepared: load_odl adds a field map" `Quick
+            test_prepared_load_odl_map;
+          Alcotest.test_case "prepared: type_check toggled" `Quick
+            test_prepared_type_check_toggle;
           Alcotest.test_case "pushdown tuples shipped" `Quick
             test_pushdown_tuples_shipped;
           Alcotest.test_case "custom wrapper capability" `Quick
@@ -1727,6 +1933,8 @@ let () =
           Alcotest.test_case "mediator composition" `Quick
             test_mediator_composition;
           Alcotest.test_case "scale: 64 sources" `Slow test_scale_64_sources;
+          Alcotest.test_case "hit allocation per source" `Quick
+            test_hit_allocation_per_source;
           Alcotest.test_case "long hybrid queries are linear" `Quick
             test_long_hybrid_queries;
         ] );

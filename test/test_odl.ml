@@ -160,6 +160,69 @@ let test_registry_extents () =
       Alcotest.(check string) "mapped source field" "salary"
         (Typemap.source_field e.Registry.me_map "s")
 
+(* Extents are found by name through a table kept in step with the
+   definition-order list: after 5,000 extents and a sharded extent added,
+   removed and added again, every lookup and enumeration must equal the
+   answer read off the list itself. *)
+let test_registry_many_extents () =
+  let reg = loaded () in
+  let base = List.map (fun e -> e.Registry.me_name) (Registry.all_extents reg) in
+  let n = 5000 in
+  let bulk = List.init n (Printf.sprintf "bulk%d") in
+  Odl.load reg
+    (String.concat "\n"
+       (List.mapi
+          (fun i name ->
+            Printf.sprintf "extent %s of %s wrapper w0 repository r%d;" name
+              (if i mod 3 = 0 then "Student" else "Person")
+              (i mod 2))
+          bulk));
+  let sharded = "extent staff of Person wrapper w0 sharded by id range (100) across r0 r1;" in
+  let staff = [ "staff"; "staff__s0"; "staff__s1" ] in
+  let agree label ~expected_names =
+    let all = Registry.all_extents reg in
+    Alcotest.(check (list string))
+      (label ^ ": all_extents in definition order")
+      expected_names
+      (List.map (fun e -> e.Registry.me_name) all);
+    List.iter
+      (fun name ->
+        let from_list =
+          List.find_opt (fun e -> String.equal e.Registry.me_name name) all
+        in
+        if not (Option.equal ( == ) from_list (Registry.find_extent reg name))
+        then Alcotest.failf "%s: find_extent %s disagrees with the list" label name)
+      (("bulk" ^ string_of_int n) :: "nosuch" :: staff @ expected_names);
+    List.iter
+      (fun itf ->
+        Alcotest.(check (list string))
+          (label ^ ": extents_of " ^ itf)
+          (List.filter_map
+             (fun e ->
+               if String.equal e.Registry.me_interface itf
+                  && e.Registry.me_shard_of = None
+               then Some e.Registry.me_name
+               else None)
+             all)
+          (List.map (fun e -> e.Registry.me_name) (Registry.extents_of reg itf)))
+      [ "Person"; "Student"; "PersonPrime" ]
+  in
+  agree "bulk" ~expected_names:(base @ bulk);
+  Odl.load reg sharded;
+  agree "sharded" ~expected_names:(base @ bulk @ staff);
+  Registry.remove_extent reg "staff";
+  agree "removed" ~expected_names:(base @ bulk);
+  Odl.load reg sharded;
+  agree "re-added" ~expected_names:(base @ bulk @ staff);
+  List.iter
+    (fun text ->
+      match Odl.load reg text with
+      | () -> Alcotest.failf "expected %S to be rejected" text
+      | exception Registry.Odl_error m ->
+          if not (String.ends_with ~suffix:"already defined" m) then
+            Alcotest.failf "unexpected error for %S: %s" text m)
+    [ "extent bulk17 of Person wrapper w0 repository r0;"; sharded ]
+
 let test_registry_errors () =
   let reg = loaded () in
   let expect_err f =
@@ -282,6 +345,8 @@ let () =
           Alcotest.test_case "interfaces and subtyping" `Quick
             test_registry_interfaces;
           Alcotest.test_case "extents and star" `Quick test_registry_extents;
+          Alcotest.test_case "5,000 extents by name" `Quick
+            test_registry_many_extents;
           Alcotest.test_case "semantic errors" `Quick test_registry_errors;
           Alcotest.test_case "metaextent bag" `Quick test_registry_metaextent_bag;
           Alcotest.test_case "versioning" `Quick test_registry_versioning;

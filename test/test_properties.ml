@@ -416,13 +416,21 @@ let test_union_rejects_non_collection () =
 
 (* -- cost smoothing stays within observed bounds -- *)
 
+(* The estimate smooths exactly the last [history] records, newest
+   first (the reference below is the smoothing over a plain list), and
+   stays within their range. *)
 let prop_smoothing_bounded =
-  let gen = QCheck.Gen.(list_size (int_range 1 12) (int_range 1 1000)) in
+  let gen =
+    QCheck.Gen.(pair (int_range 1 16) (list_size (int_range 1 12) (int_range 1 1000)))
+  in
   QCheck.Test.make ~name:"smoothed estimate within min/max of history"
     ~count:500
-    (QCheck.make ~print:(fun l -> String.concat "," (List.map string_of_int l)) gen)
-    (fun times ->
-      let m = Cost_model.create ~history:16 () in
+    (QCheck.make
+       ~print:(fun (h, l) ->
+         Fmt.str "history %d: %s" h (String.concat "," (List.map string_of_int l)))
+       gen)
+    (fun (history, times) ->
+      let m = Cost_model.create ~history () in
       let e = Expr.Get "t" in
       List.iter
         (fun t ->
@@ -430,9 +438,19 @@ let prop_smoothing_bounded =
             ~rows:t)
         times;
       let est = Cost_model.estimate m ~repo:"r" e in
-      let lo = float_of_int (List.fold_left min max_int times) in
-      let hi = float_of_int (List.fold_left max 0 times) in
-      est.Cost_model.est_time_ms >= lo -. 1e-9
+      let kept = List.filteri (fun i _ -> i < history) (List.rev times) in
+      let _, wsum, tsum =
+        List.fold_left
+          (fun (w, wsum, tsum) t ->
+            (w *. 0.5, wsum +. w, tsum +. (w *. float_of_int t)))
+          (0.5, 0.0, 0.0) kept
+      in
+      let lo = float_of_int (List.fold_left min max_int kept) in
+      let hi = float_of_int (List.fold_left max 0 kept) in
+      est.Cost_model.est_basis = Cost_model.Exact (List.length kept)
+      && est.Cost_model.est_time_ms = tsum /. wsum
+      && est.Cost_model.est_rows = tsum /. wsum
+      && est.Cost_model.est_time_ms >= lo -. 1e-9
       && est.Cost_model.est_time_ms <= hi +. 1e-9)
 
 (* -- recency: the smoothed estimate tracks a level shift -- *)
@@ -939,8 +957,8 @@ let reference_query ~all ~a ~b shape t =
 (* A small site holding [vip0] and a large one holding [staff0]: once
    the join has run and its costs are learned, the optimizer reduces it
    with a semijoin. *)
-let semijoin_federation () =
-  let m = Mediator.create ~name:"prop_sj" () in
+let semijoin_federation ?(config = Mediator.Config.default) () =
+  let m = Mediator.create ~config ~name:"prop_sj" () in
   let site name rows =
     let db = Database.create ~name:"db" in
     ignore (Datagen.table_of db ~name Datagen.person_schema rows);
@@ -1504,6 +1522,296 @@ let prop_sql_print_parse_stable =
       let s = Sql.to_string q in
       String.equal s (Sql.to_string (Sql.parse s)))
 
+(* -- a cached plan's prepared execs: a hit = the same query replanned --
+
+   Two identical mediators run the same history. On [a] each text runs
+   twice, so its second run is a plan-cache hit that runs the execs
+   prepared when the plan was cached. On [b] the plan cache is cleared
+   before the second run, so it plans and prepares afresh against the
+   same cost model, answer cache, sources and clock. Whenever both runs
+   use the same plan, the hit must leave everything as the fresh run
+   does: answer, stats, the cost-model estimates, and the trace (every
+   span but the front end's and the optimizer's, all on the virtual
+   clock). *)
+
+module Trace = Disco_obs.Trace
+
+type prepared_fed = {
+  pf_map : bool;  (* person1's source names its fields differently *)
+  pf_replica : bool;  (* person0's slow primary is down; a replica answers *)
+  pf_down : bool;  (* person2's only copy is down *)
+  pf_shards : bool;  (* a range-sharded Person extent [emp] *)
+  pf_retry : bool;  (* re-polls, hedging and a circuit breaker *)
+  pf_cache : bool;  (* the answer cache *)
+}
+
+let prepared_config ~cache ~retry sink =
+  {
+    Mediator.Config.default with
+    cache = (if cache then Some (Answer_cache.create ()) else None);
+    retry =
+      (if retry then
+         Some
+           (Runtime.Retry.make ~initial_ms:20.0 ~hedge_ms:5.0
+              ~breaker_threshold:2 ())
+       else None);
+    trace_sink = Some sink;
+  }
+
+let prepared_federation spec sink =
+  let m =
+    Mediator.create
+      ~config:(prepared_config ~cache:spec.pf_cache ~retry:spec.pf_retry sink)
+      ~name:"prep" ()
+  in
+  Mediator.load_odl m
+    {|w0 := WrapperPostgres();
+      interface Person (extent person) {
+        attribute Short id;
+        attribute String name;
+        attribute Short salary; }|};
+  let site ?(schedule = Schedule.always_up) ?(base_ms = 5.0) repo tables =
+    let db = Database.create ~name:"db" in
+    List.iter
+      (fun (table, schema, rows) ->
+        ignore (Datagen.table_of db ~name:table schema rows))
+      tables;
+    Mediator.register_source m ~name:repo
+      (Source.create ~id:repo
+         ~address:(Source.address ~host:repo ~db_name:"db" ~ip:"0" ())
+         ~latency:{ Source.base_ms; per_row_ms = 0.1; jitter = 0.2 }
+         ~schedule (Source.Relational db));
+    Mediator.load_odl m
+      (Fmt.str {|%s := Repository(host="%s", name="db", address="0");|} repo
+         repo)
+  in
+  let down flag = if flag then Schedule.always_down else Schedule.always_up in
+  let rows k = Datagen.person_rows ~seed:(500 + k) ~n:6 in
+  site ~base_ms:30.0 ~schedule:(down spec.pf_replica) "r0"
+    [ ("person0", Datagen.person_schema, rows 0) ];
+  site ~base_ms:2.0 "rr0" [ ("person0", Datagen.person_schema, rows 0) ];
+  site "r1"
+    [
+      (if spec.pf_map then
+         ( "staff1",
+           Schema.make
+             [
+               ("ident", Schema.TInt);
+               ("nom", Schema.TString);
+               ("paie", Schema.TInt);
+             ],
+           rows 1 )
+       else ("person1", Datagen.person_schema, rows 1));
+    ];
+  site ~schedule:(down spec.pf_down) "r2"
+    [ ("person2", Datagen.person_schema, rows 2) ];
+  Mediator.load_odl m
+    (Fmt.str
+       {|extent person0 of Person wrapper w0 repository r0 replica rr0;
+         extent person1 of Person wrapper w0 repository r1%s;
+         extent person2 of Person wrapper w0 repository r2;|}
+       (if spec.pf_map then
+          " map ((staff1=person1),(ident=id),(nom=name),(paie=salary))"
+        else ""));
+  if spec.pf_shards then (
+    let partition =
+      {
+        Shard.p_key = "id";
+        p_scheme = Shard.Range [ V.Int 4 ];
+        p_shards =
+          List.map
+            (fun repo -> { Shard.s_repository = repo; s_wrapper = None })
+            [ "s0"; "s1" ];
+      }
+    in
+    let all = Datagen.person_rows ~seed:77 ~n:8 in
+    List.iteri
+      (fun k repo ->
+        site repo
+          [
+            ( Shard.child_name "emp" k,
+              Datagen.person_schema,
+              List.filter (fun r -> Shard.shard_of_value partition r.(0) = k) all
+            );
+          ])
+      [ "s0"; "s1" ];
+    Mediator.load_odl m
+      (Fmt.str "extent emp of Person wrapper w0 %a;" Shard.pp partition));
+  m
+
+let prepared_query ~shards shape t =
+  match shape with
+  | 0 -> Fmt.str "select x.name from x in person where x.salary > %d" t
+  | 1 ->
+      Fmt.str
+        "select struct(n: x.name, s: x.salary) from x in person1 where x.id < %d"
+        (t mod 8)
+  | 2 ->
+      "select struct(a: x.name, b: y.name) from x in person0, y in person1 \
+       where x.id = y.id"
+  | 3 -> Fmt.str "count(select p from p in person where p.salary < %d)" t
+  | 4 ->
+      Fmt.str "select x.name from x in %s where x.id = %d"
+        (if shards then "emp" else "person0")
+        (t mod 8)
+  | _ -> Fmt.str "select distinct x.salary from x in person where x.salary != %d" t
+
+(* What a query leaves behind, minus the front end's and the
+   optimizer's spans: the answer, stats, the trace's remaining spans, and
+   the cost model's estimates for the plan's execs and batches. *)
+let prepared_observation m (trace : Trace.trace option ref) q =
+  let opts = { Mediator.Query_opts.default with timeout_ms = 300.0 } in
+  let outcome =
+    match Mediator.query ~opts m q with
+    | o -> Ok o
+    | exception (Mediator.Mediator_error msg | Runtime.Runtime_error msg) ->
+        Error msg
+  in
+  let spans =
+    Option.map
+      (fun (tr : Trace.trace) ->
+        let root = tr.Trace.t_root in
+        ( root.Trace.s_meta,
+          root.Trace.s_elapsed_ms,
+          List.filter
+            (fun s ->
+              not
+                (List.mem s.Trace.s_name
+                   [ "parse"; "expand"; "compile"; "optimize" ]))
+            root.Trace.s_children ))
+      !trace
+  in
+  let cost = Mediator.cost_model m in
+  let estimates =
+    match outcome with
+    | Ok { Mediator.plan = Some plan; _ } ->
+        List.map
+          (fun (repo, e) -> Cost_model.estimate cost ~repo e)
+          (Plan.all_source_exprs plan)
+    | Ok _ | Error _ -> []
+  in
+  let batches =
+    List.concat_map
+      (fun repo ->
+        List.map
+          (fun size -> Cost_model.estimate_batch cost ~repo ~size)
+          [ 1; 2; 3 ])
+      [ "r0"; "rr0"; "r1"; "r2"; "s0"; "s1" ]
+  in
+  (outcome, spans, estimates, batches, Cost_model.recorded_calls cost)
+
+let same_answer a b =
+  match (a, b) with
+  | Mediator.Complete va, Mediator.Complete vb -> V.equal va vb
+  | Mediator.Partial pa, Mediator.Partial pb ->
+      String.equal (Mediator.answer_oql a) (Mediator.answer_oql b)
+      && pa.Runtime.unavailable = pb.Runtime.unavailable
+      && pa.Runtime.versions = pb.Runtime.versions
+  | Mediator.Unavailable ra, Mediator.Unavailable rb -> ra = rb
+  | _ -> false
+
+let prop_prepared_hit_equals_fresh =
+  let gen =
+    QCheck.Gen.(
+      pair
+        (frequency
+           [
+             (1, return None);
+             ( 5,
+               map
+                 (fun (pf_map, pf_replica, pf_down, pf_shards, pf_retry, pf_cache)
+                    ->
+                   Some
+                     { pf_map; pf_replica; pf_down; pf_shards; pf_retry; pf_cache })
+                 (tup6 bool bool bool bool bool bool) );
+           ])
+        (list_size (int_range 1 3) (pair (int_range 0 5) (int_range 0 300))))
+  in
+  let print (spec, qs) =
+    Fmt.str "%s [%s]"
+      (match spec with
+      | None -> "semijoin"
+      | Some f ->
+          String.concat " "
+            (List.filter_map
+               (fun (on, name) -> if on then Some name else None)
+               [
+                 (f.pf_map, "map");
+                 (f.pf_replica, "replica");
+                 (f.pf_down, "down");
+                 (f.pf_shards, "shards");
+                 (f.pf_retry, "retry+hedge");
+                 (f.pf_cache, "cache");
+               ]))
+      (String.concat "; " (List.map (fun (s, t) -> Fmt.str "%d/%d" s t) qs))
+  in
+  QCheck.Test.make ~name:"a plan-cache hit equals the same query replanned"
+    ~count:40 (QCheck.make ~print gen)
+    (fun (spec, qs) ->
+      let build sink =
+        match spec with
+        | Some f -> prepared_federation f sink
+        | None ->
+            semijoin_federation
+              ~config:(prepared_config ~cache:true ~retry:false sink)
+              ()
+      in
+      let trace_a = ref None and trace_b = ref None in
+      let a = build (fun tr -> trace_a := Some tr)
+      and b = build (fun tr -> trace_b := Some tr) in
+      let queries =
+        List.map
+          (fun (shape, t) ->
+            match spec with
+            | Some f -> prepared_query ~shards:f.pf_shards shape t
+            | None ->
+                reference_query ~all:"person" ~a:"vip0" ~b:"staff0"
+                  (if shape mod 2 = 0 then 3 else 0)
+                  t)
+          qs
+      in
+      List.for_all
+        (fun q ->
+          ignore (prepared_observation a trace_a q);
+          let hit_outcome, hit_spans, hit_est, hit_batches, hit_calls =
+            prepared_observation a trace_a q
+          in
+          ignore (prepared_observation b trace_b q);
+          Mediator.clear_plan_cache b;
+          let fresh_outcome, fresh_spans, fresh_est, fresh_batches, fresh_calls =
+            prepared_observation b trace_b q
+          in
+          let plan = function
+            | Ok o -> Option.map Plan.to_string o.Mediator.plan
+            | Error _ -> None
+          in
+          QCheck.assume (plan hit_outcome = plan fresh_outcome);
+          (match hit_outcome with
+          | Ok { Mediator.plan = Some _; from_cache = false; _ } ->
+              QCheck.Test.fail_reportf "%s: the second run was not a hit" q
+          | Ok _ | Error _ -> ());
+          let outcome_agrees =
+            match (hit_outcome, fresh_outcome) with
+            | Ok x, Ok y ->
+                same_answer x.Mediator.answer y.Mediator.answer
+                && x.Mediator.stats = y.Mediator.stats
+                && x.Mediator.answer_cache = y.Mediator.answer_cache
+                && x.Mediator.fallback = y.Mediator.fallback
+            | Error x, Error y -> String.equal x y
+            | _ -> false
+          in
+          if not outcome_agrees then
+            QCheck.Test.fail_reportf "%s: answer or stats differ" q;
+          if hit_spans <> fresh_spans then
+            QCheck.Test.fail_reportf "%s: traces differ:@.hit   %s@.fresh %s" q
+              (Option.fold ~none:"-" ~some:Trace.to_json !trace_a)
+              (Option.fold ~none:"-" ~some:Trace.to_json !trace_b);
+          if hit_est <> fresh_est || hit_batches <> fresh_batches
+             || hit_calls <> fresh_calls
+          then QCheck.Test.fail_reportf "%s: cost-model state differs" q;
+          true)
+        queries)
+
 let () =
   Alcotest.run "disco_properties"
     [
@@ -1531,6 +1839,7 @@ let () =
             prop_maintained_indexes;
             prop_sql_print_parse_stable;
             prop_identity_rewrites;
+            prop_prepared_hit_equals_fresh;
           ] );
       ( "walks",
         [ Alcotest.test_case "walk orders" `Quick test_walk_orders ] );
