@@ -1662,8 +1662,57 @@ let e16 () =
   let module Table = Disco_relation.Table in
   let module Index = Disco_relation.Index in
   let rows_out = ref [] in
+  (* A three-table equi-join. The row oracle's nested loop visits n^3
+     tuples, so it is timed once, at 300 rows per table; tps counts the
+     3n input tuples. *)
+  let join_q =
+    Sql.parse
+      "SELECT pa.id, pc.name FROM pa, pb, pc WHERE pa.id = pb.id AND pb.id \
+       = pc.id AND pa.salary > 100"
+  in
+  let join_db n =
+    let db = Database.create ~name:"join" in
+    List.iter
+      (fun (name, seed) ->
+        ignore
+          (Datagen.table_of db ~name Datagen.person_schema
+             (Datagen.person_rows ~seed ~n)))
+      [ ("pa", 1); ("pb", 2); ("pc", 3) ];
+    (match Sql.explain_engine db join_q with
+    | `Columnar_join -> ()
+    | _ -> failwith "E16: three-way join not on the columnar executor");
+    db
+  in
+  let join_tps n dt = float_of_int (3 * n) /. dt in
+  (let db = join_db 300 in
+   let t0 = Unix.gettimeofday () in
+   let oracle = Sql.run_rows db join_q in
+   let join_row = Unix.gettimeofday () -. t0 in
+   if
+     List.sort compare (Sql.run db join_q).Sql.rows
+     <> List.sort compare oracle.Sql.rows
+   then failwith "E16: engines disagree on the three-way join";
+   let join_col = e16_best (fun () -> Sql.run db join_q) in
+   rows_out :=
+     [
+       [
+         "300"; "3-way equi-join";
+         Fmt.str "%.2e" (join_tps 300 join_row);
+         Fmt.str "%.2e" (join_tps 300 join_col); "-";
+         Fmt.str "%.0fx" (join_row /. join_col);
+       ];
+     ];
+   bench_results :=
+     Fmt.str
+       "{\"experiment\":\"e16_join\",\"rows\":300,\"join_row_tps\":%.0f,\"join_col_tps\":%.0f}"
+       (join_tps 300 join_row) (join_tps 300 join_col)
+     :: !bench_results);
   List.iter
     (fun n ->
+      let join_col =
+        let db = join_db n in
+        e16_best (fun () -> Sql.run db join_q)
+      in
       let db = Database.create ~name:"bench" in
       let tbl =
         Datagen.table_of db ~name:"person" Datagen.person_schema
@@ -1763,13 +1812,18 @@ let e16 () =
              Fmt.str "%.2e" (tps write_col); "-"; Fmt.str "%.2e" (tps write_ix);
              Fmt.str "%.0fx" (tps write_ix /. tps write_col);
            ]
+        :: [
+             string_of_int n; "3-way equi-join"; "-";
+             Fmt.str "%.2e" (join_tps n join_col); "-"; "-";
+           ]
         :: !rows_out;
       bench_results :=
         Fmt.str
-          "{\"experiment\":\"e16\",\"rows\":%d,\"scan_row_tps\":%.0f,\"scan_col_tps\":%.0f,\"scan_speedup\":%.2f,\"point_row_tps\":%.0f,\"point_col_tps\":%.0f,\"point_indexed_tps\":%.0f,\"range_row_tps\":%.0f,\"range_indexed_tps\":%.0f,\"range2_row_tps\":%.0f,\"range2_indexed_tps\":%.0f,\"write_read_row_tps\":%.0f,\"write_read_indexed_tps\":%.0f}"
+          "{\"experiment\":\"e16\",\"rows\":%d,\"scan_row_tps\":%.0f,\"scan_col_tps\":%.0f,\"scan_speedup\":%.2f,\"point_row_tps\":%.0f,\"point_col_tps\":%.0f,\"point_indexed_tps\":%.0f,\"range_row_tps\":%.0f,\"range_indexed_tps\":%.0f,\"range2_row_tps\":%.0f,\"range2_indexed_tps\":%.0f,\"write_read_row_tps\":%.0f,\"write_read_indexed_tps\":%.0f,\"join_col_tps\":%.0f}"
           n (tps scan_row) (tps scan_col) speedup (tps point_row)
           (tps point_col) (tps point_ix) (tps range_col) (tps range_ix)
           (tps range2_col) (tps range2_ix) (tps write_col) (tps write_ix)
+          (join_tps n join_col)
         :: !bench_results;
       if n >= 1_000_000 && speedup < 5.0 then
         failwith

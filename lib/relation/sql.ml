@@ -489,10 +489,9 @@ let finalize q columns rows =
 (* -- row-at-a-time engine --
 
    The original tuple-at-a-time interpreter, retained verbatim as the
-   reference semantics: the columnar engine must agree with it bag-for-bag
-   (the equivalence property test), and queries the columnar planner
-   cannot handle (3+-way products, predicates it cannot prove total) fall
-   back here. *)
+   reference semantics only: [run] never calls it, and the columnar
+   executor must agree with it bag-for-bag (the equivalence property
+   tests and bench E16 compare the two). *)
 
 let run_rows db q =
   if q.items = [] then sql_error "empty select list";
@@ -567,13 +566,15 @@ let run_rows db q =
    - column resolution failures are compiled into raising closures, so —
      as in the row engine, which resolves per (row, scalar) — an unknown
      column in an item only raises if some row reaches it;
-   - indexes and conjunct reordering are used only when the whole
-     predicate is statically total (cannot raise: no Div/Mod, all
+   - indexes, hash joins and conjunct reordering are used only when the
+     whole predicate is statically total (cannot raise: no Div/Mod, all
      comparisons type-compatible by schema), so evaluation order is
-     unobservable;
-   - emission order reproduces the row engine's scan order (single table:
-     insertion order; join: left-major, right in insertion order), which
-     LIMIT without ORDER BY can observe. *)
+     unobservable. Otherwise no conjunct moves: one frame evaluates the
+     predicate masked, several check it on each complete tuple in the
+     row engine's order;
+   - emission order reproduces the row engine's nested loop (tuples
+     left-major in FROM order, each frame's rows in insertion order),
+     which LIMIT without ORDER BY can observe. *)
 
 type cframe = { cf_alias : string; cf_schema : Schema.t; cf_table : Table.t }
 
@@ -944,10 +945,13 @@ let rec eval_pred_full frames n = function
 
 (* -- index planning (single table) -- *)
 
-let rec conjuncts = function
-  | And (a, b) -> conjuncts a @ conjuncts b
-  | True -> []
-  | p -> [ p ]
+let conjuncts p =
+  let rec go acc = function
+    | And (a, b) -> go (go acc b) a
+    | True -> acc
+    | p -> p :: acc
+  in
+  go [] p
 
 let rec conjoin = function
   | [] -> True
@@ -1015,39 +1019,7 @@ let pick_index frames pred =
       (c, Index.rows ix (lo, hi), List.rev rest))
     (List.find_map access probes)
 
-(* -- single-table execution -- *)
-
-let run_single q table alias =
-  let frames =
-    [| { cf_alias = alias; cf_schema = Table.schema table; cf_table = table } |]
-  in
-  let items = expand_items [ (alias, Table.schema table) ] q.items in
-  let columns = output_columns items in
-  let n = Table.cardinality table in
-  let sel =
-    if pred_total frames q.where then
-      match pick_index frames q.where with
-      | Some (_, rows, rest) -> eval_pred_vec frames rows (conjoin rest)
-      | None -> eval_pred_full frames n q.where
-    else eval_pred_full frames n q.where
-  in
-  let compiled =
-    Array.of_list
-      (List.map
-         (function
-           | Item (s, _) -> compile_scalar frames s
-           | Star -> assert false)
-         items)
-  in
-  let rowbuf = [| 0 |] in
-  let rows = ref [] in
-  for i = Array.length sel - 1 downto 0 do
-    rowbuf.(0) <- sel.(i);
-    rows := Array.map (fun f -> f rowbuf) compiled :: !rows
-  done;
-  finalize q columns !rows
-
-(* -- two-table hash join -- *)
+(* -- the executor: one plan per call, for a FROM list of any length -- *)
 
 (* Hash key of a float: raw bits with NaNs collapsed to one key. Distinct
    floats get distinct keys except where [Float.compare] calls them equal
@@ -1058,198 +1030,221 @@ let float_key f =
   let f = if Float.is_nan f then Float.nan else f in
   Int64.to_int (Int64.bits_of_float f)
 
-(* An equi-join conjunct [left.col = right.col] both sides resolve and
-   whose column types agree (hash keys must be comparable without
-   numeric coercion). Returns [(left column index, right column index,
-   remaining conjuncts)]. *)
-let plan_join frames pred =
-  if not (pred_total frames pred) then None
-  else
-    let col_ty fi ci =
-      snd (List.nth frames.(fi).cf_schema.Schema.columns ci)
-    in
-    let rec go seen = function
-      | [] -> None
-      | p :: rest -> (
-          let key =
-            match p with
-            | Cmp (Eq, Col (qx, cx), Col (qy, cy)) -> (
-                match (resolve_col frames qx cx, resolve_col frames qy cy) with
-                | Ok (0, ci0), Ok (1, ci1) when col_ty 0 ci0 = col_ty 1 ci1 ->
-                    Some (ci0, ci1)
-                | Ok (1, ci1), Ok (0, ci0) when col_ty 0 ci0 = col_ty 1 ci1 ->
-                    Some (ci0, ci1)
-                | _ -> None)
-            | _ -> None
-          in
-          match key with
-          | Some (ci0, ci1) -> Some (ci0, ci1, List.rev_append seen rest)
-          | None -> go (p :: seen) rest)
-    in
-    go [] (conjuncts pred)
-
-let run_join q (t0, a0) (t1, a1) =
-  let frames =
-    [|
-      { cf_alias = a0; cf_schema = Table.schema t0; cf_table = t0 };
-      { cf_alias = a1; cf_schema = Table.schema t1; cf_table = t1 };
-    |]
+(* [probe r]: the rows of [sel] (ascending) whose [build] value equals
+   the [probe] column's value at row [r], as [eval_cmp Eq] decides (NULL
+   meets NULL). The two columns have one type, so keys need no numeric
+   coercion; a string probe translates its dictionary code to [build]'s
+   once per distinct string. *)
+let hash_probe build sel probe =
+  let key = function
+    | Column.Ints a -> fun r -> a.(r)
+    | Column.Floats a -> fun r -> float_key a.(r)
+    | Column.Bools b -> fun r -> Bool.to_int (Bytes.get b r = '\001')
+    | Column.Strings s -> fun r -> s.Column.codes.(r)
   in
-  match plan_join frames q.where with
-  | None -> None
-  | Some (ci0, ci1, rest) ->
-      let items =
-        expand_items
-          [ (a0, Table.schema t0); (a1, Table.schema t1) ]
-          q.items
-      in
-      let columns = output_columns items in
-      let col0 = Table.column_at t0 ci0 and col1 = Table.column_at t1 ci1 in
-      let n0 = Table.cardinality t0 and n1 = Table.cardinality t1 in
-      (* Build on the right table so emission stays left-major with right
-         rows in insertion order — the row engine's nested-loop order. *)
-      let buckets = Hashtbl.create (max 16 n1) in
-      let null_rows = ref [] in
-      let key1 =
-        match col1.Column.payload with
-        | Column.Ints a -> fun i -> a.(i)
-        | Column.Floats a -> fun i -> float_key a.(i)
-        | Column.Bools b -> fun i -> if Bytes.get b i = '\001' then 1 else 0
-        | Column.Strings s -> fun i -> s.Column.codes.(i)
-      in
-      for i = n1 - 1 downto 0 do
-        if Column.is_null col1 i then null_rows := i :: !null_rows
-        else
-          let k = key1 i in
-          Hashtbl.replace buckets k
-            (i
-            :: (match Hashtbl.find_opt buckets k with
-               | Some rows -> rows
-               | None -> []))
-      done;
-      let null_rows = !null_rows in
-      (* Probe-side key translation; NULL probes match the NULL bucket
-         (NULL = NULL holds). Float buckets are re-checked exactly
-         because distinct floats can share a truncated bits key. *)
-      let matches_of =
-        match (col0.Column.payload, col1.Column.payload) with
-        | Column.Ints a0_, _ ->
-            fun l ->
-              (match Hashtbl.find_opt buckets a0_.(l) with
-              | Some rows -> rows
-              | None -> [])
-        | Column.Floats a0_, Column.Floats a1_ ->
-            fun l ->
-              let f = a0_.(l) in
-              List.filter
-                (fun r -> Float.compare a1_.(r) f = 0)
-                (match Hashtbl.find_opt buckets (float_key f) with
-                | Some rows -> rows
-                | None -> [])
-        | Column.Bools b0, _ ->
-            fun l ->
-              (match
-                 Hashtbl.find_opt buckets
-                   (if Bytes.get b0 l = '\001' then 1 else 0)
-               with
-              | Some rows -> rows
-              | None -> [])
-        | Column.Strings s0, _ ->
-            (* translate left dictionary codes to right codes, once per
-               distinct left string *)
-            let xlate = Array.make (max 1 s0.Column.dict_size) (-2) in
-            fun l ->
-              let lcode = s0.Column.codes.(l) in
-              let rcode =
-                match xlate.(lcode) with
-                | -2 ->
-                    let rc =
-                      match
-                        Column.code_of_opt col1 s0.Column.dict.(lcode)
-                      with
-                      | Some c -> c
-                      | None -> -1
-                    in
-                    xlate.(lcode) <- rc;
-                    rc
-                | rc -> rc
-              in
-              if rcode < 0 then []
-              else
-                (match Hashtbl.find_opt buckets rcode with
-                | Some rows -> rows
-                | None -> [])
-        | Column.Floats _, _ -> assert false (* types agree *)
-      in
-      let residual = compile_pred frames (conjoin rest) in
-      let compiled =
-        Array.of_list
-          (List.map
-             (function
-               | Item (s, _) -> compile_scalar frames s
-               | Star -> assert false)
-             items)
-      in
-      let rowbuf = [| 0; 0 |] in
-      let out = ref [] in
-      for l = 0 to n0 - 1 do
-        let candidates =
-          if Column.is_null col0 l then null_rows else matches_of l
-        in
-        List.iter
-          (fun r ->
-            rowbuf.(0) <- l;
-            rowbuf.(1) <- r;
-            if residual rowbuf then
-              out := Array.map (fun f -> f rowbuf) compiled :: !out)
-          candidates
-      done;
-      Some (finalize q columns (List.rev !out))
+  let build_key = key build.Column.payload in
+  let buckets = Hashtbl.create (max 16 (Array.length sel)) in
+  let nulls = ref [] in
+  for k = Array.length sel - 1 downto 0 do
+    let r = sel.(k) in
+    if Column.is_null build r then nulls := r :: !nulls
+    else
+      let h = build_key r in
+      Hashtbl.replace buckets h
+        (r :: Option.value (Hashtbl.find_opt buckets h) ~default:[])
+  done;
+  let nulls = !nulls in
+  let find h = Option.value (Hashtbl.find_opt buckets h) ~default:[] in
+  let matches =
+    match (probe.Column.payload, build.Column.payload) with
+    | Column.Floats p, Column.Floats b ->
+        fun r ->
+          List.filter
+            (fun r' -> Float.compare b.(r') p.(r) = 0)
+            (find (float_key p.(r)))
+    | Column.Strings p, _ ->
+        let xlate = Array.make (max 1 p.Column.dict_size) (-2) in
+        fun r ->
+          let c = p.Column.codes.(r) in
+          if xlate.(c) = -2 then
+            xlate.(c) <-
+              Option.value
+                (Column.code_of_opt build p.Column.dict.(c))
+                ~default:(-1);
+          if xlate.(c) < 0 then [] else find xlate.(c)
+    | payload, _ ->
+        let probe_key = key payload in
+        fun r -> find (probe_key r)
+  in
+  fun r -> if Column.is_null probe r then nulls else matches r
 
-(* -- dispatch -- *)
+let rec scalar_frames frames acc = function
+  | Lit _ -> acc
+  | Col (q, c) -> (
+      match resolve_col frames q c with Ok (fi, _) -> fi :: acc | Error _ -> acc)
+  | Arith (_, a, b) -> scalar_frames frames (scalar_frames frames acc a) b
 
-let resolve_from db q =
+let rec pred_frames frames acc = function
+  | True -> acc
+  | Cmp (_, a, b) -> scalar_frames frames (scalar_frames frames acc a) b
+  | And (a, b) | Or (a, b) -> pred_frames frames (pred_frames frames acc a) b
+  | Not a -> pred_frames frames acc a
+
+(* [Some (j, cj, ci)] when [p] is [col = col] between frame [i]'s column
+   [ci] and column [cj] of an earlier frame [j], both of one type. *)
+let join_key frames i p =
+  match p with
+  | Cmp (Eq, Col (qx, cx), Col (qy, cy)) -> (
+      let ty fi ci = snd (List.nth frames.(fi).cf_schema.Schema.columns ci) in
+      match (resolve_col frames qx cx, resolve_col frames qy cy) with
+      | Ok (fx, ix), Ok (fy, iy) when ty fx ix = ty fy iy ->
+          if fx = i && fy < i then Some (fy, iy, ix)
+          else if fy = i && fx < i then Some (fx, ix, iy)
+          else None
+      | _ -> None)
+  | _ -> None
+
+(* One FROM entry of a plan: the conjuncts that read it alone ([local],
+   served by [index] when an index can), the hash-join key
+   [Some (j, cj, ci)] probing it by frame [j]'s bound row, and the
+   conjuncts [check] whose last frame it is, checked on each of its rows
+   as it is bound. A total predicate is split into conjuncts, each
+   placed at the last frame it reads; a non-total one reads every frame,
+   so it stays whole at the last (with one frame, that frame's masked
+   filter). *)
+type step = {
+  mutable local : pred;
+  mutable index : (string * int array * pred list) option;
+  mutable key : (int * int * int) option;
+  mutable check : pred;
+}
+
+let plan db q =
   if q.items = [] then sql_error "empty select list";
   if q.from = [] then sql_error "empty from list";
   let frames =
-    List.map
-      (fun (table_name, alias) ->
-        match Database.find_table db table_name with
-        | None -> sql_error "no table named %s" table_name
-        | Some t -> (t, Option.value alias ~default:table_name))
-      q.from
+    Array.of_list
+      (List.map
+         (fun (table_name, alias) ->
+           match Database.find_table db table_name with
+           | None -> sql_error "no table named %s" table_name
+           | Some t ->
+               {
+                 cf_alias = Option.value alias ~default:table_name;
+                 cf_schema = Table.schema t;
+                 cf_table = t;
+               })
+         q.from)
   in
-  (let aliases = List.map snd frames in
+  (let aliases = Array.fold_left (fun acc f -> f.cf_alias :: acc) [] frames in
    if List.length (List.sort_uniq String.compare aliases) <> List.length aliases
    then sql_error "duplicate table alias in FROM");
-  frames
+  let n = Array.length frames in
+  let total = pred_total frames q.where in
+  let steps =
+    Array.map
+      (fun _ -> { local = True; index = None; key = None; check = True })
+      frames
+  in
+  let add p = function True -> p | c -> And (c, p) in
+  List.iter
+    (fun p ->
+      let i, alone =
+        if total && n > 1 then
+          let fs = pred_frames frames [] p in
+          let i = List.fold_left Int.max 0 fs in
+          (i, List.for_all (Int.equal i) fs)
+        else (n - 1, n = 1)
+      in
+      let s = steps.(i) in
+      if alone then s.local <- add p s.local
+      else
+        match join_key frames i p with
+        | Some k when Option.is_none s.key -> s.key <- Some k
+        | _ -> s.check <- add p s.check)
+    (if total then conjuncts q.where else [ q.where ]);
+  if total then
+    Array.iteri (fun i s -> s.index <- pick_index [| frames.(i) |] s.local) steps;
+  (frames, steps)
 
 let run db q =
-  match resolve_from db q with
-  | [ (t, alias) ] -> run_single q t alias
-  | [ f0; f1 ] -> (
-      match run_join q f0 f1 with Some r -> r | None -> run_rows db q)
-  | _ -> run_rows db q
+  let frames, steps = plan db q in
+  let items =
+    expand_items
+      (Array.fold_right (fun f acc -> (f.cf_alias, f.cf_schema) :: acc) frames [])
+      q.items
+  in
+  let columns = output_columns items in
+  let compiled =
+    Array.of_list
+      (List.map
+         (function
+           | Item (s, _) -> compile_scalar frames s | Star -> assert false)
+         items)
+  in
+  (* per frame: its rows passing its own conjuncts (ascending), the probe
+     reaching them from an earlier frame's row, and its checks *)
+  let levels =
+    Array.mapi
+      (fun i s ->
+        let f = frames.(i) in
+        let rows =
+          match s.index with
+          | Some (_, rows, rest) -> eval_pred_vec [| f |] rows (conjoin rest)
+          | None -> eval_pred_full [| f |] (Table.cardinality f.cf_table) s.local
+        in
+        let probe =
+          Option.map
+            (fun (j, cj, ci) ->
+              ( j,
+                hash_probe (Table.column_at f.cf_table ci) rows
+                  (Table.column_at frames.(j).cf_table cj) ))
+            s.key
+        in
+        (rows, probe, compile_pred frames s.check))
+      steps
+  in
+  let n = Array.length frames in
+  let rowbuf = Array.make n 0 in
+  (* First the tuples passing every check, in the row engine's order, as
+     [n] row ids each in [ids] (sized for one frame's rows, doubled for
+     joins that outgrow it). *)
+  let first_rows, _, _ = levels.(0) in
+  let ids = ref (Array.make (n * max 1 (Array.length first_rows)) 0) in
+  let count = ref 0 in
+  let rec bind i =
+    if i = n then (
+      if (!count + 1) * n > Array.length !ids then
+        ids := Array.append !ids !ids;
+      for j = 0 to n - 1 do
+        !ids.((!count * n) + j) <- rowbuf.(j)
+      done;
+      incr count)
+    else
+      let rows, probe, check = levels.(i) in
+      let visit r =
+        rowbuf.(i) <- r;
+        if check rowbuf then bind (i + 1)
+      in
+      match probe with
+      | None -> Array.iter visit rows
+      | Some (j, matches) -> List.iter visit (matches rowbuf.(j))
+  in
+  bind 0;
+  (* then their items, last tuple first, so the list comes out in order *)
+  let out = ref [] in
+  for t = !count - 1 downto 0 do
+    for j = 0 to n - 1 do
+      rowbuf.(j) <- !ids.((t * n) + j)
+    done;
+    out := Array.map (fun f -> f rowbuf) compiled :: !out
+  done;
+  finalize q columns !out
 
 let explain_engine db q =
-  match resolve_from db q with
-  | [ (t, alias) ] ->
-      let frames =
-        [| { cf_alias = alias; cf_schema = Table.schema t; cf_table = t } |]
-      in
-      if pred_total frames q.where then
-        match pick_index frames q.where with
-        | Some (c, _, _) -> `Columnar_indexed c
-        | None -> `Columnar
-      else `Columnar
-  | [ (t0, a0); (t1, a1) ] ->
-      let frames =
-        [|
-          { cf_alias = a0; cf_schema = Table.schema t0; cf_table = t0 };
-          { cf_alias = a1; cf_schema = Table.schema t1; cf_table = t1 };
-        |]
-      in
-      if plan_join frames q.where <> None then `Columnar_join else `Rows
-  | _ -> `Rows
+  match plan db q with
+  | _, [| { index = Some (c, _, _); _ } |] -> `Columnar_indexed c
+  | _, [| _ |] -> `Columnar
+  | _ -> `Columnar_join
 
 let run_string db sql = run db (parse sql)

@@ -66,27 +66,29 @@ val run : Database.t -> query -> result
     tables or columns, ambiguous references, or type errors in
     predicates.
 
-    Single-table queries and two-table equi-joins run on the columnar
-    engine: batch predicate kernels over the tables' column vectors,
-    dictionary-coded string comparisons, hash joins, and any declared
-    {!Table.declare_index} access paths. Other shapes fall back to
-    {!run_rows}. The engines agree bag-for-bag on results, and a query
-    that raises in one raises in the other (messages may differ when
-    several rows independently raise — discovery order is the engine's
-    own). *)
+    One columnar executor serves every FROM list: batch predicate kernels
+    over the tables' column vectors, dictionary-coded string comparisons
+    and any declared {!Table.declare_index} access paths filter each
+    frame, and frames join in FROM order, by a hash probe on a
+    [col = col] conjunct with an earlier frame or else by a nested loop.
+    Indexes, hash joins and conjunct reordering apply only to predicates
+    that cannot raise; otherwise the predicate is checked whole, as
+    {!run_rows} checks it. The two agree bag-for-bag on results, emit
+    rows in the same order, and a query that raises in one raises in the
+    other (messages may differ when several rows independently raise —
+    discovery order is the engine's own). *)
 
 val run_rows : Database.t -> query -> result
-(** The reference row-at-a-time interpreter (the pre-columnar engine).
-    Kept as the oracle for equivalence tests and as the fallback for
-    query shapes the columnar planner does not cover. *)
+(** The reference row-at-a-time interpreter (the pre-columnar engine),
+    kept only as the oracle that tests and benchmarks compare {!run}
+    against; {!run} never calls it. *)
 
 val explain_engine :
-  Database.t ->
-  query ->
-  [ `Rows | `Columnar | `Columnar_indexed of string | `Columnar_join ]
-(** Which engine {!run} would use, without executing the data-flow
-    ([`Columnar_indexed c] names the column whose index serves the
-    probe). Raises like {!run} on FROM-clause errors. *)
+  Database.t -> query -> [ `Columnar | `Columnar_indexed of string | `Columnar_join ]
+(** The access path {!run} takes, without executing the data-flow: a
+    single-table scan, a single-table scan served by the index on the
+    named column, or a join of several frames. Raises like {!run} on
+    FROM-clause errors. *)
 
 val run_string : Database.t -> string -> result
 (** [run_string db sql] = [run db (parse sql)]. *)

@@ -1265,13 +1265,83 @@ let sql_rows_gen =
          (oneofl [ "a"; "ab"; "b"; "c%"; "_d"; "" ])
          (frequency [ (6, map Option.some (int_range 0 40)); (1, return None) ])))
 
-let sql_col_names = [ "id"; "name"; "salary" ]
+(* A second table: its float column gives joins float keys (-0. among
+   them, which must meet 0.), and its strings live in another dictionary
+   than person's. *)
+let dept_schema =
+  Schema.make
+    [ ("id", Schema.TInt); ("name", Schema.TString); ("score", Schema.TFloat) ]
 
-(* Leaves deliberately include ill-typed comparisons (name < 3), NULL
-   literals, Div/Mod with zero divisors and negative numerics: the
-   engines must agree on errors as well as answers. *)
-let sql_pred_gen =
+let dept_rows_gen =
+  QCheck.Gen.(
+    list_size (int_range 0 12)
+      (map3
+         (fun id name score ->
+           [|
+             V.Int id;
+             V.String name;
+             (match score with Some s -> V.Float s | None -> V.Null);
+           |])
+         (int_range 0 12)
+         (oneofl [ "ab"; "b"; "zz"; "_d"; "" ])
+         (frequency
+            [
+              (6, map (fun i -> Some (float_of_int i /. 2.)) (int_range (-2) 6));
+              (2, return (Some (-0.)));
+              (1, return None);
+            ])))
+
+let sql_schema_of = function "dept" -> dept_schema | _ -> sql_schema
+
+(* FROM lists of one to three frames: a lone [person], bare or aliased,
+   or [a], [b], [c] each over [person] or, now and then, [dept]. *)
+let sql_from_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, return [ ("person", None) ]);
+        (1, map (fun t -> [ (t, Some "a") ]) (oneofl [ "person"; "dept" ]));
+        ( 4,
+          int_range 2 3 >>= fun n ->
+          map
+            (List.mapi (fun i t -> (t, Some (List.nth [ "a"; "b"; "c" ] i))))
+            (list_repeat n
+               (frequency [ (2, return "person"); (1, return "dept") ])) );
+      ])
+
+let sql_frame_name (table, alias) = Option.value alias ~default:table
+
+(* A column of one of [from]'s frames whose type satisfies [ty], with its
+   name; qualified or bare. Across several frames a bare name is mostly
+   one only a single frame has; now and then it is ambiguous, which both
+   engines must reject alike. *)
+let sql_col_gen ?(ty = fun _ -> true) from =
+  QCheck.Gen.(
+    oneofl from >>= fun frame ->
+    oneofl
+      (List.filter
+         (fun (_, t) -> ty t)
+         (sql_schema_of (fst frame)).Schema.columns)
+    >>= fun (c, _) ->
+    let owners =
+      List.length
+        (List.filter (fun (t, _) -> Schema.mem (sql_schema_of t) c) from)
+    in
+    map
+      (fun bare ->
+        (Sql.Col ((if bare then None else Some (sql_frame_name frame)), c), c))
+      (if List.length from = 1 then bool
+       else if owners = 1 then map (( = ) 0) (int_bound 2)
+       else map (( = ) 0) (int_bound 40)))
+
+let sql_int_col from = QCheck.Gen.map fst (sql_col_gen ~ty:(( = ) Schema.TInt) from)
+
+(* Leaves deliberately include ill-typed comparisons (name < 3, LIKE on
+   an int column), NULL literals, Div/Mod with zero divisors and negative
+   numerics: the engines must agree on errors as well as answers. *)
+let sql_pred_gen from =
   let open QCheck.Gen in
+  let col = map fst (sql_col_gen from) in
   let lit =
     oneof
       [
@@ -1283,16 +1353,15 @@ let sql_pred_gen =
         return (Sql.Lit V.Null);
       ]
   in
+  let ops = [ Sql.Eq; Sql.Ne; Sql.Lt; Sql.Le; Sql.Gt; Sql.Ge ] in
   (* Two comparisons on one numeric column, as an index slice serves
      them: bounds that cross (empty intervals), equality with a range,
-     NULL and float bounds, either operand first, qualified or bare. *)
+     NULL and float bounds, either operand first. *)
   let two_bounds =
     let bound c =
       map3
-        (fun op l (qualified, flipped) ->
-          let col = Sql.Col ((if qualified then Some "person" else None), c) in
-          if flipped then Sql.Cmp (op, l, col) else Sql.Cmp (op, col, l))
-        (oneofl [ Sql.Eq; Sql.Ne; Sql.Lt; Sql.Le; Sql.Gt; Sql.Ge ])
+        (fun op l flipped -> if flipped then Sql.Cmp (op, l, c) else Sql.Cmp (op, c, l))
+        (oneofl ops)
         (frequency
            [
              (6, map (fun i -> Sql.Lit (V.Int i)) (int_range (-2) 42));
@@ -1302,35 +1371,32 @@ let sql_pred_gen =
                  (int_range (-4) 84) );
              (1, return (Sql.Lit V.Null));
            ])
-        (pair bool bool)
+        bool
     in
-    oneofl [ "id"; "salary" ] >>= fun c ->
-    map2 (fun a b -> Sql.And (a, b)) (bound c) (bound c)
+    sql_int_col from >>= fun c -> map2 (fun a b -> Sql.And (a, b)) (bound c) (bound c)
   in
   let leaf =
-    oneof
+    frequency
       [
-        map3
-          (fun c op l -> Sql.Cmp (op, Sql.Col (None, c), l))
-          (oneofl sql_col_names)
-          (oneofl [ Sql.Eq; Sql.Ne; Sql.Lt; Sql.Le; Sql.Gt; Sql.Ge ])
-          lit;
-        map
-          (fun p ->
-            Sql.Cmp (Sql.Like, Sql.Col (None, "name"), Sql.Lit (V.String p)))
-          (oneofl [ "a%"; "%b"; "_d"; "%"; "a_"; "c\\%"; "" ]);
-        map3
-          (fun aop k m ->
-            Sql.Cmp
-              ( Sql.Lt,
-                Sql.Arith (aop, Sql.Col (None, "salary"), Sql.Lit (V.Int k)),
-                Sql.Lit (V.Int m) ))
-          (oneofl [ Sql.Add; Sql.Sub; Sql.Mul; Sql.Div; Sql.Mod ])
-          (int_range (-2) 3) (int_range 0 40);
-        map2
-          (fun a b -> Sql.Cmp (Sql.Eq, Sql.Col (None, a), Sql.Col (None, b)))
-          (oneofl sql_col_names) (oneofl sql_col_names);
-        two_bounds;
+        (3, map3 (fun c op l -> Sql.Cmp (op, c, l)) col (oneofl ops) lit);
+        ( 2,
+          map2
+            (fun c p -> Sql.Cmp (Sql.Like, c, Sql.Lit (V.String p)))
+            (frequency
+               [
+                 (4, map fst (sql_col_gen ~ty:(( = ) Schema.TString) from));
+                 (1, sql_int_col from);
+               ])
+            (oneofl [ "a%"; "%b"; "_d"; "%"; "a_"; "c\\%"; "" ]) );
+        ( 2,
+          map4
+            (fun c aop k m ->
+              Sql.Cmp (Sql.Lt, Sql.Arith (aop, c, Sql.Lit (V.Int k)), Sql.Lit (V.Int m)))
+            (sql_int_col from)
+            (oneofl [ Sql.Add; Sql.Sub; Sql.Mul; Sql.Div; Sql.Mod ])
+            (int_range (-2) 3) (int_range 0 40) );
+        (2, map3 (fun op a b -> Sql.Cmp (op, a, b)) (oneofl ops) col col);
+        (2, two_bounds);
       ]
   in
   fix
@@ -1354,76 +1420,122 @@ let sql_pred_gen =
           ])
     2
 
-(* Projected columns (never empty) plus an optional computed item; the
-   column list comes along so ORDER BY can pick a selected column. *)
-let sql_items_gen =
+(* How each frame after the first meets an earlier one: an equality on a
+   column both tables have (a hash-join key: int, string across two
+   dictionaries, nullable int or float), a theta comparison, or nothing
+   (a cross product). *)
+let sql_links_gen from =
+  let open QCheck.Gen in
+  let frames = Array.of_list from in
+  let link i =
+    int_bound (i - 1) >>= fun j ->
+    let col k c = Sql.Col (Some (sql_frame_name frames.(k)), c) in
+    let schema k = sql_schema_of (fst frames.(k)) in
+    frequency
+      [
+        ( 4,
+          map
+            (fun c -> [ Sql.Cmp (Sql.Eq, col i c, col j c) ])
+            (oneofl
+               (List.filter (Schema.mem (schema j))
+                  (Schema.column_names (schema i)))) );
+        ( 1,
+          map
+            (fun op -> [ Sql.Cmp (op, col j "id", col i "id") ])
+            (oneofl [ Sql.Lt; Sql.Ge; Sql.Ne ]) );
+        (1, return []);
+      ]
+  in
+  map List.concat (flatten_l (List.init (Array.length frames - 1) (fun i -> link (i + 1))))
+
+(* Projected columns (never empty, or [*]) plus an optional computed
+   item; the output names come along so ORDER BY can pick one. *)
+let sql_items_gen from =
   QCheck.Gen.(
-    map2
-      (fun mask arith ->
-        let cols =
-          List.filteri (fun i _ -> mask land (1 lsl i) <> 0) sql_col_names
-        in
-        let cols = if cols = [] then [ "id" ] else cols in
-        let base = List.map (fun c -> Sql.Item (Sql.Col (None, c), None)) cols in
-        let items =
-          if arith then
-            base
-            @ [
-                Sql.Item
-                  ( Sql.Arith
-                      (Sql.Mul, Sql.Col (None, "salary"), Sql.Lit (V.Int 2)),
-                    Some "s2" );
-              ]
-          else base
-        in
-        (cols, items))
-      (int_range 1 7) bool)
+    frequency
+      [
+        ( 1,
+          return
+            ( List.concat_map
+                (fun (t, _) -> Schema.column_names (sql_schema_of t))
+                from,
+              [ Sql.Star ] ) );
+        ( 5,
+          map2
+            (fun cols arith ->
+              let base = List.map (fun (c, _) -> Sql.Item (c, None)) cols in
+              match arith with
+              | Some c ->
+                  ( List.map snd cols @ [ "s2" ],
+                    base @ [ Sql.Item (Sql.Arith (Sql.Mul, c, Sql.Lit (V.Int 2)), Some "s2") ] )
+              | None -> (List.map snd cols, base))
+            (list_size (int_range 1 3) (sql_col_gen from))
+            (opt (sql_int_col from)) );
+      ])
 
 let sql_query_gen =
   QCheck.Gen.(
+    sql_from_gen >>= fun from ->
     map3
-      (fun (cols, items) pred ((distinct, ob), limit) ->
+      (fun (names, items) (links, pred) ((distinct, ob), limit) ->
         let order_by =
           match ob with
           | None -> []
           | Some (i, desc) ->
               [
-                ( Sql.Col (None, List.nth cols (i mod List.length cols)),
+                ( Sql.Col (None, List.nth names (i mod List.length names)),
                   if desc then `Desc else `Asc );
               ]
         in
-        Sql.select ~distinct ~where:pred ~order_by ?limit items
-          [ ("person", None) ])
-      sql_items_gen sql_pred_gen
+        let where =
+          List.fold_right (fun l p -> Sql.And (l, p)) links
+            (Option.value pred ~default:Sql.True)
+        in
+        Sql.select ~distinct ~where ~order_by ?limit items from)
+      (sql_items_gen from)
+      (pair (sql_links_gen from) (opt ~ratio:0.85 (sql_pred_gen from)))
       (pair
          (pair bool (opt (pair (int_range 0 2) bool)))
          (opt (int_range 0 10))))
 
+(* Columns and the bag of rows (as a sorted list: output names repeat
+   when frames share column names), or that the query raised. *)
 let sql_outcome engine db q =
   match engine db q with
-  | r -> Ok (r.Sql.columns, Sql.result_to_bag r)
+  | r -> Ok (r.Sql.columns, List.sort compare r.Sql.rows)
   | exception Sql.Sql_error _ -> Error ()
 
+let sql_engines_agree db q = sql_outcome Sql.run db q = sql_outcome Sql.run_rows db q
+
+(* [person] and [dept] in one database; [person] is returned for writes. *)
+let sql_db person dept =
+  let db = Database.create ~name:"prop" in
+  let t = Database.create_table db ~name:"person" sql_schema in
+  Table.insert_all t person;
+  Table.insert_all (Database.create_table db ~name:"dept" dept_schema) dept;
+  (db, t)
+
 let prop_columnar_matches_rows =
-  let gen = QCheck.Gen.triple sql_rows_gen sql_query_gen QCheck.Gen.bool in
+  let gen =
+    QCheck.Gen.(pair (pair sql_rows_gen dept_rows_gen) (pair sql_query_gen bool))
+  in
   QCheck.Test.make ~name:"columnar engine = row oracle on random queries"
-    ~count:300
+    ~count:300 ~long_factor:20
     (QCheck.make
-       ~print:(fun (rows, q, ix) ->
-         Fmt.str "%s over %d rows%s" (Sql.to_string q) (List.length rows)
+       ~print:(fun ((rows, dept), (q, ix)) ->
+         Fmt.str "%s over %d person, %d dept rows%s" (Sql.to_string q)
+           (List.length rows) (List.length dept)
            (if ix then " [indexed]" else ""))
        gen)
-    (fun (rows, q, ix) ->
-      let db = Database.create ~name:"prop" in
-      let t = Database.create_table db ~name:"person" sql_schema in
-      Table.insert_all t rows;
+    (fun ((rows, dept), (q, ix)) ->
+      let db, t = sql_db rows dept in
       if ix then (
+        let d = Database.get_table db "dept" in
         Table.declare_index t ~column:"id" Index.Hash;
-        Table.declare_index t ~column:"salary" Index.Sorted);
-      match (sql_outcome Sql.run db q, sql_outcome Sql.run_rows db q) with
-      | Ok (ca, ba), Ok (cb, bb) -> ca = cb && V.equal ba bb
-      | Error (), Error () -> true
-      | _ -> false)
+        Table.declare_index t ~column:"salary" Index.Sorted;
+        Table.declare_index d ~column:"name" Index.Hash;
+        Table.declare_index d ~column:"score" Index.Sorted);
+      sql_engines_agree db q)
 
 (* -- indexes maintained across writes -- *)
 
@@ -1474,19 +1586,19 @@ let snapshot_matches_fresh t (column, kind) =
 
 let prop_maintained_indexes =
   let gen =
-    QCheck.Gen.(pair sql_rows_gen (list_size (int_range 1 12) table_op_gen))
+    QCheck.Gen.(
+      triple sql_rows_gen dept_rows_gen (list_size (int_range 1 12) table_op_gen))
   in
   QCheck.Test.make ~name:"maintained indexes = fresh builds and the row oracle"
-    ~count:200
+    ~count:200 ~long_factor:20
     (QCheck.make
-       ~print:(fun (rows, ops) ->
-         Fmt.str "%d rows; %s" (List.length rows)
+       ~print:(fun (rows, dept, ops) ->
+         Fmt.str "%d person, %d dept rows; %s" (List.length rows)
+           (List.length dept)
            (String.concat "; " (List.map pp_table_op ops)))
        gen)
-    (fun (rows, ops) ->
-      let db = Database.create ~name:"prop" in
-      let t = Database.create_table db ~name:"person" sql_schema in
-      Table.insert_all t rows;
+    (fun (rows, dept, ops) ->
+      let db, t = sql_db rows dept in
       List.iter
         (fun (column, kind) ->
           Table.declare_index t ~column kind;
@@ -1505,10 +1617,7 @@ let prop_maintained_indexes =
                 (Table.delete_where t (fun row -> V.equal row.(1) (V.String n)));
               true
           | Query q ->
-              (match (sql_outcome Sql.run db q, sql_outcome Sql.run_rows db q) with
-              | Ok (ca, ba), Ok (cb, bb) -> ca = cb && V.equal ba bb
-              | Error (), Error () -> true
-              | _ -> false)
+              sql_engines_agree db q
               && List.for_all (snapshot_matches_fresh t) indexed_columns)
         ops)
 
@@ -1835,12 +1944,13 @@ let () =
             prop_batch_transparent;
             prop_shard_twin_equivalent;
             prop_verdict_reused;
-            prop_columnar_matches_rows;
-            prop_maintained_indexes;
             prop_sql_print_parse_stable;
             prop_identity_rewrites;
             prop_prepared_hit_equals_fresh;
           ] );
+      ( "sql-oracle",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_columnar_matches_rows; prop_maintained_indexes ] );
       ( "walks",
         [ Alcotest.test_case "walk orders" `Quick test_walk_orders ] );
       ( "batching",

@@ -400,6 +400,18 @@ let engine_queries =
     "SELECT p.id, q.id FROM person p, person q WHERE p.id = q.salary";
     "SELECT p.id FROM person p, person q WHERE p.id = q.id AND q.salary > 200";
     "SELECT p.id FROM person p, person q WHERE p.name = q.name AND p.id < 3";
+    "SELECT p.id, r.name FROM person p, person q, person r WHERE p.id = q.id \
+     AND q.id = r.id AND p.salary > 100";
+    "SELECT p.id, q.name FROM person p, person q, person r WHERE r.name = \
+     p.name AND q.salary = r.salary AND p.id < 4 AND q.id < 30";
+    "SELECT p.id, q.id, r.id FROM person p, person q, person r WHERE p.id < 3 \
+     AND q.id < 4 AND r.id < 5";
+    "SELECT * FROM person p, person q, person r WHERE p.id < q.id AND \
+     q.id < r.id AND r.id < 6";
+    "SELECT p.id, q.id FROM person p, person q WHERE p.id < 5 AND q.salary \
+     / (p.id + 1) > 3";
+    "SELECT p.id, q.id FROM person p, person q WHERE p.id < 5 AND q.id % 7 \
+     = p.id LIMIT 9";
   ]
 
 let test_engine_equivalence () =
@@ -414,8 +426,14 @@ let test_engine_dispatch () =
   Alcotest.(check bool) "equi-join is columnar" true
     (engine "SELECT p.id FROM person p, person q WHERE p.id = q.id"
     = `Columnar_join);
-  Alcotest.(check bool) "cross join falls back" true
-    (engine "SELECT p.id FROM person p, person q WHERE p.id < q.id" = `Rows)
+  Alcotest.(check bool) "theta join is columnar" true
+    (engine "SELECT p.id FROM person p, person q WHERE p.id < q.id"
+    = `Columnar_join);
+  Alcotest.(check bool) "three-way cross join is columnar" true
+    (engine "SELECT p.id FROM person p, person q, person r" = `Columnar_join);
+  Alcotest.(check bool) "non-total join is columnar" true
+    (engine "SELECT p.id FROM person p, person q WHERE p.id / q.id = 1"
+    = `Columnar_join)
 
 let test_index_declare () =
   let _, t = big_db () in
