@@ -913,9 +913,10 @@ let serve_cmd =
   let inflight_arg =
     let doc =
       "Admission limit: the number of worker threads, i.e. queries \
-       executing concurrently. Each worker owns a private mediator \
-       replica of the federation; they share one wall-clock scheduler \
-       and one metrics registry."
+       executing concurrently. Every worker queries the one mediator of \
+       the federation, so they share its plan cache, cost model, \
+       breaker state and answer cache, its wall-clock scheduler and its \
+       metrics registry."
     in
     Arg.(value & opt int 4 & info [ "inflight" ] ~docv:"N" ~doc)
   in
@@ -939,16 +940,12 @@ let serve_cmd =
       let sched = Scheduler.wall ?domains () in
       let metrics = Metrics.create () in
       let opts = conf_qopts conf in
-      let meds =
-        Array.init inflight (fun _ ->
-            let cache =
-              if conf.Conf.use_cache then Some (Answer_cache.create ())
-              else None
-            in
-            build_mediator ?cache ~metrics ~sched conf)
+      let cache =
+        if conf.Conf.use_cache then Some (Answer_cache.create ()) else None
       in
-      let worker i ~tenant:_ oql =
-        match Mediator.query ~opts meds.(i) oql with
+      let med = build_mediator ?cache ~metrics ~sched conf in
+      let worker ~tenant:_ oql =
+        match Mediator.query ~opts med oql with
         | o ->
             Server.Answered
               {

@@ -776,7 +776,7 @@ let pp_report ppf r =
     r.r_diags;
   Fmt.pf ppf "@]"
 
-let json_string s = "\"" ^ Check.json_escape s ^ "\""
+let json_string = Disco_obs.Trace.json_string
 let json_list items = "[" ^ String.concat "," items ^ "]"
 let json_strings ss = json_list (List.map json_string ss)
 

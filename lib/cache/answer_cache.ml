@@ -58,7 +58,11 @@ let key ~repo expr = repo ^ "|" ^ Expr.to_string (normalize expr)
 
 type entry = { e_value : V.t; e_version : int; e_stored_at : float }
 
+(* One mediator's cache serves every query, from several threads at
+   once: [lock] guards the LRU and the counters, and is held only across
+   their own reads and writes. *)
 type t = {
+  lock : Mutex.t;
   lru : (string, entry) Lru.t;
   mutable hits : int;
   mutable misses : int;
@@ -69,6 +73,7 @@ type t = {
 
 let create ?(capacity = 512) () =
   {
+    lock = Mutex.create ();
     lru = Lru.create ~capacity ();
     hits = 0;
     misses = 0;
@@ -77,7 +82,10 @@ let create ?(capacity = 512) () =
     stale_ms = 0.0;
   }
 
+let locked t f = Mutex.protect t.lock f
+
 let find_fresh t ~key ~version =
+  locked t @@ fun () ->
   match Lru.find t.lru key with
   | Some e when e.e_version = version ->
       t.hits <- t.hits + 1;
@@ -92,23 +100,32 @@ let find_fresh t ~key ~version =
       None
 
 let find_stale t ~key ~now ~max_stale_ms =
-  match Lru.find t.lru key with
-  | Some e when now -. e.e_stored_at <= max_stale_ms ->
-      let age = now -. e.e_stored_at in
-      t.stale_served <- t.stale_served + 1;
-      t.stale_ms <- Float.max t.stale_ms age;
+  let found =
+    locked t @@ fun () ->
+    match Lru.find t.lru key with
+    | Some e when now -. e.e_stored_at <= max_stale_ms ->
+        let age = now -. e.e_stored_at in
+        t.stale_served <- t.stale_served + 1;
+        t.stale_ms <- Float.max t.stale_ms age;
+        Some (e.e_value, age)
+    | Some _ | None -> None
+  in
+  Option.iter
+    (fun (_, age) ->
       Log.info (fun m ->
-          m "serving %s from cache at staleness %.1f ms" key age);
-      Some (e.e_value, age)
-  | Some _ | None -> None
+          m "serving %s from cache at staleness %.1f ms" key age))
+    found;
+  found
 
 let store t ~key ~version ~now value =
-  Lru.add t.lru key
-    { e_value = value; e_version = version; e_stored_at = now }
+  locked t (fun () ->
+      Lru.add t.lru key
+        { e_value = value; e_version = version; e_stored_at = now })
 
 let invalidate_repo t repo =
   let prefix = repo ^ "|" in
   let plen = String.length prefix in
+  locked t @@ fun () ->
   List.iter
     (fun (k, _) ->
       if String.length k >= plen && String.sub k 0 plen = prefix then
@@ -127,6 +144,7 @@ type stats = {
 }
 
 let stats (t : t) =
+  locked t @@ fun () ->
   {
     hits = t.hits;
     misses = t.misses;

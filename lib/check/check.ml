@@ -974,29 +974,15 @@ let report ?metrics diags =
       | Warning -> Log.debug (fun f -> f "%a" pp_diag d))
     diags
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let json_string = Disco_obs.Trace.json_string
 
 let json_of_diags entries =
   let item (file, d) =
     Printf.sprintf
-      {|{"file":"%s","code":"%s","severity":"%s","path":"%s","message":"%s"}|}
-      (json_escape file) (json_escape d.d_code)
+      {|{"file":%s,"code":%s,"severity":"%s","path":%s,"message":%s}|}
+      (json_string file) (json_string d.d_code)
       (severity_name d.d_severity)
-      (json_escape d.d_path)
-      (json_escape d.d_message)
+      (json_string d.d_path)
+      (json_string d.d_message)
   in
   "[" ^ String.concat "," (List.map item (sort_diags entries)) ^ "]"

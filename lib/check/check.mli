@@ -219,10 +219,6 @@ val report : ?metrics:Disco_obs.Metrics.t -> diag list -> unit
 
 val severity_name : severity -> string
 
-val json_escape : string -> string
-(** The body of a JSON string literal for [s] (quotes, backslashes and
-    control characters escaped). *)
-
 val json_of_diags : (string * diag) list -> string
 (** Machine-readable rendering of [(file, diag)] pairs: a JSON array in
     {!sort_diags} order — stable across runs so future tooling can diff

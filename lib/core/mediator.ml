@@ -149,8 +149,12 @@ type t = {
   sources : (string, Source.t) Hashtbl.t;
   pipeline : Pipeline.t;
   plan_cache : (plan_key, cached_plan) Lru.t;
-  mutable plan_hits : int;
-  mutable plan_misses : int;
+  plan_lock : Mutex.t;
+      (* one mediator serves queries from several threads and domains:
+         this guards [plan_cache], and is held only across its own reads
+         and writes, never while planning *)
+  plan_hits : int Atomic.t;
+  plan_misses : int Atomic.t;
   cache : Answer_cache.t option;
   trace_sink : Trace.sink option;
   metrics : Metrics.t;
@@ -180,8 +184,9 @@ let create ?(config = Config.default) ~name () =
         ~params:config.Config.params ~metrics:config.Config.metrics
         ~batch:config.Config.batch ~check:config.Config.check ~cost registry;
     plan_cache = Lru.create ~capacity:config.Config.plan_cache_capacity ();
-    plan_hits = 0;
-    plan_misses = 0;
+    plan_lock = Mutex.create ();
+    plan_hits = Atomic.make 0;
+    plan_misses = Atomic.make 0;
     cache = config.Config.cache;
     trace_sink = config.Config.trace_sink;
     metrics = config.Config.metrics;
@@ -201,16 +206,18 @@ let answer_cache_stats t = Option.map Answer_cache.stats t.cache
 let metrics t = t.metrics
 let retry_policy t = t.retry
 let breaker_snapshot t = Runtime.Breaker.snapshot t.breaker
+let with_plans t f = Mutex.protect t.plan_lock (fun () -> f t.plan_cache)
+let clear_plans t = with_plans t Lru.clear
 
 (* A new source or wrapper changes what [can_push] and the verifier
    resolve, so cached plans and their verdicts no longer hold. *)
 let register_source t ~name source =
   Hashtbl.replace t.sources name source;
-  Lru.clear t.plan_cache
+  clear_plans t
 
 let register_wrapper t ~name wrapper =
   Pipeline.register_wrapper t.pipeline ~name wrapper;
-  Lru.clear t.plan_cache
+  clear_plans t
 
 let find_source t name = Hashtbl.find_opt t.sources name
 
@@ -237,7 +244,7 @@ let declare_index t ~repo ~table ~column ~kind =
               | () ->
                   Cost_model.declare_index t.cost ~repo ~attr:column ~kind;
                   (* estimates for this repo just changed shape *)
-                  Lru.clear t.plan_cache
+                  clear_plans t
               | exception Schema.Schema_error m ->
                   mediator_error "declare_index: %s" m)))
 
@@ -423,15 +430,19 @@ let apply_semantics t semantics answer =
    cache, the stage spans and the capability fallback. *)
 
 (* The entry cached under [key], if it was made at the current registry
-   version. *)
+   version. Every query looks here, so the lock is taken without a
+   closure. *)
 let cached t key =
-  match Lru.find t.plan_cache key with
+  Mutex.lock t.plan_lock;
+  let found = Lru.find t.plan_cache key in
+  Mutex.unlock t.plan_lock;
+  match found with
   | Some entry when entry.c_version = Registry.version t.registry -> Some entry
   | Some _ | None -> None
 
 let plan_hit t ~tr entry =
   in_span t tr "optimize" (fun () ->
-      t.plan_hits <- t.plan_hits + 1;
+      Atomic.incr t.plan_hits;
       Metrics.incr t.metrics "plan_cache.hit";
       span_meta tr "plan_cache" "hit";
       (entry, true))
@@ -443,7 +454,7 @@ let plan t ~tr ~key located =
   | Some entry -> plan_hit t ~tr entry
   | None ->
       in_span t tr "optimize" (fun () ->
-          t.plan_misses <- t.plan_misses + 1;
+          Atomic.incr t.plan_misses;
           Metrics.incr t.metrics "plan_cache.miss";
           span_meta tr "plan_cache" "miss";
           let choice = Pipeline.optimize t.pipeline located in
@@ -459,7 +470,7 @@ let plan t ~tr ~key located =
               c_version = Registry.version t.registry;
             }
           in
-          Lru.add t.plan_cache key entry;
+          with_plans t (fun plans -> Lru.add plans key entry);
           (entry, false))
 
 (* Execute a planned query. The outcome carries the runtime's answer,
@@ -839,18 +850,19 @@ let source_stats t =
   Hashtbl.fold (fun name src acc -> (name, Source.stats src) :: acc) t.sources []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let plan_cache_size t = Lru.length t.plan_cache
+let plan_cache_size t = with_plans t Lru.length
 
 let plan_cache_stats t =
+  with_plans t @@ fun plans ->
   {
-    p_hits = t.plan_hits;
-    p_misses = t.plan_misses;
-    p_size = Lru.length t.plan_cache;
-    p_capacity = Lru.capacity t.plan_cache;
-    p_evictions = Lru.evictions t.plan_cache;
+    p_hits = Atomic.get t.plan_hits;
+    p_misses = Atomic.get t.plan_misses;
+    p_size = Lru.length plans;
+    p_capacity = Lru.capacity plans;
+    p_evictions = Lru.evictions plans;
   }
 
 let clear_plan_cache t =
-  Lru.clear t.plan_cache;
-  t.plan_hits <- 0;
-  t.plan_misses <- 0
+  clear_plans t;
+  Atomic.set t.plan_hits 0;
+  Atomic.set t.plan_misses 0

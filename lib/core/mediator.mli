@@ -274,7 +274,13 @@ val query : ?opts:Query_opts.t -> t -> string -> outcome
     the query's span tree after the outcome is computed: phases parse →
     expand → compile → optimize → execute with one exec leaf per issued
     exec on a plan-cache miss, only optimize → execute on a hit, and one
-    optimize/execute pair per hybrid fragment. *)
+    optimize/execute pair per hybrid fragment.
+    Queries may run concurrently on one mediator, from several threads
+    and domains (as [discoctl serve]'s workers do): the plan cache, cost
+    model, breaker table, answer cache and source counters it shares
+    are each safe to use at once. Two concurrent misses on one key may
+    both plan it. Registering sources, wrappers, indexes or ODL while
+    queries run is not supported. *)
 
 val answer_oql : answer -> string
 (** The OQL text of an answer: a collection literal for {!Complete}, the

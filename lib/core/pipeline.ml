@@ -9,10 +9,14 @@ module Check = Disco_check.Check
 module Cost_model = Disco_cost.Cost_model
 module Wrapper = Disco_wrapper.Wrapper
 
+(* Registered wrappers, then constructed ones cached by name. Every
+   query of one mediator reads it and a miss may add to it, so [lock]
+   guards the table. *)
+type wrappers = { lock : Mutex.t; by_name : (string, Wrapper.t) Hashtbl.t }
+
 type t = {
   registry : Registry.t;
-  wrappers : (string, Wrapper.t) Hashtbl.t;
-      (* registered wrappers, then constructed ones cached by name *)
+  wrappers : wrappers;
   params : Plan.params;
   metrics : Disco_obs.Metrics.t option;
   batch : bool;
@@ -23,7 +27,8 @@ type t = {
 (* -- resolvers -- *)
 
 let find_wrapper reg wrappers name =
-  match Hashtbl.find_opt wrappers name with
+  Mutex.protect wrappers.lock @@ fun () ->
+  match Hashtbl.find_opt wrappers.by_name name with
   | Some w -> Some w
   | None ->
       let w =
@@ -31,7 +36,7 @@ let find_wrapper reg wrappers name =
             Wrapper.of_constructor_args o.Registry.obj_constructor
               o.Registry.obj_args)
       in
-      Option.iter (Hashtbl.replace wrappers name) w;
+      Option.iter (Hashtbl.replace wrappers.by_name name) w;
       w
 
 let extent_wrapper reg wrappers ext =
@@ -46,7 +51,7 @@ let extent_repo reg ext =
 let create ?(source_known = fun _ -> false) ?(params = Plan.default_params)
     ?metrics ?(batch = true) ?(check = Check.Warn)
     ?(cost = Cost_model.create ()) registry =
-  let wrappers = Hashtbl.create 16 in
+  let wrappers = { lock = Mutex.create (); by_name = Hashtbl.create 16 } in
   let checker =
     Check.make ~registry
       ~wrapper_of:(extent_wrapper registry wrappers)
@@ -57,7 +62,10 @@ let create ?(source_known = fun _ -> false) ?(params = Plan.default_params)
   in
   { registry; wrappers; params; metrics; batch; check = (checker, check); cost }
 
-let register_wrapper t ~name w = Hashtbl.replace t.wrappers name w
+let register_wrapper t ~name w =
+  Mutex.protect t.wrappers.lock (fun () ->
+      Hashtbl.replace t.wrappers.by_name name w)
+
 let wrapper_object t = find_wrapper t.registry t.wrappers
 let wrapper_of t = extent_wrapper t.registry t.wrappers
 let repo_of t = extent_repo t.registry

@@ -22,7 +22,12 @@ type ring = {
   mutable next : int;  (* the slot the next observation overwrites *)
 }
 
+(* One mediator's model serves every query, from several threads and
+   domains at once: [lock] guards the four tables and the rings, which
+   are written in place. It is never held across anything but their own
+   reads and writes. *)
 type t = {
+  lock : Mutex.t;
   history : int;
   smoothing : float;
   close_matching : bool;
@@ -38,6 +43,7 @@ let create ?(history = 8) ?(smoothing = 0.5) ?(close_matching = true) () =
   if smoothing <= 0.0 || smoothing > 1.0 then
     invalid_arg "Cost_model.create: smoothing must be in (0, 1]";
   {
+    lock = Mutex.create ();
     history;
     smoothing;
     close_matching;
@@ -47,13 +53,19 @@ let create ?(history = 8) ?(smoothing = 0.5) ?(close_matching = true) () =
     declared = Hashtbl.create 8;
   }
 
+let locked t f = Mutex.protect t.lock f
+
 let declare_index t ~repo ~attr ~kind =
-  let existing = Option.value (Hashtbl.find_opt t.declared repo) ~default:[] in
-  let existing = List.remove_assoc attr existing in
-  Hashtbl.replace t.declared repo ((attr, kind) :: existing)
+  locked t (fun () ->
+      let existing =
+        Option.value (Hashtbl.find_opt t.declared repo) ~default:[]
+      in
+      let existing = List.remove_assoc attr existing in
+      Hashtbl.replace t.declared repo ((attr, kind) :: existing))
 
 let indexed_attrs t ~repo =
-  Option.value (Hashtbl.find_opt t.declared repo) ~default:[]
+  locked t (fun () -> Hashtbl.find_opt t.declared repo)
+  |> Option.value ~default:[]
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (* Erase constants so that only the operator structure and the compared
@@ -134,9 +146,12 @@ let slot r i =
   let cap = Array.length r.times in
   (r.next - 1 - i + cap) mod cap
 
+(* Every exec records here, so the lock is taken without a closure. *)
 let record_key t k ~time_ms ~rows =
+  Mutex.lock t.lock;
   push t t.exact k.k_exact ~time:time_ms ~count:rows;
-  push t t.close k.k_close ~time:time_ms ~count:rows
+  push t t.close k.k_close ~time:time_ms ~count:rows;
+  Mutex.unlock t.lock
 
 let record t ~repo ~expr ~time_ms ~rows =
   record_key t (key ~repo expr) ~time_ms ~rows
@@ -224,12 +239,14 @@ let lookup t ~repo expr key =
       | None -> uninformed t ~repo expr)
   | None -> uninformed t ~repo expr
 
-let estimate t ~repo expr = lookup t ~repo expr None
-let estimate_key t k = lookup t ~repo:k.k_repo k.k_expr (Some k)
+let estimate t ~repo expr = locked t (fun () -> lookup t ~repo expr None)
+
+let estimate_key t k =
+  locked t (fun () -> lookup t ~repo:k.k_repo k.k_expr (Some k))
 
 let record_batch t ~repo ~size ~time_ms =
   if size < 1 then invalid_arg "Cost_model.record_batch: size must be >= 1";
-  push t t.batch repo ~time:time_ms ~count:size
+  locked t (fun () -> push t t.batch repo ~time:time_ms ~count:size)
 
 (* Calibrate the batched round-trip the same way Section 3.3 calibrates
    single calls: from recorded (size, time) pairs, fit
@@ -238,6 +255,7 @@ let record_batch t ~repo ~size ~time_ms =
    mean time by size — pessimistic (it re-charges the overhead per call)
    but monotone, and it self-corrects once a second size is observed. *)
 let estimate_batch t ~repo ~size =
+  locked t @@ fun () ->
   match Hashtbl.find_opt t.batch repo with
   | None -> None
   | Some r ->
@@ -266,10 +284,11 @@ let estimate_batch t ~repo ~size =
       Some (Float.max 0.0 predicted)
 
 let recorded_calls t =
-  Hashtbl.fold (fun _ r acc -> acc + r.len) t.exact 0
+  locked t (fun () -> Hashtbl.fold (fun _ r acc -> acc + r.len) t.exact 0)
 
 let clear t =
   (* observations only: index declarations are DDL, not history *)
-  Hashtbl.reset t.exact;
-  Hashtbl.reset t.close;
-  Hashtbl.reset t.batch
+  locked t (fun () ->
+      Hashtbl.reset t.exact;
+      Hashtbl.reset t.close;
+      Hashtbl.reset t.batch)

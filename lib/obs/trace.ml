@@ -184,6 +184,11 @@ let buf_add_json_string b s =
     s;
   Buffer.add_char b '"'
 
+let json_string s =
+  let b = Buffer.create (String.length s + 8) in
+  buf_add_json_string b s;
+  Buffer.contents b
+
 let buf_add_float b f =
   (* fixed decimal notation keeps output deterministic and JSON-legal
      (no OCaml-style trailing dots or infinities) *)

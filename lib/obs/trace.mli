@@ -104,6 +104,10 @@ val pp : trace Fmt.t
 (** Pretty span tree with per-span virtual timings, span metadata, and
     per-exec repository / origin / elapsed / tuples. *)
 
+val json_string : string -> string
+(** [s] as a JSON string literal: quoted, with quotes, backslashes and
+    control characters escaped. The one escaper of every JSON output. *)
+
 val to_json : trace -> string
 (** The whole trace as a single JSON object:
     [{"query": ..., "root": {"name", "start_ms", "elapsed_ms", "meta",

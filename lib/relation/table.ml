@@ -3,9 +3,11 @@ module V = Disco_value.Value
 (* [ix] is the column's latest index snapshot, [None] before its first
    use. It covers a prefix of the rows: a delete remaps it, so every write
    since it was taken is an append. A published snapshot is never
-   mutated; a read that extends it and a delete replace [ix] whole, so a
-   reader on another domain keeps a consistent one. *)
-type index_state = { ix_kind : Index.kind; mutable ix : Index.t option }
+   mutated; a read that extends it and a delete replace [ix] whole, and
+   [ix] is an atomic, so two readers on two domains each see a complete
+   snapshot (if both extend it, the later publish wins, and both cover
+   the rows they read). *)
+type index_state = { ix_kind : Index.kind; ix : Index.t option Atomic.t }
 
 type t = {
   name : string;
@@ -73,7 +75,10 @@ let delete_where t pred =
     (* rows are only ever appended after a snapshot, and survivors keep
        their order, so a remapped snapshot still covers a prefix *)
     Hashtbl.iter
-      (fun _ st -> st.ix <- Option.map (fun ix -> Index.remap ix ids) st.ix)
+      (fun _ st ->
+        Atomic.get st.ix
+        |> Option.map (fun ix -> Index.remap ix ids)
+        |> Atomic.set st.ix)
       t.indexes;
     t.columns <- Array.map (fun col -> Column.filter col ids !kept) t.columns;
     t.count <- !kept;
@@ -106,7 +111,7 @@ let declare_index t ~column kind =
     schema_error "%s index on %s.%s: unsupported for column type %s"
       (Index.kind_name kind) t.name column
       (Schema.col_type_name ty);
-  Hashtbl.replace t.indexes column { ix_kind = kind; ix = None }
+  Hashtbl.replace t.indexes column { ix_kind = kind; ix = Atomic.make None }
 
 let drop_index t column = Hashtbl.remove t.indexes column
 
@@ -118,14 +123,14 @@ let index_kind t column =
   Option.map (fun st -> st.ix_kind) (Hashtbl.find_opt t.indexes column)
 
 let publish st ix =
-  st.ix <- Some ix;
+  Atomic.set st.ix (Some ix);
   ix
 
 let index_for t column =
   Option.map
     (fun st ->
       let col = column_named t column in
-      match st.ix with
+      match Atomic.get st.ix with
       | Some ix when Index.covers ix col -> ix
       | Some ix -> publish st (Index.extend ix col)
       | None -> publish st (Index.build st.ix_kind col))

@@ -85,26 +85,31 @@ end
    queries. *)
 module Breaker = struct
   type entry = { mutable fails : int; mutable opened_at : float option }
-  type t = (string, entry) Hashtbl.t
 
-  let create () : t = Hashtbl.create 8
+  (* Queries on several threads share one table; [lock] guards it and
+     its entries, and is held only across their own reads and writes. *)
+  type t = { lock : Mutex.t; tbl : (string, entry) Hashtbl.t }
 
-  let entry (t : t) id =
-    match Hashtbl.find_opt t id with
+  let create () = { lock = Mutex.create (); tbl = Hashtbl.create 8 }
+
+  let entry t id =
+    match Hashtbl.find_opt t.tbl id with
     | Some e -> e
     | None ->
         let e = { fails = 0; opened_at = None } in
-        Hashtbl.replace t id e;
+        Hashtbl.replace t.tbl id e;
         e
 
-  let allows (t : t) ~cooldown_ms ~now id =
-    match Hashtbl.find_opt t id with
+  let allows t ~cooldown_ms ~now id =
+    Mutex.protect t.lock @@ fun () ->
+    match Hashtbl.find_opt t.tbl id with
     | None | Some { opened_at = None; _ } -> true
     | Some { opened_at = Some since; _ } -> now >= since +. cooldown_ms
 
   (* true when this failure opened (or re-opened after a failed
      half-open probe) the breaker *)
-  let note_failure (t : t) ~threshold ~cooldown_ms ~now id =
+  let note_failure t ~threshold ~cooldown_ms ~now id =
+    Mutex.protect t.lock @@ fun () ->
     let e = entry t id in
     e.fails <- e.fails + 1;
     match e.opened_at with
@@ -116,15 +121,19 @@ module Breaker = struct
         true
     | _ -> false
 
-  let note_success (t : t) id =
-    match Hashtbl.find_opt t id with
+  let note_success t id =
+    Mutex.protect t.lock @@ fun () ->
+    match Hashtbl.find_opt t.tbl id with
     | Some e ->
         e.fails <- 0;
         e.opened_at <- None
     | None -> ()
 
-  let snapshot (t : t) =
-    Hashtbl.fold (fun id e acc -> (id, e.fails, e.opened_at) :: acc) t []
+  let snapshot t =
+    Mutex.protect t.lock (fun () ->
+        Hashtbl.fold
+          (fun id e acc -> (id, e.fails, e.opened_at) :: acc)
+          t.tbl [])
     |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
 end
 
@@ -852,33 +861,32 @@ let issue_round env ~deadline table =
   (* batch ids, trip counts and metrics are assigned before any wire
      call, so they are identical whichever scheduler runs the calls *)
   let groups =
-    List.mapi
-      (fun i members ->
+    List.map
+      (fun members ->
         Metrics.incr env.metrics "runtime.batch.rounds";
         incr env.batch_seq;
-        (i, !(env.batch_seq), List.map fst members, List.map snd members))
+        (!(env.batch_seq), List.map fst members, List.map snd members))
       groups
   in
   (* Only the wire exchanges go through the scheduler, which may fan them
-     out across domains.  Groups that dial the same underlying source
-     share one job, keeping that source's call counter free of data
-     races; under the virtual scheduler jobs run sequentially in this
-     exact order.  Breaker and hedge state are shared, so [settle] runs
-     afterwards, off the parallel pool. *)
-  let chosen_of group = (List.hd group).chosen in
-  let outcomes = Array.make (List.length groups) None in
-  grouped (fun (_, _, _, group) -> Source.id (chosen_of group)) groups
-  |> Scheduler.map_rounds env.sched
-       (List.map (fun (i, _, _, group) ->
-            (i, wire_call ~now ~deadline (chosen_of group) group)))
-  |> List.iter (List.iter (fun (i, o) -> outcomes.(i) <- Some o));
-  List.iter
-    (fun (i, id, ks, group) ->
+     out across domains, one job per group; under the virtual scheduler
+     jobs run sequentially in this exact order.  A source's jitter
+     depends only on its own call order, which the grouping keeps.
+     Breaker and hedge state are shared, so [settle] runs afterwards,
+     off the parallel pool. *)
+  let outcomes =
+    Scheduler.map_rounds env.sched
+      (fun (_, _, group) ->
+        wire_call ~now ~deadline (List.hd group).chosen group)
+      groups
+  in
+  List.iter2
+    (fun (id, ks, group) wire ->
       let batch =
         match group with [ _ ] -> None | _ -> Some (id, List.length group)
       in
       let answered_repo, answered_src, outcome =
-        settle env ~now ~deadline group (Option.get outcomes.(i))
+        settle env ~now ~deadline group wire
       in
       let done_ =
         match outcome with
@@ -889,7 +897,7 @@ let issue_round env ~deadline table =
             List.map (unanswered ?batch env ~now ~deadline) group
       in
       List.iter2 (fun k r -> results.(k) <- r) ks done_)
-    groups;
+    groups outcomes;
   apply_retries env ~deadline table results;
   let answered =
     Array.fold_right

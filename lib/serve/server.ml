@@ -43,6 +43,7 @@ type t = {
   mutable workers : Thread.t list;
   mutable listen_fd : Unix.file_descr option;
   metrics : Metrics.t;
+  worker : tenant:string -> string -> reply;
 }
 
 (* Pop the next request round-robin across tenants.  Caller holds the
@@ -59,8 +60,7 @@ let pick_rr t =
   in
   go [] t.rr
 
-let worker_loop t i factory =
-  let exec = factory i in
+let worker_loop t =
   let rec loop () =
     Mutex.lock t.lock;
     let rec await () =
@@ -80,7 +80,7 @@ let worker_loop t i factory =
         t.inflight <- t.inflight + 1;
         Mutex.unlock t.lock;
         let reply =
-          try exec ~tenant:p.q_tenant p.q_oql
+          try t.worker ~tenant:p.q_tenant p.q_oql
           with e -> Failed (Printexc.to_string e)
         in
         (match reply with
@@ -127,10 +127,10 @@ let create ?(inflight = 4) ?(queue_bound = 64) ?metrics ~worker () =
       listen_fd = None;
       metrics =
         (match metrics with Some m -> m | None -> Metrics.create ());
+      worker;
     }
   in
-  t.workers <-
-    List.init inflight (fun i -> Thread.create (fun () -> worker_loop t i worker) ());
+  t.workers <- List.init inflight (fun _ -> Thread.create worker_loop t);
   t
 
 let submit t ~tenant oql =

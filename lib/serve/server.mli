@@ -11,11 +11,12 @@
     exactly like a paper-style partial answer whose every source was
     unavailable.
 
-    The server knows nothing about mediators: {!create} takes a worker
-    {e factory} so each worker thread builds (or is handed) its own
-    replica of whatever executes queries — per-worker state needs no
-    locking. Tests inject a factory that blocks on a barrier to observe
-    the admission limit deterministically. *)
+    The server knows nothing about mediators: {!create} takes the one
+    function every worker thread executes queries with. The workers are
+    identical and keep no state of their own; whatever that function
+    shares (in [discoctl serve], one mediator) must be safe to call from
+    several threads at once. Tests inject a function that blocks on a
+    barrier to observe the admission limit deterministically. *)
 
 type reply =
   | Answered of { body : string; elapsed_ms : float }
@@ -41,12 +42,12 @@ val create :
   ?inflight:int ->
   ?queue_bound:int ->
   ?metrics:Disco_obs.Metrics.t ->
-  worker:(int -> tenant:string -> string -> reply) ->
+  worker:(tenant:string -> string -> reply) ->
   unit ->
   t
 (** [create ~worker ()] starts [inflight] worker threads (default 4);
-    thread [i] executes queries with [worker i ~tenant oql], the factory
-    being applied once per worker at thread start. [queue_bound]
+    each executes the queries it picks with [worker ~tenant oql], so at
+    most [inflight] calls of [worker] run at once. [queue_bound]
     (default 64) caps the admitted-but-waiting backlog. [metrics]
     (default a fresh registry) receives [serve.requests], [serve.shed],
     [serve.completed], [serve.errors] and the [serve.latency_ms]

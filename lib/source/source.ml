@@ -46,8 +46,8 @@ type t = {
   kind : kind;
   latency : latency;
   mutable schedule : Schedule.t;
-  mutable stats : stats;
-  mutable call_counter : int;  (* drives deterministic jitter *)
+  stats : stats Atomic.t;
+  call_counter : int Atomic.t;  (* drives deterministic jitter *)
   mutable kv_version : int;  (* mutations of kv / flat-file stores *)
 }
 
@@ -59,8 +59,8 @@ let create ~id ~address ?(latency = default_latency)
     kind;
     latency;
     schedule;
-    stats = zero_stats;
-    call_counter = 0;
+    stats = Atomic.make zero_stats;
+    call_counter = Atomic.make 0;
     kv_version = 0;
   }
 
@@ -115,16 +115,33 @@ let file_records t = List.rev !(file_store t)
 type 'a outcome = Answered of 'a * float | Unavailable | Timed_out of float
 
 (* Deterministic jitter in [0, jitter] as a fraction of the nominal
-   latency, derived from the call counter. *)
-let jitter_fraction t =
-  let h = Hashtbl.hash (t.id, t.call_counter, 0xD15C0) in
+   latency, derived from the call's number at this source. *)
+let jitter_fraction t n =
+  let h = Hashtbl.hash (t.id, n, 0xD15C0) in
   t.latency.jitter *. (float_of_int (h land 0xFFFF) /. 65536.0)
+
+(* Calls to one source may run on several domains at once: the counter
+   and the stats are atomics, so none is lost and each call draws its own
+   number. *)
+let rec add_stats t ~answered ~refused ~timed_out ~rows ~busy_ms =
+  let s = Atomic.get t.stats in
+  let s' =
+    {
+      calls_answered = s.calls_answered + answered;
+      calls_refused = s.calls_refused + refused;
+      calls_timed_out = s.calls_timed_out + timed_out;
+      rows_shipped = s.rows_shipped + rows;
+      busy_ms = s.busy_ms +. busy_ms;
+    }
+  in
+  if not (Atomic.compare_and_set t.stats s s') then
+    add_stats t ~answered ~refused ~timed_out ~rows ~busy_ms
 
 let call_at t ~now ?deadline f =
   let issue_time = now in
-  t.call_counter <- t.call_counter + 1;
+  let n = Atomic.fetch_and_add t.call_counter 1 + 1 in
   if not (is_up t issue_time) then (
-    t.stats <- { t.stats with calls_refused = t.stats.calls_refused + 1 };
+    add_stats t ~answered:0 ~refused:1 ~timed_out:0 ~rows:0 ~busy_ms:0.0;
     Unavailable)
   else
     let payload, rows = f () in
@@ -132,7 +149,7 @@ let call_at t ~now ?deadline f =
       t.latency.base_ms +. (t.latency.per_row_ms *. float_of_int rows)
     in
     let elapsed =
-      nominal *. (1.0 +. jitter_fraction t)
+      nominal *. (1.0 +. jitter_fraction t n)
       *. Schedule.latency_factor t.schedule issue_time
     in
     let completion = issue_time +. elapsed in
@@ -141,27 +158,17 @@ let call_at t ~now ?deadline f =
         (* the source did the work even though the answer arrives too
            late — its time is spent and the outcome is a timeout, not a
            refusal *)
-        t.stats <-
-          {
-            t.stats with
-            calls_timed_out = t.stats.calls_timed_out + 1;
-            busy_ms = t.stats.busy_ms +. elapsed;
-          };
+        add_stats t ~answered:0 ~refused:0 ~timed_out:1 ~rows:0
+          ~busy_ms:elapsed;
         Timed_out completion
     | _ ->
-        t.stats <-
-          {
-            t.stats with
-            calls_answered = t.stats.calls_answered + 1;
-            rows_shipped = t.stats.rows_shipped + rows;
-            busy_ms = t.stats.busy_ms +. elapsed;
-          };
+        add_stats t ~answered:1 ~refused:0 ~timed_out:0 ~rows ~busy_ms:elapsed;
         Answered (payload, completion)
 
 let call t ~clock ?deadline f = call_at t ~now:(Clock.now clock) ?deadline f
 
-let stats t = t.stats
-let reset_stats t = t.stats <- zero_stats
+let stats t = Atomic.get t.stats
+let reset_stats t = Atomic.set t.stats zero_stats
 
 let pp ppf t =
   let kind_name =

@@ -74,10 +74,11 @@ val make :
 
     {b Concurrency.} Under a wall-clock scheduler
     ({!Disco_source.Scheduler.wall} — serve mode) the runtime
-    issues one round's per-source batches genuinely in parallel on
-    several domains, so [execute] and [execute_batch] may be invoked
-    concurrently (for different sources within one query, and for the
-    same wrapper value across queries when mediator replicas share it).
+    issues one round's batches genuinely in parallel on several
+    domains, so [execute] and [execute_batch] may be invoked
+    concurrently: for different sources, or the same source, within one
+    query, and for the same wrapper value across the queries that share
+    one mediator.
     Implementations must be re-entrant or take their own lock; the
     built-in wrappers are pure over the source snapshot and need
     neither. *)

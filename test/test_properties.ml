@@ -15,6 +15,10 @@ module Cost_model = Disco_cost.Cost_model
 module Plan = Disco_physical.Plan
 module Rules = Disco_algebra.Rules
 
+(* Under [QCHECK_LONG] a property runs [long_factor] times its count; the
+   two [sql-oracle] properties, the slowest to find a bug, take 20. *)
+let long_factor = 10
+
 (* -- Earley vs brute force -- *)
 
 (* Enumerate every token string the grammar derives up to a length bound,
@@ -198,7 +202,8 @@ let standard_grammars =
 
 (* Asked twice, so the second answer comes from the memo. *)
 let prop_accepts_is_derives =
-  QCheck.Test.make ~name:"memoised accepts = derives on every standard grammar"
+  QCheck.Test.make ~long_factor
+    ~name:"memoised accepts = derives on every standard grammar"
     ~count:500
     (QCheck.make ~print:(Fmt.to_to_string Expr.pp) memo_expr_gen)
     (fun e ->
@@ -257,7 +262,8 @@ let located_expr_gen =
       3)
 
 let prop_identity_rewrites =
-  QCheck.Test.make ~name:"identity rewrites rebuild an equal tree" ~count:500
+  QCheck.Test.make ~long_factor
+    ~name:"identity rewrites rebuild an equal tree" ~count:500
     (QCheck.make ~print:(Fmt.to_to_string Expr.pp) located_expr_gen)
     (fun e ->
       Expr.equal (Expr.map_children Fun.id e) e
@@ -338,7 +344,7 @@ let prop_like_matches_oracle =
         (string_size ~gen:(oneofl [ 'a'; 'b'; '%'; '_' ]) (int_range 0 8))
         (string_size ~gen:(oneofl [ 'a'; 'b'; 'c' ]) (int_range 0 10)))
   in
-  QCheck.Test.make ~name:"like matches the DP oracle" ~count:2000
+  QCheck.Test.make ~long_factor ~name:"like matches the DP oracle" ~count:2000
     (QCheck.make ~print:(fun (p, s) -> Fmt.str "pattern %S string %S" p s) gen)
     (fun (pattern, s) -> V.like_match ~pattern s = oracle_like ~pattern s)
 
@@ -368,7 +374,7 @@ let join_input_gen side =
 
 let prop_join_algorithms_agree =
   let gen = QCheck.Gen.pair (join_input_gen "x") (join_input_gen "y") in
-  QCheck.Test.make ~name:"hash and nested-loop = Join eval"
+  QCheck.Test.make ~long_factor ~name:"hash and nested-loop = Join eval"
     ~count:300
     (QCheck.make ~print:(fun (l, r) -> Fmt.str "%s | %s" (V.to_string l) (V.to_string r)) gen)
     (fun (l, r) ->
@@ -398,7 +404,8 @@ let union_branches_gen =
                ]))))
 
 let prop_union_one_sort =
-  QCheck.Test.make ~name:"mkunion = left fold of bag_union" ~count:500
+  QCheck.Test.make ~long_factor
+    ~name:"mkunion = left fold of bag_union" ~count:500
     (QCheck.make
        ~print:(fun bs -> String.concat " | " (List.map V.to_string bs))
        union_branches_gen)
@@ -423,7 +430,8 @@ let prop_smoothing_bounded =
   let gen =
     QCheck.Gen.(pair (int_range 1 16) (list_size (int_range 1 12) (int_range 1 1000)))
   in
-  QCheck.Test.make ~name:"smoothed estimate within min/max of history"
+  QCheck.Test.make ~long_factor
+    ~name:"smoothed estimate within min/max of history"
     ~count:500
     (QCheck.make
        ~print:(fun (h, l) ->
@@ -491,7 +499,8 @@ let prop_typemap_roundtrip =
            (string_size ~gen:(char_range 'a' 'e') (return 2))
            (string_size ~gen:(char_range 'f' 'j') (return 2))))
   in
-  QCheck.Test.make ~name:"typemap source/mediator roundtrip" ~count:300
+  QCheck.Test.make ~long_factor
+    ~name:"typemap source/mediator roundtrip" ~count:300
     (QCheck.make
        ~print:(fun l -> String.concat ";" (List.map (fun (a, b) -> a ^ "=" ^ b) l))
        gen)
@@ -572,7 +581,8 @@ let query_gen =
       (int_range 0 30))
 
 let prop_cache_transparent =
-  QCheck.Test.make ~name:"answer cache is semantically invisible" ~count:60
+  QCheck.Test.make ~long_factor
+    ~name:"answer cache is semantically invisible" ~count:60
     (QCheck.make
        ~print:(fun qs -> String.concat " ; " qs)
        QCheck.Gen.(list_size (int_range 1 6) query_gen))
@@ -655,7 +665,8 @@ let prop_batch_transparent =
       (String.concat "," (List.map string_of_int down))
       (String.concat " ; " queries)
   in
-  QCheck.Test.make ~name:"batched transport is semantically invisible"
+  QCheck.Test.make ~long_factor
+    ~name:"batched transport is semantically invisible"
     ~count:40
     (QCheck.make ~print gen)
     (fun ((repos, extents_per), (down, queries)) ->
@@ -821,6 +832,7 @@ let prop_shard_twin_equivalent =
             qs))
   in
   QCheck.Test.make
+    ~long_factor
     ~name:"sharded gather = unsharded union; pruning skips excluded shards"
     ~count:30
     (QCheck.make ~print gen)
@@ -1186,7 +1198,8 @@ let prop_verdict_reused =
          (List.map (fun (s, t) -> Fmt.str "shape %d/%d" s t) qs))
       t
   in
-  QCheck.Test.make ~name:"a reused verdict equals a fresh one" ~count:40
+  QCheck.Test.make ~long_factor
+    ~name:"a reused verdict equals a fresh one" ~count:40
     (QCheck.make ~print gen)
     (fun (fed, qs, t) ->
       let m, all, a, b =
@@ -1625,7 +1638,8 @@ let prop_maintained_indexes =
    to a query that prints identically (literals — negative numbers, LIKE
    patterns, quotes, floats — all survive the trip). *)
 let prop_sql_print_parse_stable =
-  QCheck.Test.make ~name:"SQL print/parse/print is stable" ~count:400
+  QCheck.Test.make ~long_factor
+    ~name:"SQL print/parse/print is stable" ~count:400
     (QCheck.make ~print:Sql.to_string sql_query_gen)
     (fun q ->
       let s = Sql.to_string q in
@@ -1854,7 +1868,8 @@ let prop_prepared_hit_equals_fresh =
                ]))
       (String.concat "; " (List.map (fun (s, t) -> Fmt.str "%d/%d" s t) qs))
   in
-  QCheck.Test.make ~name:"a plan-cache hit equals the same query replanned"
+  QCheck.Test.make ~long_factor
+    ~name:"a plan-cache hit equals the same query replanned"
     ~count:40 (QCheck.make ~print gen)
     (fun (spec, qs) ->
       let build sink =

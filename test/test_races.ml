@@ -10,6 +10,9 @@
      exactly with the observed replies;
    - Scheduler: the wall scheduler answers exactly like the
      deterministic virtual one, under concurrent sessions too;
+   - Mediator: one mediator queried by server workers and by domains at
+     once answers like the sequential virtual one, and its plan-cache
+     and source counters reconcile;
    - Grammar: the verdict memo of one shared grammar, asked from
      several domains and threads at once, answers like Earley. *)
 
@@ -21,6 +24,7 @@ module Scheduler = Disco_source.Scheduler
 module Mediator = Disco_core.Mediator
 module Runtime = Disco_runtime.Runtime
 module Metrics = Disco_obs.Metrics
+module Answer_cache = Disco_cache.Answer_cache
 module Server = Disco_serve.Server
 module Expr = Disco_algebra.Expr
 module Grammar = Disco_wrapper.Grammar
@@ -73,7 +77,7 @@ let test_metrics_hammer () =
    timing-dependent. *)
 let test_submit_stop_churn () =
   for round = 1 to 6 do
-    let worker _i ~tenant:_ oql =
+    let worker ~tenant:_ oql =
       Thread.yield ();
       Server.Answered { body = oql; elapsed_ms = 0.1 }
     in
@@ -144,12 +148,10 @@ let test_submit_stop_churn () =
 
 (* -- wall scheduler vs virtual scheduler -- *)
 
-let federation ?sched () =
-  let config =
-    match sched with
-    | None -> Mediator.Config.default
-    | Some s -> { Mediator.Config.default with sched = Some s }
-  in
+let federation ?sched ?cache ?retry
+    ?(latency = { Source.base_ms = 1.0; per_row_ms = 0.01; jitter = 0.0 }) () =
+  
+  let config = { Mediator.Config.default with sched; cache; retry } in
   let m = Mediator.create ~config ~name:"races" () in
   Mediator.load_odl m
     {|w0 := WrapperPostgres();
@@ -169,7 +171,7 @@ let federation ?sched () =
       (Source.create ~id:(Fmt.str "p%d" i)
          ~address:
            (Source.address ~host:(Fmt.str "h%d" i) ~db_name:"db" ~ip:"0" ())
-         ~latency:{ Source.base_ms = 1.0; per_row_ms = 0.01; jitter = 0.0 }
+         ~latency
          (Source.Relational db));
     Mediator.load_odl m
       (Fmt.str
@@ -210,9 +212,9 @@ let test_scheduler_equivalence () =
     equivalence_queries;
   Scheduler.shutdown sched
 
-(* Concurrent sessions over mediator replicas sharing one wall
-   scheduler: everything answers and the answers are right — the
-   domain-parallel batch issue loses and duplicates nothing. *)
+(* Concurrent sessions over one mediator on a wall scheduler:
+   everything answers and the answers are right — the domain-parallel
+   batch issue loses and duplicates nothing. *)
 let test_wall_concurrent_sessions () =
   let sched = Scheduler.wall ~domains:3 () in
   let expected =
@@ -222,10 +224,10 @@ let test_wall_concurrent_sessions () =
         .Mediator.answer
     |> V.elements |> List.sort V.compare
   in
-  let meds = Array.init 3 (fun _ -> federation ~sched ()) in
+  let med = federation ~sched () in
   let opts = { Mediator.Query_opts.default with timeout_ms = 5000.0 } in
-  let worker i ~tenant:_ oql =
-    match Mediator.query ~opts meds.(i) oql with
+  let worker ~tenant:_ oql =
+    match Mediator.query ~opts med oql with
     | o -> (
         match o.Mediator.answer with
         | Mediator.Complete v ->
@@ -270,6 +272,126 @@ let test_wall_concurrent_sessions () =
   Alcotest.(check int) "no errors" 0 h.Server.h_errors;
   Server.stop srv;
   Scheduler.shutdown sched
+
+(* -- one mediator shared by threads and domains -- *)
+
+(* A complete answer's elements, sorted and printed. *)
+let answer_text (o : Mediator.outcome) =
+  complete o.Mediator.answer |> V.elements |> List.sort V.compare
+  |> List.map V.to_string |> String.concat ","
+
+(* One mediator, with an answer cache and a retry policy whose breaker
+   is armed, queried at once by a 4-worker server (fed by six client
+   threads) and by two domains. Its sources answer instantly and its
+   answer cache holds one entry, so nearly every query is a plan-cache
+   hit that calls its sources, and the domains' queries overlap in the
+   plan cache, the answer cache, the sources' counters and the cost
+   model. Every answer equals the sequential virtual one, every source
+   call is one of the round trips the answers report (and, each exec
+   dialling its own source, one uncached exec), and every query is one
+   plan-cache hit or miss. *)
+let test_one_mediator_shared () =
+  let sched = Scheduler.wall ~domains:2 () in
+  let retry =
+    Runtime.Retry.make ~initial_ms:1.0 ~max_attempts:2 ~breaker_threshold:2 ()
+  in
+  let med =
+    federation ~sched ~retry
+      ~cache:(Answer_cache.create ~capacity:1 ())
+      ~latency:{ Source.base_ms = 0.0; per_row_ms = 0.0; jitter = 0.0 }
+      ()
+  in
+  let queries = Array.of_list equivalence_queries in
+  let expected =
+    let virt = federation () in
+    Array.map (fun q -> answer_text (Mediator.query virt q)) queries
+  in
+  let opts = { Mediator.Query_opts.default with timeout_ms = 5000.0 } in
+  let stats_lock = Mutex.create () in
+  let stats = ref [] in
+  let run k =
+    let o = Mediator.query ~opts med queries.(k) in
+    Mutex.protect stats_lock (fun () -> stats := o.Mediator.stats :: !stats);
+    answer_text o
+  in
+  let index_of q =
+    let rec go k = if String.equal queries.(k) q then k else go (k + 1) in
+    go 0
+  in
+  let worker ~tenant:_ q =
+    match run (index_of q) with
+    | body -> Server.Answered { body; elapsed_ms = 0.0 }
+    | exception e -> Server.Failed (Printexc.to_string e)
+  in
+  let srv = Server.create ~inflight:4 ~queue_bound:64 ~worker () in
+  let clients = 6 and per_client = 20 and domains = 2 and per_domain = 2000 in
+  let pick c i = (c + i) mod Array.length queries in
+  let replies = Array.make_matrix clients per_client None in
+  let threads =
+    List.init clients (fun c ->
+        Thread.create
+          (fun () ->
+            for i = 0 to per_client - 1 do
+              replies.(c).(i) <-
+                Some
+                  (Server.submit srv ~tenant:(Fmt.str "t%d" c)
+                     queries.(pick c i))
+            done)
+          ())
+  in
+  let spawned =
+    List.init domains (fun d ->
+        Domain.spawn (fun () ->
+            List.init per_domain (fun i ->
+                let k = pick d i in
+                (k, run k))))
+  in
+  List.iter Thread.join threads;
+  let domain_answers = List.map Domain.join spawned in
+  Server.stop srv;
+  Scheduler.shutdown sched;
+  Array.iteri
+    (fun c row ->
+      Array.iteri
+        (fun i reply ->
+          let k = pick c i in
+          match reply with
+          | Some (Server.Answered { body; _ }) ->
+              Alcotest.(check string)
+                (Fmt.str "server answer to %S" queries.(k))
+                expected.(k) body
+          | Some (Server.Failed msg) -> Alcotest.fail ("query failed: " ^ msg)
+          | Some (Server.Shed _) -> Alcotest.fail "nothing should shed"
+          | None -> Alcotest.fail "a client never got a reply")
+        row)
+    replies;
+  let wrong =
+    List.concat domain_answers
+    |> List.filter (fun (k, body) -> not (String.equal expected.(k) body))
+  in
+  Alcotest.(check int) "domain answers equal the virtual ones" 0
+    (List.length wrong);
+  let n = (clients * per_client) + (domains * per_domain) in
+  let stats = !stats in
+  Alcotest.(check int) "every query reported" n (List.length stats);
+  let sum f = List.fold_left (fun acc s -> acc + f s) 0 stats in
+  let calls =
+    List.fold_left
+      (fun acc (_, (s : Source.stats)) ->
+        acc + s.Source.calls_answered + s.Source.calls_refused
+        + s.Source.calls_timed_out)
+      0
+      (Mediator.source_stats med)
+  in
+  Alcotest.(check int) "source calls = round trips" calls
+    (sum (fun s -> s.Runtime.round_trips));
+  Alcotest.(check int) "source calls = uncached execs issued" calls
+    (sum (fun s -> s.Runtime.execs_issued - s.Runtime.cache_hits));
+  let p = Mediator.plan_cache_stats med in
+  Alcotest.(check int) "plan-cache hits + misses = queries" n
+    (p.Mediator.p_hits + p.Mediator.p_misses);
+  Alcotest.(check bool) "each text missed at least once" true
+    (p.Mediator.p_misses >= Array.length queries)
 
 (* -- one grammar memo shared by domains and threads -- *)
 
@@ -337,6 +459,11 @@ let () =
         [
           tc "wall = virtual" test_scheduler_equivalence;
           tc "concurrent wall sessions" test_wall_concurrent_sessions;
+        ] );
+      ( "mediator",
+        [
+          tc "one mediator shared by threads and domains"
+            test_one_mediator_shared;
         ] );
       ("grammar", [ tc "shared grammar memo" test_shared_grammar_memo ]);
     ]

@@ -1,8 +1,9 @@
 (* Tests for the serving surface: admission control observed
-   deterministically through a barrier-blocking worker factory, per-tenant
-   fair queueing, a wall-clock smoke test over real mediators, the line
-   protocol's request-line bound over a real socket, and the open-loop
-   load generator on the in-process transport. *)
+   deterministically through a barrier-blocking worker, per-tenant fair
+   queueing, a wall-clock smoke test and the plan and answer caches of
+   one mediator shared by every worker, the line protocol's request-line
+   bound over a real socket, and the open-loop load generator on the
+   in-process transport. *)
 
 module V = Disco_value.Value
 module Source = Disco_source.Source
@@ -11,6 +12,7 @@ module Scheduler = Disco_source.Scheduler
 module Database = Disco_relation.Database
 module Runtime = Disco_runtime.Runtime
 module Mediator = Disco_core.Mediator
+module Answer_cache = Disco_cache.Answer_cache
 module Metrics = Disco_obs.Metrics
 module Server = Disco_serve.Server
 module Loadgen = Disco_serve.Loadgen
@@ -53,7 +55,7 @@ let wait_until ?(timeout_s = 5.0) msg pred =
 
 let test_admission_limit () =
   let acquire, release = make_gate () in
-  let worker _ ~tenant:_ oql =
+  let worker ~tenant:_ oql =
     acquire ();
     Server.Answered { body = oql; elapsed_ms = 0.0 }
   in
@@ -100,7 +102,7 @@ let test_admission_limit () =
   Server.stop srv
 
 let test_create_validation () =
-  let worker _ ~tenant:_ oql =
+  let worker ~tenant:_ oql =
     Server.Answered { body = oql; elapsed_ms = 0.0 }
   in
   Alcotest.check_raises "inflight must be positive"
@@ -111,7 +113,7 @@ let test_create_validation () =
     (fun () -> ignore (Server.create ~queue_bound:(-1) ~worker ()))
 
 let test_stopped_server_fails () =
-  let worker _ ~tenant:_ oql =
+  let worker ~tenant:_ oql =
     Server.Answered { body = oql; elapsed_ms = 0.0 }
   in
   let srv = Server.create ~inflight:1 ~worker () in
@@ -131,7 +133,7 @@ let test_fair_queueing () =
   let acquire, release = make_gate () in
   let order = ref [] in
   let lock = Mutex.create () in
-  let worker _ ~tenant oql =
+  let worker ~tenant oql =
     acquire ();
     Mutex.lock lock;
     order := (tenant, oql) :: !order;
@@ -175,12 +177,12 @@ let test_fair_queueing () =
   | _ -> Alcotest.fail "warm-up query not executed first");
   Server.stop srv
 
-(* -- wall-clock smoke over real mediators -- *)
+(* -- wall-clock serving over one mediator -- *)
 
-let replica ~sched n =
+let federation ?cache ~sched n =
   let m =
     Mediator.create
-      ~config:{ Mediator.Config.default with sched = Some sched }
+      ~config:{ Mediator.Config.default with sched = Some sched; cache }
       ~name:"serve-test" ()
   in
   Mediator.load_odl m
@@ -213,13 +215,13 @@ let replica ~sched n =
   m
 
 let test_wall_clock_smoke () =
-  (* N concurrent sessions over per-worker mediator replicas sharing one
-     wall scheduler: everything answers, nothing sheds, nothing errors. *)
+  (* N concurrent sessions over one mediator on a wall scheduler:
+     everything answers, nothing sheds, nothing errors. *)
   let sched = Scheduler.wall ~domains:2 () in
-  let meds = Array.init 2 (fun _ -> replica ~sched 3) in
+  let med = federation ~sched 3 in
   let opts = { Mediator.Query_opts.default with timeout_ms = 5000.0 } in
-  let worker i ~tenant:_ oql =
-    match Mediator.query ~opts meds.(i) oql with
+  let worker ~tenant:_ oql =
+    match Mediator.query ~opts med oql with
     | o ->
         Server.Answered
           { body = "ok"; elapsed_ms = o.Mediator.stats.Runtime.elapsed_ms }
@@ -255,6 +257,48 @@ let test_wall_clock_smoke () =
   Server.stop srv;
   Scheduler.shutdown sched
 
+let test_one_plan_per_text () =
+  (* Twenty requests for one text, in sequence, to a 4-worker server:
+     the workers share the mediator's plan cache and answer cache, so
+     the text is planned once and every repeat is answered from the
+     cache, whichever worker serves it. *)
+  let sched = Scheduler.wall ~domains:2 () in
+  let med = federation ~cache:(Answer_cache.create ()) ~sched 3 in
+  let opts = { Mediator.Query_opts.default with timeout_ms = 5000.0 } in
+  let worker ~tenant:_ oql =
+    let o = Mediator.query ~opts med oql in
+    Server.Answered
+      {
+        body =
+          Fmt.str "%b %d/%d" o.Mediator.from_cache
+            o.Mediator.answer_cache.Mediator.answer_hits
+            o.Mediator.stats.Runtime.execs_issued;
+        elapsed_ms = o.Mediator.stats.Runtime.elapsed_ms;
+      }
+  in
+  let srv = Server.create ~inflight:4 ~queue_bound:8 ~worker () in
+  let q = "select x.name from x in person where x.salary > 10" in
+  let bodies =
+    List.init 20 (fun _ ->
+        match Server.submit srv ~tenant:"a" q with
+        | Server.Answered { body; _ } -> body
+        | Server.Failed msg -> Alcotest.fail ("query failed: " ^ msg)
+        | Server.Shed _ -> Alcotest.fail "nothing should shed")
+  in
+  Server.stop srv;
+  Scheduler.shutdown sched;
+  let p = Mediator.plan_cache_stats med in
+  Alcotest.(check int) "one plan-cache miss" 1 p.Mediator.p_misses;
+  Alcotest.(check int) "nineteen hits" 19 p.Mediator.p_hits;
+  Alcotest.(check string) "the first request plans and calls every source"
+    "false 0/3" (List.hd bodies);
+  List.iteri
+    (fun i body ->
+      Alcotest.(check string)
+        (Fmt.str "repeat %d is a plan and answer cache hit" (i + 1))
+        "true 3/3" body)
+    (List.tl bodies)
+
 (* -- the line protocol over a real socket -- *)
 
 let free_port () =
@@ -280,7 +324,7 @@ let test_line_bound () =
   (* a request line of exactly [max_line_bytes] is served; one byte more
      is refused with an error and the session closes, with the server
      still serving other sessions *)
-  let worker _ ~tenant:_ oql = Server.Answered { body = oql; elapsed_ms = 0.0 } in
+  let worker ~tenant:_ oql = Server.Answered { body = oql; elapsed_ms = 0.0 } in
   let srv = Server.create ~inflight:1 ~worker () in
   let port = free_port () in
   let server = Thread.create (fun () -> Server.serve_tcp srv ~port ()) () in
@@ -313,7 +357,7 @@ let test_line_bound () =
 (* -- load generator -- *)
 
 let test_loadgen_direct () =
-  let worker _ ~tenant:_ oql =
+  let worker ~tenant:_ oql =
     Server.Answered { body = oql; elapsed_ms = 0.1 }
   in
   let srv = Server.create ~inflight:4 ~queue_bound:64 ~worker () in
@@ -334,7 +378,7 @@ let test_loadgen_direct () =
     && r.Loadgen.r_p99_ms <= r.Loadgen.r_p999_ms)
 
 let test_loadgen_validation () =
-  let worker _ ~tenant:_ oql =
+  let worker ~tenant:_ oql =
     Server.Answered { body = oql; elapsed_ms = 0.0 }
   in
   let srv = Server.create ~inflight:1 ~worker () in
@@ -363,7 +407,10 @@ let () =
       ( "fairness",
         [ Alcotest.test_case "round-robin drain" `Quick test_fair_queueing ] );
       ( "wall-clock",
-        [ Alcotest.test_case "concurrent sessions" `Quick test_wall_clock_smoke ] );
+        [
+          Alcotest.test_case "concurrent sessions" `Quick test_wall_clock_smoke;
+          Alcotest.test_case "one plan per text" `Quick test_one_plan_per_text;
+        ] );
       ( "protocol",
         [ Alcotest.test_case "request line bound" `Quick test_line_bound ] );
       ( "loadgen",
