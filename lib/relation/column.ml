@@ -150,7 +150,9 @@ let filter t ids n =
             if c >= 0 then codes.(j) <- recode.(c));
         Strings { codes; dict; dict_size = !dict_size; interned }
   in
-  { len = n; nulls; payload }
+  t.len <- n;
+  t.nulls <- nulls;
+  t.payload <- payload
 
 let is_null t i = Bytes.get t.nulls i = '\001'
 

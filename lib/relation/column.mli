@@ -42,11 +42,13 @@ val append : t -> V.t -> unit
 (** Append one value. The value must conform to the column type
     ({!Schema.value_conforms}) — the table checks before appending. *)
 
-val filter : t -> int array -> int -> t
-(** [filter t ids n]: a new column of the [n] rows kept by a delete, where
-    [ids.(r)] is row [r]'s new position or [-1] if it goes. [t] is left
-    as it was. A string column keeps only the strings of its kept rows,
-    and their codes keep their relative order. *)
+val filter : t -> int array -> int -> unit
+(** [filter t ids n] keeps the [n] rows kept by a delete, where
+    [ids.(r)] is row [r]'s new position or [-1] if it goes. It fills new
+    arrays and then points [t] at them, so a column keeps its identity
+    for its table's lifetime and compiled code that holds it reads the
+    current rows. A string column keeps only the strings of its kept
+    rows, and their codes keep their relative order. *)
 
 val get : t -> int -> V.t
 (** Materialize row [i] back into a boxed value. *)

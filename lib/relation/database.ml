@@ -18,6 +18,15 @@ let create_table t ~name schema =
   t.ddl_ops <- t.ddl_ops + 1;
   table
 
+(* The dropped table's version moves into the DDL counter, so
+   [version] stays monotone. *)
+let drop_table t name =
+  match Hashtbl.find_opt t.tables name with
+  | Some table ->
+      Hashtbl.remove t.tables name;
+      t.ddl_ops <- t.ddl_ops + Table.version table + 1
+  | None -> ()
+
 let find_table t name = Hashtbl.find_opt t.tables name
 
 let get_table t name =

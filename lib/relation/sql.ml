@@ -599,7 +599,10 @@ let resolve_col frames qualifier column =
            column)
   | _ -> Error (Fmt.str "ambiguous column %s" column)
 
-(* A compiled scalar takes one row id per frame. *)
+(* A compiled scalar takes one row id per frame. It holds the frames'
+   column vectors, which keep their identity across writes
+   ({!Table.column_at}), so it stays valid, and pins no stale copy, for
+   as long as its tables exist. *)
 let rec compile_scalar frames = function
   | Lit v -> fun _ -> v
   | Col (q, c) -> (
@@ -1019,7 +1022,7 @@ let pick_index frames pred =
       (c, Index.rows ix (lo, hi), List.rev rest))
     (List.find_map access probes)
 
-(* -- the executor: one plan per call, for a FROM list of any length -- *)
+(* -- the executor: one statement per query, for a FROM list of any length -- *)
 
 (* Hash key of a float: raw bits with NaNs collapsed to one key. Distinct
    floats get distinct keys except where [Float.compare] calls them equal
@@ -1104,8 +1107,8 @@ let join_key frames i p =
       | _ -> None)
   | _ -> None
 
-(* One FROM entry of a plan: the conjuncts that read it alone ([local],
-   served by [index] when an index can), the hash-join key
+(* One FROM entry of a statement: the conjuncts that read it alone
+   ([local], served by an index when one can), the hash-join key
    [Some (j, cj, ci)] probing it by frame [j]'s bound row, and the
    conjuncts [check] whose last frame it is, checked on each of its rows
    as it is bound. A total predicate is split into conjuncts, each
@@ -1113,13 +1116,22 @@ let join_key frames i p =
    so it stays whole at the last (with one frame, that frame's masked
    filter). *)
 type step = {
-  mutable local : pred;
-  mutable index : (string * int array * pred list) option;
-  mutable key : (int * int * int) option;
-  mutable check : pred;
+  local : pred;
+  key : (int * int * int) option;
+  check : int array -> bool;
 }
 
-let plan db q =
+(* A query compiled against its FROM tables: everything that reads
+   their schemas but no rows. *)
+type statement = {
+  st_frames : cframe array;
+  st_total : bool;
+  st_steps : step array;
+  st_columns : string list;
+  st_items : (int array -> V.t) array;
+}
+
+let compile db q =
   if q.items = [] then sql_error "empty select list";
   if q.from = [] then sql_error "empty from list";
   let frames =
@@ -1141,11 +1153,9 @@ let plan db q =
    then sql_error "duplicate table alias in FROM");
   let n = Array.length frames in
   let total = pred_total frames q.where in
-  let steps =
-    Array.map
-      (fun _ -> { local = True; index = None; key = None; check = True })
-      frames
-  in
+  let local = Array.make n True
+  and key = Array.make n None
+  and check = Array.make n True in
   let add p = function True -> p | c -> And (c, p) in
   List.iter
     (fun p ->
@@ -1156,32 +1166,75 @@ let plan db q =
           (i, List.for_all (Int.equal i) fs)
         else (n - 1, n = 1)
       in
-      let s = steps.(i) in
-      if alone then s.local <- add p s.local
+      if alone then local.(i) <- add p local.(i)
       else
         match join_key frames i p with
-        | Some k when Option.is_none s.key -> s.key <- Some k
-        | _ -> s.check <- add p s.check)
+        | Some k when Option.is_none key.(i) -> key.(i) <- Some k
+        | _ -> check.(i) <- add p check.(i))
     (if total then conjuncts q.where else [ q.where ]);
-  if total then
-    Array.iteri (fun i s -> s.index <- pick_index [| frames.(i) |] s.local) steps;
-  (frames, steps)
-
-let run db q =
-  let frames, steps = plan db q in
   let items =
     expand_items
       (Array.fold_right (fun f acc -> (f.cf_alias, f.cf_schema) :: acc) frames [])
       q.items
   in
-  let columns = output_columns items in
-  let compiled =
-    Array.of_list
-      (List.map
-         (function
-           | Item (s, _) -> compile_scalar frames s | Star -> assert false)
-         items)
+  {
+    st_frames = frames;
+    st_total = total;
+    st_steps =
+      Array.init n (fun i ->
+          {
+            local = local.(i);
+            key = key.(i);
+            check = compile_pred frames check.(i);
+          });
+    st_columns = output_columns items;
+    st_items =
+      Array.of_list
+        (List.map
+           (function
+             | Item (s, _) -> compile_scalar frames s | Star -> assert false)
+           items);
+  }
+
+(* Each FROM name still finds the table the statement was compiled
+   against. A table's schema never changes, so nothing else can make a
+   statement stale. *)
+let current db q st =
+  let rec go i = function
+    | [] -> true
+    | (name, _) :: rest -> (
+        match Database.find_table db name with
+        | Some t ->
+            t == st.st_frames.(i).cf_table && go (i + 1) rest
+        | None -> false)
   in
+  go 0 q.from
+
+(* A prepared query: its statement is replaced whole (an atomic publish,
+   so concurrent callers each see a complete one) when a FROM name finds
+   another table than it was compiled against. *)
+type prepared = { p_db : Database.t; p_query : query; p_stmt : statement Atomic.t }
+
+let prepare db q = { p_db = db; p_query = q; p_stmt = Atomic.make (compile db q) }
+
+let statement p =
+  let st = Atomic.get p.p_stmt in
+  if current p.p_db p.p_query st then st
+  else
+    let st = compile p.p_db p.p_query in
+    Atomic.set p.p_stmt st;
+    st
+
+(* The index each frame is served by on this call. Declaring or
+   dropping an index does not change the table, so the choice is never
+   kept in the statement. *)
+let index_choice st i =
+  if st.st_total then pick_index [| st.st_frames.(i) |] st.st_steps.(i).local
+  else None
+
+(* The data path: everything that reads rows, on every call. *)
+let run_statement q st =
+  let frames = st.st_frames in
   (* per frame: its rows passing its own conjuncts (ascending), the probe
      reaching them from an earlier frame's row, and its checks *)
   let levels =
@@ -1189,7 +1242,7 @@ let run db q =
       (fun i s ->
         let f = frames.(i) in
         let rows =
-          match s.index with
+          match index_choice st i with
           | Some (_, rows, rest) -> eval_pred_vec [| f |] rows (conjoin rest)
           | None -> eval_pred_full [| f |] (Table.cardinality f.cf_table) s.local
         in
@@ -1201,8 +1254,8 @@ let run db q =
                   (Table.column_at frames.(j).cf_table cj) ))
             s.key
         in
-        (rows, probe, compile_pred frames s.check))
-      steps
+        (rows, probe, s.check))
+      st.st_steps
   in
   let n = Array.length frames in
   let rowbuf = Array.make n 0 in
@@ -1237,14 +1290,22 @@ let run db q =
     for j = 0 to n - 1 do
       rowbuf.(j) <- !ids.((t * n) + j)
     done;
-    out := Array.map (fun f -> f rowbuf) compiled :: !out
+    out := Array.map (fun f -> f rowbuf) st.st_items :: !out
   done;
-  finalize q columns !out
+  finalize q st.st_columns !out
+
+let execute p = run_statement p.p_query (statement p)
+
+(* [execute (prepare db q)], without keeping the compilation *)
+let run db q = run_statement q (compile db q)
 
 let explain_engine db q =
-  match plan db q with
-  | _, [| { index = Some (c, _, _); _ } |] -> `Columnar_indexed c
-  | _, [| _ |] -> `Columnar
+  let st = compile db q in
+  match st.st_frames with
+  | [| _ |] -> (
+      match index_choice st 0 with
+      | Some (c, _, _) -> `Columnar_indexed c
+      | None -> `Columnar)
   | _ -> `Columnar_join
 
 let run_string db sql = run db (parse sql)

@@ -62,7 +62,8 @@ val result_to_bag : result -> Disco_value.Value.t
 exception Sql_error of string
 
 val run : Database.t -> query -> result
-(** Evaluate a query against a database. Raises {!Sql_error} on unknown
+(** Evaluate a query against a database: [execute (prepare db q)].
+    Raises {!Sql_error} on unknown
     tables or columns, ambiguous references, or type errors in
     predicates.
 
@@ -77,6 +78,36 @@ val run : Database.t -> query -> result
     rows in the same order, and a query that raises in one raises in the
     other (messages may differ when several rows independently raise —
     discovery order is the engine's own). *)
+
+type prepared
+(** A query compiled against a database: {!run} split at the line
+    between the work that reads only schemas and the work that reads
+    rows. *)
+
+val prepare : Database.t -> query -> prepared
+(** Resolve the FROM frames, check the predicate's totality, place its
+    conjuncts, expand the items and compile the item and check closures.
+    Raises {!Sql_error} as {!run} would before reading a row: on unknown
+    tables, duplicate aliases and empty select or from lists.
+
+    A prepared query keeps each FROM table's identity, and {!execute}
+    compiles it again, keeping the new compilation, when a name finds
+    another table (one dropped and created again). The compiled closures
+    hold the tables' column vectors, which writes update in place
+    ({!Table.column_at}), so writes leave the compilation valid and keep
+    no stale copy alive. Index declarations are not part of it either:
+    the index a frame is served by ({!Table.declare_index}) is chosen on
+    every call, as are the data passes. No row or row id outlives a
+    call.
+
+    {b Concurrency.} A prepared query may be executed concurrently from
+    several domains: the compilation is an immutable snapshot published
+    through an [Atomic], so a caller sees either the old one or the new
+    one whole. *)
+
+val execute : prepared -> result
+(** Run a prepared query on the database's current contents. Same
+    answers and errors as {!run}, which is [execute (prepare db q)]. *)
 
 val run_rows : Database.t -> query -> result
 (** The reference row-at-a-time interpreter (the pre-columnar engine),

@@ -12,7 +12,7 @@ type index_state = { ix_kind : Index.kind; ix : Index.t option Atomic.t }
 type t = {
   name : string;
   schema : Schema.t;
-  mutable columns : Column.t array;
+  columns : Column.t array;  (* one per schema column, for the table's lifetime *)
   mutable count : int;
   mutable version : int;
   indexes : (string, index_state) Hashtbl.t;  (* column name -> state *)
@@ -80,7 +80,7 @@ let delete_where t pred =
         |> Option.map (fun ix -> Index.remap ix ids)
         |> Atomic.set st.ix)
       t.indexes;
-    t.columns <- Array.map (fun col -> Column.filter col ids !kept) t.columns;
+    Array.iter (fun col -> Column.filter col ids !kept) t.columns;
     t.count <- !kept;
     t.version <- t.version + 1);
   removed

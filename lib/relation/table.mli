@@ -68,7 +68,9 @@ val index_for : t -> string -> Index.t option
 (** {1 Columnar internals} *)
 
 val column_at : t -> int -> Column.t
-(** The backing column vector at a schema position. Engine-internal:
-    callers must not mutate through it. *)
+(** The backing column vector at a schema position: the same vector for
+    the table's lifetime (writes update it in place), so {!Sql}'s
+    compiled code may hold it across writes. Engine-internal: callers
+    must not mutate through it. *)
 
 val pp : Format.formatter -> t -> unit

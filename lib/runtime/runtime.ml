@@ -296,6 +296,8 @@ type prepared = {
   p_binding : binding;
   p_copies : (string * Source.t) list;  (* primary, then replicas *)
   p_source_expr : Expr.expr;
+  p_call : Source.t -> (V.t * int, Wrapper.error) result;
+      (* [Wrapper.prepare] of [p_source_expr]: compiles on its first call *)
   p_rename : V.t -> V.t;
   p_cost : Cost_model.key;
   p_cache_key : string option;  (* made when an answer cache is in use *)
@@ -322,12 +324,14 @@ let prepare_exec bindings ~cache repo logical =
     | Some b -> b.b_map
     | None -> Typemap.identity
   in
+  let source_expr = Translate.to_source ~map_of logical in
   {
     p_repo = repo;
     p_logical = logical;
     p_binding = binding;
     p_copies = (binding.b_repo, binding.b_source) :: binding.b_replicas;
-    p_source_expr = Translate.to_source ~map_of logical;
+    p_source_expr = source_expr;
+    p_call = Wrapper.prepare binding.b_wrapper source_expr;
     p_rename = Translate.answer_renamer ~map_of logical;
     p_cost = Cost_model.key ~repo logical;
     p_cache_key =
@@ -450,8 +454,8 @@ let fresh_hit env (x : issued) ~now =
 let wire_call ~now ~deadline src group =
   Source.call_at src ~now ~deadline (fun () ->
       let answers =
-        Wrapper.execute_batch (List.hd group).prep.p_binding.b_wrapper src
-          (List.map (fun x -> x.prep.p_source_expr) group)
+        Wrapper.execute_prepared (List.hd group).prep.p_binding.b_wrapper src
+          (List.map (fun x -> (x.prep.p_source_expr, x.prep.p_call)) group)
       in
       let rows =
         List.fold_left

@@ -193,6 +193,43 @@ let build_of_expr e =
   in
   (distinct, build)
 
+(* A rebuilder of structs with fixed field names, each read from the
+   flat SQL row: the names are sorted and checked for duplicates once,
+   when the statement is compiled, not once per row. With a duplicate
+   name every row goes through [V.strct], which raises. *)
+let struct_of fields =
+  let sorted =
+    List.stable_sort (fun (a, _) (b, _) -> String.compare a b) fields
+  in
+  let rec unique = function
+    | (a, _) :: ((b, _) :: _ as rest) -> (not (String.equal a b)) && unique rest
+    | [ _ ] | [] -> true
+  in
+  let rec read row = function
+    | [] -> []
+    | (c, field) :: rest -> (c, field row) :: read row rest
+  in
+  if unique sorted then fun row -> V.Struct (read row sorted)
+  else fun row -> V.strct (read row fields)
+
+(* [ascending ~strict xs]: [xs] is already in [V.compare] order (with no
+   two equal when [strict]), so [V.bag] ([V.set]) would return it as it
+   is. *)
+let rec ascending ~strict = function
+  | a :: (b :: _ as rest) ->
+      let c = V.compare a b in
+      (c < 0 || (c = 0 && not strict)) && ascending ~strict rest
+  | [ _ ] | [] -> true
+
+(* The answer collection. Rows from a table scanned in key order rebuild
+   to values already in order, which are only checked, not sorted. *)
+let collection ~distinct rebuild_row result =
+  let values = List.map rebuild_row result.Sql.rows in
+  if ascending ~strict:distinct values then
+    if distinct then V.Set values else V.Bag values
+  else if distinct then V.set values
+  else V.bag values
+
 let conj = function
   | [] -> Sql.True
   | first :: rest -> List.fold_left (fun acc p -> Sql.And (acc, p)) first rest
@@ -211,6 +248,8 @@ let compile ~schema_of e =
     | None -> invalid_arg ("sqlgen: unknown alias " ^ alias)
   in
   (* SELECT items plus a rebuilder from each row. *)
+  let column offset i row = row.(offset + i) in
+  let tuple offset cols = struct_of (List.mapi (fun i c -> (c, column offset i)) cols) in
   let items, rebuild_row =
     match b.output with
     | Out_tuple alias ->
@@ -218,19 +257,13 @@ let compile ~schema_of e =
         let items =
           List.map (fun c -> Sql.Item (Sql.Col (Some alias, c), Some c)) cols
         in
-        let rebuild row =
-          V.strct (List.mapi (fun i c -> (c, row.(i))) cols)
-        in
-        (items, rebuild)
+        (items, tuple 0 cols)
     | Out_project attrs ->
         let alias = Option.get b.single in
         let items =
           List.map (fun c -> Sql.Item (Sql.Col (Some alias, c), Some c)) attrs
         in
-        let rebuild row =
-          V.strct (List.mapi (fun i c -> (c, row.(i))) attrs)
-        in
-        (items, rebuild)
+        (items, tuple 0 attrs)
     | Out_binds binds ->
         (* one slice of columns per variable; rebuild nested structs *)
         let slices =
@@ -247,20 +280,13 @@ let compile ~schema_of e =
                 cols)
             slices
         in
-        let rebuild row =
-          let _, fields =
-            List.fold_left
-              (fun (offset, acc) (var, _, cols) ->
-                let sub =
-                  V.strct
-                    (List.mapi (fun i c -> (c, row.(offset + i))) cols)
-                in
-                (offset + List.length cols, (var, sub) :: acc))
-              (0, []) slices
-          in
-          V.strct fields
+        let _, fields =
+          List.fold_left
+            (fun (offset, acc) (var, _, cols) ->
+              (offset + List.length cols, (var, tuple offset cols) :: acc))
+            (0, []) slices
         in
-        (items, rebuild)
+        (items, struct_of fields)
     | Out_head (Expr.Hscalar s) ->
         let items = [ Sql.Item (scalar_to_sql env s, Some "value") ] in
         ((items : Sql.item list), fun row -> row.(0))
@@ -289,28 +315,21 @@ let compile ~schema_of e =
               | `Scalar (name, s) -> [ Sql.Item (scalar_to_sql env s, Some name) ])
             expanded
         in
-        let rebuild row =
-          let _, out =
-            List.fold_left
-              (fun (offset, acc) part ->
-                match part with
-                | `Tuple (name, _, cols) ->
-                    let sub =
-                      V.strct (List.mapi (fun i c -> (c, row.(offset + i))) cols)
-                    in
-                    (offset + List.length cols, (name, sub) :: acc)
-                | `Scalar (name, _) -> (offset + 1, (name, row.(offset)) :: acc))
-              (0, []) expanded
-          in
-          V.strct out
+        let _, out =
+          List.fold_left
+            (fun (offset, acc) part ->
+              match part with
+              | `Tuple (name, _, cols) ->
+                  (offset + List.length cols, (name, tuple offset cols) :: acc)
+              | `Scalar (name, _) -> (offset + 1, (name, column offset 0) :: acc))
+            (0, []) expanded
         in
-        (items, rebuild)
+        (items, struct_of out)
   in
   let sql =
     Sql.select ~distinct ~where:(conj b.where) items
       (List.map (fun (table, alias) -> (table, Some alias)) b.from)
   in
   (* SELECT DISTINCT already removed duplicates; the answer is a set *)
-  let collection = if distinct then V.set else V.bag in
-  let rebuild result = collection (List.map rebuild_row result.Sql.rows) in
+  let rebuild = collection ~distinct rebuild_row in
   { sql; rebuild }

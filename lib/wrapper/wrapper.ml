@@ -18,6 +18,7 @@ type t = {
   execute : Source.t -> Expr.expr -> (V.t * int, error) result;
   execute_batch :
     (Source.t -> Expr.expr list -> (V.t * int, error) result list) option;
+  prepare : Expr.expr -> Source.t -> (V.t * int, error) result;
 }
 
 let name t = t.name
@@ -30,8 +31,20 @@ let execute_batch t source es =
   | Some f -> f source es
   | None -> List.map (t.execute source) es
 
-let make ?execute_batch ~name ~grammar ~execute () =
-  { name; grammar; execute; execute_batch }
+let prepare t e = t.prepare e
+
+let execute_prepared t source calls =
+  match t.execute_batch with
+  | Some f -> f source (List.map fst calls)
+  | None -> List.map (fun (_, call) -> call source) calls
+
+let make ?execute_batch ?prepare ~name ~grammar ~execute () =
+  let prepare =
+    match prepare with
+    | Some prepare -> prepare
+    | None -> fun e source -> execute source e
+  in
+  { name; grammar; execute; execute_batch; prepare }
 
 let refuse fmt = Format.kasprintf (fun m -> Error (Refused m)) fmt
 
@@ -50,37 +63,87 @@ let table_bag db table_name =
 
 (* -- SQL wrapper: full relational pushdown -- *)
 
-let sql_execute source e =
-  match relational_db source with
-  | Error _ as err -> err
-  | Ok db -> (
-      match e with
-      | Expr.Get table ->
-          (* whole-extent scans skip SQL generation and read the column
-             store directly — the same bag of structs the generated
-             [SELECT *] rebuilds *)
-          Result.bind (table_bag db table) with_result
-      | _ -> (
-      let schema_of table =
-        Option.map
-          (fun t -> Schema.column_names (Table.schema t))
-          (Database.find_table db table)
-      in
-      match Sqlgen.compile ~schema_of e with
-      | exception Sqlgen.Unsupported m -> Error (Refused m)
-      | exception Invalid_argument m -> Error (Native_error m)
-      | { Sqlgen.sql; rebuild } -> (
-          match Sql.run db sql with
-          | exception Sql.Sql_error m -> Error (Native_error m)
-          | result -> with_result (rebuild result))))
+(* The SQL path of one expression, compiled against one database: the
+   generated query, prepared, and its rebuilder. [tables] are the tables
+   whose schemas the generator read; a name that finds another table
+   now compiles the expression again. *)
+type statement = {
+  db : Database.t;
+  tables : (string * Table.t) list;
+  sql : Sql.prepared;
+  rebuild : Sql.result -> V.t;
+}
+
+let compile_statement db e =
+  let tables = ref [] in
+  let schema_of name =
+    Option.map
+      (fun t ->
+        tables := (name, t) :: !tables;
+        Schema.column_names (Table.schema t))
+      (Database.find_table db name)
+  in
+  match Sqlgen.compile ~schema_of e with
+  | exception Sqlgen.Unsupported m -> Error (Refused m)
+  | exception Invalid_argument m -> Error (Native_error m)
+  | { Sqlgen.sql; rebuild } -> (
+      match Sql.prepare db sql with
+      | exception Sql.Sql_error m -> Error (Native_error m)
+      | sql -> Ok { db; tables = !tables; sql; rebuild })
+
+let compiled_for db st =
+  st.db == db
+  && List.for_all
+       (fun (name, t) ->
+         match Database.find_table db name with
+         | Some t' -> t' == t
+         | None -> false)
+       st.tables
+
+(* Staged: the statement is compiled on the first call and kept, as an
+   immutable snapshot behind an atomic, for as long as the source's
+   database and the tables it read stay the same; a failover to a
+   replica or a replaced source compiles it again. Concurrent callers
+   each read a whole snapshot; when two compile at once, the later
+   publish wins. *)
+let sql_prepare e =
+  match e with
+  | Expr.Get table ->
+      (* whole-extent scans skip SQL generation and read the column
+         store directly — the same bag of structs the generated
+         [SELECT *] rebuilds *)
+      fun source ->
+        Result.bind (relational_db source) (fun db ->
+            Result.bind (table_bag db table) with_result)
+  | _ -> (
+      let compiled = Atomic.make None in
+      fun source ->
+        match relational_db source with
+        | Error _ as err -> err
+        | Ok db -> (
+            let statement =
+              match Atomic.get compiled with
+              | Some st when compiled_for db st -> Ok st
+              | Some _ | None ->
+                  Result.map
+                    (fun st ->
+                      Atomic.set compiled (Some st);
+                      st)
+                    (compile_statement db e)
+            in
+            match statement with
+            | Error _ as err -> err
+            | Ok st -> (
+                match Sql.execute st.sql with
+                | exception Sql.Sql_error m -> Error (Native_error m)
+                | result -> with_result (st.rebuild result))))
+
+(* A wrapper whose [execute] is its staged call, prepared and run once *)
+let staged ~name ~grammar prepare =
+  make ~prepare ~name ~grammar ~execute:(fun source e -> prepare e source) ()
 
 let sql_wrapper () =
-  {
-    name = "WrapperSql";
-    grammar = Grammar.full_relational;
-    execute = sql_execute;
-    execute_batch = None;
-  }
+  staged ~name:"WrapperSql" ~grammar:Grammar.full_relational sql_prepare
 
 (* -- evaluation-based wrappers over relational sources -- *)
 
@@ -105,8 +168,7 @@ let scan_execute source e =
       | e -> refuse "scan-only source cannot evaluate %s" (Expr.to_string e))
 
 let scan_wrapper () =
-  { name = "WrapperScan"; grammar = Grammar.get_only; execute = scan_execute;
-    execute_batch = None }
+  make ~name:"WrapperScan" ~grammar:Grammar.get_only ~execute:scan_execute ()
 
 let select_execute source e =
   match relational_db source with
@@ -122,15 +184,12 @@ let select_execute source e =
 let select_grammar = Grammar.select_pushdown ()
 
 let select_wrapper ?comparisons () =
-  {
-    name = "WrapperSelect";
-    grammar =
+  make ~name:"WrapperSelect"
+    ~grammar:
       (match comparisons with
       | None -> select_grammar
-      | Some comparisons -> Grammar.select_pushdown ~comparisons ());
-    execute = select_execute;
-    execute_batch = None;
-  }
+      | Some comparisons -> Grammar.select_pushdown ~comparisons ())
+    ~execute:select_execute ()
 
 let project_execute source e =
   match relational_db source with
@@ -141,12 +200,8 @@ let project_execute source e =
       | e -> refuse "project wrapper cannot evaluate %s" (Expr.to_string e))
 
 let project_wrapper () =
-  {
-    name = "WrapperProject";
-    grammar = Grammar.project_no_compose;
-    execute = project_execute;
-    execute_batch = None;
-  }
+  make ~name:"WrapperProject" ~grammar:Grammar.project_no_compose
+    ~execute:project_execute ()
 
 (* -- key-value wrapper -- *)
 
@@ -174,8 +229,7 @@ let kv_execute source e =
       | e -> refuse "key-value store cannot evaluate %s" (Expr.to_string e))
 
 let kv_wrapper () =
-  { name = "WrapperKV"; grammar = Grammar.key_lookup; execute = kv_execute;
-    execute_batch = None }
+  make ~name:"WrapperKV" ~grammar:Grammar.key_lookup ~execute:kv_execute ()
 
 (* -- flat-file wrapper -- *)
 
@@ -189,8 +243,7 @@ let file_execute source e =
       | e -> refuse "flat file supports scans only, not %s" (Expr.to_string e))
 
 let file_wrapper () =
-  { name = "WrapperFile"; grammar = Grammar.get_only; execute = file_execute;
-    execute_batch = None }
+  make ~name:"WrapperFile" ~grammar:Grammar.get_only ~execute:file_execute ()
 
 (* -- WAIS-style text wrapper -- *)
 
@@ -234,7 +287,7 @@ let text_execute source e =
           | _, Some _ -> refuse "text server indexes only title and body"
           | _, None ->
               refuse
-                "text server answers single-keyword patterns (%%word%%), not                  %s"
+                "text server answers single-keyword patterns (%%word%%), not %s"
                 pattern)
       | e -> refuse "text server cannot evaluate %s" (Expr.to_string e))
 
@@ -247,18 +300,15 @@ let text_grammar =
   |}
 
 let text_wrapper () =
-  {
-    name = "WrapperText";
-    grammar = text_grammar;
-    execute = text_execute;
-    execute_batch = None;
-  }
+  make ~name:"WrapperText" ~grammar:text_grammar ~execute:text_execute ()
 
 (* -- indexed wrapper: advertises index-backed filters only -- *)
 
 let attr_field path = match List.rev path with f :: _ -> f | [] -> ""
 
-let indexed_execute ~eq ~range source e =
+(* Staged like the SQL wrapper: the shape is judged once, and an
+   accepted filter keeps its compiled SQL statement across calls. *)
+let indexed_prepare ~eq ~range e =
   let indexed = eq @ range in
   let filter_ok op field =
     match op with
@@ -273,26 +323,25 @@ let indexed_execute ~eq ~range source e =
         filter_ok op (attr_field path)
     | _ -> false
   in
-  match relational_db source with
-  | Error _ as err -> err
-  | Ok _ -> (
-      match e with
-      | Expr.Get _ -> sql_execute source e
-      | Expr.Select (Expr.Get _, p) when pred_ok p ->
-          (* runs on the columnar engine, which serves the comparison
-             from the table's declared index when one exists *)
-          sql_execute source e
-      | e ->
+  let run =
+    match e with
+    | Expr.Get _ -> sql_prepare e
+    | Expr.Select (Expr.Get _, p) when pred_ok p ->
+        (* runs on the columnar engine, which serves the comparison
+           from the table's declared index when one exists *)
+        sql_prepare e
+    | e ->
+        fun _ ->
           refuse "indexed source serves scans and indexed filters, not %s"
-            (Expr.to_string e))
+            (Expr.to_string e)
+  in
+  fun source ->
+    match relational_db source with Error _ as err -> err | Ok _ -> run source
 
 let indexed_wrapper ?(eq = []) ?(range = []) () =
-  {
-    name = "WrapperIndexed";
-    grammar = Grammar.indexed_lookup ~eq ~range ();
-    execute = indexed_execute ~eq ~range;
-    execute_batch = None;
-  }
+  staged ~name:"WrapperIndexed"
+    ~grammar:(Grammar.indexed_lookup ~eq ~range ())
+    (indexed_prepare ~eq ~range)
 
 let of_constructor_args ctor args =
   let list_arg name =

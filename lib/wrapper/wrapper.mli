@@ -59,8 +59,37 @@ val execute_batch :
     identical either way; only the latency accounting differs (the
     runtime prices a batched call's [base_ms] once). *)
 
+val prepare : t -> Expr.expr -> Source.t -> (V.t * int, error) result
+(** Staged {!execute}: [prepare w e] is a call of [e] that may keep
+    work between calls, so [prepare w e src] answers as
+    [execute w src e] does, with the same errors on the same call. The
+    SQL and indexed wrappers compile lazily, on the first call: the
+    generated SQL, the {!Disco_relation.Sql.prepared} query and the
+    answer rebuilder are kept for as long as the source's database, and
+    the tables the generator read, stay the same (a failover to a
+    replica or a replaced source compiles again). Data passes and the
+    index choice are made on every call. Wrappers built by {!make}
+    without [?prepare] stage nothing: their calls are
+    [fun src -> execute src e].
+
+    {b Concurrency.} One prepared call may run on several domains at
+    once (serve workers share a mediator's cached plans). The kept
+    compilation is an immutable snapshot published through an [Atomic]:
+    no lock, and a caller sees either no snapshot or a whole one. *)
+
+val execute_prepared :
+  t ->
+  Source.t ->
+  (Expr.expr * (Source.t -> (V.t * int, error) result)) list ->
+  (V.t * int, error) result list
+(** One round-trip for several prepared calls, each paired with its
+    expression: a wrapper with its own [execute_batch] gets the
+    expressions, as {!execute_batch} would pass them; any other runs the
+    prepared calls in order. *)
+
 val make :
   ?execute_batch:(Source.t -> Expr.expr list -> (V.t * int, error) result list) ->
+  ?prepare:(Expr.expr -> Source.t -> (V.t * int, error) result) ->
   name:string ->
   grammar:Grammar.t ->
   execute:(Source.t -> Expr.expr -> (V.t * int, error) result) ->
@@ -72,16 +101,22 @@ val make :
     An implementation must return exactly one (positional) result per
     input expression.
 
+    [?prepare] stages [execute] (see {!prepare}): [prepare e] is applied
+    once per prepared exec, and the call it returns each time that exec
+    is sent to a source. It must answer as [execute src e] does, with the same
+    errors on the same call. It defaults to
+    [fun e src -> execute src e].
+
     {b Concurrency.} Under a wall-clock scheduler
     ({!Disco_source.Scheduler.wall} — serve mode) the runtime
     issues one round's batches genuinely in parallel on several
-    domains, so [execute] and [execute_batch] may be invoked
-    concurrently: for different sources, or the same source, within one
-    query, and for the same wrapper value across the queries that share
-    one mediator.
+    domains, so [execute], [execute_batch] and one prepared call may be
+    invoked concurrently: for different sources, or the same source,
+    within one query, and for the same wrapper value or cached exec
+    across the queries that share one mediator.
     Implementations must be re-entrant or take their own lock; the
-    built-in wrappers are pure over the source snapshot and need
-    neither. *)
+    built-in wrappers are pure over the source snapshot, and keep their
+    prepared compilations in atomics, so they need neither. *)
 
 (** {1 Built-in wrappers} *)
 

@@ -16,7 +16,7 @@ module Plan = Disco_physical.Plan
 module Rules = Disco_algebra.Rules
 
 (* Under [QCHECK_LONG] a property runs [long_factor] times its count; the
-   two [sql-oracle] properties, the slowest to find a bug, take 20. *)
+   three [sql-oracle] properties, the slowest to find a bug, take 20. *)
 let long_factor = 10
 
 (* -- Earley vs brute force -- *)
@@ -1634,6 +1634,90 @@ let prop_maintained_indexes =
               && List.for_all (snapshot_matches_fresh t) indexed_columns)
         ops)
 
+(* -- one prepared statement across writes, index DDL and a replaced
+   table --
+
+   A statement keeps its compilation for as long as each FROM name finds
+   the same table: writes change that table's rows in place, index DDL
+   changes neither the table nor its version, and a replaced table is
+   another table under the same name. After every step the old statement
+   must still answer as the row oracle does on the current data, or
+   raise alike. *)
+
+type stmt_op =
+  | P_insert of V.t array list
+  | P_delete of int  (* person rows whose id is this *)
+  | P_declare of string * Index.kind  (* on a person column *)
+  | P_drop_index of string
+  | P_replace of string * V.t array list  (* a new table, same name and schema *)
+
+let pp_stmt_op = function
+  | P_insert rows -> Fmt.str "insert %d rows" (List.length rows)
+  | P_delete k -> Fmt.str "delete id = %d" k
+  | P_declare (c, kind) -> Fmt.str "declare %s index on %s" (Index.kind_name kind) c
+  | P_drop_index c -> Fmt.str "drop index on %s" c
+  | P_replace (t, rows) -> Fmt.str "replace %s (%d rows)" t (List.length rows)
+
+let stmt_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun rows -> P_insert (List.filteri (fun i _ -> i < 6) rows)) sql_rows_gen);
+        (3, map (fun k -> P_delete k) (int_range 0 12));
+        (2, map (fun (c, kind) -> P_declare (c, kind)) (oneofl indexed_columns));
+        (2, map (fun (c, _) -> P_drop_index c) (oneofl indexed_columns));
+        (1, map (fun rows -> P_replace ("person", rows)) sql_rows_gen);
+        (1, map (fun rows -> P_replace ("dept", rows)) dept_rows_gen);
+      ])
+
+let apply_stmt_op db op =
+  let person () = Database.get_table db "person" in
+  match op with
+  | P_insert rows -> Table.insert_all (person ()) rows
+  | P_delete k ->
+      ignore (Table.delete_where (person ()) (fun row -> V.equal row.(0) (V.Int k)))
+  | P_declare (column, kind) -> Table.declare_index (person ()) ~column kind
+  | P_drop_index column -> Table.drop_index (person ()) column
+  | P_replace (name, rows) ->
+      Database.drop_table db name;
+      Table.insert_all (Database.create_table db ~name (sql_schema_of name)) rows
+
+let prop_prepared_statement_follows_tables =
+  let gen =
+    QCheck.Gen.(
+      quad (pair sql_rows_gen dept_rows_gen) sql_query_gen bool
+        (list_size (int_range 1 8) stmt_op_gen))
+  in
+  QCheck.Test.make
+    ~name:"a prepared statement = the row oracle across writes and DDL"
+    ~count:200 ~long_factor:20
+    (QCheck.make
+       ~print:(fun ((rows, dept), q, ix, ops) ->
+         Fmt.str "%s over %d person, %d dept rows%s; %s" (Sql.to_string q)
+           (List.length rows) (List.length dept)
+           (if ix then " [indexed]" else "")
+           (String.concat "; " (List.map pp_stmt_op ops)))
+       gen)
+    (fun ((rows, dept), q, ix, ops) ->
+      let db, t = sql_db rows dept in
+      if ix then
+        List.iter
+          (fun (column, kind) -> Table.declare_index t ~column kind)
+          indexed_columns;
+      match Sql.prepare db q with
+      | exception Sql.Sql_error _ -> sql_outcome Sql.run_rows db q = Error ()
+      | prepared ->
+          let agrees () =
+            sql_outcome (fun _ _ -> Sql.execute prepared) db q
+            = sql_outcome Sql.run_rows db q
+          in
+          agrees ()
+          && List.for_all
+               (fun op ->
+                 apply_stmt_op db op;
+                 agrees ())
+               ops)
+
 (* Printing is the wrappers' submit path: the printed text must reparse
    to a query that prints identically (literals — negative numbers, LIKE
    patterns, quotes, floats — all survive the trip). *)
@@ -1655,7 +1739,13 @@ let prop_sql_print_parse_stable =
    use the same plan, the hit must leave everything as the fresh run
    does: answer, stats, the cost-model estimates, and the trace (every
    span but the front end's and the optimizer's, all on the virtual
-   clock). *)
+   clock).
+
+   Between the two runs both mediators may take the same change to [r1]:
+   rows appended to its table (the hit's prepared source statements
+   read them without compiling again), or the source replaced by
+   [register_source] with other rows (which drops the cached plans, so
+   the text runs once more before the hit). *)
 
 module Trace = Disco_obs.Trace
 
@@ -1681,6 +1771,27 @@ let prepared_config ~cache ~retry sink =
     trace_sink = Some sink;
   }
 
+let prepared_source ?(schedule = Schedule.always_up) ?(base_ms = 5.0) repo
+    tables =
+  let db = Database.create ~name:"db" in
+  List.iter
+    (fun (table, schema, rows) ->
+      ignore (Datagen.table_of db ~name:table schema rows))
+    tables;
+  Source.create ~id:repo
+    ~address:(Source.address ~host:repo ~db_name:"db" ~ip:"0" ())
+    ~latency:{ Source.base_ms; per_row_ms = 0.1; jitter = 0.2 }
+    ~schedule (Source.Relational db)
+
+(* [r1]'s one table, under its source names when [pf_map] is set *)
+let r1_table spec rows =
+  if spec.pf_map then
+    ( "staff1",
+      Schema.make
+        [ ("ident", Schema.TInt); ("nom", Schema.TString); ("paie", Schema.TInt) ],
+      rows )
+  else ("person1", Datagen.person_schema, rows)
+
 let prepared_federation spec sink =
   let m =
     Mediator.create
@@ -1693,17 +1804,9 @@ let prepared_federation spec sink =
         attribute Short id;
         attribute String name;
         attribute Short salary; }|};
-  let site ?(schedule = Schedule.always_up) ?(base_ms = 5.0) repo tables =
-    let db = Database.create ~name:"db" in
-    List.iter
-      (fun (table, schema, rows) ->
-        ignore (Datagen.table_of db ~name:table schema rows))
-      tables;
+  let site ?schedule ?base_ms repo tables =
     Mediator.register_source m ~name:repo
-      (Source.create ~id:repo
-         ~address:(Source.address ~host:repo ~db_name:"db" ~ip:"0" ())
-         ~latency:{ Source.base_ms; per_row_ms = 0.1; jitter = 0.2 }
-         ~schedule (Source.Relational db));
+      (prepared_source ?schedule ?base_ms repo tables);
     Mediator.load_odl m
       (Fmt.str {|%s := Repository(host="%s", name="db", address="0");|} repo
          repo)
@@ -1713,19 +1816,7 @@ let prepared_federation spec sink =
   site ~base_ms:30.0 ~schedule:(down spec.pf_replica) "r0"
     [ ("person0", Datagen.person_schema, rows 0) ];
   site ~base_ms:2.0 "rr0" [ ("person0", Datagen.person_schema, rows 0) ];
-  site "r1"
-    [
-      (if spec.pf_map then
-         ( "staff1",
-           Schema.make
-             [
-               ("ident", Schema.TInt);
-               ("nom", Schema.TString);
-               ("paie", Schema.TInt);
-             ],
-           rows 1 )
-       else ("person1", Datagen.person_schema, rows 1));
-    ];
+  site "r1" [ r1_table spec (rows 1) ];
   site ~schedule:(down spec.pf_down) "r2"
     [ ("person2", Datagen.person_schema, rows 2) ];
   Mediator.load_odl m
@@ -1848,7 +1939,10 @@ let prop_prepared_hit_equals_fresh =
                      { pf_map; pf_replica; pf_down; pf_shards; pf_retry; pf_cache })
                  (tup6 bool bool bool bool bool bool) );
            ])
-        (list_size (int_range 1 3) (pair (int_range 0 5) (int_range 0 300))))
+        (list_size (int_range 1 3)
+           (triple (int_range 0 5) (int_range 0 300)
+              (frequency
+                 [ (2, return `Same); (1, return `Insert); (1, return `Replace) ]))))
   in
   let print (spec, qs) =
     Fmt.str "%s [%s]"
@@ -1866,7 +1960,15 @@ let prop_prepared_hit_equals_fresh =
                  (f.pf_retry, "retry+hedge");
                  (f.pf_cache, "cache");
                ]))
-      (String.concat "; " (List.map (fun (s, t) -> Fmt.str "%d/%d" s t) qs))
+      (String.concat "; "
+         (List.map
+            (fun (s, t, change) ->
+              Fmt.str "%d/%d%s" s t
+                (match change with
+                | `Same -> ""
+                | `Insert -> " +insert r1"
+                | `Replace -> " +replace r1"))
+            qs))
   in
   QCheck.Test.make ~long_factor
     ~name:"a plan-cache hit equals the same query replanned"
@@ -1885,22 +1987,42 @@ let prop_prepared_hit_equals_fresh =
       and b = build (fun tr -> trace_b := Some tr) in
       let queries =
         List.map
-          (fun (shape, t) ->
-            match spec with
-            | Some f -> prepared_query ~shards:f.pf_shards shape t
-            | None ->
-                reference_query ~all:"person" ~a:"vip0" ~b:"staff0"
-                  (if shape mod 2 = 0 then 3 else 0)
-                  t)
+          (fun (shape, t, change) ->
+            ( (match spec with
+              | Some f -> prepared_query ~shards:f.pf_shards shape t
+              | None ->
+                  reference_query ~all:"person" ~a:"vip0" ~b:"staff0"
+                    (if shape mod 2 = 0 then 3 else 0)
+                    t),
+              change ))
           qs
       in
+      (* the change, then (after a replacement) the run that caches the
+         plan again; the semi-join federation has no [r1] to change *)
+      let change_r1 m trace q change =
+        let rows = Datagen.person_rows ~seed:(700 + Hashtbl.hash q) ~n:3 in
+        match (spec, change) with
+        | None, _ | Some _, `Same -> ()
+        | Some f, `Insert -> (
+            match Option.map Source.kind (Mediator.find_source m "r1") with
+            | Some (Source.Relational db) ->
+                let name, _, _ = r1_table f [] in
+                Table.insert_all (Database.get_table db name) rows
+            | _ -> ())
+        | Some f, `Replace ->
+            Mediator.register_source m ~name:"r1"
+              (prepared_source "r1" [ r1_table f rows ]);
+            ignore (prepared_observation m trace q)
+      in
       List.for_all
-        (fun q ->
+        (fun (q, change) ->
           ignore (prepared_observation a trace_a q);
+          change_r1 a trace_a q change;
           let hit_outcome, hit_spans, hit_est, hit_batches, hit_calls =
             prepared_observation a trace_a q
           in
           ignore (prepared_observation b trace_b q);
+          change_r1 b trace_b q change;
           Mediator.clear_plan_cache b;
           let fresh_outcome, fresh_spans, fresh_est, fresh_batches, fresh_calls =
             prepared_observation b trace_b q
@@ -1965,7 +2087,11 @@ let () =
           ] );
       ( "sql-oracle",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_columnar_matches_rows; prop_maintained_indexes ] );
+          [
+            prop_columnar_matches_rows;
+            prop_maintained_indexes;
+            prop_prepared_statement_follows_tables;
+          ] );
       ( "walks",
         [ Alcotest.test_case "walk orders" `Quick test_walk_orders ] );
       ( "batching",

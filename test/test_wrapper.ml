@@ -387,10 +387,67 @@ let test_text_wrapper () =
   (match Wrapper.execute w src (Expr.Get "docs") with
   | Ok (_, 3) -> ()
   | _ -> Alcotest.fail "scan failed");
-  (* multi-keyword patterns are outside the WAIS model: refused *)
+  (* multi-keyword patterns are outside the WAIS model: refused, and the
+     refusal names the pattern after one space *)
   match Wrapper.execute w src (keyword "body" "nitrate% %ozone") with
-  | Error (Wrapper.Refused _) -> ()
+  | Error (Wrapper.Refused m) ->
+      Alcotest.(check string) "refusal text"
+        "text server answers single-keyword patterns (%word%), not \
+         %nitrate% %ozone%"
+        m
   | _ -> Alcotest.fail "expected refusal of complex pattern"
+
+(* A prepared call answers as [execute] on every call: after appends and
+   deletes (the table's version moves), after the table is replaced by a
+   same-name table of another schema, after the source's database
+   changes (a failover), and when the expression stops compiling. *)
+let test_prepared_call_follows_source () =
+  let w = Wrapper.sql_wrapper () in
+  let db = person_db ~n:20 in
+  let src = Source.create ~id:"r0" ~address:(Source.address ~host:"h" ~db_name:"db" ~ip:"0" ()) (Source.Relational db) in
+  let other =
+    Source.create ~id:"rr0"
+      ~address:(Source.address ~host:"h2" ~db_name:"db" ~ip:"1" ())
+      (Source.Relational (person_db ~n:7))
+  in
+  let exprs =
+    [
+      Expr.Select (get, gt_pred);
+      bind "x" (Expr.Select (get, gt_pred));
+      Expr.Distinct (Expr.Map (get, Expr.Hscalar (Expr.Attr [ "salary" ])));
+    ]
+  in
+  let calls = List.map (fun e -> (e, Wrapper.prepare w e)) exprs in
+  let agree step src =
+    List.iter
+      (fun (e, call) ->
+        let show = function
+          | Ok (v, n) -> Fmt.str "%d %a" n V.pp v
+          | Error err -> Wrapper.error_message err
+        in
+        Alcotest.(check string)
+          (Fmt.str "%s: %s" step (Expr.to_string e))
+          (show (Wrapper.execute w src e))
+          (show (call src)))
+      calls
+  in
+  agree "first call" src;
+  agree "hit" src;
+  let t = Database.get_table db "person0" in
+  Table.insert_all t (Datagen.person_rows ~seed:9 ~n:5);
+  agree "after insert" src;
+  ignore (Table.delete_where t (fun row -> V.equal row.(0) (V.Int 3)));
+  agree "after delete" src;
+  agree "failover" other;
+  agree "back" src;
+  Database.drop_table db "person0";
+  agree "table dropped" src;
+  let t =
+    Database.create_table db ~name:"person0"
+      (Schema.make [ ("id", Schema.TInt); ("salary", Schema.TInt) ])
+  in
+  Table.insert_all t [ [| V.Int 1; V.Int 50 |]; [| V.Int 2; V.Int 5 |] ];
+  agree "replaced by another schema" src
 
 let test_text_wrapper_through_mediator () =
   let module Text_index = Disco_source.Text_index in
@@ -632,6 +689,8 @@ let () =
           Alcotest.test_case "kv wrapper" `Quick test_kv_wrapper;
           Alcotest.test_case "file wrapper" `Quick test_file_wrapper;
           Alcotest.test_case "text wrapper" `Quick test_text_wrapper;
+          Alcotest.test_case "prepared call follows its source" `Quick
+            test_prepared_call_follows_source;
           Alcotest.test_case "text wrapper via mediator" `Quick
             test_text_wrapper_through_mediator;
           Alcotest.test_case "constructor lookup" `Quick test_of_constructor;
