@@ -174,8 +174,15 @@ let absorb ~can_push e =
         else None
   in
   let step = function
-    | Select (Submit (repo, inner), p) as orig ->
-        try_push repo (Select (inner, p)) orig
+    | Select (Submit (repo, inner), p) as orig -> (
+        if can_push ~repo (Select (inner, p)) then Submit (repo, Select (inner, p))
+        else
+          (* a select absorbed before this one reached it: a grammar that
+             takes one select over a scan may still take both as one
+             conjunction *)
+          match inner with
+          | Select (base, p1) -> try_push repo (Select (base, And (p1, p))) orig
+          | _ -> orig)
     | Project (Submit (repo, inner), attrs) as orig ->
         try_push repo (Project (inner, attrs)) orig
     | Map (Submit (repo, inner), h) as orig -> (

@@ -3,6 +3,8 @@ type ('k, 'v) node = {
   mutable n_value : 'v;
   mutable n_prev : ('k, 'v) node option;  (* towards MRU *)
   mutable n_next : ('k, 'v) node option;  (* towards LRU *)
+  n_self : ('k, 'v) node option;
+      (* [Some] of this node, made once, so relinking allocates nothing *)
 }
 
 type ('k, 'v) t = {
@@ -13,9 +15,18 @@ type ('k, 'v) t = {
   mutable evicted : int;
 }
 
+(* The table starts at no more than the default capacity's size and
+   grows with its entries: a large bound (the cost model's) must not cost
+   every fresh cache its whole table. *)
 let create ?(capacity = 128) () =
   if capacity < 1 then invalid_arg "Lru.create: capacity must be >= 1";
-  { cap = capacity; tbl = Hashtbl.create capacity; head = None; tail = None; evicted = 0 }
+  {
+    cap = capacity;
+    tbl = Hashtbl.create (min capacity 128);
+    head = None;
+    tail = None;
+    evicted = 0;
+  }
 
 let capacity t = t.cap
 let length t = Hashtbl.length t.tbl
@@ -33,15 +44,18 @@ let unlink t node =
 let push_front t node =
   node.n_prev <- None;
   node.n_next <- t.head;
-  (match t.head with Some h -> h.n_prev <- Some node | None -> t.tail <- Some node);
-  t.head <- Some node
+  (match t.head with Some h -> h.n_prev <- node.n_self | None -> t.tail <- node.n_self);
+  t.head <- node.n_self
+
+let touch t node =
+  unlink t node;
+  push_front t node
 
 let find t key =
   match Hashtbl.find_opt t.tbl key with
   | None -> None
   | Some node ->
-      unlink t node;
-      push_front t node;
+      touch t node;
       Some node.n_value
 
 let peek t key = Option.map (fun n -> n.n_value) (Hashtbl.find_opt t.tbl key)
@@ -56,17 +70,32 @@ let evict_over_capacity t =
         t.evicted <- t.evicted + 1
   done
 
+let insert t key value =
+  let rec node =
+    { n_key = key; n_value = value; n_prev = None; n_next = None; n_self = Some node }
+  in
+  Hashtbl.replace t.tbl key node;
+  push_front t node;
+  evict_over_capacity t
+
 let add t key value =
-  (match Hashtbl.find_opt t.tbl key with
+  match Hashtbl.find_opt t.tbl key with
   | Some node ->
       node.n_value <- value;
-      unlink t node;
-      push_front t node
-  | None ->
-      let node = { n_key = key; n_value = value; n_prev = None; n_next = None } in
-      Hashtbl.replace t.tbl key node;
-      push_front t node);
-  evict_over_capacity t
+      touch t node
+  | None -> insert t key value
+
+(* [Hashtbl.find] raises a preallocated [Not_found], so a hit allocates
+   nothing. *)
+let find_or_add t key make =
+  match Hashtbl.find t.tbl key with
+  | node ->
+      touch t node;
+      node.n_value
+  | exception Not_found ->
+      let value = make () in
+      insert t key value;
+      value
 
 let remove t key =
   match Hashtbl.find_opt t.tbl key with

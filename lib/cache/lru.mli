@@ -2,10 +2,10 @@
 
     The shared eviction policy behind the mediator's caches: the
     {!Disco_cache.Answer_cache} bounds materialized source answers with
-    it, and the mediator's plan cache reuses the same module instead of
-    growing an unbounded [Hashtbl]. Keys are hashed structurally;
-    recency is maintained with an intrusive doubly-linked list, so
-    [find]/[add]/[remove] are O(1). *)
+    it, the mediator's plan cache reuses the same module instead of
+    growing an unbounded [Hashtbl], and so does the cost model's exact
+    history. Keys are hashed structurally; recency is maintained with an
+    intrusive doubly-linked list, so [find]/[add]/[remove] are O(1). *)
 
 type ('k, 'v) t
 
@@ -22,6 +22,11 @@ val find : ('k, 'v) t -> 'k -> 'v option
 val peek : ('k, 'v) t -> 'k -> 'v option
 (** Lookup without touching recency — for inspection paths that must not
     perturb the eviction order. *)
+
+val find_or_add : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
+(** [find_or_add t key make] is the value at [key], marked
+    most-recently used; when [key] is absent, [make ()] is added there
+    first (evicting as {!add} does). A hit allocates nothing. *)
 
 val add : ('k, 'v) t -> 'k -> 'v -> unit
 (** Insert or replace, making the entry most-recently used; the

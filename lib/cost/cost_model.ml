@@ -1,5 +1,6 @@
 module Expr = Disco_algebra.Expr
 module V = Disco_value.Value
+module Lru = Disco_cache.Lru
 
 type basis = Exact of int | Close of int | Indexed | Default
 
@@ -22,6 +23,17 @@ type ring = {
   mutable next : int;  (* the slot the next observation overwrites *)
 }
 
+let fresh_ring () = { times = [||]; counts = [||]; len = 0; next = 0 }
+
+(* The exact history keeps at most this many keys, the least recently
+   recorded or estimated evicted first. One mediator serves a whole
+   [discoctl serve] process, and every ad-hoc query adds a key per pushed
+   exec with new constants (one per branch of a multi-extent view), while
+   the skeletons of the close history stay few. An evicted key's calls
+   still inform its skeleton's close estimate. A pass of the benchmark's
+   [cold_adhoc] workload keys about 400 execs. *)
+let exact_bound = 4096
+
 (* One mediator's model serves every query, from several threads and
    domains at once: [lock] guards the four tables and the rings, which
    are written in place. It is never held across anything but their own
@@ -31,7 +43,7 @@ type t = {
   history : int;
   smoothing : float;
   close_matching : bool;
-  exact : (string, ring) Hashtbl.t;  (* exact key -> calls *)
+  exact : (string, ring) Lru.t;  (* exact key -> calls *)
   close : (string, ring) Hashtbl.t;  (* skeleton key -> calls *)
   batch : (string, ring) Hashtbl.t;  (* repo -> batched round-trips *)
   (* repo -> attributes with a declared source-side index *)
@@ -47,7 +59,7 @@ let create ?(history = 8) ?(smoothing = 0.5) ?(close_matching = true) () =
     history;
     smoothing;
     close_matching;
-    exact = Hashtbl.create 64;
+    exact = Lru.create ~capacity:exact_bound ();
     close = Hashtbl.create 64;
     batch = Hashtbl.create 16;
     declared = Hashtbl.create 8;
@@ -113,15 +125,17 @@ let key ~repo e =
 
 let printed k = k.k_printed
 
-let push t table key ~time ~count =
-  let r =
-    match Hashtbl.find_opt table key with
-    | Some r -> r
-    | None ->
-        let r = { times = [||]; counts = [||]; len = 0; next = 0 } in
-        Hashtbl.replace table key r;
-        r
-  in
+(* [Hashtbl.find] raises a preallocated [Not_found], so finding a
+   recorded key allocates nothing. *)
+let ring_in table key =
+  match Hashtbl.find table key with
+  | r -> r
+  | exception Not_found ->
+      let r = fresh_ring () in
+      Hashtbl.replace table key r;
+      r
+
+let push t r ~time ~count =
   let cap = Array.length r.times in
   if r.len = cap && cap < t.history then (
     (* nothing was overwritten yet, so slots [0, len) hold the
@@ -149,8 +163,8 @@ let slot r i =
 (* Every exec records here, so the lock is taken without a closure. *)
 let record_key t k ~time_ms ~rows =
   Mutex.lock t.lock;
-  push t t.exact k.k_exact ~time:time_ms ~count:rows;
-  push t t.close k.k_close ~time:time_ms ~count:rows;
+  push t (Lru.find_or_add t.exact k.k_exact fresh_ring) ~time:time_ms ~count:rows;
+  push t (ring_in t.close k.k_close) ~time:time_ms ~count:rows;
   Mutex.unlock t.lock
 
 let record t ~repo ~expr ~time_ms ~rows =
@@ -224,7 +238,7 @@ let lookup t ~repo expr key =
   let exact =
     match key with Some k -> k.k_exact | None -> repo ^ "|" ^ Expr.to_string expr
   in
-  match Hashtbl.find_opt t.exact exact with
+  match Lru.find t.exact exact with
   | Some r ->
       let time, rows = smooth t r in
       { est_time_ms = time; est_rows = rows; est_basis = Exact r.len }
@@ -246,7 +260,7 @@ let estimate_key t k =
 
 let record_batch t ~repo ~size ~time_ms =
   if size < 1 then invalid_arg "Cost_model.record_batch: size must be >= 1";
-  locked t (fun () -> push t t.batch repo ~time:time_ms ~count:size)
+  locked t (fun () -> push t (ring_in t.batch repo) ~time:time_ms ~count:size)
 
 (* Calibrate the batched round-trip the same way Section 3.3 calibrates
    single calls: from recorded (size, time) pairs, fit
@@ -284,11 +298,11 @@ let estimate_batch t ~repo ~size =
       Some (Float.max 0.0 predicted)
 
 let recorded_calls t =
-  locked t (fun () -> Hashtbl.fold (fun _ r acc -> acc + r.len) t.exact 0)
+  locked t (fun () -> Lru.fold (fun _ r acc -> acc + r.len) t.exact 0)
 
 let clear t =
   (* observations only: index declarations are DDL, not history *)
   locked t (fun () ->
-      Hashtbl.reset t.exact;
+      Lru.clear t.exact;
       Hashtbl.reset t.close;
       Hashtbl.reset t.batch)

@@ -7,7 +7,8 @@
 
     - an {b exact match} (same repository, same expression) combines the
       recorded calls with a smoothing function; only a fixed number of
-      exactly matching calls are kept;
+      exactly matching calls are kept, for at most {!exact_bound}
+      expressions;
     - a {b close match} (same expression skeleton: comparison operators
       match but constants differ — the paper's "variant of predicate-based
       caching") smooths over the close calls;
@@ -32,6 +33,13 @@ val default_estimate : estimate
 (** time 0, rows 1, basis Default. *)
 
 type t
+
+val exact_bound : int
+(** The most exact keys a model keeps (4,096): recording or estimating a
+    key marks it most recently used, and a new key past the bound evicts
+    the least recently used one. An evicted key's calls stay in its
+    skeleton's close history. Recording a key already held allocates
+    nothing. *)
 
 val create : ?history:int -> ?smoothing:float -> ?close_matching:bool -> unit -> t
 (** [history] bounds the recorded calls kept per exact key (default 8).
@@ -93,6 +101,7 @@ val skeleton : Expr.expr -> string
     erased. Exposed for tests. *)
 
 val recorded_calls : t -> int
-(** Total records currently held (after trimming). *)
+(** Total exact records currently held (after trimming to [history] per
+    key and to {!exact_bound} keys). *)
 
 val clear : t -> unit

@@ -50,9 +50,14 @@ let join_variants ~limit e =
 (* Paper Section 3.3: when no cost information is available, "the
    optimizer will choose plans where the maximum amount of computation is
    done at the data source"; only then is the lowest mediator-side cost
-   chosen. Candidates whose exec estimates are all defaults are compared
-   by mediator work first; estimated times take over as soon as any
-   recorded cost informs a candidate. *)
+   chosen. Candidates whose exec estimates are all defaults are ranked by
+   the work they push to sources (the summed size of their source
+   expressions, larger first); mediator op count, estimated time and rows
+   shipped break ties. The op count alone is no proxy for pushdown over a
+   union: distributing a select or map over its branches adds a mediator
+   node per branch, whether or not the branches then absorb it. Estimated
+   times take over as soon as recorded costs inform every exec of a
+   candidate. *)
 let better (a : Plan.cost * int * int) (b : Plan.cost * int * int) =
   let ca, opsa, pusheda = a and cb, opsb, pushedb = b in
   let informed c = c.Plan.defaulted_execs = 0 in
@@ -70,12 +75,11 @@ let better (a : Plan.cost * int * int) (b : Plan.cost * int * int) =
       else opsa < opsb
   | false, false ->
       (* the paper's default rule: maximum computation at the sources *)
-      if opsa <> opsb then opsa < opsb
+      if pusheda <> pushedb then pusheda > pushedb
+      else if opsa <> opsb then opsa < opsb
       else if ca.Plan.time_ms <> cb.Plan.time_ms then
         ca.Plan.time_ms < cb.Plan.time_ms
-      else if ca.Plan.shipped <> cb.Plan.shipped then
-        ca.Plan.shipped < cb.Plan.shipped
-      else pusheda > pushedb
+      else ca.Plan.shipped < cb.Plan.shipped
 
 (* Join-commutation variants explored per optimization. *)
 let join_variant_limit = 8

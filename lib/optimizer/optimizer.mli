@@ -47,8 +47,12 @@ val optimize :
   Expr.expr ->
   choice
 (** [optimize ~can_push ~cost located] plans a located logical expression.
-    At most 8 join-commutation variants are explored. Ties in estimated
-    time break toward fewer shipped tuples, then smaller plans.
+    At most 8 join-commutation variants are explored. Plans whose every
+    exec estimate is informed rank first, by estimated time; ties break
+    toward fewer shipped tuples, then smaller plans. The others rank by
+    the work they push to sources (the summed size of their source
+    expressions, larger first), then smaller plans, time and shipped
+    tuples.
 
     Candidate plans are structurally deduplicated before costing (the
     enumeration re-derives the same physical tree along many paths), so

@@ -289,6 +289,37 @@ type cost = {
 let rec mediator_op_count p =
   fold_children (fun n c -> n + mediator_op_count c) 1 p
 
+(* The share of its input a distinct keeps, at the mediator or pushed. *)
+let distinct_ratio = 0.7
+
+(* Paper Section 3.3 prices an exec with no history at time 0 and data 1.
+   When the exec is a select/project/map/distinct chain over one extent
+   whose bare scan is recorded at the same repository, that scan says
+   more: the source reads the whole extent either way, so the chain takes
+   the scan's time, and it returns the scan's rows scaled as the same
+   operators would scale them at the mediator. Such an estimate is
+   informed, so a pushed chain whose constants are new still competes
+   with the recorded scan instead of losing to it by default. *)
+let from_recorded_scan params model ~repo e =
+  let rec chain scale = function
+    | Expr.Select (e, _) -> chain (scale *. params.default_selectivity) e
+    | Expr.Project (e, _) | Expr.Map (e, _) -> chain scale e
+    | Expr.Distinct e -> chain (scale *. distinct_ratio) e
+    | Expr.Get _ as scan -> Some (scale, scan)
+    | _ -> None
+  in
+  match e with
+  | Expr.Get _ -> None (* a bare scan was just estimated by the caller *)
+  | _ -> (
+      match chain 1.0 e with
+      | None -> None
+      | Some (scale, scan) -> (
+          let est = Cost_model.estimate model ~repo scan in
+          match est.Cost_model.est_basis with
+          | Cost_model.Exact _ | Cost_model.Close _ ->
+              Some { est with Cost_model.est_rows = est.Cost_model.est_rows *. scale }
+          | Cost_model.Indexed | Cost_model.Default -> None))
+
 let estimate ?(params = default_params) ?(batch = false) model plan =
   (* Under the batched transport, the first-round execs sharing a
      repository ride one round-trip: when the cost model has batch
@@ -321,6 +352,12 @@ let estimate ?(params = default_params) ?(batch = false) model plan =
   let rec go = function
     | Exec (repo, e) ->
         let est = Cost_model.estimate model ~repo e in
+        let est =
+          match est.Cost_model.est_basis with
+          | Cost_model.Default ->
+              Option.value (from_recorded_scan params model ~repo e) ~default:est
+          | Cost_model.Exact _ | Cost_model.Close _ | Cost_model.Indexed -> est
+        in
         {
           time_ms =
             (match batch_time repo with
@@ -437,7 +474,7 @@ let estimate ?(params = default_params) ?(batch = false) model plan =
         {
           c with
           time_ms = c.time_ms +. (params.c_distinct *. c.rows);
-          rows = c.rows *. 0.7;
+          rows = c.rows *. distinct_ratio;
         }
   in
   go plan

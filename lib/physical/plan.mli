@@ -134,20 +134,29 @@ type cost = {
   shipped : float;
   defaulted_execs : int;
       (** [exec] nodes whose estimate fell back to the default (no
-          recorded calls) *)
+          recorded calls, and no recorded scan to price them from; see
+          {!estimate}) *)
 }
 (** [shipped] counts tuples crossing the wrapper interface (the quantity
     experiment E4 measures). *)
 
 val mediator_op_count : plan -> int
 (** Number of mediator-side physical operators ([Exec] bodies count as a
-    single node): the quantity the optimizer minimizes when every exec
-    estimate is a default — the paper's "maximum amount of computation
-    done at the data source" rule (Section 3.3). *)
+    single node). When every exec estimate is a default the optimizer
+    minimizes it among the plans that push the most work to sources. *)
 
 val estimate :
   ?params:params -> ?batch:bool -> Disco_cost.Cost_model.t -> plan -> cost
-(** [batch] (default [false]) costs the plan for the batched transport:
+(** An exec the cost model has no history for is priced at the paper's
+    default (time 0, data 1) — unless its expression is a chain of
+    select, project, map and distinct over one [get(E)] whose bare scan
+    the model has recorded at the same repository. Then it takes the
+    scan's time, and the scan's rows scaled by
+    [params.default_selectivity] per select and 0.7 per distinct (what
+    the same operators cost at the mediator), and it is not counted in
+    [defaulted_execs].
+
+    [batch] (default [false]) costs the plan for the batched transport:
     first-round execs sharing a repository are charged the amortized
     share of the {!Disco_cost.Cost_model.estimate_batch} prediction when
     the model has batch calibration for that repository (falling back to

@@ -87,8 +87,20 @@ let delete_where t pred =
 
 let cardinality t = t.count
 
+(* Each struct is read straight off the column vectors, its fields in
+   the name order [Schema.row_to_struct] would sort them into, which is
+   found once per call. Rows kept in key order then come out canonical,
+   and [V.bag] keeps them after one pass. *)
 let to_bag t =
-  V.bag (List.init t.count (fun i -> Schema.row_to_struct t.schema (row_at t i)))
+  let fields =
+    List.mapi (fun c (name, _) -> (name, t.columns.(c))) t.schema.Schema.columns
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  in
+  let rec row i = function
+    | [] -> []
+    | (name, col) :: rest -> (name, Column.get col i) :: row i rest
+  in
+  V.bag (List.init t.count (fun i -> V.Struct (row i fields)))
 
 let version t = t.version
 

@@ -89,8 +89,21 @@ let numeric_compare a b =
       if rank a = rank b then Some (compare a b)
       else None
 
-let bag xs = Bag (List.sort compare xs)
-let set xs = Set (List.sort_uniq compare xs)
+(* Whether [xs] is already canonical: non-decreasing for a bag, strictly
+   increasing ([strict]) for a set. The sorts are stable, so an input that
+   passes is exactly what sorting it would return, and one pass of
+   [compare] replaces the sort. *)
+let rec ordered ~strict = function
+  | x :: (y :: _ as rest) ->
+      let c = compare x y in
+      (c < 0 || (c = 0 && not strict)) && ordered ~strict rest
+  | [ _ ] | [] -> true
+
+let bag xs = Bag (if ordered ~strict:false xs then xs else List.sort compare xs)
+
+let set xs =
+  Set (if ordered ~strict:true xs then xs else List.sort_uniq compare xs)
+
 let list xs = List xs
 
 let strct fields =

@@ -35,11 +35,13 @@ exception Type_error of string
 (** {1 Smart constructors} *)
 
 val bag : t list -> t
-(** [bag xs] is the canonical bag of the elements of [xs]. *)
+(** [bag xs] is the canonical bag of the elements of [xs]. An [xs]
+    already in {!compare} order is kept as it is after one pass. *)
 
 val set : t list -> t
 (** [set xs] is the canonical set of the elements of [xs] (duplicates
-    removed). *)
+    removed). An [xs] already strictly increasing is kept as it is after
+    one pass. *)
 
 val strct : (string * t) list -> t
 (** [strct fields] sorts [fields] by name. Raises {!Type_error} on duplicate

@@ -212,23 +212,11 @@ let struct_of fields =
   if unique sorted then fun row -> V.Struct (read row sorted)
   else fun row -> V.strct (read row fields)
 
-(* [ascending ~strict xs]: [xs] is already in [V.compare] order (with no
-   two equal when [strict]), so [V.bag] ([V.set]) would return it as it
-   is. *)
-let rec ascending ~strict = function
-  | a :: (b :: _ as rest) ->
-      let c = V.compare a b in
-      (c < 0 || (c = 0 && not strict)) && ascending ~strict rest
-  | [ _ ] | [] -> true
-
 (* The answer collection. Rows from a table scanned in key order rebuild
-   to values already in order, which are only checked, not sorted. *)
+   to values already in order, which [V.bag] and [V.set] only check. *)
 let collection ~distinct rebuild_row result =
   let values = List.map rebuild_row result.Sql.rows in
-  if ascending ~strict:distinct values then
-    if distinct then V.Set values else V.Bag values
-  else if distinct then V.set values
-  else V.bag values
+  if distinct then V.set values else V.bag values
 
 let conj = function
   | [] -> Sql.True

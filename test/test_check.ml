@@ -186,7 +186,7 @@ let test_optimizer_warn_counts () =
 
 (* Only the plan that runs is verified. Pushing the project into the
    scan-only person1 is the cheapest candidate under an empty cost store
-   (the fewest mediator ops), but it breaks the grammar; the as-written
+   (it pushes the most work to the source), but it breaks the grammar; the as-written
    plan has no error. The union with an int bag gives every candidate a
    DISCO-W001 warning, so counting more than one verdict would show.
    [Warn] verifies and keeps the cheapest; [Enforce] walks down the

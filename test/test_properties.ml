@@ -2058,6 +2058,189 @@ let prop_prepared_hit_equals_fresh =
           true)
         queries)
 
+(* -- canonical collections are bit-identical to sorting -- *)
+
+(* Values equal bit for bit: unlike [=], a [nan] equals itself, and
+   unlike [V.compare], [-0.] differs from [0.]. *)
+let rec identical a b =
+  match (a, b) with
+  | V.Float x, V.Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | V.Struct xs, V.Struct ys ->
+      List.length xs = List.length ys
+      && List.for_all2 (fun (n, x) (m, y) -> String.equal n m && identical x y) xs ys
+  | V.Bag xs, V.Bag ys | V.Set xs, V.Set ys | V.List xs, V.List ys ->
+      List.length xs = List.length ys && List.for_all2 identical xs ys
+  | _ -> a = b
+
+let canonical_elem_gen =
+  let open QCheck.Gen in
+  let atom =
+    oneof
+      [
+        return V.Null;
+        map (fun i -> V.Int i) (int_range (-3) 3);
+        oneofl [ V.Float 0.; V.Float (-0.); V.Float nan; V.Float 1.5; V.Float (-2.) ];
+        map (fun s -> V.String s) (oneofl [ ""; "a"; "b" ]);
+      ]
+  in
+  frequency
+    [
+      (4, atom);
+      (1, map V.bag (list_size (int_range 0 3) atom));
+      (1, map (fun xs -> V.strct [ ("a", V.bag xs) ]) (list_size (int_range 0 2) atom));
+    ]
+
+(* Inputs drawn as they come, sorted, reverse-sorted, or sorted with
+   one adjacent pair swapped. *)
+let canonical_input_gen =
+  let open QCheck.Gen in
+  let swap_one xs i =
+    let a = Array.of_list xs in
+    let n = Array.length a in
+    if n >= 2 then (
+      let i = i mod (n - 1) in
+      let t = a.(i) in
+      a.(i) <- a.(i + 1);
+      a.(i + 1) <- t);
+    Array.to_list a
+  in
+  list_size (int_range 0 12) canonical_elem_gen >>= fun xs ->
+  let sorted = List.sort V.compare xs in
+  oneof
+    [
+      return xs;
+      return sorted;
+      return (List.rev sorted);
+      map (swap_one sorted) nat;
+      return (List.sort_uniq V.compare xs);
+    ]
+
+let prop_canonical_collections =
+  QCheck.Test.make ~long_factor
+    ~name:"bag and set equal sorting their input, bit for bit" ~count:1000
+    (QCheck.make
+       ~print:(fun xs -> String.concat "; " (List.map V.to_string xs))
+       canonical_input_gen)
+    (fun xs ->
+      identical (V.bag xs) (V.Bag (List.sort V.compare xs))
+      && identical (V.set xs) (V.Set (List.sort_uniq V.compare xs)))
+
+(* -- Table.to_bag equals the per-row struct build -- *)
+
+(* Columns declared out of alphabetical order, NULLs in every column,
+   floats with [-0.] and [nan], then a delete of some rows. *)
+let table_to_bag_gen =
+  let open QCheck.Gen in
+  let columns =
+    [ ("zeta", Schema.TInt); ("id", Schema.TInt); ("name", Schema.TString);
+      ("amount", Schema.TFloat); ("flag", Schema.TBool) ]
+  in
+  let cell = function
+    | Schema.TInt -> map (fun i -> V.Int i) (int_range 0 9)
+    | Schema.TString -> map (fun s -> V.String s) (oneofl [ "x"; "y"; "" ])
+    | Schema.TFloat -> oneofl [ V.Float 0.; V.Float (-0.); V.Float nan; V.Float 2.5 ]
+    | Schema.TBool -> map (fun b -> V.Bool b) bool
+  in
+  shuffle_l columns >>= fun shuffled ->
+  int_range 1 (List.length shuffled) >>= fun arity ->
+  let cols = List.filteri (fun i _ -> i < arity) shuffled in
+  let row =
+    flatten_l
+      (List.map
+         (fun (_, ty) -> frequency [ (5, cell ty); (1, return V.Null) ])
+         cols)
+  in
+  triple (return cols) (list_size (int_range 0 25) (map Array.of_list row)) (int_range 0 4)
+
+let prop_table_to_bag =
+  QCheck.Test.make ~long_factor
+    ~name:"Table.to_bag = the per-row struct build" ~count:500
+    (QCheck.make
+       ~print:(fun (cols, rows, k) ->
+         Fmt.str "columns %s, %d rows, delete every %dth"
+           (String.concat "," (List.map fst cols)) (List.length rows) k)
+       table_to_bag_gen)
+    (fun (cols, rows, k) ->
+      let schema = Schema.make cols in
+      let t = Table.create ~name:"t" schema in
+      Table.insert_all t rows;
+      let old_build t =
+        V.bag (List.map (Schema.row_to_struct schema) (Table.rows t))
+      in
+      let before = identical (Table.to_bag t) (old_build t) in
+      (* drop rows by position: every [k]th when [k > 0] *)
+      let i = ref (-1) in
+      if k > 0 then
+        ignore
+          (Table.delete_where t (fun _ ->
+               incr i;
+               !i mod k = 0));
+      before && identical (Table.to_bag t) (old_build t))
+
+(* -- a pushed chain priced from its recorded scan -- *)
+
+(* With only the bare scan of [t] recorded, an exec of a select /
+   project / map / distinct chain over [get(t)] is informed, and priced
+   no higher than the scan with the same operators run at the mediator:
+   no more time, no more rows shipped, and the same rows out. *)
+let prop_pushed_chain_priced_from_scan =
+  let op_gen = QCheck.Gen.oneofl [ `Select; `Project; `Map; `Distinct ] in
+  let gen =
+    QCheck.Gen.(
+      triple
+        (list_size (int_range 1 5) op_gen)
+        (list_size (int_range 1 4) (pair (float_range 0.0 500.0) (int_range 0 5000)))
+        bool)
+  in
+  let name = function
+    | `Select -> "select" | `Project -> "project" | `Map -> "map" | `Distinct -> "distinct"
+  in
+  QCheck.Test.make ~long_factor
+    ~name:"a pushed chain costs no more than its scan plus mediator operators"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (ops, scans, batch) ->
+         Fmt.str "%s over %d recorded scans%s"
+           (String.concat "," (List.map name ops))
+           (List.length scans)
+           (if batch then " (batched)" else ""))
+       gen)
+    (fun (ops, scans, batch) ->
+      let scan = Expr.Get "t" in
+      let pred = Expr.Cmp (Expr.Gt, Expr.Attr [ "salary" ], Expr.Const (V.Int 10)) in
+      let cost = Cost_model.create () in
+      List.iter
+        (fun (time_ms, rows) -> Cost_model.record cost ~repo:"r" ~expr:scan ~time_ms ~rows)
+        scans;
+      let pushed =
+        Plan.Exec
+          ( "r",
+            List.fold_left
+              (fun e op ->
+                match op with
+                | `Select -> Expr.Select (e, pred)
+                | `Project -> Expr.Project (e, [ "salary" ])
+                | `Map -> Expr.Map (e, Expr.Hscalar (Expr.Attr [ "salary" ]))
+                | `Distinct -> Expr.Distinct e)
+              scan ops )
+      in
+      let mediator =
+        List.fold_left
+          (fun p op ->
+            match op with
+            | `Select -> Plan.Mk_select (p, pred)
+            | `Project -> Plan.Mk_project (p, [ "salary" ])
+            | `Map -> Plan.Mk_map (p, Expr.Hscalar (Expr.Attr [ "salary" ]))
+            | `Distinct -> Plan.Mk_distinct p)
+          (Plan.Exec ("r", scan)) ops
+      in
+      let cp = Plan.estimate ~batch cost pushed and cm = Plan.estimate ~batch cost mediator in
+      cp.Plan.defaulted_execs = 0
+      && cm.Plan.defaulted_execs = 0
+      && cp.Plan.time_ms <= cm.Plan.time_ms
+      && cp.Plan.shipped <= cm.Plan.shipped
+      && Float.abs (cp.Plan.rows -. cm.Plan.rows) <= 1e-9 *. Float.max 1.0 cm.Plan.rows)
+
 let () =
   Alcotest.run "disco_properties"
     [
@@ -2084,6 +2267,9 @@ let () =
             prop_sql_print_parse_stable;
             prop_identity_rewrites;
             prop_prepared_hit_equals_fresh;
+            prop_canonical_collections;
+            prop_table_to_bag;
+            prop_pushed_chain_priced_from_scan;
           ] );
       ( "sql-oracle",
         List.map QCheck_alcotest.to_alcotest

@@ -121,6 +121,36 @@ let test_cost_indexed_basis () =
   Alcotest.(check bool) "advertised attrs" true
     (Cost_model.indexed_attrs m ~repo:"r0" = [ ("id", `Hash); ("salary", `Sorted) ])
 
+(* The exact history keeps at most [exact_bound] keys; a shape whose
+   exact key was evicted still estimates from its skeleton. *)
+let test_cost_exact_bound () =
+  let m = Cost_model.create () in
+  let sel c = Expr.Select (get0, gt c) in
+  for c = 0 to 99_999 do
+    Cost_model.record m ~repo:"r0" ~expr:(sel c) ~time_ms:1.0 ~rows:1
+  done;
+  Alcotest.(check bool) "at most the bound remains" true
+    (Cost_model.recorded_calls m <= Cost_model.exact_bound);
+  let basis c = (Cost_model.estimate m ~repo:"r0" (sel c)).Cost_model.est_basis in
+  Alcotest.(check bool) "the newest key is exact" true (basis 99_999 = Cost_model.Exact 1);
+  Alcotest.(check bool) "an evicted key estimates close" true
+    (match basis 0 with Cost_model.Close _ -> true | _ -> false)
+
+(* Every exec records its call, so recording a key already held — once
+   its ring has grown — allocates nothing. *)
+let test_cost_record_allocates_nothing () =
+  let m = Cost_model.create () in
+  let k = Cost_model.key ~repo:"r0" (Expr.Select (get0, gt 10)) in
+  Cost_model.record_key m k ~time_ms:1.0 ~rows:1;
+  Cost_model.record_key m k ~time_ms:1.0 ~rows:1;
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    Cost_model.record_key m k ~time_ms:2.0 ~rows:3
+  done;
+  let words = Gc.minor_words () -. before in
+  if words > 100.0 then
+    Alcotest.failf "10,000 records of one key allocated %.0f words" words
+
 (* -- physical plans -- *)
 
 let test_implement_shapes () =
@@ -251,6 +281,45 @@ let test_optimizer_learns () =
   match choice.Optimizer.plan with
   | Plan.Mk_select (Plan.Exec _, _) -> ()
   | p -> Alcotest.fail ("expected scan + local select: " ^ Plan.to_string p)
+
+(* Paper Section 3.3 with an empty store, over a union whose branches
+   differ in capability: the branch that takes the select gets it, and
+   those that do not keep it at the mediator. With two branches that
+   cannot take it, counting mediator ops would pick the select left over
+   the whole union (5 ops against 6). *)
+let test_optimizer_pushes_into_union_branches () =
+  let located =
+    Expr.Select
+      ( Expr.Union
+          (List.init 3 (fun i -> Expr.Submit (Fmt.str "r%d" i, Expr.Get (Fmt.str "person%d" i)))),
+        gt 10 )
+  in
+  let can_push ~repo _ = String.equal repo "r0" in
+  let choice = Optimizer.optimize ~can_push ~cost:(Cost_model.create ()) located in
+  Alcotest.(check string) "each branch as far as it goes"
+    "mkunion(exec(r0, select(salary > 10, get(person0))), mkselect(salary > 10, \
+     exec(r1, get(person1))), mkselect(salary > 10, exec(r2, get(person2))))"
+    (Plan.to_string choice.Optimizer.plan)
+
+(* A recorded bare scan prices a pushed select it has no history for:
+   the scan's time, its rows scaled by the default selectivity, and
+   informed — so the pushed select beats the scan plus a mediator-side
+   select, as it does with an empty store. *)
+let test_optimizer_prices_from_recorded_scan () =
+  let located = Expr.Select (Expr.Submit ("r0", get0), gt 10) in
+  let cost = Cost_model.create () in
+  Cost_model.record cost ~repo:"r0" ~expr:get0 ~time_ms:20.0 ~rows:200;
+  let plan = Plan.Exec ("r0", Expr.Select (get0, gt 10)) in
+  let est = Plan.estimate cost plan in
+  Alcotest.(check int) "informed" 0 est.Plan.defaulted_execs;
+  Alcotest.(check (float 1e-9)) "the scan's time" 20.0 est.Plan.time_ms;
+  Alcotest.(check (float 1e-9)) "the scan's rows, selected"
+    (200.0 *. Plan.default_params.Plan.default_selectivity)
+    est.Plan.rows;
+  let choice = Optimizer.optimize ~can_push:Rules.push_all ~cost located in
+  Alcotest.(check string) "the select stays pushed"
+    "exec(r0, select(salary > 10, get(person0)))"
+    (Plan.to_string choice.Optimizer.plan)
 
 let test_optimizer_dedups_candidates () =
   let metrics = Disco_obs.Metrics.create () in
@@ -997,6 +1066,9 @@ let () =
           Alcotest.test_case "batch calibration" `Quick
             test_cost_batch_calibration;
           Alcotest.test_case "indexed basis" `Quick test_cost_indexed_basis;
+          Alcotest.test_case "exact history bound" `Quick test_cost_exact_bound;
+          Alcotest.test_case "recording allocates nothing" `Quick
+            test_cost_record_allocates_nothing;
         ] );
       ( "plan",
         [
@@ -1015,6 +1087,10 @@ let () =
           Alcotest.test_case "capability respected" `Quick
             test_optimizer_respects_capability;
           Alcotest.test_case "learning flips the plan" `Quick test_optimizer_learns;
+          Alcotest.test_case "pushes into union branches" `Quick
+            test_optimizer_pushes_into_union_branches;
+          Alcotest.test_case "prices from a recorded scan" `Quick
+            test_optimizer_prices_from_recorded_scan;
           Alcotest.test_case "candidate dedup" `Quick
             test_optimizer_dedups_candidates;
         ] );
