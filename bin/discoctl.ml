@@ -100,7 +100,8 @@ let rows_arg =
 let wrapper_arg =
   let doc =
     "Wrapper constructor for the demo sources (WrapperPostgres, \
-     WrapperSelect, WrapperProject, WrapperScan)."
+     WrapperSelect, WrapperProject, WrapperScan, WrapperIndexed; the \
+     last names no indexed attribute here, so it serves scans only)."
   in
   Arg.(value & opt string "WrapperPostgres" & info [ "wrapper" ] ~docv:"W" ~doc)
 

@@ -100,12 +100,13 @@ let compiled_for db st =
          | None -> false)
        st.tables
 
-(* Staged: the statement is compiled on the first call and kept, as an
-   immutable snapshot behind an atomic, for as long as the source's
-   database and the tables it read stay the same; a failover to a
-   replica or a replaced source compiles it again. Concurrent callers
-   each read a whole snapshot; when two compile at once, the later
-   publish wins. *)
+(* Staged: the statement is compiled on every call until the second,
+   which publishes it, as an immutable snapshot behind an atomic, for as
+   long as the source's database and the tables it read stay the same;
+   a failover to a replica or a replaced source compiles it again. So a
+   cached plan whose text never repeats holds no statement. Concurrent
+   callers each read a whole snapshot; when two compile at once, the
+   later publish wins. *)
 let sql_prepare e =
   match e with
   | Expr.Get table ->
@@ -116,7 +117,7 @@ let sql_prepare e =
         Result.bind (relational_db source) (fun db ->
             Result.bind (table_bag db table) with_result)
   | _ -> (
-      let compiled = Atomic.make None in
+      let compiled = Atomic.make None and called = Atomic.make false in
       fun source ->
         match relational_db source with
         | Error _ as err -> err
@@ -127,7 +128,8 @@ let sql_prepare e =
               | Some _ | None ->
                   Result.map
                     (fun st ->
-                      Atomic.set compiled (Some st);
+                      if Atomic.exchange called true then
+                        Atomic.set compiled (Some st);
                       st)
                     (compile_statement db e)
             in
@@ -138,45 +140,22 @@ let sql_prepare e =
                 | exception Sql.Sql_error m -> Error (Native_error m)
                 | result -> with_result (st.rebuild result))))
 
-(* A wrapper whose [execute] is its staged call, prepared and run once *)
-let staged ~name ~grammar prepare =
+(* -- relational wrappers: the grammar is the capability -- *)
+
+(* A relational wrapper is its grammar: an accepted expression runs on
+   the staged SQL path, and any other is refused (a source that is not
+   relational fails first, whatever the shape). *)
+let relational ~name grammar =
+  let prepare e =
+    if Grammar.accepts grammar e then sql_prepare e
+    else fun source ->
+      Result.bind (relational_db source) (fun _ ->
+          refuse "%s cannot evaluate %s" name (Expr.to_string e))
+  in
   make ~prepare ~name ~grammar ~execute:(fun source e -> prepare e source) ()
 
-let sql_wrapper () =
-  staged ~name:"WrapperSql" ~grammar:Grammar.full_relational sql_prepare
-
-(* -- evaluation-based wrappers over relational sources -- *)
-
-(* Evaluate a restricted shape locally against the source's tables; used
-   by the low-capability wrappers whose sources can only scan/filter. *)
-let eval_against_db db e =
-  let resolve name =
-    match Database.find_table db name with
-    | Some table -> Some (Table.to_bag table)
-    | None -> None
-  in
-  match Expr.eval ~resolve e with
-  | v -> with_result v
-  | exception Expr.Algebra_error m -> Error (Native_error m)
-
-let scan_execute source e =
-  match relational_db source with
-  | Error _ as err -> err
-  | Ok db -> (
-      match e with
-      | Expr.Get table -> Result.bind (table_bag db table) with_result
-      | e -> refuse "scan-only source cannot evaluate %s" (Expr.to_string e))
-
-let scan_wrapper () =
-  make ~name:"WrapperScan" ~grammar:Grammar.get_only ~execute:scan_execute ()
-
-let select_execute source e =
-  match relational_db source with
-  | Error _ as err -> err
-  | Ok db -> (
-      match e with
-      | Expr.Get _ | Expr.Select (Expr.Get _, _) -> eval_against_db db e
-      | e -> refuse "select wrapper cannot evaluate %s" (Expr.to_string e))
+let sql_wrapper () = relational ~name:"WrapperSql" Grammar.full_relational
+let scan_wrapper () = relational ~name:"WrapperScan" Grammar.get_only
 
 (* Grammars are values with their own [accepts] memo: built once here,
    every wrapper of a kind shares one grammar and so one set of
@@ -184,24 +163,16 @@ let select_execute source e =
 let select_grammar = Grammar.select_pushdown ()
 
 let select_wrapper ?comparisons () =
-  make ~name:"WrapperSelect"
-    ~grammar:
-      (match comparisons with
-      | None -> select_grammar
-      | Some comparisons -> Grammar.select_pushdown ~comparisons ())
-    ~execute:select_execute ()
-
-let project_execute source e =
-  match relational_db source with
-  | Error _ as err -> err
-  | Ok db -> (
-      match e with
-      | Expr.Get _ | Expr.Project (Expr.Get _, _) -> eval_against_db db e
-      | e -> refuse "project wrapper cannot evaluate %s" (Expr.to_string e))
+  relational ~name:"WrapperSelect"
+    (match comparisons with
+    | None -> select_grammar
+    | Some comparisons -> Grammar.select_pushdown ~comparisons ())
 
 let project_wrapper () =
-  make ~name:"WrapperProject" ~grammar:Grammar.project_no_compose
-    ~execute:project_execute ()
+  relational ~name:"WrapperProject" Grammar.project_no_compose
+
+let indexed_wrapper ?(eq = []) ?(range = []) () =
+  relational ~name:"WrapperIndexed" (Grammar.indexed_lookup ~eq ~range ())
 
 (* -- key-value wrapper -- *)
 
@@ -301,47 +272,6 @@ let text_grammar =
 
 let text_wrapper () =
   make ~name:"WrapperText" ~grammar:text_grammar ~execute:text_execute ()
-
-(* -- indexed wrapper: advertises index-backed filters only -- *)
-
-let attr_field path = match List.rev path with f :: _ -> f | [] -> ""
-
-(* Staged like the SQL wrapper: the shape is judged once, and an
-   accepted filter keeps its compiled SQL statement across calls. *)
-let indexed_prepare ~eq ~range e =
-  let indexed = eq @ range in
-  let filter_ok op field =
-    match op with
-    | Expr.Eq -> List.mem field indexed
-    | Expr.Lt | Expr.Le | Expr.Gt | Expr.Ge -> List.mem field range
-    | Expr.Ne | Expr.Like -> false
-  in
-  let rec pred_ok = function
-    | Expr.And (a, b) -> pred_ok a && pred_ok b
-    | Expr.Cmp (op, Expr.Attr path, Expr.Const _)
-    | Expr.Cmp (op, Expr.Const _, Expr.Attr path) ->
-        filter_ok op (attr_field path)
-    | _ -> false
-  in
-  let run =
-    match e with
-    | Expr.Get _ -> sql_prepare e
-    | Expr.Select (Expr.Get _, p) when pred_ok p ->
-        (* runs on the columnar engine, which serves the comparison
-           from the table's declared index when one exists *)
-        sql_prepare e
-    | e ->
-        fun _ ->
-          refuse "indexed source serves scans and indexed filters, not %s"
-            (Expr.to_string e)
-  in
-  fun source ->
-    match relational_db source with Error _ as err -> err | Ok _ -> run source
-
-let indexed_wrapper ?(eq = []) ?(range = []) () =
-  staged ~name:"WrapperIndexed"
-    ~grammar:(Grammar.indexed_lookup ~eq ~range ())
-    (indexed_prepare ~eq ~range)
 
 let of_constructor_args ctor args =
   let list_arg name =

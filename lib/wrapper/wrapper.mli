@@ -7,14 +7,19 @@
     {e source} name space — the mediator's [exec] applies the extent map
     before calling ({!Translate}).
 
-    Built-in wrappers, by decreasing capability:
+    Built-in wrappers, by decreasing capability. The relational ones
+    are each their grammar: an expression the grammar accepts runs on
+    the one staged SQL path ({!Sqlgen}, then the source's columnar
+    engine), and any other is refused.
     - {!sql_wrapper} — full relational pushdown via SQL generation
       (the paper's [WrapperPostgres]);
     - {!select_wrapper} — scan plus server-side filtering;
     - {!project_wrapper} — the paper's get/project-without-composition
       example;
+    - {!indexed_wrapper} — scans plus filters on indexed attributes;
     - {!scan_wrapper} — [get] only: ships whole collections;
     - {!kv_wrapper} — key-value stores: scan or exact key lookup;
+    - {!text_wrapper} — WAIS-style documents: scan or one keyword;
     - {!file_wrapper} — flat record files: scan only. *)
 
 module Expr := Disco_algebra.Expr
@@ -45,8 +50,9 @@ val execute : t -> Source.t -> Expr.expr -> (V.t * int, error) result
     native store. Returns the (source-name-space) answer and its row
     count (used to price the transfer). Never raises: native failures are
     [Error (Native_error _)], out-of-capability shapes
-    [Error (Refused _)]. Wrappers re-validate shapes independently of the
-    grammar, so a mediator that ignores {!accepts} still gets a clean
+    [Error (Refused _)]. Every built-in wrapper checks the shape itself
+    — the relational ones against their own grammar, the others in their
+    executors — so a mediator that ignores {!accepts} still gets a clean
     refusal. *)
 
 val execute_batch :
@@ -63,11 +69,14 @@ val prepare : t -> Expr.expr -> Source.t -> (V.t * int, error) result
 (** Staged {!execute}: [prepare w e] is a call of [e] that may keep
     work between calls, so [prepare w e src] answers as
     [execute w src e] does, with the same errors on the same call. The
-    SQL and indexed wrappers compile lazily, on the first call: the
-    generated SQL, the {!Disco_relation.Sql.prepared} query and the
-    answer rebuilder are kept for as long as the source's database, and
-    the tables the generator read, stay the same (a failover to a
-    replica or a replaced source compiles again). Data passes and the
+    relational wrappers judge [e] against their grammar once, when it is
+    prepared, and compile the SQL path lazily: the generated SQL, the
+    {!Disco_relation.Sql.prepared} query and the answer rebuilder are
+    compiled by each call until the second, which keeps them for as long
+    as the source's database, and the tables the generator read, stay
+    the same (a failover to a replica or a replaced source compiles
+    again). So a call made once, as by a cached plan whose text never
+    repeats, holds no statement. Data passes and the
     index choice are made on every call. Wrappers built by {!make}
     without [?prepare] stage nothing: their calls are
     [fun src -> execute src e].
@@ -121,9 +130,20 @@ val make :
 (** {1 Built-in wrappers} *)
 
 val sql_wrapper : unit -> t
+(** {!Grammar.full_relational}. *)
+
 val select_wrapper : ?comparisons:string list -> unit -> t
+(** {!Grammar.select_pushdown}: a scan, or one select over it whose
+    predicate compares attributes and constants with [comparisons]
+    (default all six) under [and], [or] and [not]. *)
+
 val project_wrapper : unit -> t
+(** {!Grammar.project_no_compose}: a scan, or one projection of it. *)
+
 val scan_wrapper : unit -> t
+(** {!Grammar.get_only}: whole-extent scans, read straight off the
+    column store. *)
+
 val kv_wrapper : unit -> t
 (** Stored values must be structs; exact-match lookups are served by the
     store's index when the filter is an equality on the [key] field. *)
@@ -138,9 +158,9 @@ val indexed_wrapper : ?eq:string list -> ?range:string list -> unit -> t
 (** A relational source that advertises exactly its access paths: scans,
     plus conjunctions of comparisons on the named attributes
     ({!Grammar.indexed_lookup} — [eq] attributes accept equality, [range]
-    attributes also accept [<] [<=] [>] [>=]). Accepted filters execute
-    through the SQL path, so the columnar engine serves them from the
-    table's {!Disco_relation.Table.declare_index} access path when one is
+    attributes also accept [<] [<=] [>] [>=]). The columnar engine
+    serves an accepted filter from the table's
+    {!Disco_relation.Table.declare_index} access path when one is
     declared. *)
 
 val of_constructor_args : string -> (string * Disco_value.Value.t) list -> t option

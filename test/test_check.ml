@@ -434,6 +434,46 @@ let test_audit_scan_clean () =
   in
   Alcotest.(check (list string)) "scan audit clean" [] (codes ds)
 
+(* Every relational wrapper runs what its grammar derives: executed
+   against a relational person0 source, no audit sentence the grammar
+   accepts is refused or fails. The indexed grammar names its
+   attributes, so the audit's renaming of every attribute takes its
+   filters out of the grammar (a DISCO-W002 of translation, which
+   [lint] reports for test/lint/indexed too); every other relational
+   grammar audits clean. *)
+let test_audit_relational_against_source () =
+  let src =
+    Source.create ~id:"r0" ~address:(addr "r0")
+      (Source.Relational (Datagen.person_db ~seed:0 ~name:"person0" ~n:8))
+  in
+  List.iter
+    (fun w ->
+      let ds =
+        Check.audit_wrapper ~source:src ~indexed:(fun _ -> true)
+          ~extent:"person0" ~attrs:person_attrs w
+      in
+      let executed =
+        List.filter
+          (fun d ->
+            String.starts_with ~prefix:"the grammar derives this sentence"
+              d.Check.d_message)
+          ds
+      in
+      Alcotest.(check (list string))
+        (Wrapper.name w ^ ": runs every accepted sentence")
+        [] (codes executed);
+      if Grammar.named_attributes (Wrapper.functionality w) = [] then
+        Alcotest.(check (list string)) (Wrapper.name w ^ ": audit clean") []
+          (codes ds))
+    [
+      Wrapper.sql_wrapper ();
+      Wrapper.scan_wrapper ();
+      Wrapper.select_wrapper ();
+      Wrapper.select_wrapper ~comparisons:[ "=" ] ();
+      Wrapper.project_wrapper ();
+      Wrapper.indexed_wrapper ~eq:[ "id" ] ~range:[ "salary" ] ();
+    ]
+
 let test_audit_kv_overclaims () =
   (* the key-value grammar advertises select(ATTRIBUTE = CONST, ...) for
      any attribute, but the wrapper only serves lookups on "key" *)
@@ -598,6 +638,8 @@ let () =
             test_audit_sql_clean;
           Alcotest.test_case "scan wrapper audit clean" `Quick
             test_audit_scan_clean;
+          Alcotest.test_case "relational wrappers run what they accept" `Quick
+            test_audit_relational_against_source;
           Alcotest.test_case "kv wrapper over-claims" `Quick
             test_audit_kv_overclaims;
           Alcotest.test_case "W005 equal grammars, one memo warmed" `Quick

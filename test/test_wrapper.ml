@@ -449,6 +449,31 @@ let test_prepared_call_follows_source () =
   Table.insert_all t [ [| V.Int 1; V.Int 50 |]; [| V.Int 2; V.Int 5 |] ];
   agree "replaced by another schema" src
 
+(* A prepared call keeps its compiled statement only from its second
+   call: a cached plan whose text never repeats holds none. Counted in
+   the words the call reaches, which no collection moves. *)
+let test_prepared_call_keeps_from_second_call () =
+  let src = relational_source ~n:20 () in
+  let id_eq = Expr.Cmp (Expr.Eq, Expr.Attr [ "id" ], Expr.Const (V.Int 3)) in
+  List.iter
+    (fun (w, e) ->
+      let label = Fmt.str "%s %s" (Wrapper.name w) (Expr.to_string e) in
+      let call = Wrapper.prepare w e in
+      let words () = Obj.reachable_words (Obj.repr call) in
+      let fresh = words () in
+      let answer = call src in
+      Alcotest.(check bool) (label ^ ": answers") true (Result.is_ok answer);
+      Alcotest.(check int) (label ^ ": first call keeps nothing") fresh (words ());
+      ignore (call src);
+      Alcotest.(check bool) (label ^ ": second call keeps the statement") true
+        (words () > fresh))
+    [
+      (Wrapper.sql_wrapper (), Expr.Select (get, gt_pred));
+      (Wrapper.select_wrapper (), Expr.Select (get, gt_pred));
+      (Wrapper.project_wrapper (), Expr.Project (get, [ "name" ]));
+      (Wrapper.indexed_wrapper ~eq:[ "id" ] (), Expr.Select (get, id_eq));
+    ]
+
 let test_text_wrapper_through_mediator () =
   let module Text_index = Disco_source.Text_index in
   let module Mediator = Disco_core.Mediator in
@@ -691,6 +716,8 @@ let () =
           Alcotest.test_case "text wrapper" `Quick test_text_wrapper;
           Alcotest.test_case "prepared call follows its source" `Quick
             test_prepared_call_follows_source;
+          Alcotest.test_case "prepared call keeps from its second call" `Quick
+            test_prepared_call_keeps_from_second_call;
           Alcotest.test_case "text wrapper via mediator" `Quick
             test_text_wrapper_through_mediator;
           Alcotest.test_case "constructor lookup" `Quick test_of_constructor;
