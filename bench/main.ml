@@ -2026,10 +2026,11 @@ let e18_federation n =
   done;
   m
 
+let e18_query = "select x.name from x in person where x.salary > 300 and x.id < 50"
+
 (* per hit: median wall ms, kwords per source, minor collections *)
-let e18_hits n =
-  let m = e18_federation n in
-  let q = "select x.name from x in person where x.salary > 300 and x.id < 50" in
+let e18_hits m n =
+  let q = e18_query in
   for _ = 1 to 3 do
     ignore (Mediator.query m q)
   done;
@@ -2051,6 +2052,23 @@ let e18_hits n =
   in
   (List.nth (List.sort Float.compare walls) (hits / 2), kwords, minors)
 
+(* per plan-cache miss (the cache cleared before each): median wall ms
+   and kwords per source *)
+let e18_misses m n =
+  let misses = 5 in
+  let words0 = Gc.minor_words () in
+  let walls =
+    List.init misses (fun _ ->
+        Mediator.clear_plan_cache m;
+        let t0 = Unix.gettimeofday () in
+        let o = Mediator.query m e18_query in
+        let dt = Unix.gettimeofday () -. t0 in
+        if o.Mediator.from_cache then failwith "E18: expected a plan-cache miss";
+        dt *. 1000.0)
+  in
+  let kwords = (Gc.minor_words () -. words0) /. float_of_int (misses * n) /. 1000.0 in
+  (List.nth (List.sort Float.compare walls) (misses / 2), kwords)
+
 let e18 () =
   header "E18: cached-hit scaling - prepared execs and source statements";
   Fmt.pr "claim: a plan-cache hit runs only the data path of execs and@.";
@@ -2058,7 +2076,16 @@ let e18 () =
   Fmt.pr "       stays flat as the federation grows (target: the hit's@.";
   Fmt.pr "       wall time grows at most 4.5x from 256 to 1,024 sources).@.@.";
   let sizes = [ 256; 1024 ] in
-  let rows = List.map (fun n -> (n, e18_hits n)) sizes in
+  let measured =
+    List.map
+      (fun n ->
+        let m = e18_federation n in
+        let hits = e18_hits m n in
+        (n, (hits, e18_misses m n)))
+      sizes
+  in
+  let rows = List.map (fun (n, (hits, _)) -> (n, hits)) measured in
+  let misses = List.map (fun (n, (_, miss)) -> (n, miss)) measured in
   table
     ~columns:[ "sources"; "hit ms (median)"; "kwords/source"; "minor GCs/hit" ]
     (List.map
@@ -2077,18 +2104,31 @@ let e18 () =
   Fmt.pr "the wall slope is reported, not enforced: wall times on a shared@.";
   Fmt.pr "2-core machine are noisy. Only the kwords bound (%.2f per source)@."
     e18_kwords_bound;
-  Fmt.pr "fails the experiment; minor words count allocation, not time.@.";
+  Fmt.pr "fails the experiment; minor words count allocation, not time.@.@.";
+  (* A miss plans afresh: template planning normalizes and verifies one
+     representative per class of like extents (here one class, all
+     WrapperPostgres), so the search no longer grows with the sources. *)
+  table
+    ~columns:[ "sources"; "miss ms (median of 5)"; "kwords/source" ]
+    (List.map
+       (fun (n, (ms, kw)) -> [ string_of_int n; Fmt.str "%.2f" ms; Fmt.str "%.3f" kw ])
+       misses);
+  let miss_slope = fst (List.assoc 1024 misses) /. fst (List.assoc 256 misses) in
+  Fmt.pr "@.256 -> 1,024 sources: miss wall x%.2f (target <= 4, %s; reported,@."
+    miss_slope
+    (if miss_slope <= 4.0 then "met" else "not met");
+  Fmt.pr "not enforced, for the same reason).@.";
   bench_results :=
     Fmt.str
-      "{\"experiment\":\"e18\",%s,\"slope_256_1024\":%.3f,\"kwords_bound\":%.2f}"
+      "{\"experiment\":\"e18\",%s,\"slope_256_1024\":%.3f,\"miss_slope_256_1024\":%.3f,\"kwords_bound\":%.2f}"
       (String.concat ","
          (List.map
-            (fun (n, (ms, kw, minors)) ->
+            (fun (n, ((ms, kw, minors), (miss_ms, miss_kw))) ->
               Fmt.str
-                "\"hit_ms_%d\":%.3f,\"kwords_per_source_%d\":%.4f,\"minor_gcs_per_hit_%d\":%.2f"
-                n ms n kw n minors)
-            rows))
-      slope e18_kwords_bound
+                "\"hit_ms_%d\":%.3f,\"kwords_per_source_%d\":%.4f,\"minor_gcs_per_hit_%d\":%.2f,\"miss_ms_%d\":%.3f,\"miss_kwords_per_source_%d\":%.3f"
+                n ms n kw n minors n miss_ms n miss_kw)
+            measured))
+      slope miss_slope e18_kwords_bound
     :: !bench_results;
   List.iter
     (fun (n, (_, kw, _)) ->

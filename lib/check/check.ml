@@ -664,7 +664,7 @@ let semijoin_probe re pairs =
             (fun acc p -> Expr.And (acc, member p))
             (member p0) rest )
 
-let check_plan checker plan =
+let check_plan ?folded checker plan =
   let st = { checker; diags = ref [] } in
   let rec walk path (p : Plan.plan) =
     match p with
@@ -717,9 +717,22 @@ let check_plan checker plan =
   (* the logical reading of the plan carries the typing and
      decompilability obligations; capability was already checked exec by
      exec above *)
-  let logical = Plan.to_logical (Plan.degrade_semi_joins plan) in
-  ignore (infer st [] logical);
-  check_roundtrip st [] logical;
+  let whole st plan =
+    let logical = Plan.to_logical (Plan.degrade_semi_joins plan) in
+    ignore (infer st [] logical);
+    check_roundtrip st [] logical
+  in
+  (* a clean folded plan stands for the plan; any diagnostic there is
+     recomputed on the plan itself, so its paths and counts are exact *)
+  let folded_clean =
+    match folded with
+    | None -> false
+    | Some f ->
+        let probe = { checker; diags = ref [] } in
+        whole probe f;
+        !(probe.diags) = []
+  in
+  if not folded_clean then whole st plan;
   finish st
 
 (* -- wrapper-conformance audit -- *)

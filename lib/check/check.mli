@@ -143,10 +143,19 @@ val check_expr : t -> Expr.expr -> diag list
 (** Typing + capability + decompilability over a logical tree.
     Deterministic order; empty means clean. *)
 
-val check_plan : t -> Plan.plan -> diag list
+val check_plan : ?folded:Plan.plan -> t -> Plan.plan -> diag list
 (** Physical well-formedness over the plan, then {!check_expr}-style
     typing and decompilability over
-    [Plan.to_logical (Plan.degrade_semi_joins plan)]. *)
+    [Plan.to_logical (Plan.degrade_semi_joins plan)].
+
+    [folded] is a plan whose typing and decompilability stand for
+    [plan]'s: the optimizer's template planning passes [plan] with each
+    union cut down to one member per class of like extents (same
+    interface, same wrapper object), which types alike and decompiles
+    alike. Those whole-plan obligations then run on [folded], and only
+    if it yields a diagnostic are they recomputed on [plan], so the
+    result is the same as without [folded]. The capability check always
+    walks every exec of [plan]. *)
 
 val audit_wrapper :
   ?source:Source.t ->

@@ -90,6 +90,16 @@ let shard_of t ext =
           Option.map (fun p -> (p, k)) pe.Registry.me_partition)
   | _ -> None
 
+(* The template class of an extent: its wrapper object and interface.
+   Shard children and extents whose wrapper cannot be built never join
+   one. *)
+let class_of t ext =
+  match Registry.find_extent t.registry ext with
+  | Some { Registry.me_shard_of = None; me_wrapper; me_interface; _ }
+    when wrapper_object t me_wrapper <> None ->
+      Some (me_wrapper, me_interface)
+  | _ -> None
+
 (* -- stages -- *)
 
 type error =
@@ -125,8 +135,8 @@ let compile t expanded =
 
 let optimize t located =
   Optimizer.optimize ~params:t.params ?metrics:t.metrics ~batch:t.batch
-    ~check:t.check ~shard:(shard_of t) ~can_push:(can_push t) ~cost:t.cost
-    located
+    ~check:t.check ~shard:(shard_of t) ~classes:(class_of t)
+    ~can_push:(can_push t) ~cost:t.cost located
 
 let diag_of_error e =
   let query code fmt = Check.diag ~code ~severity:Check.Error ~path:"query" fmt in

@@ -24,6 +24,11 @@ let is_ident_start c =
 let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
 let is_digit c = c >= '0' && c <= '9'
 
+(* [s] holds [p] at offset [i], from [p]'s [k]th character on. A
+   top-level function: comparing in place allocates nothing. *)
+let rec holds_at s i p k =
+  k = String.length p || (s.[i + k] = p.[k] && holds_at s i p (k + 1))
+
 let tokenize ~puncts input =
   let puncts =
     List.sort (fun a b -> Int.compare (String.length b) (String.length a)) puncts
@@ -47,9 +52,7 @@ let tokenize ~puncts input =
   in
   let match_punct i =
     List.find_opt
-      (fun p ->
-        let n = String.length p in
-        i + n <= len && String.equal (String.sub input i n) p)
+      (fun p -> i + String.length p <= len && holds_at input i p 0)
       puncts
   in
   let read_string quote i =
@@ -166,8 +169,16 @@ module Stream = struct
   let peek_punct s p =
     match peek s with Some (Punct q) -> String.equal p q | _ -> false
 
+  (* [a] and [b], of one length, agree from index [k] on, ignoring
+     ASCII case *)
+  let rec same_ci a b k =
+    k = String.length a
+    || Char.lowercase_ascii a.[k] = Char.lowercase_ascii b.[k]
+       && same_ci a b (k + 1)
+
+  (* compared in place: a keyword probe allocates nothing *)
   let kw_matches kw = function
-    | Ident id -> String.lowercase_ascii id = String.lowercase_ascii kw
+    | Ident id -> String.length id = String.length kw && same_ci id kw 0
     | _ -> false
 
   let eat_kw s kw =

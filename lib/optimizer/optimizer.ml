@@ -84,8 +84,8 @@ let better (a : Plan.cost * int * int) (b : Plan.cost * int * int) =
 (* Join-commutation variants explored per optimization. *)
 let join_variant_limit = 8
 
-let optimize ?params ?metrics ?(batch = false) ?check ?shard ~can_push ~cost
-    located =
+let optimize ?params ?metrics ?(batch = false) ?check ?shard ?classes ~can_push
+    ~cost located =
   (* Partition pruning runs once, on the located tree, before any
      enumeration: every candidate then inherits the reduced scan set.
      With no shard resolver the tree passes through untouched. *)
@@ -93,6 +93,15 @@ let optimize ?params ?metrics ?(batch = false) ?check ?shard ~can_push ~cost
     match shard with
     | None -> located
     | Some f -> Shard_prune.prune ?metrics ~shard:f located
+  in
+  (* Template planning: the rewrite search runs on one representative
+     per class of like union members, and each candidate is copied back
+     to every member before anything per-extent happens. *)
+  let template = Option.bind classes (fun classes -> Template.fold ~classes located) in
+  let searched, instantiate =
+    match template with
+    | None -> (located, Fun.id)
+    | Some (folded, t) -> (folded, Template.instantiate t)
   in
   (* The gather step of a hash-sharded scan must deduplicate
      double-covered tuples; rewrite each implemented candidate. *)
@@ -109,8 +118,9 @@ let optimize ?params ?metrics ?(batch = false) ?check ?shard ~can_push ~cost
       metrics
   in
   let enumerated =
-    (* join commutations of the located tree ... *)
-    located :: join_variants ~limit:join_variant_limit located
+    (* join commutations of the searched tree (the first is the tree
+       itself) ... *)
+    join_variants ~limit:join_variant_limit searched
     (* ... each at every pushdown level: capability-maximal, none, and
        as-written *)
     |> List.concat_map (fun v ->
@@ -120,7 +130,15 @@ let optimize ?params ?metrics ?(batch = false) ?check ?shard ~can_push ~cost
              v;
            ])
   in
-  let candidates = List.sort_uniq compare enumerated in
+  (* Distinct searched trees instantiate to distinct candidates, which
+     are put in the order branch-by-branch planning gives them. *)
+  let candidates =
+    List.sort
+      (fun (_, a) (_, b) -> compare a b)
+      (List.map
+         (fun s -> (s, instantiate s))
+         (List.sort_uniq compare enumerated))
+  in
   let informed repo expr =
     match (Cost_model.estimate cost ~repo expr).Cost_model.est_basis with
     | Cost_model.Default -> false
@@ -133,16 +151,16 @@ let optimize ?params ?metrics ?(batch = false) ?check ?shard ~can_push ~cost
   in
   let per_candidate =
     List.map
-      (fun logical ->
+      (fun (searched, logical) ->
         match shard_merge (Plan.implement logical) with
         | plan ->
             (* also consider semijoin reductions where the cost model
                has real statistics for both sides *)
-            ( logical,
+            ( searched,
               List.map
                 (fun p -> (logical, p))
                 (plan :: Plan.semijoin_variants ~informed plan) )
-        | exception Plan.Physical_error _ -> (logical, []))
+        | exception Plan.Physical_error _ -> (searched, []))
       candidates
   in
   let implemented = List.concat_map snd per_candidate in
@@ -203,14 +221,16 @@ let optimize ?params ?metrics ?(batch = false) ?check ?shard ~can_push ~cost
   in
   (* Only the plan that runs is verified: the cheapest, or under
      [Enforce] the cheapest without errors. If every plan has errors, the
-     first candidate's are raised. *)
+     first candidate's are raised. A plan's typing and decompilability
+     are checked on its folded form. *)
+  let folded p = Option.map (fun (_, t) -> Template.fold_plan t p) template in
   let verdict, (logical, plan, (best_cost, _, _)) =
     match check with
     | None | Some (_, Check.Off) -> (None, List.hd ranking)
     | Some (checker, mode) ->
         let rec pick = function
           | ((_, p, _) as c) :: rest ->
-              let ds = Check.check_plan checker p in
+              let ds = Check.check_plan ?folded:(folded p) checker p in
               Check.report ?metrics ds;
               if mode = Check.Enforce && Check.has_errors ds then pick rest
               else (Some ds, c)

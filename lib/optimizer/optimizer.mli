@@ -42,6 +42,7 @@ val optimize :
   ?batch:bool ->
   ?check:Disco_check.Check.t * Disco_check.Check.mode ->
   ?shard:(string -> (Disco_shard.Shard.partition * int) option) ->
+  ?classes:(string -> (string * string) option) ->
   can_push:Disco_algebra.Rules.can_push ->
   cost:Disco_cost.Cost_model.t ->
   Expr.expr ->
@@ -77,6 +78,18 @@ val optimize :
     turns hash-sharded gather unions into deduplicating
     [Mk_shard_merge]s on every implemented candidate. Without [shard]
     both passes are skipped and plans are bit-for-bit what they were.
+
+    When [classes] is given (a resolver mapping an extent name to its
+    class key, the wrapper object serving it and its interface, or
+    [None] for an extent that never joins a class), the search runs
+    template planning ({!Template}): each union of located leaves keeps
+    one representative per class, the folded tree is normalized and
+    enumerated, and every candidate is instantiated back to all members
+    before implementation, costing and ranking, which stay per extent.
+    The chosen plan's typing and decompilability are verified on its
+    folded form ([?folded] of {!Disco_check.Check.check_plan}). The
+    choice, its verdict, [alternatives] and the reported metrics equal
+    those of planning without [classes].
 
     When [check] is given, the ranked plans are run through the static
     verifier ({!Disco_check.Check.check_plan}) one at a time, and each

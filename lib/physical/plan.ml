@@ -328,26 +328,24 @@ let estimate ?(params = default_params) ?(batch = false) model plan =
   let batch_time =
     if not batch then fun _repo -> None
     else
-      let uniq =
-        List.fold_left
-          (fun acc (repo, e) ->
-            if
-              List.exists
-                (fun (r, e') -> String.equal r repo && Expr.equal e e')
-                acc
-            then acc
-            else (repo, e) :: acc)
-          [] (execs plan)
-      in
-      fun repo ->
-        let k =
-          List.length (List.filter (fun (r, _) -> String.equal r repo) uniq)
-        in
-        if k < 2 then None
-        else
-          match Cost_model.estimate_batch model ~repo ~size:k with
-          | None -> None
-          | Some t -> Some (t /. float_of_int k)
+      (* the distinct expressions of each repository's execs *)
+      let buckets = Hashtbl.create 16 in
+      List.iter
+        (fun (repo, e) ->
+          let seen = Option.value (Hashtbl.find_opt buckets repo) ~default:[] in
+          if not (List.exists (Expr.equal e) seen) then
+            Hashtbl.replace buckets repo (e :: seen))
+        (execs plan);
+      let shares = Hashtbl.create 16 in
+      Hashtbl.iter
+        (fun repo es ->
+          let k = List.length es in
+          if k >= 2 then
+            Option.iter
+              (fun t -> Hashtbl.replace shares repo (t /. float_of_int k))
+              (Cost_model.estimate_batch model ~repo ~size:k))
+        buckets;
+      Hashtbl.find_opt shares
   in
   let rec go = function
     | Exec (repo, e) ->

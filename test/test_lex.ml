@@ -83,6 +83,23 @@ let test_keywords_case_insensitive () =
   Alcotest.(check bool) "try" true (Stream.try_kw s "SELECT");
   Alcotest.(check bool) "peek" true (Stream.peek_kw s "SeLeCt")
 
+(* Keyword probes compare in place: any case matches, but a longer
+   identifier that starts with a keyword stays an identifier. *)
+let test_keywords_against_identifiers () =
+  let s = Stream.of_string ~puncts "SELECT Select selected union0 union" in
+  Alcotest.(check bool) "SELECT" true (Stream.try_kw s "select");
+  Alcotest.(check bool) "Select" true (Stream.try_kw s "select");
+  Alcotest.(check bool) "selected is no keyword" false (Stream.peek_kw s "select");
+  Alcotest.(check string) "selected" "selected" (Stream.ident s);
+  Alcotest.(check bool) "union0 is no keyword" false (Stream.try_kw s "union");
+  Alcotest.(check string) "union0" "union0" (Stream.ident s);
+  Alcotest.(check bool) "union" true (Stream.try_kw s "UNION");
+  Stream.expect_end s;
+  (* a punctuation candidate longer than the rest of the input *)
+  match kinds "a<" with
+  | [ Lexer.Ident "a"; Lexer.Punct "<" ] -> ()
+  | _ -> Alcotest.fail "< at the end of input"
+
 let prop_offsets_monotone =
   QCheck.Test.make ~name:"token offsets are strictly increasing" ~count:300
     QCheck.(
@@ -117,6 +134,8 @@ let () =
           Alcotest.test_case "errors with positions" `Quick test_stream_errors;
           Alcotest.test_case "keywords case-insensitive" `Quick
             test_keywords_case_insensitive;
+          Alcotest.test_case "keywords against identifiers" `Quick
+            test_keywords_against_identifiers;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_offsets_monotone ]);
     ]

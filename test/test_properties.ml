@@ -5,7 +5,8 @@
    - the three join algorithms against each other on random data;
    - cost-model smoothing bounds;
    - type-map composition;
-   - the algebra's and the plan's child maps, and their walks' order. *)
+   - the algebra's and the plan's child maps, and their walks' order;
+   - template planning against branch-by-branch planning. *)
 
 module V = Disco_value.Value
 module Expr = Disco_algebra.Expr
@@ -2436,6 +2437,220 @@ let prop_relational_wrapper_is_its_grammar =
                      answers)))
         wrappers)
 
+(* -- template planning = branch-by-branch planning -- *)
+
+(* The wrapper objects a drawn federation uses: two select wrappers of
+   different grammars (the constructor is the same, so only the object
+   tells them apart), a SQL, a project-only and a scan-only wrapper. *)
+let template_wrapper = function
+  | 0 -> Wrapper.select_wrapper ~comparisons:[ "=" ] ()
+  | 1 -> Wrapper.select_wrapper ()
+  | 2 -> Wrapper.sql_wrapper ()
+  | 3 -> Wrapper.project_wrapper ()
+  | _ -> Wrapper.scan_wrapper ()
+
+type template_fed = {
+  tf_exts : (bool * int) list;
+      (** per extent [i]: whether it is a [Staff] extent [staff<i>]
+          (otherwise [person<i>]), and its wrapper kind *)
+  tf_shard : bool;  (** a two-shard Person extent [shp] *)
+  tf_replica : bool;  (** the first extent is mirrored at [rrep] *)
+  tf_map : bool;
+      (** the second extent reads table [t1] through a type map *)
+  tf_history : (int * int * int) list;
+      (** recorded calls: (extent, salary bound or -1 for a scan, ms) *)
+}
+
+let template_ext_name tf i =
+  if fst (List.nth tf.tf_exts i) then Fmt.str "staff%d" i else Fmt.str "person%d" i
+
+(* [shared]: one wrapper object per kind, so like extents form classes;
+   otherwise one object per extent, so none does. [down] repositories
+   never answer. *)
+let template_federation ~shared ~down tf =
+  let m = Mediator.create ~name:(if shared then "shared" else "apart") () in
+  let wobj i kind = if shared then Fmt.str "wk%d" kind else Fmt.str "wx%d" i in
+  let repos = Buffer.create 256 in
+  let source name (table, schema, rows) =
+    let db = Database.create ~name:"db" in
+    ignore (Datagen.table_of db ~name:table schema rows);
+    let schedule =
+      if List.mem name down then Schedule.down_during [ (0.0, 1e12) ]
+      else Schedule.always_up
+    in
+    Mediator.register_source m ~name
+      (Source.create ~id:name
+         ~address:(Source.address ~host:name ~db_name:"db" ~ip:"0" ())
+         ~schedule (Source.Relational db));
+    Printf.bprintf repos {|%s := Repository(host="%s", name="db", address="0");|} name name
+  and odl = Buffer.create 1024 in
+  let rows i = Datagen.person_rows ~seed:(700 + i) ~n:6 in
+  let wage = Schema.make [ ("id", Schema.TInt); ("name", Schema.TString); ("wage", Schema.TInt) ] in
+  let objects = ref [] in
+  List.iteri
+    (fun i (staff, kind) ->
+      let name = template_ext_name tf i and w = wobj i kind in
+      if not (List.mem_assoc w !objects) then objects := (w, kind) :: !objects;
+      let mapped = tf.tf_map && i = 1 in
+      let table = if mapped then "t1" else name in
+      let schema = if mapped then wage else Datagen.person_schema in
+      source (Fmt.str "r%d" i) (table, schema, rows i);
+      Printf.bprintf odl "extent %s of %s wrapper %s repository r%d%s%s;\n" name
+        (if staff then "Staff" else "Person")
+        w i
+        (if tf.tf_replica && i = 0 then " replica rrep" else "")
+        (if mapped then Fmt.str " map ((t1=%s),(wage=salary))" name else ""))
+    tf.tf_exts;
+  if tf.tf_replica then
+    source "rrep" (template_ext_name tf 0, Datagen.person_schema, rows 0);
+  if tf.tf_shard then (
+    let partition =
+      {
+        Shard.p_key = "id";
+        p_scheme = Shard.Range [ V.Int 3 ];
+        p_shards =
+          List.init 2 (fun k -> { Shard.s_repository = Fmt.str "rs%d" k; s_wrapper = None });
+      }
+    in
+    let all = Datagen.person_rows ~seed:799 ~n:6 in
+    List.iteri
+      (fun k _ ->
+        let slice = List.filter (fun r -> Shard.shard_of_value partition r.(0) = k) all in
+        source (Fmt.str "rs%d" k) (Shard.child_name "shp" k, Datagen.person_schema, slice))
+      partition.Shard.p_shards;
+    let w = if shared then "wk2" else "wxs" in
+    if not (List.mem_assoc w !objects) then objects := (w, 2) :: !objects;
+    Buffer.add_string odl (Fmt.str "extent shp of Person wrapper %s %a;\n" w Shard.pp partition));
+  Buffer.add_string odl "define rich as select x from x in person where x.salary > 100;\n";
+  (* the objects' constructor is a placeholder: each is registered below *)
+  Mediator.load_odl m
+    (String.concat ""
+       ({|interface Person (extent person) {
+            attribute Short id;
+            attribute String name;
+            attribute Short salary; }
+          interface Staff (extent staff) : Person { }
+|}
+       :: Buffer.contents repos
+       :: List.map (fun (w, _) -> Fmt.str "%s := WrapperScan();\n" w) !objects)
+    ^ Buffer.contents odl);
+  let wrappers = List.map (fun (w, kind) -> (w, template_wrapper kind)) !objects in
+  List.iter (fun (name, w) -> Mediator.register_wrapper m ~name w) wrappers;
+  List.iter
+    (fun (i, bound, ms) ->
+      let get = Expr.Get (template_ext_name tf i) in
+      let expr =
+        if bound < 0 then get
+        else Expr.Select (get, Expr.Cmp (Expr.Gt, Expr.Attr [ "salary" ], Expr.Const (V.Int bound)))
+      in
+      Cost_model.record (Mediator.cost_model m) ~repo:(Fmt.str "r%d" i) ~expr
+        ~time_ms:(float_of_int ms) ~rows:(1 + (ms mod 7)))
+    tf.tf_history;
+  (m, wrappers)
+
+let template_queries tf =
+  let n = List.length tf.tf_exts in
+  QCheck.Gen.(
+    let bound = int_range 0 500 and ext = int_bound (n - 1) in
+    list_size (int_range 1 4)
+      (oneof
+         [
+           map (Fmt.str "select x.name from x in person where x.salary > %d") bound;
+           map (Fmt.str "select x from x in person where x.id < %d") (int_range 0 6);
+           return "select distinct x.name from x in person";
+           map (Fmt.str "select distinct x.id from x in person where x.salary = %d") bound;
+           map2
+             (fun j b ->
+               Fmt.str
+                 "select struct(a: x.name, b: y.salary) from x in person, y in %s \
+                  where x.id = y.id and x.salary > %d"
+                 (template_ext_name tf j) b)
+             ext bound;
+           map (Fmt.str "select v.name from v in rich where v.id < %d") (int_range 0 6);
+           map (Fmt.str "count(select x from x in person where x.salary > %d)") bound;
+           map
+             (Fmt.str "select x.name from x in union(person, %s) where x.salary > %d"
+                (template_ext_name tf 0))
+             bound;
+           map (Fmt.str "select x.name from x in person* where x.salary > %d") bound;
+         ]))
+
+let template_fed_gen =
+  QCheck.Gen.(
+    int_range 3 7 >>= fun n ->
+    map3
+      (fun exts (shard, replica, tmap) history ->
+        { tf_exts = exts; tf_shard = shard; tf_replica = replica; tf_map = tmap;
+          tf_history =
+            List.map (fun (i, b, ms) -> (i mod n, b, ms)) history })
+      (list_repeat n (pair (map (fun k -> k = 0) (int_bound 3)) (int_bound 4)))
+      (triple bool bool bool)
+      (list_size (int_range 0 4)
+         (triple (int_bound 6) (oneof [ return (-1); int_range 0 500 ]) (int_range 1 60))))
+
+let prop_template_equals_branches =
+  let gen =
+    QCheck.Gen.(
+      template_fed_gen >>= fun tf ->
+      map2 (fun qs down -> (tf, qs, down)) (template_queries tf)
+        (int_bound (List.length tf.tf_exts - 1)))
+  in
+  let print (tf, qs, down) =
+    Fmt.str "exts=[%s] shard=%b replica=%b map=%b history=[%s] down=r%d %s"
+      (String.concat ","
+         (List.map (fun (st, k) -> Fmt.str "%s/%d" (if st then "staff" else "person") k) tf.tf_exts))
+      tf.tf_shard tf.tf_replica tf.tf_map
+      (String.concat ","
+         (List.map (fun (i, b, ms) -> Fmt.str "%d:%d:%d" i b ms) tf.tf_history))
+      down (String.concat " ; " qs)
+  in
+  let answer = function
+    | Mediator.Complete v -> "complete " ^ V.to_string v
+    | Mediator.Partial _ as a -> "partial " ^ Mediator.answer_oql a
+    | Mediator.Unavailable rs -> "unavailable " ^ String.concat "," rs
+  in
+  (* the optimizer's choice for [q], planned afresh over [m]'s registry,
+     wrappers and cost model: by the pipeline, and branch by branch (the
+     optimizer without a class resolver) *)
+  let choices m wrappers q =
+    let p = pipeline_of ~wrappers ~metrics:(Metrics.create ()) m in
+    let seen (c : Optimizer.choice) =
+      ( Plan.to_string c.plan,
+        Expr.to_string c.logical,
+        c.alternatives,
+        c.cost,
+        Option.map (List.map (Fmt.to_to_string Check.pp_diag)) c.verdict )
+    in
+    match Result.bind (Pipeline.front p q) (fun e -> Ok (Pipeline.compile p e)) with
+    | Ok (Ok located) ->
+        let branches =
+          Optimizer.optimize ~batch:true ~check:(Pipeline.checker p, Check.Warn)
+            ~shard:(Pipeline.shard_of p) ~can_push:(Pipeline.can_push p)
+            ~cost:(Mediator.cost_model m) located
+        in
+        Some (seen (Pipeline.optimize p located), seen branches)
+    | _ -> None
+  in
+  QCheck.Test.make ~long_factor
+    ~name:"template planning = branch-by-branch planning" ~count:40
+    (QCheck.make ~print gen)
+    (fun (tf, qs, down) ->
+      List.for_all
+        (fun down ->
+          let shared, ws = template_federation ~shared:true ~down tf
+          and apart, wa = template_federation ~shared:false ~down tf in
+          List.for_all
+            (fun q ->
+              let plan_s = choices shared ws q and plan_a = choices apart wa q in
+              let o_s = Mediator.query shared q and o_a = Mediator.query apart q in
+              plan_s = plan_a
+              && Option.fold ~none:true ~some:(fun (t, b) -> t = b) plan_s
+              && answer o_s.Mediator.answer = answer o_a.Mediator.answer
+              && Option.map Plan.to_string o_s.Mediator.plan
+                 = Option.map Plan.to_string o_a.Mediator.plan)
+            (qs @ qs))
+        [ []; [ Fmt.str "r%d" down ] ])
+
 let () =
   Alcotest.run "disco_properties"
     [
@@ -2466,6 +2681,7 @@ let () =
             prop_table_to_bag;
             prop_pushed_chain_priced_from_scan;
             prop_relational_wrapper_is_its_grammar;
+            prop_template_equals_branches;
           ] );
       ( "sql-oracle",
         List.map QCheck_alcotest.to_alcotest

@@ -339,6 +339,108 @@ let test_optimizer_dedups_candidates () =
     (int_of_float (hist "optimizer.candidates"))
     choice.Optimizer.alternatives
 
+(* One join-free select over one submit is one variant, enumerated once
+   at each of the three pushdown levels. *)
+let test_optimizer_candidates_raw_pinned () =
+  let metrics = Disco_obs.Metrics.create () in
+  let located = Expr.Select (Expr.Submit ("r0", get0), gt 10) in
+  ignore
+    (Optimizer.optimize ~metrics ~can_push:Rules.push_all
+       ~cost:(Cost_model.create ()) located);
+  match Disco_obs.Metrics.find_histogram metrics "optimizer.candidates_raw" with
+  | Some h ->
+      Alcotest.(check (float 0.0)) "three raw candidates" 3.0
+        h.Disco_obs.Metrics.h_sum
+  | None -> Alcotest.fail "missing histogram optimizer.candidates_raw"
+
+(* Under the batched transport each exec of a calibrated repository is
+   charged its share of one batch over the repository's distinct
+   expressions: a duplicate exec does not enlarge the batch. *)
+let test_estimate_batch_share_distinct () =
+  let cost = Cost_model.create () in
+  (* time = 4 + 4 * size *)
+  Cost_model.record_batch cost ~repo:"r0" ~size:2 ~time_ms:12.0;
+  Cost_model.record_batch cost ~repo:"r0" ~size:4 ~time_ms:20.0;
+  let plan =
+    Plan.Mk_union
+      [
+        Plan.Exec ("r0", get0);
+        Plan.Exec ("r0", get0);
+        Plan.Exec ("r0", Expr.Select (get0, gt 10));
+        Plan.Exec ("r1", Expr.Get "person1");
+      ]
+  in
+  let est = Plan.estimate ~batch:true cost plan in
+  Alcotest.(check (float 1e-9)) "half of a two-query batch, then the union"
+    (6.0 +. (Plan.default_params.Plan.c_union *. 4.0))
+    est.Plan.time_ms;
+  Alcotest.(check (float 1e-9)) "unbatched: default calls"
+    (Plan.default_params.Plan.c_union *. 4.0)
+    (Plan.estimate cost plan).Plan.time_ms
+
+(* -- template planning -- *)
+
+module Template = Disco_optimizer.Template
+
+let leaf i = Expr.Submit (Fmt.str "r%d" i, Expr.Get (Fmt.str "person%d" i))
+
+(* person0..person5 alternate between two wrapper objects; person6 has
+   no class (a shard child, say) *)
+let classes e =
+  match int_of_string_opt (String.sub e 6 (String.length e - 6)) with
+  | Some i when i < 6 -> Some ((if i mod 2 = 0 then "w0" else "w1"), "Person")
+  | _ -> None
+
+let test_template_fold () =
+  let located = Expr.Select (Expr.Union (List.init 7 leaf), gt 10) in
+  (match Template.fold ~classes located with
+  | Some (folded, t) ->
+      Alcotest.(check string) "one representative per class"
+        (Expr.to_string (Expr.Select (Expr.Union [ leaf 0; leaf 1; leaf 6 ], gt 10)))
+        (Expr.to_string folded);
+      Alcotest.(check string) "instantiation restores the tree"
+        (Expr.to_string located)
+        (Expr.to_string (Template.instantiate t folded))
+  | None -> Alcotest.fail "expected a fold");
+  (* one class: two representatives, so the union is never a singleton *)
+  let evens = Expr.Union [ leaf 0; leaf 2; leaf 4 ] in
+  (match Template.fold ~classes evens with
+  | Some (folded, t) ->
+      Alcotest.(check string) "two representatives"
+        (Expr.to_string (Expr.Union [ leaf 0; leaf 2 ]))
+        (Expr.to_string folded);
+      Alcotest.(check string) "restored" (Expr.to_string evens)
+        (Expr.to_string (Template.instantiate t folded))
+  | None -> Alcotest.fail "expected a fold");
+  (* an extent read twice folds nothing ambiguous *)
+  let repeated = Expr.Join (Expr.Union (List.init 6 leaf), leaf 0, []) in
+  Alcotest.(check bool) "repeated extent" true
+    (Template.fold ~classes repeated = None);
+  Alcotest.(check bool) "no class of two" true
+    (Template.fold ~classes (Expr.Union [ leaf 0; leaf 1; leaf 6 ]) = None)
+
+(* Planning with classes is planning branch by branch: the capability
+   below depends only on the class, as a grammar does. *)
+let test_template_plans_like_branches () =
+  let located =
+    Expr.Map
+      ( Expr.Select (Expr.Union (List.init 7 leaf), gt 10),
+        Expr.Hscalar (Expr.Attr [ "name" ]) )
+  in
+  let can_push ~repo:_ e =
+    List.for_all (fun x -> classes x = Some ("w0", "Person")) (Expr.gets e)
+  in
+  let cost = Cost_model.create () in
+  Cost_model.record cost ~repo:"r2" ~expr:(Expr.Get "person2") ~time_ms:3.0 ~rows:40;
+  let plan ?classes () =
+    let c = Optimizer.optimize ?classes ~can_push ~cost located in
+    ( Plan.to_string c.Optimizer.plan,
+      Expr.to_string c.Optimizer.logical,
+      c.Optimizer.alternatives,
+      c.Optimizer.cost )
+  in
+  Alcotest.(check bool) "same choice" true (plan () = plan ~classes ())
+
 (* -- runtime -- *)
 
 let addr = Source.address ~host:"h" ~db_name:"db" ~ip:"0.0.0.0" ()
@@ -1093,6 +1195,13 @@ let () =
             test_optimizer_prices_from_recorded_scan;
           Alcotest.test_case "candidate dedup" `Quick
             test_optimizer_dedups_candidates;
+          Alcotest.test_case "raw candidates pinned" `Quick
+            test_optimizer_candidates_raw_pinned;
+          Alcotest.test_case "batch share over distinct execs" `Quick
+            test_estimate_batch_share_distinct;
+          Alcotest.test_case "template fold" `Quick test_template_fold;
+          Alcotest.test_case "template plans like branches" `Quick
+            test_template_plans_like_branches;
         ] );
       ( "runtime",
         [
