@@ -1236,7 +1236,7 @@ let lint_audit reg pl =
               |> List.filter (fun me -> me.Registry.me_wrapper = name)
               |> List.concat_map (fun me ->
                      Check.audit_wrapper ~indexed:(lint_indexed reg me)
-                       ~extent:me.Registry.me_name
+                       ~map:me.Registry.me_map ~extent:me.Registry.me_name
                        ~attrs:
                          (Registry.attributes_of reg me.Registry.me_interface)
                        w

@@ -792,7 +792,8 @@ let audit_catalog ~extent ~attrs =
       Expr.Distinct (Expr.Project (get, [ a1 ]));
     ]
 
-let audit_wrapper ?source ?(indexed = fun _ -> false) ~extent ~attrs w =
+let audit_wrapper ?source ?(indexed = fun _ -> false) ?(map = Typemap.identity)
+    ~extent ~attrs w =
   let st =
     { checker = make (); diags = ref [] }
   in
@@ -820,19 +821,14 @@ let audit_wrapper ?source ?(indexed = fun _ -> false) ~extent ~attrs w =
     warn st w002
       [ Printf.sprintf "wrapper(%s)" (Wrapper.name w) ]
       "the capability grammar derives none of the audit sentences";
-  (* a renaming extent map: translation must keep accepted sentences
-     inside the grammar (renaming cannot change the token string shape) *)
-  let tmap =
-    Typemap.make
-      ~collection:(extent ^ "_src", extent)
-      (List.map (fun (n, _) -> (n ^ "_src", n)) attrs)
-  in
+  (* translation through the extent's own map must keep accepted
+     sentences inside the grammar *)
   List.iter
     (fun e ->
       let path =
         [ Printf.sprintf "audit(%s)" (Expr.to_string e) ]
       in
-      (match Translate.to_source ~map_of:(fun _ -> tmap) e with
+      (match Translate.to_source ~map_of:(fun _ -> map) e with
       | translated ->
           if not (Wrapper.accepts w translated) then
             warn st w002 path

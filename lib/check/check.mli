@@ -160,6 +160,7 @@ val check_plan : ?folded:Plan.plan -> t -> Plan.plan -> diag list
 val audit_wrapper :
   ?source:Source.t ->
   ?indexed:(string -> bool) ->
+  ?map:Disco_odl.Typemap.t ->
   extent:string ->
   attrs:(string * Otype.t) list ->
   Wrapper.t ->
@@ -167,7 +168,9 @@ val audit_wrapper :
 (** Wrapper-conformance audit: enumerate a catalog of small expressions
     over [extent]/[attrs], keep the sentences the wrapper's grammar
     derives, and assert each stays inside the grammar after
-    {!Disco_wrapper.Translate.to_source} renaming — and, when a [source]
+    {!Disco_wrapper.Translate.to_source} renames it through [map], the
+    extent's own type map (default: the identity, for an extent that
+    declares none) — and, when a [source]
     holding the extent's data is provided, that the wrapper actually
     executes it instead of refusing. Violations are [DISCO-W002]
     over-claims: the grammar advertises capability the wrapper does not

@@ -1,4 +1,5 @@
 module V = Disco_value.Value
+module Values = Set.Make (V)
 
 exception Eval_error of string
 
@@ -216,12 +217,12 @@ and eval_select e sel =
       let values =
         if sel.sel_distinct then
           (* distinct keeps the first occurrence, preserving order *)
-          let seen = ref [] in
+          let seen = ref Values.empty in
           List.filter
             (fun v ->
-              if List.exists (V.equal v) !seen then false
+              if Values.mem v !seen then false
               else (
-                seen := v :: !seen;
+                seen := Values.add v !seen;
                 true))
             values
         else values

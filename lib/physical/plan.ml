@@ -189,9 +189,9 @@ let rec run_local = function
   | Semi_join (_, (repo, _), _) ->
       physical_error "semijoin(%s) must be resolved by the runtime" repo
   | Mk_union ps ->
-      (* one sort over every branch's elements, not one per branch *)
-      V.bag
-        (List.concat_map
+      (* the branches' runs merged, not their concatenation sorted *)
+      V.merge_runs
+        (List.map
            (fun p ->
              match run_local p with
              | V.Bag xs | V.Set xs | V.List xs -> xs

@@ -265,7 +265,8 @@ type stats = {
 }
 
 type exec_done = {
-  value : V.t;
+  value : V.t;  (* reduced through the exec's chain when [reduced] *)
+  reduced : bool;
   finish : float;
   shipped : int;
   origin : Trace.origin;
@@ -283,12 +284,13 @@ let cardinal v = try V.cardinal v with V.Type_error _ -> 1
 (* Every exec — whichever round issued it, alone or sharing a
    round-trip, first issue or re-poll, hedged or not — is prepared once
    ([prepare_exec]: binding resolution, translation, the answer renamer,
-   the cost-model and answer-cache keys) and, each time it is issued,
-   only picks a live copy ([issue]). It then gets at most one
-   answer-cache lookup and one of two completions: [complete_group] for
-   an answer that came over the wire, [unanswered] for a refusal or
-   timeout.  A prepared exec is immutable, so a prepared program can be
-   shared by concurrent runs. *)
+   the cost-model and answer-cache keys; [table_of] adds the reducer of
+   its chain) and, each time it is issued, only picks a live copy
+   ([issue]). It then gets at most one answer-cache lookup and one of two
+   completions: [complete_group] for an answer that came over the wire
+   (renamed, type-checked and reduced by its round-trip's job, [receive]),
+   [unanswered] for a refusal or timeout.  A prepared exec is immutable,
+   so a prepared program can be shared by concurrent runs. *)
 
 type prepared = {
   p_repo : string;
@@ -299,6 +301,8 @@ type prepared = {
   p_call : Source.t -> (V.t * int, Wrapper.error) result;
       (* [Wrapper.prepare] of [p_source_expr]: compiles on its first call *)
   p_rename : V.t -> V.t;
+  p_reduce : (V.t -> V.t) option;
+      (* the exec's chain (see [chained_execs]) run over its answer *)
   p_cost : Cost_model.key;
   p_cache_key : string option;  (* made when an answer cache is in use *)
 }
@@ -333,6 +337,7 @@ let prepare_exec bindings ~cache repo logical =
     p_source_expr = source_expr;
     p_call = Wrapper.prepare binding.b_wrapper source_expr;
     p_rename = Translate.answer_renamer ~map_of logical;
+    p_reduce = None;
     p_cost = Cost_model.key ~repo logical;
     p_cache_key =
       (if cache then Some (Answer_cache.key ~repo logical) else None);
@@ -381,6 +386,22 @@ let typecheck_answer env p renamed =
               p.p_repo (V.to_string elem) p.p_binding.b_extent)
         (V.elements renamed)
   | _ -> ()
+
+(* An answer run through its exec's chain, or [None] when the exec has
+   no reducer or the chain raises. The unreduced chain then stays in the
+   plan and raises where it would have without the reducer, when the plan
+   runs. *)
+let reduce p value =
+  match p.p_reduce with
+  | None -> None
+  | Some chain -> ( try Some (chain value) with _ -> None)
+
+(* A main-thread answer (a cache hit, a stale fragment) as [exec_done]
+   carries it. *)
+let reduce_done p value =
+  match reduce p value with
+  | Some reduced -> (reduced, true)
+  | None -> (value, false)
 
 let origin_metric = function
   | Trace.Source -> "exec.origin.source"
@@ -440,18 +461,61 @@ let fresh_hit env (x : issued) ~now =
                    (Cost_model.printed x.prep.p_cost));
              observe env x ~start:now ~finish:now ~origin:Trace.Cache
                ~shipped:0 ~rows:(cardinal value);
+             let value, reduced = reduce_done x.prep value in
              {
                value;
+               reduced;
                finish = now;
                shipped = 0;
                origin = Trace.Cache;
                answered_by = (x.chosen_repo, version);
              })
 
+(* A source answer as its round-trip's job leaves it: renamed into the
+   mediator name space, type-checked and, when its exec has a reducer,
+   reduced. What the completion reads of the unreduced answer travels
+   beside it: its cardinality, and the answer itself only when an answer
+   cache will store it. A wrapper error or a failed renaming or type check
+   is carried as the exception its completion raises. *)
+type landed =
+  | Kept of { value : V.t; shipped : int }
+  | Reduced of { value : V.t; renamed : V.t option; shipped : int }
+  | Failed of exn
+
+let land_one env wrapper x = function
+  | Error err ->
+      Failed
+        (Runtime_error
+           (Printf.sprintf "wrapper %s on %s: %s" (Wrapper.name wrapper)
+              x.prep.p_repo (Wrapper.error_message err)))
+  | Ok (v, _rows) -> (
+      match
+        let renamed = x.prep.p_rename v in
+        typecheck_answer env x.prep renamed;
+        renamed
+      with
+      | exception e -> Failed e
+      | renamed -> (
+          let shipped = cardinal renamed in
+          match reduce x.prep renamed with
+          | None -> Kept { value = renamed; shipped }
+          | Some value ->
+              let renamed = Option.map (fun _ -> renamed) env.cache in
+              Reduced { value; renamed; shipped }))
+
+(* A round-trip's answers, landed one per member in order, or [Error n]
+   when the wrapper returned [n] answers for a group of another size. *)
+let receive env group answers =
+  let wrapper = (List.hd group).prep.p_binding.b_wrapper in
+  let count = List.length answers in
+  if count <> List.length group then Error count
+  else Ok (List.map2 (land_one env wrapper) group answers)
+
 (* One wrapper round-trip carrying a group of execs to [src]: the
    source's [base_ms] (and a single jitter draw) is paid once for the
-   group. *)
-let wire_call ~now ~deadline src group =
+   group. Each answer is landed as soon as the wrapper returns it, so the
+   raw rows the source shipped die before the next round-trip's arrive. *)
+let wire_call env ~now ~deadline src group =
   Source.call_at src ~now ~deadline (fun () ->
       let answers =
         Wrapper.execute_prepared (List.hd group).prep.p_binding.b_wrapper src
@@ -462,7 +526,7 @@ let wire_call ~now ~deadline src group =
           (fun acc r -> match r with Ok (_, n) -> acc + n | Error _ -> acc)
           0 answers
       in
-      (answers, rows))
+      (receive env group answers, rows))
 
 (* -- circuit breaker hooks (active only under Config.retry with a
    breaker_threshold) -- *)
@@ -526,7 +590,7 @@ let hedge env ~now ~deadline (x : issued) primary =
   | Some ((hrepo, hsrc), hedge_at) ->
       Metrics.incr env.metrics "runtime.hedge.issued";
       incr env.extra_trips;
-      let hedged = wire_call ~now:hedge_at ~deadline hsrc [ x ] in
+      let hedged = wire_call env ~now:hedge_at ~deadline hsrc [ x ] in
       breaker_note env ~now:hedge_at hsrc hedged;
       let hedge_wins =
         match (primary, hedged) with
@@ -552,27 +616,31 @@ let settle env ~now ~deadline group outcome =
   | [ _ ] -> hedge env ~now ~deadline x outcome
   | _ -> (x.chosen_repo, x.chosen, outcome)
 
-(* Completion of one source answer: rename into the mediator name space,
-   run the run-time type check, store the fragment in the answer cache,
-   record the call in the cost model, emit the trace leaf, and stamp the
-   answer with the repository that actually produced it.  Only source
-   answers feed the learned cost model — cache serves complete in zero
-   time and would corrupt the estimates; a shared round-trip is
-   amortized across its [size] members so the per-call Section 3.3
-   estimates stay comparable with execs that rode alone. *)
+(* Completion of one landed source answer: store the unreduced fragment
+   in the answer cache, record the call in the cost model, emit the trace
+   leaf, and stamp the answer with the repository that actually produced
+   it.  Only source answers feed the learned cost model — cache serves
+   complete in zero time and would corrupt the estimates; a shared
+   round-trip is amortized across its [size] members so the per-call
+   Section 3.3 estimates stay comparable with execs that rode alone. *)
 let complete_answer ?attempts ?batch env (x : issued) ~start ~finish ~size
-    ~answered_repo ~answered_src v =
+    ~answered_repo ~answered_src landed =
   let p = x.prep in
+  let value, reduced, shipped =
+    match landed with
+    | Kept { value; shipped } -> (value, false, shipped)
+    | Reduced { value; shipped; _ } -> (value, true, shipped)
+    | Failed e -> raise e
+  in
   Log.debug (fun m ->
-      m "exec(%s) answered %d rows at t=%.1f" p.p_repo (cardinal v) finish);
-  let renamed = p.p_rename v in
-  typecheck_answer env p renamed;
+      m "exec(%s) answered %d rows at t=%.1f" p.p_repo shipped finish);
   let version = Source.data_version answered_src in
-  (match env.cache with
-  | Some cache ->
+  (match (env.cache, landed) with
+  | ( Some cache,
+      (Kept { value = renamed; _ } | Reduced { renamed = Some renamed; _ }) )
+    ->
       Answer_cache.store cache ~key:(cache_key p) ~version ~now:finish renamed
-  | None -> ());
-  let shipped = cardinal renamed in
+  | _ -> ());
   let origin =
     if String.equal answered_repo p.p_binding.b_repo then Trace.Source
     else Trace.Failover answered_repo
@@ -583,30 +651,37 @@ let complete_answer ?attempts ?batch env (x : issued) ~start ~finish ~size
   observe ?attempts ?batch env x ~start ~finish ~origin ~shipped
     ~rows:shipped;
   Done
-    { value = renamed; finish; shipped; origin; answered_by = (answered_repo, version) }
+    {
+      value;
+      reduced;
+      finish;
+      shipped;
+      origin;
+      answered_by = (answered_repo, version);
+    }
 
-(* A round-trip that came back: one answer per member, in order.  The
+(* A round-trip that came back: one landed answer per member, in order;
+   the first member whose answer did not land raises its exception.  The
    round-trip itself calibrates the source's batched cost (a hedge
    winner's time includes the hedge delay — it is what the exec cost). *)
 let complete_group ?attempts ?batch env group ~start ~finish ~answered_repo
-    ~answered_src answers =
+    ~answered_src arrival =
   let size = List.length group in
-  let wrapper = Wrapper.name (List.hd group).prep.p_binding.b_wrapper in
-  if List.length answers <> size then
-    runtime_error "wrapper %s on %s answered %d of a batch of %d" wrapper
-      answered_repo (List.length answers) size;
+  let landed =
+    match arrival with
+    | Ok landed -> landed
+    | Error count ->
+        runtime_error "wrapper %s on %s answered %d of a batch of %d"
+          (Wrapper.name (List.hd group).prep.p_binding.b_wrapper)
+          answered_repo count size
+  in
   Cost_model.record_batch env.cost ~repo:answered_repo ~size
     ~time_ms:(finish -. start);
   List.map2
-    (fun x answer ->
-      match answer with
-      | Error err ->
-          runtime_error "wrapper %s on %s: %s" wrapper x.prep.p_repo
-            (Wrapper.error_message err)
-      | Ok (v, _rows) ->
-          complete_answer ?attempts ?batch env x ~start ~finish ~size
-            ~answered_repo ~answered_src v)
-    group answers
+    (fun x landed ->
+      complete_answer ?attempts ?batch env x ~start ~finish ~size
+        ~answered_repo ~answered_src landed)
+    group landed
 
 (* An exec whose source refused or timed out: answered from a stale
    fragment when the Cached_fallback semantics allow it, else blocked.
@@ -624,9 +699,11 @@ let unanswered ?batch env ~now ~deadline (x : issued) =
   | Some (value, age) ->
       observe env x ~start:now ~finish:now ~origin:(Trace.Stale age) ~shipped:0
         ~rows:(cardinal value);
+      let value, reduced = reduce_done p value in
       Done
         {
           value;
+          reduced;
           finish = now;
           shipped = 0;
           origin = Trace.Stale age;
@@ -640,6 +717,37 @@ let unanswered ?batch env ~now ~deadline (x : issued) =
           ~shipped:0 ~rows:0;
       Blocked
 
+(* An exec's chain is the maximal run of unary mediator operators
+   directly above it: [chain_child] is the child of such an operator, and
+   [chain_exec] finds the exec under a chain's top node. *)
+let chain_child = function
+  | Plan.Mk_select (c, _) | Plan.Mk_project (c, _) | Plan.Mk_map (c, _)
+  | Plan.Mk_distinct c ->
+      Some c
+  | _ -> None
+
+let rec chain_exec = function
+  | Plan.Exec (repo, logical) -> Some (repo, logical)
+  | p -> Option.bind (chain_child p) chain_exec
+
+(* [Plan.execs plan], each with the top node of its chain ([None] when no
+   unary operator sits directly above it). *)
+let chained_execs plan =
+  let rec go top acc = function
+    | Plan.Exec (repo, logical) -> (repo, logical, top) :: acc
+    | p -> (
+        match chain_child p with
+        | Some c -> go (Some (Option.value top ~default:p)) acc c
+        | None -> Plan.fold_children (go None) acc p)
+  in
+  List.rev (go None [] plan)
+
+(* A chain's reducer: the chain's operators over an answer, which is what
+   [Plan.run_local] computes for the chain once the answer is
+   substituted. *)
+let reducer top value =
+  Plan.run_local (Plan.substitute_execs (fun _ _ -> Plan.Mk_data value) top)
+
 (* A round's execs, prepared: one per distinct [(repository, expr)]
    exec, in first-appearance order, found by repository and then by
    [Expr.equal] within that repository's bucket.  Dedup builds it once;
@@ -648,7 +756,8 @@ let unanswered ?batch env ~now ~deadline (x : issued) =
    vector read back.  A table never changes once built.  When an exec
    cannot be prepared, [t_execs] stops before it and [t_failure] holds
    the exception, which the round raises where it would have issued that
-   exec. *)
+   exec.  An exec gets its chain's reducer when every occurrence of it
+   has the same chain. *)
 type table = {
   t_execs : prepared array;
   t_by_repo : (string, (int * Expr.expr) list) Hashtbl.t;
@@ -660,28 +769,45 @@ type table = {
 let bucket by_repo repo =
   Option.value ~default:[] (Hashtbl.find_opt by_repo repo)
 
+let same_chain a b =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b -> Expr.equal (Plan.to_logical a) (Plan.to_logical b)
+  | _ -> false
+
 let table_of bindings ~cache execs =
   let by_repo = Hashtbl.create (List.length execs) in
   let count = ref 0 in
+  (* each distinct exec's chain; [None] once two occurrences differ *)
+  let chains = Hashtbl.create 16 in
   let distinct =
-    List.filter
-      (fun (repo, logical) ->
+    List.filter_map
+      (fun (repo, logical, top) ->
         let b = bucket by_repo repo in
-        if List.exists (fun (_, l) -> Expr.equal l logical) b then false
-        else (
-          Hashtbl.replace by_repo repo ((!count, logical) :: b);
-          incr count;
-          true))
+        match List.find_opt (fun (_, l) -> Expr.equal l logical) b with
+        | Some (k, _) ->
+            if not (same_chain (Hashtbl.find chains k) top) then
+              Hashtbl.replace chains k None;
+            None
+        | None ->
+            let k = !count in
+            Hashtbl.replace by_repo repo ((k, logical) :: b);
+            Hashtbl.replace chains k top;
+            incr count;
+            Some (k, repo, logical))
       execs
   in
   let failure = ref None in
   let prepared =
     List.filter_map
-      (fun (repo, logical) ->
+      (fun (k, repo, logical) ->
         if Option.is_some !failure then None
         else
           match prepare_exec bindings ~cache repo logical with
-          | p -> Some p
+          | p -> (
+              match Hashtbl.find chains k with
+              | Some top -> Some { p with p_reduce = Some (reducer top) }
+              | None -> Some p)
           | exception e ->
               failure := Some e;
               None)
@@ -713,7 +839,7 @@ let prepare_in bindings ~cache plan =
   {
     g_plan = plan;
     g_bindings = bindings;
-    g_first = table_of bindings ~cache (Plan.execs plan);
+    g_first = table_of bindings ~cache (chained_execs plan);
   }
 
 let prepare ?cache bindings plan =
@@ -774,7 +900,7 @@ let apply_retries env ~deadline table results =
             incr env.extra_trips;
             let answered_repo, answered_src, outcome =
               settle env ~now:at ~deadline [ x ]
-                (wire_call ~now:at ~deadline x.chosen [ x ])
+                (wire_call env ~now:at ~deadline x.chosen [ x ])
             in
             match outcome with
             | Source.Unavailable -> again ~elapsed:0.0 "unavailable"
@@ -881,7 +1007,7 @@ let issue_round env ~deadline table =
   let outcomes =
     Scheduler.map_rounds env.sched
       (fun (_, _, group) ->
-        wire_call ~now ~deadline (List.hd group).chosen group)
+        wire_call env ~now ~deadline (List.hd group).chosen group)
       groups
   in
   List.iter2
@@ -945,23 +1071,39 @@ let rec fold_ready plan =
 
 (* One round of a plan: issue the ready execs of [table] (the plan's,
    prepared), then substitute the answers into the plan and collect the
-   blocked repositories and the version vector.  [Plan.substitute_execs]
-   visits children left to right (it is a walk over [Plan.map_children]),
-   but each exec is still looked up in the table, never matched by
-   position. *)
+   blocked repositories and the version vector.  An answer its exec's
+   reducer already ran through the exec's chain replaces the whole chain
+   and exec; any other answer replaces the exec alone, and a blocked exec
+   keeps its chain, so a partial answer's residual is the one the
+   unreduced plan folds to.  The walk visits children left to right (it
+   is a walk over [Plan.map_children]), but each exec is still looked up
+   in the table, never matched by position. *)
 let run_round env ~deadline table plan =
   let results, stats = issue_round env ~deadline table in
-  let substituted =
-    Plan.substitute_execs
-      (fun repo logical ->
-        match find_exec table repo logical with
-        | Some k -> (
-            match results.(k) with
-            | Done d -> Plan.Mk_data d.value
-            | Blocked -> Plan.Exec (repo, logical))
-        | None -> Plan.Exec (repo, logical))
-      plan
+  let answer repo logical =
+    match find_exec table repo logical with
+    | Some k -> (
+        match results.(k) with Done d -> Some d | Blocked -> None)
+    | None -> None
   in
+  let leaf repo logical =
+    match answer repo logical with
+    | Some d -> Plan.Mk_data d.value
+    | None -> Plan.Exec (repo, logical)
+  in
+  let chain_answer p =
+    match chain_exec p with
+    | Some (repo, logical) -> answer repo logical
+    | None -> None
+  in
+  let rec substitute = function
+    | Plan.Exec (repo, logical) -> leaf repo logical
+    | p -> (
+        match chain_answer p with
+        | Some d when d.reduced -> Plan.Mk_data d.value
+        | Some _ | None -> Plan.map_children substitute p)
+  in
+  let substituted = substitute plan in
   (* the version vector records who actually answered — when a replica
      served the exec, pinning the primary's version here would make the
      staleness check (Section 4) watch the wrong repository *)

@@ -239,8 +239,10 @@ type program
 (** A plan prepared to run any number of times (DESIGN.md §4m): its
     bindings by extent and, for each distinct [(repository, expression)]
     exec of its first round, the binding, the translated source
-    expression, the answer renamer, the cost-model keys and (when
-    prepared with an answer cache) the answer-cache key. Immutable, so
+    expression, the answer renamer, the cost-model keys, (when prepared
+    with an answer cache) the answer-cache key, and the reducer of its
+    chain: the unary mediator operators directly above it, which a
+    round runs over its answer as it lands (DESIGN.md §4p). Immutable, so
     concurrent runs may share one. Execs built at run time (semi-join
     reductions) are prepared when issued, by the same function. *)
 

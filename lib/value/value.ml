@@ -101,6 +101,30 @@ let rec ordered ~strict = function
 
 let bag xs = Bag (if ordered ~strict:false xs then xs else List.sort compare xs)
 
+let merge_runs runs =
+  let canonical run =
+    if ordered ~strict:false run then run else List.sort compare run
+  in
+  let runs =
+    List.filter_map (function [] -> None | run -> Some (canonical run)) runs
+  in
+  (* runs that follow one another (disjoint key ranges, say) need no
+     merge: one compare per boundary shows it *)
+  let rec last = function [ x ] -> x | _ :: xs -> last xs | [] -> Null in
+  let rec consecutive = function
+    | a :: (b :: _ as rest) ->
+        compare (last a) (List.hd b) <= 0 && consecutive rest
+    | [ _ ] | [] -> true
+  in
+  (* [List.merge] takes the earlier run's element on a tie, so merging
+     adjacent runs pass by pass is one stable sort of their concatenation *)
+  let rec pass = function
+    | a :: b :: rest -> List.merge compare a b :: pass rest
+    | rest -> rest
+  in
+  let rec go = function [] -> [] | [ run ] -> run | runs -> go (pass runs) in
+  Bag (if consecutive runs then List.concat runs else go runs)
+
 let set xs =
   Set (if ordered ~strict:true xs then xs else List.sort_uniq compare xs)
 

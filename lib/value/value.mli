@@ -38,6 +38,12 @@ val bag : t list -> t
 (** [bag xs] is the canonical bag of the elements of [xs]. An [xs]
     already in {!compare} order is kept as it is after one pass. *)
 
+val merge_runs : t list list -> t
+(** [merge_runs runs] is [bag (List.concat runs)], built by merging the
+    runs stably instead of sorting their concatenation: each run is kept
+    after one pass when already in {!compare} order (a canonical bag's
+    or set's elements) and sorted first otherwise. *)
+
 val set : t list -> t
 (** [set xs] is the canonical set of the elements of [xs] (duplicates
     removed). An [xs] already strictly increasing is kept as it is after

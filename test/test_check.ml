@@ -436,11 +436,9 @@ let test_audit_scan_clean () =
 
 (* Every relational wrapper runs what its grammar derives: executed
    against a relational person0 source, no audit sentence the grammar
-   accepts is refused or fails. The indexed grammar names its
-   attributes, so the audit's renaming of every attribute takes its
-   filters out of the grammar (a DISCO-W002 of translation, which
-   [lint] reports for test/lint/indexed too); every other relational
-   grammar audits clean. *)
+   accepts is refused or fails, and each audits clean. person0 declares
+   no type map, so translation renames nothing, not even the attributes
+   the indexed grammar names. *)
 let test_audit_relational_against_source () =
   let src =
     Source.create ~id:"r0" ~address:(addr "r0")
@@ -462,9 +460,8 @@ let test_audit_relational_against_source () =
       Alcotest.(check (list string))
         (Wrapper.name w ^ ": runs every accepted sentence")
         [] (codes executed);
-      if Grammar.named_attributes (Wrapper.functionality w) = [] then
-        Alcotest.(check (list string)) (Wrapper.name w ^ ": audit clean") []
-          (codes ds))
+      Alcotest.(check (list string)) (Wrapper.name w ^ ": audit clean") []
+        (codes ds))
     [
       Wrapper.sql_wrapper ();
       Wrapper.scan_wrapper ();
@@ -473,6 +470,24 @@ let test_audit_relational_against_source () =
       Wrapper.project_wrapper ();
       Wrapper.indexed_wrapper ~eq:[ "id" ] ~range:[ "salary" ] ();
     ]
+
+(* An extent whose type map renames an attribute the indexed grammar
+   names: the translated lookup names the source's field, which the
+   grammar does not advertise, so translation leaves the grammar. *)
+let test_audit_renamed_indexed_attribute () =
+  let ds =
+    Check.audit_wrapper
+      ~map:(Typemap.make [ ("paie", "salary") ])
+      ~indexed:(fun _ -> true) ~extent:"person0" ~attrs:person_attrs
+      (Wrapper.indexed_wrapper ~eq:[ "salary" ] ())
+  in
+  check_has "DISCO-W002" ds;
+  Alcotest.(check bool) "names the renamed field" true
+    (List.exists
+       (fun d ->
+         String.equal d.Check.d_code "DISCO-W002"
+         && contains d.Check.d_message "paie")
+       ds)
 
 let test_audit_kv_overclaims () =
   (* the key-value grammar advertises select(ATTRIBUTE = CONST, ...) for
@@ -640,6 +655,8 @@ let () =
             test_audit_scan_clean;
           Alcotest.test_case "relational wrappers run what they accept" `Quick
             test_audit_relational_against_source;
+          Alcotest.test_case "renamed indexed attribute leaves the grammar"
+            `Quick test_audit_renamed_indexed_attribute;
           Alcotest.test_case "kv wrapper over-claims" `Quick
             test_audit_kv_overclaims;
           Alcotest.test_case "W005 equal grammars, one memo warmed" `Quick

@@ -6,7 +6,9 @@
    - cost-model smoothing bounds;
    - type-map composition;
    - the algebra's and the plan's child maps, and their walks' order;
-   - template planning against branch-by-branch planning. *)
+   - template planning against branch-by-branch planning;
+   - a round that reduces each answer as it lands against substituting
+     every answer, and a union's merge against one sort. *)
 
 module V = Disco_value.Value
 module Expr = Disco_algebra.Expr
@@ -2126,6 +2128,79 @@ let prop_canonical_collections =
       identical (V.bag xs) (V.Bag (List.sort V.compare xs))
       && identical (V.set xs) (V.Set (List.sort_uniq V.compare xs)))
 
+(* -- a union merges its branches' runs -- *)
+
+(* Runs drawn as canonical bags, sets and lists, and as bags built
+   directly from unsorted input. The merge is the bag of their
+   concatenation, bit for bit (elements that compare equal keep their
+   branch order: [-0.] and [0.], [nan]s), and [Mk_union] over them is the
+   left fold of [bag_union]. *)
+let prop_merge_runs =
+  let run_gen =
+    QCheck.Gen.(
+      canonical_input_gen >>= fun xs ->
+      oneofl [ V.bag xs; V.set xs; V.List xs; V.Bag xs ])
+  in
+  QCheck.Test.make ~long_factor
+    ~name:"merging canonical runs = sorting their concatenation" ~count:1000
+    (QCheck.make
+       ~print:(fun rs -> String.concat " | " (List.map V.to_string rs))
+       QCheck.Gen.(list_size (int_range 0 6) run_gen))
+    (fun runs ->
+      identical
+        (V.merge_runs (List.map V.elements runs))
+        (V.bag (List.concat_map V.elements runs))
+      && identical
+           (Plan.run_local
+              (Plan.Mk_union (List.map (fun r -> Plan.Mk_data r) runs)))
+           (List.fold_left V.bag_union (V.bag []) runs))
+
+(* -- Eval's select distinct under order by -- *)
+
+(* [Eval] keeps each value's first occurrence in sort order; the oracle
+   is the scan over the values kept so far that it replaced. *)
+let prop_distinct_order_by =
+  let gen =
+    QCheck.Gen.(
+      pair bool
+        (list_size (int_range 0 20) (pair (int_range 0 4) canonical_elem_gen)))
+  in
+  QCheck.Test.make ~long_factor
+    ~name:"select distinct ... order by = first occurrences in order"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (desc, rows) ->
+         Fmt.str "desc=%b %s" desc
+           (String.concat "; "
+              (List.map (fun (k, v) -> Fmt.str "%d:%s" k (V.to_string v)) rows)))
+       gen)
+    (fun (desc, rows) ->
+      let c =
+        V.bag (List.map (fun (k, v) -> V.strct [ ("k", V.Int k); ("v", v) ]) rows)
+      in
+      let env =
+        Disco_oql.Eval.env ~resolve:(function "c" -> Some c | _ -> None) ()
+      in
+      let q distinct =
+        Fmt.str "select %sx.v from x in c order by x.k%s"
+          (if distinct then "distinct " else "")
+          (if desc then " desc" else "")
+      in
+      let first_occurrences values =
+        let seen = ref [] in
+        List.filter
+          (fun v ->
+            if List.exists (V.equal v) !seen then false
+            else (
+              seen := v :: !seen;
+              true))
+          values
+      in
+      let all = V.elements (Disco_oql.Eval.eval_string env (q false)) in
+      identical
+        (Disco_oql.Eval.eval_string env (q true))
+        (V.list (first_occurrences all)))
+
 (* -- Table.to_bag equals the per-row struct build -- *)
 
 (* Columns declared out of alphabetical order, NULLs in every column,
@@ -2651,6 +2726,349 @@ let prop_template_equals_branches =
             (qs @ qs))
         [ []; [ Fmt.str "r%d" down ] ])
 
+
+(* -- a round reduces each answer as it arrives -- *)
+
+(* A round runs each exec's chain (the unary mediator operators directly
+   above it) over the exec's answer as it lands. The oracle leaves the
+   chains out: a twin federation runs only the plan's execs, in the same
+   order, and every answer its answer cache kept is substituted into the
+   plan, which [Plan.run_local] then runs (or, when some exec is blocked,
+   folds and decompiles, as the runtime does for a partial answer). The
+   reducing run must give the same answer, stats, residual query,
+   unavailable repositories and versions, and cache the same unreduced
+   answers. *)
+
+module Clock = Disco_source.Clock
+module Decompile = Disco_algebra.Decompile
+module Ast = Disco_oql.Ast
+
+type reduce_fed = {
+  rf_kinds : int list;
+      (* extent i's wrapper: 0 SQL, 1 scan, 2 select, 3 project *)
+  rf_repos : int list;  (* extent i's repository, r0..r2 *)
+  rf_down : int list;
+      (* per repository: 0 up, 1 down, 2 down until 40 virtual ms *)
+  rf_replica : bool;  (* r0 is slow and has a fast replica rr0 *)
+  rf_map : bool;  (* person1's source names its fields differently *)
+}
+
+let reduce_extents = 4
+
+let reduce_bindings spec =
+  let schedule r =
+    match List.nth spec.rf_down r with
+    | 1 -> Schedule.always_down
+    | 2 -> Schedule.down_during [ (0.0, 40.0) ]
+    | _ -> Schedule.always_up
+  in
+  let mapped i = spec.rf_map && i = 1 in
+  let table_of db i =
+    let rows = Datagen.person_rows ~seed:(900 + i) ~n:12 in
+    if mapped i then
+      ignore
+        (Datagen.table_of db ~name:"staff1"
+           (Schema.make
+              [ ("ident", Schema.TInt); ("nom", Schema.TString); ("paie", Schema.TInt) ])
+           rows)
+    else
+      ignore
+        (Datagen.table_of db ~name:(Fmt.str "person%d" i) Datagen.person_schema
+           rows)
+  in
+  let site ~base_ms ~schedule id r =
+    let db = Database.create ~name:"db" in
+    List.iteri (fun i repo -> if repo = r then table_of db i) spec.rf_repos;
+    Source.create ~id
+      ~address:(Source.address ~host:id ~db_name:"db" ~ip:"0" ())
+      ~latency:{ Source.base_ms; per_row_ms = 0.1; jitter = 0.2 }
+      ~schedule (Source.Relational db)
+  in
+  let slow = spec.rf_replica in
+  let sources =
+    List.init 3 (fun r ->
+        site
+          ~base_ms:(if slow && r = 0 then 30.0 else 3.0)
+          ~schedule:(schedule r) (Fmt.str "r%d" r) r)
+  in
+  let replica = site ~base_ms:2.0 ~schedule:Schedule.always_up "rr0" 0 in
+  List.mapi
+    (fun i (kind, r) ->
+      {
+        Runtime.b_extent = Fmt.str "person%d" i;
+        b_repo = Fmt.str "r%d" r;
+        b_source = List.nth sources r;
+        b_replicas = (if slow && r = 0 then [ ("rr0", replica) ] else []);
+        b_wrapper =
+          (match kind with
+          | 1 -> Wrapper.scan_wrapper ()
+          | 2 -> Wrapper.select_wrapper ()
+          | 3 -> Wrapper.project_wrapper ()
+          | _ -> Wrapper.sql_wrapper ());
+        b_map =
+          (if mapped i then
+             Typemap.make ~collection:("staff1", "person1")
+               [ ("ident", "id"); ("nom", "name"); ("paie", "salary") ]
+           else Typemap.identity);
+        b_check = Some (function V.Struct _ -> true | _ -> false);
+      })
+    (List.combine spec.rf_kinds spec.rf_repos)
+
+let reduce_pred_gen fields =
+  QCheck.Gen.(
+    let numeric = List.filter (fun f -> f = "id" || f = "salary") fields in
+    map3
+      (fun f op k ->
+        Expr.Cmp
+          ( op,
+            Expr.Attr [ f ],
+            Expr.Const (V.Int (if f = "id" then k mod 12 else 10 + (k * 4))) ))
+      (oneofl numeric)
+      (oneofl Expr.[ Eq; Ne; Lt; Le; Gt; Ge ])
+      (int_range 0 120))
+
+let has_numeric fields = List.exists (fun f -> f = "id" || f = "salary") fields
+
+let all_fields = [ "id"; "name"; "salary" ]
+
+let nonempty_subset fields =
+  QCheck.Gen.(
+    map
+      (fun keep ->
+        match List.filteri (fun i _ -> List.nth keep i) fields with
+        | [] -> [ List.hd fields ]
+        | sub -> sub)
+      (list_repeat (List.length fields) bool))
+
+(* An exec of extent [i] its wrapper accepts, and the fields its answer
+   carries. *)
+let reduce_exec_gen spec i =
+  QCheck.Gen.(
+    let get = Expr.Get (Fmt.str "person%d" i) in
+    let repo = Fmt.str "r%d" (List.nth spec.rf_repos i) in
+    let selected = map (fun p -> (Expr.Select (get, p), all_fields)) (reduce_pred_gen all_fields) in
+    let projected =
+      map (fun attrs -> (Expr.Project (get, attrs), attrs)) (nonempty_subset all_fields)
+    in
+    map
+      (fun (e, fields) -> (Plan.Exec (repo, e), fields))
+      (match List.nth spec.rf_kinds i with
+      | 1 -> return (get, all_fields)
+      | 2 -> oneof [ return (get, all_fields); selected ]
+      | 3 -> oneof [ return (get, all_fields); projected ]
+      | _ -> oneof [ return (get, all_fields); selected; projected ]))
+
+(* Zero to three unary operators over [plan], drawn so that each names
+   only fields its input carries. *)
+let reduce_chain_gen (plan, fields) =
+  QCheck.Gen.(
+    let step (plan, fields) =
+      match fields with
+      | None -> return (Plan.Mk_distinct plan, None)
+      | Some fields ->
+          frequency
+            ((if has_numeric fields then
+                [ (3, map (fun p -> (Plan.Mk_select (plan, p), Some fields)) (reduce_pred_gen fields)) ]
+              else [])
+            @ [
+                (1, map (fun attrs -> (Plan.Mk_project (plan, attrs), Some attrs)) (nonempty_subset fields));
+                (1, return (Plan.Mk_distinct plan, Some fields));
+                ( 1,
+                  map
+                    (fun f -> (Plan.Mk_map (plan, Expr.Hscalar (Expr.Attr [ f ])), None))
+                    (oneofl fields) );
+              ])
+    in
+    int_range 0 3 >>= fun n ->
+    let rec go k acc = if k = 0 then return acc else step acc >>= go (k - 1) in
+    map fst (go n (plan, Some fields)))
+
+(* One side of a join: selects over an exec that keeps [id], bound to
+   [var], as a chain; or, on a SQL extent, the selects and the binding
+   pushed into the exec, so the side has no chain. *)
+let reduce_side_gen spec var =
+  QCheck.Gen.(
+    int_range 0 (reduce_extents - 1) >>= fun i ->
+    reduce_exec_gen spec i >>= fun (exec, fields) ->
+    let repo = Fmt.str "r%d" (List.nth spec.rf_repos i) in
+    let get = Expr.Get (Fmt.str "person%d" i) in
+    let exec, fields =
+      if List.mem "id" fields then (exec, fields)
+      else (Plan.Exec (repo, get), all_fields)
+    in
+    let bind = Expr.Hstruct [ (var, Expr.Attr []) ] in
+    list_size (int_range 0 2) (reduce_pred_gen fields) >>= fun preds ->
+    map
+      (fun pushed ->
+        if pushed && List.nth spec.rf_kinds i = 0 then
+          let e =
+            match preds with
+            | [] -> get
+            | p :: ps -> Expr.Select (get, List.fold_left (fun a b -> Expr.And (a, b)) p ps)
+          in
+          Plan.Exec (repo, Expr.Map (e, bind))
+        else
+          Plan.Mk_map
+            (List.fold_left (fun p pred -> Plan.Mk_select (p, pred)) exec preds, bind))
+      bool)
+
+let reduce_plan_gen spec =
+  QCheck.Gen.(
+    let branch =
+      int_range 0 (reduce_extents - 1) >>= fun i ->
+      reduce_exec_gen spec i >>= reduce_chain_gen
+    in
+    let join =
+      map2
+        (fun l r ->
+          Plan.Mk_map
+            ( Plan.Hash_join (l, r, [ ([ "x"; "id" ], [ "y"; "id" ]) ]),
+              Expr.Hscalar (Expr.Attr [ "x"; "id" ]) ))
+        (reduce_side_gen spec "x") (reduce_side_gen spec "y")
+    in
+    (* a second chain over the first branch's exec: one exec shared by
+       two different chains gets no reducer *)
+    let shared branches =
+      match Plan.execs (List.hd branches) with
+      | (repo, e) :: _ ->
+          map
+            (fun k ->
+              branches
+              @ [ Plan.Mk_select (Plan.Mk_distinct (Plan.Exec (repo, e)), Expr.True) ]
+              @ if k = 0 then [ Plan.Exec (repo, e) ] else [])
+            (int_range 0 1)
+      | [] -> return branches
+    in
+    frequency
+      [
+        (4, map (fun bs -> Plan.Mk_union bs) (list_size (int_range 1 5) branch));
+        (2, join);
+        ( 2,
+          list_size (int_range 1 3) branch >>= shared >|= fun bs ->
+          Plan.Mk_union bs );
+        (1, map2 (fun j b -> Plan.Mk_union [ j; b ]) join branch);
+      ])
+
+let reduce_spec_gen =
+  QCheck.Gen.(
+    map3
+      (fun (kinds, repos) down (replica, map) ->
+        { rf_kinds = kinds; rf_repos = repos; rf_down = down; rf_replica = replica; rf_map = map })
+      (pair
+         (list_repeat reduce_extents (int_range 0 3))
+         (list_repeat reduce_extents (int_range 0 2)))
+      (list_repeat 3 (frequency [ (3, return 0); (1, return 1); (1, return 2) ]))
+      (pair bool bool))
+
+(* What folding a plan with blocked execs leaves, as the runtime folds
+   it for a partial answer. *)
+let rec fold_ready plan =
+  match Plan.execs plan with
+  | [] -> Plan.Mk_data (Plan.run_local plan)
+  | _ -> Plan.map_children fold_ready plan
+
+let reduce_run ~retry ~cache spec plan =
+  let bindings = reduce_bindings spec in
+  let cache = if cache then Some (Answer_cache.create ()) else None in
+  let env =
+    Runtime.env
+      (Runtime.Config.make ?cache ~check:Check.Off
+         ?retry:
+           (if retry then Some (Runtime.Retry.make ~hedge_ms:5.0 ()) else None)
+         ~clock:(Clock.create ()) ~cost:(Cost_model.create ()) ())
+      bindings
+  in
+  let outcome =
+    match Runtime.execute ~timeout_ms:300.0 env plan with
+    | r -> Ok r
+    | exception e -> Error (Printexc.to_string e)
+  in
+  (outcome, bindings, cache)
+
+(* The unreduced answer the cache kept for an exec, at whichever copy's
+   version answered it. *)
+let cached_answer bindings cache (repo, e) =
+  let copies =
+    List.concat_map
+      (fun b ->
+        if b.Runtime.b_repo = repo then b.Runtime.b_source :: List.map snd b.Runtime.b_replicas
+        else [])
+      bindings
+  in
+  List.find_map
+    (fun src ->
+      Answer_cache.find_fresh cache ~key:(Answer_cache.key ~repo e)
+        ~version:(Source.data_version src))
+    copies
+
+let prop_reducing_round_equals_substitution =
+  let gen =
+    QCheck.Gen.(
+      reduce_spec_gen >>= fun spec ->
+      map2 (fun plan (retry, cache) -> (spec, plan, retry, cache))
+        (reduce_plan_gen spec) (pair bool bool))
+  in
+  let print (spec, plan, retry, cache) =
+    Fmt.str "kinds=[%s] repos=[%s] down=[%s] replica=%b map=%b retry=%b cache=%b %s"
+      (String.concat "," (List.map string_of_int spec.rf_kinds))
+      (String.concat "," (List.map string_of_int spec.rf_repos))
+      (String.concat "," (List.map string_of_int spec.rf_down))
+      spec.rf_replica spec.rf_map retry cache (Plan.to_string plan)
+  in
+  QCheck.Test.make ~long_factor
+    ~name:"a reducing round = substitute every answer, then run_local"
+    ~count:300 (QCheck.make ~print gen)
+    (fun (spec, plan, retry, cache) ->
+      let execs = Plan.execs plan in
+      let bare = Plan.Mk_union (List.map (fun (r, e) -> Plan.Exec (r, e)) execs) in
+      let reduced, _, cache_r = reduce_run ~retry ~cache spec plan in
+      let plain, bindings, cache_p = reduce_run ~retry ~cache:true spec bare in
+      let cache_p = Option.get cache_p in
+      let answers = List.map (cached_answer bindings cache_p) execs in
+      let substituted =
+        Plan.substitute_execs
+          (fun repo e ->
+            match cached_answer bindings cache_p (repo, e) with
+            | Some v -> Plan.Mk_data v
+            | None -> Plan.Exec (repo, e))
+          plan
+      in
+      let oracle =
+        match Plan.execs substituted with
+        | [] -> (
+            match Plan.run_local substituted with
+            | v -> Ok (`Complete v)
+            | exception e -> Error (Printexc.to_string e))
+        | _ -> (
+            match
+              Decompile.decompile (Plan.to_logical (fold_ready substituted))
+            with
+            | q -> Ok (`Partial q)
+            | exception e -> Error (Printexc.to_string e))
+      in
+      let same_cache =
+        match cache_r with
+        | None -> true
+        | Some c ->
+            List.map2 (fun x a -> cached_answer bindings c x = a) execs answers
+            |> List.for_all Fun.id
+      in
+      same_cache
+      &&
+      match (reduced, plain, oracle) with
+      | Ok (a, sa), Ok (b, sb), Ok o -> (
+          sa = sb
+          &&
+          match (a, b, o) with
+          | Runtime.Complete va, Runtime.Complete _, `Complete vo -> V.equal va vo
+          | Runtime.Partial pa, Runtime.Partial pb, `Partial qo ->
+              Ast.equal pa.Runtime.query qo
+              && pa.Runtime.unavailable = pb.Runtime.unavailable
+              && pa.Runtime.versions = pb.Runtime.versions
+          | _ -> false)
+      | Error ea, _, Error eo -> String.equal ea eo
+      | _ -> false)
+
 let () =
   Alcotest.run "disco_properties"
     [
@@ -2678,10 +3096,13 @@ let () =
             prop_identity_rewrites;
             prop_prepared_hit_equals_fresh;
             prop_canonical_collections;
+            prop_merge_runs;
+            prop_distinct_order_by;
             prop_table_to_bag;
             prop_pushed_chain_priced_from_scan;
             prop_relational_wrapper_is_its_grammar;
             prop_template_equals_branches;
+            prop_reducing_round_equals_substitution;
           ] );
       ( "sql-oracle",
         List.map QCheck_alcotest.to_alcotest
